@@ -29,13 +29,12 @@ def _server(burst_us, sleep_us):
     return body
 
 
-def _build_farm_kernel(n_cpus=4, n_threads=16, engine="horizon"):
+def _build_farm_kernel(n_cpus=4, n_threads=16):
     """A controller-free stand-in for the webfarm's round pattern:
     reservation threads that compute and sleep, so rounds constantly
-    re-place and re-pick (epoch churn defeats round replay, exactly as
-    in the macro scenario)."""
+    re-place and re-pick, exactly as in the macro scenario."""
     scheduler = ReservationScheduler()
-    kernel = Kernel(scheduler, n_cpus=n_cpus, engine=engine)
+    kernel = Kernel(scheduler, n_cpus=n_cpus)
     for index in range(n_threads):
         thread = kernel.spawn(
             f"srv{index}", _server(1_500 + 100 * (index % 4), 2_000)
@@ -57,25 +56,7 @@ def test_dispatch_round_throughput(benchmark):
     # The scenario must actually exercise rounds on every CPU.
     assert kernel.dispatch_count > 400
     assert all(c.dispatches > 0 for c in kernel.cpu_states)
-    assert (
-        kernel.total_thread_cpu_us() + kernel.idle_us + kernel.stolen_us
-        == kernel.capacity_us()
-    )
-
-
-@pytest.mark.benchmark(group="smp-round")
-def test_dispatch_round_throughput_oracle(benchmark):
-    """Same round pattern under the quantum-sliced oracle engine, so
-    the horizon engine's round-path overhead stays directly comparable
-    in one report."""
-
-    def run():
-        kernel = _build_farm_kernel(engine="quantum")
-        kernel.run_for(200_000)
-        return kernel
-
-    kernel = benchmark(run)
-    assert kernel.dispatch_count > 400
+    assert kernel.conservation_gap_us() == 0
 
 
 @pytest.mark.benchmark(group="smp-round")

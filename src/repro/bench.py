@@ -36,7 +36,8 @@ from repro.core.artifacts import append_durable
 
 #: Version of the artifact layout written by :func:`bench_to_dict`.
 #: v2: per-scenario migration counters (``migrations``/``migration_us``).
-BENCH_SCHEMA_VERSION = 2
+#: v3: the per-scenario ``engine`` field is gone (one dispatch loop).
+BENCH_SCHEMA_VERSION = 3
 
 #: Default artifact filename (tracked in the repository root).
 DEFAULT_ARTIFACT = "BENCH_kernel.json"
@@ -253,9 +254,8 @@ def _build_churn1k(sim_us: int) -> Callable[[], object]:
     Two open streams feed a bare reservation scheduler: Poisson
     best-effort jobs and deterministic reserved jobs, each a finite
     compute/sleep demand.  Every lifetime exercises mid-run spawn
-    (scheduler add + epoch bump), finite-job exit (remove + reclaim)
-    and the calendar's arrival events — the churn contract the horizon
-    engine must keep proving.  The full run completes well over 1000
+    (scheduler add), finite-job exit (remove + reclaim) and the
+    calendar's arrival events.  The full run completes well over 1000
     thread lifetimes.
     """
     from repro.sched.rbs import ReservationScheduler
@@ -313,10 +313,6 @@ class BenchResult:
     wall_s: list[float] = field(default_factory=list)
     dispatches: int = 0
     n_threads: int = 0
-    #: Kernel time-advancement engine the scenario ran under, so
-    #: quantum-vs-horizon throughput stays distinguishable in the
-    #: artifact and the perf trajectory.
-    engine: str = ""
     #: Thread lifetimes that ran to completion (exited threads) — the
     #: churn scenarios' headline count.
     threads_completed: int = 0
@@ -349,7 +345,6 @@ class BenchResult:
             "sim_us_per_wall_s": round(self.sim_us_per_wall_s, 1),
             "dispatches": self.dispatches,
             "n_threads": self.n_threads,
-            "engine": self.engine,
             "threads_completed": self.threads_completed,
             "migrations": self.migrations,
             "migration_us": self.migration_us,
@@ -370,7 +365,6 @@ class BenchResult:
             wall_s=[float(w) for w in payload["wall_s"]],
             dispatches=int(payload.get("dispatches", 0)),
             n_threads=int(payload.get("n_threads", 0)),
-            engine=str(payload.get("engine", "")),
             threads_completed=int(payload.get("threads_completed", 0)),
             migrations=int(payload.get("migrations", 0)),
             migration_us=int(payload.get("migration_us", 0)),
@@ -398,7 +392,6 @@ def run_scenario(
         result.wall_s.append(time.perf_counter() - start)  # repro-lint: disable=determinism -- benchmark wall timing, as above
         result.dispatches = getattr(kernel, "dispatch_count", 0)
         result.n_threads = len(getattr(kernel, "threads", ()))
-        result.engine = getattr(kernel, "engine", "")
         result.threads_completed = _completed_lifetimes(kernel)
         result.migrations = getattr(kernel, "migrations", 0)
         result.migration_us = getattr(kernel, "migration_us", 0)
@@ -686,10 +679,6 @@ def history_line(
             result.name: round(result.sim_us_per_wall_s, 1)
             for result in results
         },
-        # Which kernel time-advancement engine each scenario ran under:
-        # without this the trajectory cannot tell a horizon-engine run
-        # from the quantum oracle.
-        "engines": {result.name: result.engine for result in results},
     }
 
 

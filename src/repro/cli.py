@@ -368,7 +368,6 @@ def _cmd_golden(args: argparse.Namespace) -> int:
             print(
                 f"regenerated {path}: {len(corpus['entries'])} entries "
                 f"({len(golden.GOLDEN_SCHEDULERS)} schedulers x "
-                f"{len(golden.GOLDEN_ENGINES)} engines x "
                 f"{len(golden.GOLDEN_CPU_COUNTS)} CPU counts)"
             )
             continue

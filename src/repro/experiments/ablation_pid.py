@@ -18,7 +18,7 @@ from repro.analysis.response import step_response
 from repro.analysis.results import ExperimentResult
 from repro.analysis.series import mean_absolute_deviation
 from repro.core.config import ControllerConfig
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.sim.kernel import Kernel
@@ -54,11 +54,11 @@ DEFAULT_GAIN_LABELS = tuple(label for label, _, _, _ in DEFAULT_GAIN_SETTINGS)
 
 def _evaluate(
     kp: float, ki: float, kd: float, *, pulse_at_s: float = 3.0,
-    sim_seconds: float = 8.0, engine: str = "horizon",
+    sim_seconds: float = 8.0,
 ) -> tuple[float, float, float, Kernel]:
     config = ControllerConfig(pid_gains=PIDGains(kp=kp, ki=ki, kd=kd))
     system = build_real_rate_system(
-        config, record_dispatches=True, engine=engine
+        config, record_dispatches=True
     )
     params = PulseParameters()
     schedule = PulseSchedule.paper_figure6(
@@ -103,7 +103,6 @@ def _evaluate(
               help="virtual seconds simulated per gain setting"),
         Param("seed", kind="int", default=None, help="RNG seed (recorded; "
               "the pulse workload is fully deterministic)"),
-        ENGINE_PARAM,
     ),
     quick={"labels": ("low", "high"), "sim_seconds": 6.0},
 )
@@ -112,7 +111,6 @@ def ablation_pid_experiment(
     labels: Sequence[str] = DEFAULT_GAIN_LABELS,
     sim_seconds: float = 8.0,
     seed: Optional[int] = None,
-    engine: str = "horizon",
     settings: Optional[Sequence[tuple[str, float, float, float]]] = None,
 ) -> ExperimentResult:
     """Sweep PID gains on the pulse workload.
@@ -132,7 +130,7 @@ def ablation_pid_experiment(
     kernels = []
     for label, kp, ki, kd in settings:
         rise, overshoot, fill_mad, kernel = _evaluate(
-            kp, ki, kd, sim_seconds=sim_seconds, engine=engine
+            kp, ki, kd, sim_seconds=sim_seconds
         )
         kernels.append(kernel)
         outcomes.append(

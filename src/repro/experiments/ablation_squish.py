@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from repro.analysis.results import ExperimentResult
 from repro.core.config import ControllerConfig
 from repro.core.overload import FairShareSquish, WeightedFairShareSquish
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.system import build_real_rate_system
@@ -38,7 +38,6 @@ def _run_with_policy(
     sim_seconds: float,
     config: Optional[ControllerConfig],
     seed: Optional[int],
-    engine: str,
     kernels: list,
 ) -> dict[str, float]:
     cfg = config if config is not None else ControllerConfig()
@@ -49,7 +48,7 @@ def _run_with_policy(
     else:
         raise ValueError(f"unknown squish policy {policy_name!r}")
     system = build_real_rate_system(
-        cfg, squish_policy=policy, record_dispatches=True, engine=engine
+        cfg, squish_policy=policy, record_dispatches=True
     )
     kernels.append(system.kernel)
     hogs = [
@@ -81,7 +80,6 @@ def _run_with_policy(
               help="virtual seconds simulated per policy"),
         Param("seed", kind="int", default=None,
               help="seeds the hogs' burst-length jitter"),
-        ENGINE_PARAM,
     ),
     quick={"sim_seconds": 4.0},
 )
@@ -90,7 +88,6 @@ def ablation_squish_experiment(
     importances: Sequence[float] = DEFAULT_IMPORTANCES,
     sim_seconds: float = 8.0,
     seed: Optional[int] = None,
-    engine: str = "horizon",
     config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Compare fair-share and weighted-fair-share squishing."""
@@ -103,7 +100,7 @@ def ablation_squish_experiment(
         result.metrics.update(
             _run_with_policy(
                 policy_name, importances, sim_seconds, config, seed,
-                engine, kernels,
+                kernels,
             )
         )
 

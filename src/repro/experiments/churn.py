@@ -17,12 +17,9 @@ and exiting while the feedback controller adapts:
 * ``trace_replay`` — a tagged arrival trace (built-in sample or
   ``trace_file=...``) mixing web, batch and real-time job classes.
 
-Every scenario takes an ``engine`` parameter and must produce
-**bit-identical dispatch logs** under ``engine="quantum"`` and
-``engine="horizon"`` — each result records
-``metadata["dispatch_fingerprint"]`` (the SHA-256 of the full dispatch
-log) and ``tests/test_experiments_churn.py`` diffs the two engines on
-every scenario.
+Every scenario records ``metadata["dispatch_fingerprint"]`` (the
+SHA-256 of the full dispatch log), so any two runs can be diffed
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from typing import Optional
 from repro.analysis.results import ExperimentResult
 from repro.analysis.sojourn import sojourn_stats_by_tag
 from repro.core.taxonomy import ThreadSpec
-from repro.experiments.params import ENGINE_PARAM
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.system import RealRateSystem, build_real_rate_system
@@ -44,10 +40,6 @@ from repro.workloads.engine import (
     dispatch_fingerprint,
 )
 from repro.workloads.webfarm import WebFarm
-
-#: Back-compat alias; the canonical declaration moved to
-#: :mod:`repro.experiments.params` so every experiment shares it.
-_ENGINE_PARAM = ENGINE_PARAM
 
 #: Sampling period for the live-thread-count trace series.
 _LIVE_SAMPLE_US = 10_000
@@ -98,7 +90,6 @@ def _churn_metrics(
     if len(live):
         result.metrics["peak_live_jobs"] = max(live.values())
         result.add_series("live_jobs", live.times_s(), live.values())
-    result.metadata["engine"] = system.kernel.engine
     result.metadata["dispatch_fingerprint"] = dispatch_fingerprint(system.kernel)
 
 
@@ -123,7 +114,6 @@ def _churn_metrics(
               help="sleep between job compute bursts"),
         Param("duration_s", kind="float", default=2.0, minimum=0.05),
         Param("seed", kind="int", default=17),
-        _ENGINE_PARAM,
     ),
     quick={"duration_s": 0.3, "jobs_per_second": 40.0},
 )
@@ -137,7 +127,6 @@ def churn_webfarm_experiment(
     think_us: int = 800,
     duration_s: float = 2.0,
     seed: Optional[int] = 17,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """A web farm keeps serving while batch jobs churn around it.
 
@@ -148,7 +137,7 @@ def churn_webfarm_experiment(
     the farm's throughput tracks the offered load despite the churn.
     """
     system = build_real_rate_system(
-        n_cpus=n_cpus, record_dispatches=True, engine=engine
+        n_cpus=n_cpus, record_dispatches=True
     )
     farm = WebFarm.attach(
         system,
@@ -205,7 +194,6 @@ def churn_webfarm_experiment(
         Param("io_latency_us", kind="int", default=1_200, minimum=0),
         Param("duration_s", kind="float", default=2.0, minimum=0.05),
         Param("seed", kind="int", default=23),
-        _ENGINE_PARAM,
     ),
     quick={"duration_s": 0.4, "phase_s": 0.1},
 )
@@ -219,7 +207,6 @@ def tidal_pipeline_experiment(
     io_latency_us: int = 1_200,
     duration_s: float = 2.0,
     seed: Optional[int] = 23,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """Arrival rate rises and falls like a tide while jobs flow through.
 
@@ -230,7 +217,7 @@ def tidal_pipeline_experiment(
     also reshapes jobs already in flight).
     """
     system = build_real_rate_system(
-        n_cpus=n_cpus, record_dispatches=True, engine=engine
+        n_cpus=n_cpus, record_dispatches=True
     )
     churn = WorkloadEngine(system.kernel, allocator=system.allocator)
     template = JobTemplate(
@@ -289,7 +276,6 @@ def tidal_pipeline_experiment(
         Param("duration_s", kind="float", default=2.2, minimum=0.05),
         Param("seed", kind="int", default=None, help="RNG seed (recorded; "
               "the herd trace is fully deterministic)"),
-        _ENGINE_PARAM,
     ),
     quick={"herd_size": 15, "n_waves": 2, "wave_interval_s": 0.15,
            "duration_s": 0.5},
@@ -303,7 +289,6 @@ def thundering_herd_experiment(
     job_cpu_us: int = 3_000,
     duration_s: float = 2.2,
     seed: Optional[int] = None,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """Every wave drops ``herd_size`` jobs on the system at one instant.
 
@@ -317,7 +302,7 @@ def thundering_herd_experiment(
         w * wave_us for w in range(n_waves) for _ in range(herd_size)
     )
     system = build_real_rate_system(
-        n_cpus=n_cpus, record_dispatches=True, engine=engine
+        n_cpus=n_cpus, record_dispatches=True
     )
     churn = WorkloadEngine(system.kernel, allocator=system.allocator)
     template = JobTemplate(
@@ -361,7 +346,6 @@ def build_flash_crowd_workload(
     rt_ppt: int,
     job_cpu_us: int,
     seed: Optional[int],
-    engine: str,
 ):
     """Assemble the flash-crowd scenario, ready to start.
 
@@ -378,7 +362,7 @@ def build_flash_crowd_workload(
             f"({flash_start_s})"
         )
     system = build_real_rate_system(
-        n_cpus=n_cpus, record_dispatches=True, engine=engine
+        n_cpus=n_cpus, record_dispatches=True
     )
     churn = WorkloadEngine(system.kernel, allocator=system.allocator)
     template = JobTemplate(
@@ -419,7 +403,6 @@ def build_flash_crowd_workload(
         Param("job_cpu_us", kind="int", default=4_000, minimum=1),
         Param("duration_s", kind="float", default=2.0, minimum=0.05),
         Param("seed", kind="int", default=29),
-        _ENGINE_PARAM,
     ),
     quick={"duration_s": 0.5, "flash_start_s": 0.15, "flash_end_s": 0.3},
 )
@@ -434,7 +417,6 @@ def flash_crowd_rt_experiment(
     job_cpu_us: int = 4_000,
     duration_s: float = 2.0,
     seed: Optional[int] = 29,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """A flash crowd of real-time jobs hits per-arrival admission.
 
@@ -454,7 +436,6 @@ def flash_crowd_rt_experiment(
         rt_ppt=rt_ppt,
         job_cpu_us=job_cpu_us,
         seed=seed,
-        engine=engine,
     )
     churn.start(script)
     system.run_for(seconds(duration_s))
@@ -511,7 +492,6 @@ DEFAULT_TRACE = _default_trace()
         Param("duration_s", kind="float", default=1.0, minimum=0.05),
         Param("seed", kind="int", default=None, help="RNG seed (recorded; "
               "trace replay is fully deterministic)"),
-        _ENGINE_PARAM,
     ),
     quick={"duration_s": 0.4},
 )
@@ -521,7 +501,6 @@ def trace_replay_experiment(
     n_cpus: int = 1,
     duration_s: float = 1.0,
     seed: Optional[int] = None,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """Drive the system with a recorded arrival trace.
 
@@ -535,7 +514,7 @@ def trace_replay_experiment(
     else:
         trace = TraceArrivals.parse(DEFAULT_TRACE)
     system = build_real_rate_system(
-        n_cpus=n_cpus, record_dispatches=True, engine=engine
+        n_cpus=n_cpus, record_dispatches=True
     )
     churn = WorkloadEngine(system.kernel, allocator=system.allocator)
     templates = {
@@ -566,8 +545,7 @@ def trace_replay_experiment(
     result.metadata["trace_file"] = trace_file or "<built-in>"
     result.notes.append(
         "replayed traces make production traffic shapes reproducible "
-        "bit-for-bit; the same trace must fingerprint identically on both "
-        "kernel engines."
+        "bit-for-bit."
     )
     return result
 

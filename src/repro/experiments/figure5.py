@@ -27,7 +27,7 @@ from repro.analysis.regression import linear_fit
 from repro.analysis.results import ExperimentResult
 from repro.core.config import ControllerConfig
 from repro.core.taxonomy import ThreadSpec
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.sim.requests import Sleep
@@ -72,7 +72,6 @@ def _dummy_body(env):
         ),
         Param("seed", kind="int", default=None, help="RNG seed (recorded; "
               "this driver's dummy population is fully deterministic)"),
-        ENGINE_PARAM,
     ),
     quick={"process_counts": (0, 10, 20, 30), "sim_seconds": 0.5},
 )
@@ -82,7 +81,6 @@ def figure5_experiment(
     controller_period_us: int = 10_000,
     sim_seconds: float = 2.0,
     seed: Optional[int] = None,
-    engine: str = "horizon",
     config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 5: controller overhead vs. controlled processes."""
@@ -99,7 +97,6 @@ def figure5_experiment(
             cfg,
             charge_dispatch_overhead=False,
             record_dispatches=True,
-            engine=engine,
         )
         kernels.append(system.kernel)
         for index in range(count):

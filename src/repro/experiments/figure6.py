@@ -28,7 +28,7 @@ from repro.analysis.response import step_response
 from repro.analysis.results import ExperimentResult
 from repro.analysis.series import mean_absolute_deviation, rate_from_cumulative
 from repro.core.config import ControllerConfig
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.system import RealRateSystem, build_real_rate_system
@@ -168,7 +168,6 @@ def _collect(
               help="CPUs in the simulated kernel"),
         Param("seed", kind="int", default=None, help="RNG seed (recorded; "
               "the pulse pipeline is fully deterministic)"),
-        ENGINE_PARAM,
     ),
     quick={"small_schedule": True},
 )
@@ -178,7 +177,6 @@ def figure6_experiment(
     extra_seconds: float = 1.0,
     n_cpus: int = 1,
     seed: Optional[int] = None,
-    engine: str = "horizon",
     config: Optional[ControllerConfig] = None,
     params: Optional[PulseParameters] = None,
     schedule: Optional[PulseSchedule] = None,
@@ -193,7 +191,7 @@ def figure6_experiment(
                 params.base_rate_bytes_per_cpu_us
             )
     system = build_real_rate_system(
-        config, n_cpus=n_cpus, record_dispatches=True, engine=engine
+        config, n_cpus=n_cpus, record_dispatches=True
     )
     pipeline = PulsePipeline.attach(system, schedule=schedule, params=params)
     _instrument(system, pipeline)

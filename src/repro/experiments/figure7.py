@@ -20,7 +20,7 @@ from typing import Optional
 from repro.analysis.results import ExperimentResult
 from repro.core.config import ControllerConfig
 from repro.experiments.figure6 import _collect, _instrument, small_figure6_schedule
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.system import build_real_rate_system
@@ -63,7 +63,6 @@ def _correlation(xs: list[float], ys: list[float]) -> float:
               help="CPUs in the simulated kernel"),
         Param("seed", kind="int", default=None,
               help="seeds the hog's burst-length jitter"),
-        ENGINE_PARAM,
     ),
     quick={"small_schedule": True},
 )
@@ -74,7 +73,6 @@ def figure7_experiment(
     extra_seconds: float = 1.0,
     n_cpus: int = 1,
     seed: Optional[int] = None,
-    engine: str = "horizon",
     config: Optional[ControllerConfig] = None,
     params: Optional[PulseParameters] = None,
     schedule: Optional[PulseSchedule] = None,
@@ -89,7 +87,7 @@ def figure7_experiment(
                 params.base_rate_bytes_per_cpu_us
             )
     system = build_real_rate_system(
-        config, n_cpus=n_cpus, record_dispatches=True, engine=engine
+        config, n_cpus=n_cpus, record_dispatches=True
     )
     pipeline = PulsePipeline.attach(system, schedule=schedule, params=params)
     hog = CpuHog.attach(system, importance=hog_importance, seed=seed)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from repro.analysis.results import ExperimentResult
 from repro.analysis.series import find_knee
 from repro.core.config import ControllerConfig
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import US_PER_SEC, seconds
 from repro.sim.cpu import CPUModel
@@ -57,7 +57,7 @@ def _grabber_body(env):
 
 
 def _available_fraction(
-    frequency_hz: float, sim_seconds: float, cpu: CPUModel, engine: str
+    frequency_hz: float, sim_seconds: float, cpu: CPUModel
 ) -> tuple[float, Kernel]:
     """Fraction of the CPU a greedy thread obtains at a dispatch frequency."""
     dispatch_interval_us = max(1, int(round(US_PER_SEC / frequency_hz)))
@@ -68,7 +68,6 @@ def _available_fraction(
         dispatch_interval_us=dispatch_interval_us,
         charge_dispatch_overhead=True,
         record_dispatches=True,
-        engine=engine,
     )
     grabber = SimThread("grabber", _grabber_body, policy=SchedulingPolicy.BEST_EFFORT)
     kernel.add_thread(grabber)
@@ -96,7 +95,6 @@ def _available_fraction(
         ),
         Param("seed", kind="int", default=None, help="RNG seed (recorded; "
               "the grabber workload is fully deterministic)"),
-        ENGINE_PARAM,
     ),
     quick={
         "frequencies_hz": (100, 1_000, 2_000, 4_000, 8_000, 10_000),
@@ -110,7 +108,6 @@ def figure8_experiment(
     dispatch_cost_us: float = CALIBRATED_BASE_COST_US,
     dispatch_cost_quadratic_us: float = CALIBRATED_QUADRATIC_COST_US,
     seed: Optional[int] = None,
-    engine: str = "horizon",
     config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 8: available CPU vs. dispatcher frequency."""
@@ -125,7 +122,7 @@ def figure8_experiment(
     kernels = []
     for frequency in frequencies_hz:
         fractions[frequency], kernel = _available_fraction(
-            frequency, sim_seconds, cpu, engine
+            frequency, sim_seconds, cpu
         )
         kernels.append(kernel)
 

@@ -1,12 +1,11 @@
 """Shared parameter declarations and reproducibility stamps.
 
-Every registered experiment must expose the two reproducibility knobs
-(``engine`` — which kernel time-advancement engine to run — and
-``seed``) and stamp the dispatch fingerprint of every kernel it built
-into its result metadata, so any run can be diffed bit-for-bit against
-any other (the experiment-registry lint check enforces all three).
-Declaring the parameters once keeps their help text, bounds and
-defaults identical across the registry.
+Every registered experiment must expose the ``seed`` reproducibility
+knob and stamp the dispatch fingerprint of every kernel it built into
+its result metadata, so any run can be diffed bit-for-bit against any
+other (the experiment-registry lint check enforces both).  Declaring
+the parameter once keeps its help text and default identical across
+the registry.
 """
 
 from __future__ import annotations
@@ -19,14 +18,6 @@ from repro.workloads.engine import dispatch_fingerprint
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.results import ExperimentResult
     from repro.sim.kernel import Kernel
-
-#: Which kernel time-advancement engine to run.  The quantum-sliced
-#: oracle is exposed so conformance tests (and curious users) can diff
-#: the two engines' dispatch logs.
-ENGINE_PARAM = Param(
-    "engine", kind="str", default="horizon", choices=("horizon", "quantum"),
-    help="kernel time-advancement engine (quantum = differential oracle)",
-)
 
 #: Deterministic-replay seed.  Experiments whose drivers draw no random
 #: numbers still expose it (recorded in metadata) so every registry
@@ -42,7 +33,7 @@ def stamp_reproducibility(
     *kernels: "Kernel",
     seed: Optional[int] = None,
 ) -> None:
-    """Stamp engine + dispatch fingerprint(s) into ``result.metadata``.
+    """Stamp the dispatch fingerprint(s) and seed into ``result.metadata``.
 
     Multi-point experiments pass every kernel they built (in sweep
     order); the fingerprints are joined with ``"+"`` into one composite
@@ -52,11 +43,10 @@ def stamp_reproducibility(
     """
     if not kernels:
         raise ValueError("stamp_reproducibility needs at least one kernel")
-    result.metadata["engine"] = kernels[0].engine
     result.metadata["dispatch_fingerprint"] = "+".join(
         dispatch_fingerprint(kernel) for kernel in kernels
     )
     result.metadata["seed"] = seed
 
 
-__all__ = ["ENGINE_PARAM", "SEED_PARAM", "stamp_reproducibility"]
+__all__ = ["SEED_PARAM", "stamp_reproducibility"]

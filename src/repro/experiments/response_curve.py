@@ -29,7 +29,6 @@ from repro.analysis.sojourn import (
 )
 from repro.analysis.series import find_knee
 from repro.core.taxonomy import ThreadSpec
-from repro.experiments.churn import _ENGINE_PARAM
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.system import build_real_rate_system
@@ -82,11 +81,10 @@ def _run_level(
     job_cpu_us: int,
     duration_s: float,
     seed: Optional[int],
-    engine: str,
 ) -> tuple[ResponseCurvePoint, float, str]:
     """One sweep level; returns (curve point, admit ratio, fingerprint)."""
     system = build_real_rate_system(
-        n_cpus=n_cpus, record_dispatches=True, engine=engine
+        n_cpus=n_cpus, record_dispatches=True
     )
     churn = WorkloadEngine(system.kernel, allocator=system.allocator)
     template = _make_template(workload, job_cpu_us)
@@ -119,7 +117,6 @@ def _run_level(
         Param("duration_s", kind="float", default=1.5, minimum=0.05,
               help="simulated seconds per sweep level"),
         Param("seed", kind="int", default=41),
-        _ENGINE_PARAM,
     ),
     quick={"duration_s": 0.4, "rates": (30.0, 90.0, 180.0)},
 )
@@ -131,7 +128,6 @@ def response_curve_experiment(
     job_cpu_us: int = 3_000,
     duration_s: float = 1.5,
     seed: Optional[int] = 41,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """Sweep the arrival rate; report percentile latency vs offered load.
 
@@ -152,7 +148,6 @@ def response_curve_experiment(
             job_cpu_us=job_cpu_us,
             duration_s=duration_s,
             seed=seed,
-            engine=engine,
         )
         points.append(point)
         admit_ratios.append(admit_ratio)
@@ -180,7 +175,6 @@ def response_curve_experiment(
     result.metadata["response_curve"] = point_dicts
     result.metadata["workload"] = workload
     result.metadata["seed"] = seed
-    result.metadata["engine"] = engine
     result.metadata["dispatch_fingerprint"] = "+".join(fingerprints)
     result.notes.append(
         "each sweep level is a fresh system with the same seed, so points "

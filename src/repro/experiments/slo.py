@@ -14,7 +14,7 @@ scenario twice with the same seed:
 Both passes record their full dispatch fingerprints and per-tag
 sojourn percentiles, so ``python -m repro report`` renders the
 comparison from one artifact — and a fixed seed reproduces the whole
-report bit for bit on either kernel engine.
+report bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.analysis.results import ExperimentResult
 from repro.analysis.sojourn import sojourn_stats
-from repro.experiments.churn import _ENGINE_PARAM, build_flash_crowd_workload
+from repro.experiments.churn import build_flash_crowd_workload
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.swift.slo import SLOController, SLOPolicy
@@ -97,7 +97,6 @@ def _run_pass(
               help="second-level controller period"),
         Param("duration_s", kind="float", default=2.0, minimum=0.05),
         Param("seed", kind="int", default=29),
-        _ENGINE_PARAM,
     ),
     quick={"duration_s": 0.5, "flash_start_s": 0.15, "flash_end_s": 0.3},
 )
@@ -114,7 +113,6 @@ def slo_flash_crowd_experiment(
     slo_period_ms: float = 50.0,
     duration_s: float = 2.0,
     seed: Optional[int] = 29,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """Does chasing p99 beat chasing progress pressure on the flash crowd?
 
@@ -134,7 +132,6 @@ def slo_flash_crowd_experiment(
         rt_ppt=rt_ppt,
         job_cpu_us=job_cpu_us,
         seed=seed,
-        engine=engine,
     )
     passes = {
         name: _run_pass(
@@ -178,7 +175,6 @@ def slo_flash_crowd_experiment(
     result.metadata["job_records"] = {
         name: data["records"] for name, data in passes.items()
     }
-    result.metadata["engine"] = engine
     result.metadata["seed"] = seed
     # One composite fingerprint (plus the per-pass ones above) keeps
     # the same-seed-same-report determinism contract checkable.

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.results import ExperimentResult
 from repro.core.config import PROPORTION_SCALE, ControllerConfig
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.system import build_real_rate_system
@@ -64,7 +64,6 @@ DEFAULT_CPU_COUNTS = (1, 2, 4, 8)
               help="pin server i to CPU i % n_cpus"),
         Param("seed", kind="int", default=None,
               help="seeds per-server arrival jitter (None = periodic)"),
-        ENGINE_PARAM,
     ),
     quick={"n_cpus": (1, 2), "duration_s": 1.0},
 )
@@ -77,7 +76,6 @@ def smp_scaling_experiment(
     duration_s: float = 3.0,
     pin: bool = False,
     seed: Optional[int] = None,
-    engine: str = "horizon",
     config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Sweep the web farm over kernels with increasing CPU counts."""
@@ -98,7 +96,7 @@ def smp_scaling_experiment(
 
     for count in cpu_counts:
         system = build_real_rate_system(
-            config, n_cpus=count, record_dispatches=True, engine=engine
+            config, n_cpus=count, record_dispatches=True
         )
         kernels.append(system.kernel)
         farm = WebFarm.attach(

@@ -23,7 +23,7 @@ from typing import Optional
 from repro.analysis.results import ExperimentResult
 from repro.core.config import ControllerConfig
 from repro.core.taxonomy import ThreadClass, ThreadSpec
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.sim.requests import Compute, Sleep
@@ -54,7 +54,6 @@ def _aperiodic_body(env):
               help="CPUs in the simulated kernel"),
         Param("seed", kind="int", default=None,
               help="seeds the miscellaneous hog's burst-length jitter"),
-        ENGINE_PARAM,
     ),
     quick={"sim_seconds": 4.0},
 )
@@ -63,12 +62,11 @@ def taxonomy_experiment(
     sim_seconds: float = 10.0,
     n_cpus: int = 1,
     seed: Optional[int] = None,
-    engine: str = "horizon",
     config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Run one thread of each Figure 2 class and report the outcome."""
     system = build_real_rate_system(
-        config, n_cpus=n_cpus, record_dispatches=True, engine=engine
+        config, n_cpus=n_cpus, record_dispatches=True
     )
 
     # Real-time + real-rate: the pulse pipeline provides one of each

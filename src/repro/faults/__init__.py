@@ -13,8 +13,8 @@ degrade gracefully.
   squish-first / shed-best-effort / revoke-lowest-value policy chain
   reacting to lost capacity, with backoff re-admission on recovery.
 
-Everything actuates through calendar events, so fault scenarios stay
-bit-identical across the ``quantum`` and ``horizon`` engines.  The
+Everything actuates through calendar events, so fault scenarios are
+reproducible bit for bit.  The
 companion :class:`~repro.monitor.watchdog.Watchdog` (in the monitor
 package, where the other sensors live) closes the loop by detecting
 the injected misbehaviour from observable signals alone.

@@ -25,9 +25,7 @@ a doubled (capped) backoff, so capacity flapping cannot thrash the
 admission state.
 
 All actuation happens from capacity listeners and calendar events —
-never mid-dispatch — so both engines see identical sequences and the
-epoch contract (`set_reservation`/`clear_reservation` bump the
-scheduler's state epoch) keeps horizon batches honest.
+never mid-dispatch — so every run sees the identical sequence.
 """
 
 from __future__ import annotations

@@ -5,10 +5,8 @@ robustness experiment wants to go wrong: which CPUs fail and recover,
 which threads turn runaway or stall, and when the controller's progress
 sensors drop out or lie.  Plans are pure data — building one performs
 no injection; :class:`~repro.faults.injector.FaultInjector` turns a
-plan into :class:`~repro.sim.events.EventCalendar` entries, which is
-what keeps every fault bit-identical across the ``quantum`` and
-``horizon`` engines (calendar events fire at identical virtual times in
-both).
+plan into :class:`~repro.sim.events.EventCalendar` entries, which fire
+at exact virtual times, so every fault is reproducible bit for bit.
 
 The wire forms (:meth:`FaultEvent.to_dict` / :meth:`FaultPlan.to_dict`)
 are versioned by :data:`FAULT_PLAN_SCHEMA_VERSION` and round-trip

@@ -59,38 +59,6 @@ O(n)-scan code this replaces.  Subclasses overriding the lifecycle
 hooks (:meth:`Scheduler.on_ready`, :meth:`Scheduler.on_block`,
 :meth:`Scheduler.on_yield`, :meth:`Scheduler.on_preempt`) must call
 ``super()`` so the shared hints stay maintained.
-
-The preemption-horizon contract
--------------------------------
-The run-to-horizon kernel engine batches consecutive dispatches of the
-same thread without re-entering :meth:`Scheduler.pick_next`, which is
-only sound while the scheduler can *prove* that every skipped pick
-would have returned the same thread and had no observable side
-effects.  Two pieces of state encode that proof:
-
-* :attr:`Scheduler.state_epoch` — a counter bumped by every mutation
-  that can change the outcome (or the side effects) of a pick: a
-  thread waking, blocking, being added or removed, a reservation being
-  re-sized, ticket or priority-inheritance changes.  The kernel
-  snapshots the epoch after a pick and abandons the batch as soon as
-  it moves.  Subclasses that add pick-relevant state of their own must
-  bump the epoch when that state changes.
-* :meth:`Scheduler.preemption_horizon` — the earliest future virtual
-  time at which a *time-driven* change could alter a pick or make a
-  pick-time side effect non-trivial (a throttled reservation
-  replenishing, a period window rolling at the pick, a pending unmet
-  demand turning into a deadline miss).  The kernel only batches
-  dispatches that *start* strictly before the horizon; a dispatch
-  starting at or after it goes through a real pick, which realises the
-  time-driven change at exactly the same virtual time the quantum-
-  sliced engine realised it.
-
-Schedulers whose pick itself mutates state on every call (round-robin
-cursors, lottery draws) declare a horizon only when the pick outcome
-is forced (a single candidate) and replay the skipped mutations in
-:meth:`Scheduler.note_batched_picks`, keeping cursor positions and RNG
-streams bit-identical to the quantum-sliced engine.  The default
-horizon is ``now`` — an unknown policy is never batched.
 """
 
 from __future__ import annotations
@@ -281,38 +249,6 @@ class Scheduler(ABC):
     #: ``SimThread.sched_data``; subclasses override.
     SCHED_KEY = "base"
 
-    #: Attributes whose mutation can change the outcome (or side
-    #: effects) of a pick and must therefore be covered by a
-    #: :attr:`state_epoch` bump.  Read *statically* by the
-    #: epoch-contract checker (``python -m repro lint``): keep it a
-    #: literal frozenset of attribute-name strings.  Subclasses declare
-    #: their own; the effective registry is the union along the MRO.
-    PICK_RELEVANT_STATE = frozenset({"_run_queue", "_placement_map"})
-
-    #: Methods allowed to mutate registered state *without* bumping the
-    #: epoch, each with the reason the contract still holds.  Also read
-    #: statically — keep it a literal dict of string -> string.
-    EPOCH_EXEMPT = {
-        "on_yield": (
-            "idempotent ready-hint refresh for a thread that stays "
-            "runnable; hints are advisory and re-checked at read time, "
-            "so no pick outcome can change"
-        ),
-        "on_preempt": (
-            "same as on_yield: the preempted thread stays runnable and "
-            "only its advisory ready hint is refreshed"
-        ),
-        "place_threads": (
-            "writes the placement cache, a pure function of "
-            "epoch-covered inputs (runnable set, weights, CPU count); "
-            "recomputing it under an unmoved epoch yields the same map. "
-            "Topology-aware policies additionally read thread.last_cpu, "
-            "which mutates between epoch bumps — they are required to be "
-            "stable under self-application (see repro/sched/placement.py), "
-            "so recomputation is still a fixed point"
-        ),
-    }
-
     def __init__(self, *, placement: Optional[PlacementPolicy] = None) -> None:
         self.kernel: Optional["Kernel"] = None
         self._run_queue = RunQueue()
@@ -322,20 +258,6 @@ class Scheduler(ABC):
         )
         #: tid -> CPU assignment computed by the latest placement round.
         self._placement_map: dict[int, int] = {}
-        #: Bumped by every mutation that can change a pick (see the
-        #: preemption-horizon contract in the module docstring).  The
-        #: run-to-horizon kernel snapshots it to validate batching.
-        self.state_epoch = 0
-
-    def _bump_epoch(self) -> None:
-        """Invalidate any in-flight run-to-horizon batch.
-
-        Equivalent to ``self.state_epoch += 1``; subclasses adding
-        pick-relevant state of their own call this (or bump the field
-        directly) from every mutating method — the epoch-contract
-        checker accepts either spelling.
-        """
-        self.state_epoch += 1
 
     # ------------------------------------------------------------------
     # wiring
@@ -378,13 +300,11 @@ class Scheduler(ABC):
         """Register a new thread with the policy (O(1))."""
         if thread.tid in self._run_queue:
             raise SchedulerError(f"thread {thread.name!r} already registered")
-        self.state_epoch += 1
         self._run_queue.add(thread)
         self.on_add(thread)
 
     def remove_thread(self, thread: SimThread) -> None:
         """Remove a thread (normally on exit; O(1))."""
-        self.state_epoch += 1
         self._run_queue.remove(thread.tid)
         self.on_remove(thread)
 
@@ -440,10 +360,6 @@ class Scheduler(ABC):
 
         Called by the multiprocessor kernel at the start of every
         dispatch round.  Returns (and caches) the tid -> CPU mapping.
-        Placement is a pure function of the runnable set, the weights
-        and the CPU count, all of which are covered by
-        :attr:`state_epoch` — the run-to-horizon kernel uses that to
-        skip redundant calls entirely while the epoch stands still.
         """
         runnable = self.runnable_threads()
         kernel = self.kernel
@@ -500,12 +416,10 @@ class Scheduler(ABC):
 
     def on_ready(self, thread: SimThread, now: int) -> None:
         """Hook: a thread became runnable (overrides must call super)."""
-        self.state_epoch += 1
         self._run_queue.note_ready(thread)
 
     def on_block(self, thread: SimThread, now: int) -> None:
         """Hook: a thread blocked or slept (overrides must call super)."""
-        self.state_epoch += 1
         self._run_queue.note_blocked(thread.tid)
 
     def on_yield(self, thread: SimThread, now: int) -> None:
@@ -522,42 +436,25 @@ class Scheduler(ABC):
     def note_affinity_change(self, thread: SimThread) -> None:
         """Hook: ``thread``'s CPU affinity changed (a live re-pin).
 
-        Placement (and with it every per-CPU pick) depends on affinity,
-        so the epoch must move: cached placement maps and in-flight
-        run-to-horizon batches are invalidated.  Called by
-        :meth:`SimThread.pin_to` for threads already bound to a kernel;
-        overrides must call super.
+        Called by :meth:`SimThread.pin_to` for threads already bound to
+        a kernel.
         """
-        self.state_epoch += 1
 
     def note_capacity_change(self) -> None:
         """Hook: the kernel's online-CPU set changed (fail/recover).
 
-        Placement assigns threads over the online CPUs and capacity
-        thresholds scale with :attr:`online_cpu_count`, so every cached
-        placement map and in-flight run-to-horizon batch is invalidated
-        by bumping the epoch.  Called by :meth:`Kernel.fail_cpu` and
-        :meth:`Kernel.recover_cpu`; overrides must call super.
+        Called by :meth:`Kernel.fail_cpu` and :meth:`Kernel.recover_cpu`.
         """
-        self.state_epoch += 1
 
     def on_mutex_block(self, thread: SimThread, mutex: "Mutex", now: int) -> None:
-        """Hook: ``thread`` blocked acquiring ``mutex``.  Bumps the
-        state epoch (priority inheritance can reorder picks); overrides
-        must call super."""
-        self.state_epoch += 1
+        """Hook: ``thread`` blocked acquiring ``mutex``."""
 
     def on_mutex_release(self, thread: SimThread, mutex: "Mutex", now: int) -> None:
-        """Hook: ``thread`` released ``mutex``.  Bumps the state epoch
-        (inheritance boosts end here); overrides must call super."""
-        self.state_epoch += 1
+        """Hook: ``thread`` released ``mutex``."""
 
     def on_mutex_unblock(self, thread: SimThread, mutex: "Mutex", now: int) -> None:
         """Hook: ``thread`` left ``mutex``'s wait queue *without*
-        acquiring it (a forced exit via :meth:`Kernel.kill_thread`).
-        Bumps the state epoch — an inheritance boost the dead waiter
-        conferred may need recomputing; overrides must call super."""
-        self.state_epoch += 1
+        acquiring it (a forced exit via :meth:`Kernel.kill_thread`)."""
 
     def charge(self, thread: SimThread, consumed_us: int, now: int) -> None:
         """Hook: ``thread`` consumed ``consumed_us`` of CPU ending at ``now``."""
@@ -575,36 +472,15 @@ class Scheduler(ABC):
         replenishes), or ``None`` if there is no such time."""
         return None
 
-    # ------------------------------------------------------------------
-    # run-to-horizon support
-    # ------------------------------------------------------------------
+    # The kernel never calls these two; the benchmark's traced run
+    # (perfbench/spans.py) wraps them by name.
     def preemption_horizon(
         self, now: int, thread: SimThread, cpu: Optional[int] = None
     ) -> Optional[int]:
-        """Horizon up to which dispatches of ``thread`` may be batched.
-
-        Called by the run-to-horizon kernel immediately after
-        ``thread`` was picked at ``now``.  The return value ``H``
-        promises: while :attr:`state_epoch` does not move, any pick at
-        a virtual time ``t`` with ``now <= t < H`` would return
-        ``thread`` again and have no observable side effect beyond
-        those replayed by :meth:`note_batched_picks`.  ``None`` means
-        unbounded (the epoch and the event calendar are the only
-        limits); returning ``now`` disables batching entirely, which is
-        the only safe default for an unknown policy.
-        """
         return now
 
     def note_batched_picks(self, thread: SimThread, skipped: int, now: int) -> None:
-        """Replay the per-pick state mutations of ``skipped`` batched picks.
-
-        The run-to-horizon engine dispatched ``thread`` ``skipped``
-        extra times without calling :meth:`pick_next`; policies whose
-        pick mutates state on every call (round-robin cursors, lottery
-        draws) reproduce those mutations here so later picks are
-        bit-identical to the quantum-sliced engine.  The default is a
-        no-op.
-        """
+        pass
 
     # ------------------------------------------------------------------
     # dispatch decisions

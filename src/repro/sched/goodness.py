@@ -46,23 +46,6 @@ class LinuxGoodnessScheduler(Scheduler):
 
     SCHED_KEY = "goodness"
 
-    #: The recharge counter is the policy's only pick-relevant *own*
-    #: attribute; the per-thread counters live in ``sched_data`` (an
-    #: attribute of the threads, outside attribute-level analysis) and
-    #: are covered dynamically by the preemption-horizon contract:
-    #: ``preemption_horizon`` bounds batches by the remaining counter,
-    #: so every counter-changing pick is a real pick.
-    PICK_RELEVANT_STATE = frozenset({"recharges"})
-
-    EPOCH_EXEMPT = {
-        "_recharge_all": (
-            "runs only inside a real pick (the recharge is a pick-time "
-            "side effect); preemption_horizon returns now once the sole "
-            "candidate's counter reaches zero, so no batch spans a "
-            "recharge"
-        ),
-    }
-
     def __init__(self, base_quantum_us: int = BASE_QUANTUM_US) -> None:
         super().__init__()
         if base_quantum_us <= 0:
@@ -140,35 +123,6 @@ class LinuxGoodnessScheduler(Scheduler):
             self._recharge_all()
             best, _ = self._best_by_goodness(runnable)
         return best
-
-    def preemption_horizon(
-        self, now: int, thread: SimThread, cpu: Optional[int] = None
-    ) -> Optional[int]:
-        """Batchable while a sole candidate still has quantum left.
-
-        With one runnable thread the pick is forced until its counter
-        reaches zero, at which point the next pick performs the global
-        recharge — an observable side effect (counters, carryover,
-        ``recharges``) that must happen at the same virtual time as in
-        the quantum-sliced engine.  Consumption can never outpace the
-        wall clock, so ``now + counter_us`` is a safe bound: every pick
-        strictly before it still sees a positive counter.  Multi-
-        candidate picks compare decaying goodness values and are not
-        batched; neither are per-CPU picks.
-        """
-        if cpu is not None:
-            return now
-        candidates = self.dispatch_candidates(cpu)
-        if len(candidates) != 1 or candidates[0] is not thread:
-            return now
-        state = self._state(thread)
-        if state.counter_us <= 0:
-            return now
-        if (20 - thread.nice) * 10 <= 0:
-            # Extreme nice values can make goodness non-positive even
-            # with counter left, which would trigger the recharge path.
-            return now
-        return now + state.counter_us
 
     def time_slice(self, thread: SimThread, now: int) -> int:
         state = self._state(thread)

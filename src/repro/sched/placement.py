@@ -63,16 +63,6 @@ Contracts every policy here honours (and new policies must):
 * **Determinism** — ties break towards the lowest CPU index and
   threads are considered in a fixed order, so every simulation remains
   exactly reproducible run to run.
-* **Stability under self-application** — re-running ``assign`` after
-  the placed threads ran on their assigned CPUs (with no scheduler
-  epoch movement in between) must return the identical map.  The
-  run-to-horizon engine caches the placement map while the epoch
-  stands still but the quantum oracle recomputes it every round; a
-  policy that reads round-mutated state (``thread.last_cpu``) stays
-  engine-equivalent only if that recomputation is a fixed point.
-  Strict distance-first preference (:class:`CacheWarmPlacement`) has
-  this property: a thread that ran where it was placed prefers that
-  CPU even harder next round.
 """
 
 from __future__ import annotations
@@ -285,13 +275,6 @@ class CacheWarmPlacement(_TopologyPlacement):
     sibling, 2 = same socket, 3 = anywhere.  A thread never dispatched
     yet (``last_cpu is None``) ranks every candidate tier-3, which
     degenerates to exactly :class:`LeastLoadedPlacement`'s choice.
-
-    The *strict* tier preference is what makes the policy stable under
-    self-application (module-level contract): a thread that ran where
-    it was placed has that CPU at tier 0 next round, so recomputing
-    the map under an unmoved epoch reproduces it — keeping the horizon
-    engine's cached map and the quantum oracle's per-round
-    recomputation bit-identical.
     """
 
     def assign(
@@ -436,7 +419,7 @@ class PipelineAffinityPlacement(_TopologyPlacement):
     currently runnable — fall back to least-loaded balancing.
 
     Pairs are a construction-time snapshot (names, not live registry
-    state) so placement stays a pure function of epoch-covered inputs;
+    state) so placement stays a pure function of the runnable set;
     re-derive and install a new policy instance if the pipeline shape
     changes mid-run.
     """

@@ -36,23 +36,6 @@ class FixedPriorityScheduler(Scheduler):
 
     SCHED_KEY = "fixed_priority"
 
-    #: The equal-priority round-robin cursor and the inheritance boost
-    #: table both steer which thread a pick returns.
-    PICK_RELEVANT_STATE = frozenset({"_cursor", "_base_priority"})
-
-    EPOCH_EXEMPT = {
-        "pick_next": (
-            "the cohort cursor advances on every pick by design; "
-            "batching is gated by preemption_horizon (singleton cohort "
-            "only) and skipped advances are replayed in "
-            "note_batched_picks"
-        ),
-        "note_batched_picks": (
-            "replays exactly the cursor advances the skipped singleton-"
-            "cohort picks would have made"
-        ),
-    }
-
     def __init__(self, *, priority_inheritance: bool = False) -> None:
         super().__init__()
         self.priority_inheritance = priority_inheritance
@@ -128,33 +111,6 @@ class FixedPriorityScheduler(Scheduler):
                 cohort.append(thread)
         self._cursor += 1
         return cohort[self._cursor % len(cohort)]
-
-    def preemption_horizon(
-        self, now: int, thread: SimThread, cpu: Optional[int] = None
-    ) -> Optional[int]:
-        """Batchable only when ``thread`` is the sole top-priority thread.
-
-        A singleton cohort makes the pick forced: equal-priority
-        round-robin cannot rotate, and any event that could create a
-        competitor (a wake-up, a priority-inheritance boost) bumps the
-        state epoch and ends the batch.  Per-CPU picks are never
-        batched.
-        """
-        if cpu is not None:
-            return now
-        runnable = self.dispatch_candidates(cpu)
-        if not runnable:
-            return now
-        top = max(t.priority for t in runnable)
-        cohort = [t for t in runnable if t.priority == top]
-        if len(cohort) == 1 and cohort[0] is thread:
-            return None
-        return now
-
-    def note_batched_picks(self, thread: SimThread, skipped: int, now: int) -> None:
-        # The cursor advances once per pick regardless of cohort size;
-        # the skipped picks all had the singleton cohort.
-        self._cursor += skipped
 
 
 __all__ = ["FixedPriorityScheduler"]

@@ -24,21 +24,6 @@ class RoundRobinScheduler(Scheduler):
 
     SCHED_KEY = "rr"
 
-    #: The cursor is pick-relevant: it selects among the candidates.
-    PICK_RELEVANT_STATE = frozenset({"_cursor"})
-
-    EPOCH_EXEMPT = {
-        "pick_next": (
-            "the cursor advances on every pick by design; batching is "
-            "gated by preemption_horizon (single forced candidate only) "
-            "and skipped advances are replayed in note_batched_picks"
-        ),
-        "note_batched_picks": (
-            "replays exactly the cursor advances the skipped forced "
-            "picks would have made"
-        ),
-    }
-
     def __init__(self, slice_us: Optional[int] = None) -> None:
         super().__init__()
         self._slice_us = slice_us
@@ -51,30 +36,6 @@ class RoundRobinScheduler(Scheduler):
         cursor = self._cursor + 1
         self._cursor = cursor
         return runnable[cursor % len(runnable)]
-
-    def preemption_horizon(
-        self, now: int, thread: SimThread, cpu: Optional[int] = None
-    ) -> Optional[int]:
-        """Batchable only when the pick is forced (a single candidate).
-
-        With two or more runnable threads the cursor rotates the CPU
-        between them every dispatch, so no two consecutive picks agree;
-        with exactly one the outcome is forced for as long as the
-        membership (guarded by the state epoch) stands still.  Per-CPU
-        picks are never batched: candidate sets shrink as earlier CPUs
-        claim threads within a round.
-        """
-        if cpu is not None:
-            return now
-        candidates = self.dispatch_candidates(cpu)
-        if len(candidates) == 1 and candidates[0] is thread:
-            return None
-        return now
-
-    def note_batched_picks(self, thread: SimThread, skipped: int, now: int) -> None:
-        # Each skipped pick would have advanced the cursor by one (the
-        # candidate list had exactly one entry, so the pick was forced).
-        self._cursor += skipped
 
     def time_slice(self, thread: SimThread, now: int) -> int:
         if self._slice_us is not None:

@@ -125,9 +125,9 @@ class EventCalendar(EventQueue):
     materialised (a reservation scheduler's next replenishment, which
     moves on every charge) are merged in lazily from registered
     sources.  :meth:`next_transition` answers the one question the
-    run-to-horizon kernel asks: *when can the dispatch decision next
-    change for a time-driven reason?* — letting ``run_until`` jump
-    event-to-event instead of polling every quantum.
+    idle kernel asks: *when can the dispatch decision next change for a
+    time-driven reason?* — letting ``run_until`` jump event-to-event
+    instead of polling every quantum.
     """
 
     def __init__(self) -> None:

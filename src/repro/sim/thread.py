@@ -182,11 +182,7 @@ class SimThread:
         #: until first dispatched).  Maintained by the kernel on
         #: multiprocessor kernels: migration counters compare it to the
         #: dispatching CPU, and the cache-warm placement policy prefers
-        #: it (then its SMT sibling, then its socket).  Not
-        #: pick-relevant on its own — placement policies that read it
-        #: must be *stable under self-application* (see
-        #: ``repro/sched/placement.py``), which keeps the cached
-        #: placement map valid while the scheduler epoch stands still.
+        #: it (then its SMT sibling, then its socket).
         self.last_cpu: Optional[int] = None
 
         #: Arbitrary per-scheduler state (each scheduler keys by its own name).
@@ -233,10 +229,7 @@ class SimThread:
         changed = cpu != self.affinity
         self.affinity = cpu
         if changed and self._env is not None:
-            # A live re-pin changes placement eligibility, which the
-            # run-to-horizon engine's cached placements and batches
-            # depend on; the scheduler bumps its state epoch so they
-            # are invalidated.
+            # A live re-pin changes placement eligibility.
             self._env.kernel.scheduler.note_affinity_change(self)
 
     def __hash__(self) -> int:

@@ -29,9 +29,7 @@ The topology is *immutable after construction* and all queries are
 pure O(1) table lookups: the kernel charges a penalty on every
 cross-CPU dispatch and the topology-aware placement policies rank
 every candidate CPU per thread per round, so nothing here may allocate
-or branch on mutable state (the run-to-horizon engine's cached
-placement maps rely on placement being a pure function of
-epoch-covered inputs plus this frozen shape).
+or branch on mutable state.
 """
 
 from __future__ import annotations

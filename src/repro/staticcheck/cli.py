@@ -24,7 +24,6 @@ from repro.staticcheck.baseline import (
 )
 from repro.staticcheck.core import Checker, Project, run_checks
 from repro.staticcheck.determinism import DeterminismChecker
-from repro.staticcheck.epoch import EpochContractChecker
 from repro.staticcheck.experiments import ExperimentRegistryChecker
 from repro.staticcheck.floatorder import FloatOrderChecker
 from repro.staticcheck.wire import (
@@ -39,7 +38,6 @@ PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 def all_checkers(snapshot_path: Optional[Path] = None) -> list[Checker]:
     return [
-        EpochContractChecker(),
         DeterminismChecker(),
         FloatOrderChecker(),
         WireFormatChecker(snapshot_path),

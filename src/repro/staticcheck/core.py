@@ -1,13 +1,11 @@
 """The ``repro lint`` checker framework.
 
-The perf arc (PRs 3-6) rests on contracts that ordinary linters cannot
-see: every pick-relevant scheduler mutation must bump
-``Scheduler.state_epoch`` (else run-to-horizon batches go silently
-stale), hot paths must stay deterministic (no wall-clock reads, no
-unseeded randomness, no set-order-dependent iteration), controller
-arithmetic must preserve exact float evaluation order, wire formats
-must version their schema, and every registered experiment must expose
-the reproducibility knobs (``engine``/``seed``/fingerprint).  This
+The simulator rests on contracts that ordinary linters cannot see: hot
+paths must stay deterministic (no wall-clock reads, no unseeded
+randomness, no set-order-dependent iteration), controller arithmetic
+must preserve exact float evaluation order, wire formats must version
+their schema, and every registered experiment must expose the
+reproducibility knobs (``seed``/fingerprint).  This
 package is the static analogue of the dynamic differential suites: an
 AST pass that proves (or flags) those contracts at review time instead
 of via 200-example hypothesis hunts.

@@ -1,7 +1,7 @@
 """The determinism checker: no hidden entropy in the simulator.
 
 Every result in this repo is defined by ``(workload, seed, scheduler)``
-— the golden-trace corpus, the dual-engine fingerprint equality, and
+— the golden-trace corpus, the stamped dispatch fingerprints, and
 the perf-gate comparisons all assume a fixed seed reproduces the exact
 dispatch log.  Three classes of code break that silently:
 

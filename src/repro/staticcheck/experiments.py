@@ -1,17 +1,15 @@
 """The experiment-registry checker: every experiment is reproducible.
 
 The declarative registry (``@experiment`` + ``Param``) is the repo's
-only entry point for paper figures and ablations, and PR 4's dual
-kernel engines are only trustworthy while every experiment (a) lets
-the caller choose the engine, (b) is seeded, and (c) stamps the
-dispatch fingerprint into its result metadata so any run can be
-compared bit-for-bit against any other.  This checker enforces all
-three statically:
+only entry point for paper figures and ablations.  Every experiment
+must (a) be seeded and (b) stamp the dispatch fingerprint into its
+result metadata so any run can be compared bit-for-bit against any
+other.  This checker enforces both statically:
 
-* the ``params=`` tuple of every ``@experiment`` must contain Params
-  named ``engine`` and ``seed`` — resolved through module-level
-  ``Param(...)`` assignments and project-local imports, so the shared
-  ``ENGINE_PARAM``/``SEED_PARAM`` constants count;
+* the ``params=`` tuple of every ``@experiment`` must contain a Param
+  named ``seed`` — resolved through module-level ``Param(...)``
+  assignments and project-local imports, so the shared ``SEED_PARAM``
+  constant counts;
 * the experiment body — or a helper it (transitively) calls, resolved
   through the project-local call graph — must stamp
   ``dispatch_fingerprint`` (a call to ``dispatch_fingerprint(...)`` or
@@ -25,7 +23,7 @@ from typing import Optional
 
 from repro.staticcheck.core import Checker, Finding, ModuleSource, Project, call_name
 
-REQUIRED_PARAMS = ("engine", "seed")
+REQUIRED_PARAMS = ("seed",)
 FINGERPRINT = "dispatch_fingerprint"
 
 
@@ -103,7 +101,7 @@ class _Resolver:
             return None
         if name in index.assignments:
             value = index.assignments[name]
-            # follow alias chains (``_ENGINE_PARAM = ENGINE_PARAM``) in
+            # follow alias chains (``_SEED_PARAM = SEED_PARAM``) in
             # the module that owns the assignment, not the caller's
             if isinstance(value, ast.Name):
                 resolved = self.resolve_value(index, value.id, depth + 1)
@@ -245,7 +243,7 @@ def _stamps_transitively(
 class ExperimentRegistryChecker(Checker):
     name = "experiment-registry"
     description = (
-        "every @experiment exposes 'engine' and 'seed' params and "
+        "every @experiment exposes a 'seed' param and "
         "stamps dispatch_fingerprint into its result metadata"
     )
 
@@ -290,7 +288,7 @@ class ExperimentRegistryChecker(Checker):
                             message=(
                                 f"experiment does not expose a '{required}' "
                                 f"param{hint}; reuse the shared "
-                                "ENGINE_PARAM/SEED_PARAM declarations"
+                                "SEED_PARAM declaration"
                             ),
                         )
                     )

@@ -27,12 +27,11 @@ admission philosophy transplanted to a latency objective.
 Determinism: the controller runs as a periodic entry in the kernel's
 unified event calendar and computes only from virtual-time observables
 (completion records), so a fixed seed yields a bit-identical dispatch
-log on both kernel engines — the same contract every other churn
-transition obeys.
+log — the same contract every other churn transition obeys.
 """
 
 # float-order: exact — window percentile and AIMD math must stay
-# bit-identical across engines and releases.
+# bit-identical across releases.
 
 from __future__ import annotations
 

@@ -5,11 +5,11 @@ from repro.experiments.registry import Param, experiment
 
 @experiment(
     name="fixture_bad",
-    description="missing engine/seed and never fingerprints",
+    description="missing seed and never fingerprints",
     params=(
         Param("sim_seconds", kind="float", default=1.0),
     ),
 )
 def fixture_bad_experiment(*, sim_seconds: float = 1.0):
-    # BAD: no engine/seed params, and no dispatch_fingerprint stamp
+    # BAD: no seed param, and no dispatch_fingerprint stamp
     return {"sim_seconds": sim_seconds}

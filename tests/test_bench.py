@@ -68,9 +68,6 @@ class TestRunner:
         assert entry["name"] == "overload64"
         assert entry["wall_s_min"] > 0
         assert entry["sim_us_per_wall_s"] > 0
-        # The kernel engine is recorded so quantum-vs-horizon numbers
-        # stay distinguishable in the perf trajectory.
-        assert entry["engine"] == "horizon"
         # Everything must survive a JSON round-trip.
         assert json.loads(json.dumps(artifact)) == artifact
 
@@ -319,7 +316,6 @@ class TestCompareAndHistory:
         assert record["kind"] == "bench_history"
         assert "overload64" in record["scenarios"]
         assert record["scenarios"]["overload64"] > 0
-        assert record["engines"]["overload64"] == "horizon"
         assert record["git_sha"]
         path = tmp_path / "BENCH_history.jsonl"
         append_history(results, str(path), quick=False, repeats=1)

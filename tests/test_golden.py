@@ -2,8 +2,7 @@
 
 Each corpus (``tests/golden/churn_smoke.json``,
 ``tests/golden/fault_smoke.json``) pins the full dispatch behaviour of
-one golden scenario for every scheduler policy x both kernel engines x
-1 and 4 CPUs.  A failure here means scheduling behaviour changed: if
+one golden scenario for every scheduler policy x 1 and 4 CPUs.  A failure here means scheduling behaviour changed: if
 intentional, refresh the corpora with ``python -m repro golden --regen``
 and commit the diff.
 """
@@ -39,42 +38,24 @@ def test_corpus_is_committed_and_complete(corpora, scenario):
     assert corpus["duration_us"] == spec.duration_us
     expected_keys = {golden.entry_key(*cell) for cell in golden.iter_matrix()}
     assert set(corpus["entries"]) == expected_keys
-    # 5 schedulers x 2 engines x 2 CPU counts.
-    assert len(corpus["entries"]) == 20
+    # 5 schedulers x 2 CPU counts.
+    assert len(corpus["entries"]) == 10
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("scheduler", sorted(golden.GOLDEN_SCHEDULERS))
 def test_golden_traces_conform(corpora, scenario, scheduler):
-    """Every (engine, n_cpus) cell of one scheduler matches the corpus."""
+    """Every n_cpus cell of one scheduler matches the corpus."""
     corpus = corpora[scenario]
     mismatches = []
-    for engine in golden.GOLDEN_ENGINES:
-        for n_cpus in golden.GOLDEN_CPU_COUNTS:
-            message = golden.verify_cell(corpus, scheduler, engine, n_cpus)
-            if message is not None:
-                mismatches.append(message)
+    for n_cpus in golden.GOLDEN_CPU_COUNTS:
+        message = golden.verify_cell(corpus, scheduler, n_cpus)
+        if message is not None:
+            mismatches.append(message)
     assert not mismatches, (
         f"golden-trace divergence in {scenario} (intentional? run "
         "`python -m repro golden --regen`):\n" + "\n".join(mismatches)
     )
-
-
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_corpus_engines_agree(corpora, scenario):
-    """Within each corpus itself, quantum and horizon cells are identical
-    (the committed baseline must never encode an engine divergence) —
-    under fault injection too."""
-    corpus = corpora[scenario]
-    for scheduler in golden.GOLDEN_SCHEDULERS:
-        for n_cpus in golden.GOLDEN_CPU_COUNTS:
-            quantum = corpus["entries"][
-                golden.entry_key(scheduler, "quantum", n_cpus)
-            ]
-            horizon = corpus["entries"][
-                golden.entry_key(scheduler, "horizon", n_cpus)
-            ]
-            assert quantum == horizon, (scenario, scheduler, n_cpus)
 
 
 def test_corpus_cells_exercise_churn(corpora):
@@ -102,7 +83,7 @@ def test_fault_scenario_exercises_faults():
     scenario silently degenerating into plain churn."""
     from repro.faults import CPU_FAIL, RUNAWAY_START, STALL_START
 
-    kernel, _churn = golden.build_fault_golden("rbs", "horizon", 4)
+    kernel, _churn = golden.build_fault_golden("rbs", 4)
     labels = [
         event.label
         for event in kernel.events.pending()
@@ -112,7 +93,7 @@ def test_fault_scenario_exercises_faults():
     assert f"fault:{STALL_START}" in labels
     assert f"fault:{CPU_FAIL}" in labels
     # The single-CPU variant must not try to fail its only CPU.
-    kernel1, _ = golden.build_fault_golden("rbs", "horizon", 1)
+    kernel1, _ = golden.build_fault_golden("rbs", 1)
     labels1 = [
         event.label
         for event in kernel1.events.pending()
@@ -126,18 +107,18 @@ def test_verify_reports_divergence(monkeypatch, corpora):
     """A corrupted corpus entry is reported, not silently accepted.
 
     ``run_golden`` is stubbed to echo the committed entries so this
-    exercises only the diff/reporting logic, not 20 more simulations.
+    exercises only the diff/reporting logic, not 10 more simulations.
     """
     corpus = corpora["churn_smoke"]
     broken = json.loads(json.dumps(corpus))
-    key = golden.entry_key("rbs", "horizon", 1)
+    key = golden.entry_key("rbs", 1)
     broken["entries"][key]["dispatch_sha256"] = "0" * 64
-    broken["entries"]["bogus/horizon/cpu9"] = {"dispatch_sha256": "x"}
+    broken["entries"]["bogus/cpu9"] = {"dispatch_sha256": "x"}
     monkeypatch.setattr(
         golden,
         "run_golden",
-        lambda scheduler, engine, n_cpus, scenario=golden.GOLDEN_SCENARIO: dict(
-            corpus["entries"][golden.entry_key(scheduler, engine, n_cpus)]
+        lambda scheduler, n_cpus, scenario=golden.GOLDEN_SCENARIO: dict(
+            corpus["entries"][golden.entry_key(scheduler, n_cpus)]
         ),
     )
     messages = golden.verify_corpus(broken)
@@ -173,7 +154,7 @@ def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="unknown golden scenario"):
         golden.scenario_spec("nope")
     with pytest.raises(ValueError, match="unknown golden scenario"):
-        golden.run_golden("rbs", "horizon", 1, scenario="nope")
+        golden.run_golden("rbs", 1, scenario="nope")
 
 
 def test_write_corpus_roundtrip(tmp_path, corpora):

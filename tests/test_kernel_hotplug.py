@@ -1,10 +1,11 @@
-"""CPU hotplug (fail/recover) semantics and mid-batch edge regressions.
+"""CPU hotplug (fail/recover) semantics and forced-event edge cases.
 
 The second half is the forced-exit audit: ``kill_thread`` and
-``fail_cpu`` arriving via calendar events that land *inside* a horizon
-batch window must produce bit-identical behaviour to the quantum
-oracle, because batches break at event boundaries.  Calling either from
-inside a dispatch round (which the calendar can never do) is rejected.
+``fail_cpu`` arriving via calendar events at odd times, in the middle
+of long compute bursts, must cut the running slice at the event, keep
+the conservation identity and never dispatch a dead thread.  Calling
+either from inside a dispatch round (which the calendar can never do)
+is rejected.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from repro.sim.kernel import Kernel
 from tests.conftest import finite_body, spin_body
 
 
-def make_kernel(n_cpus=2, engine="quantum", **kwargs) -> Kernel:
+def make_kernel(n_cpus=2, **kwargs) -> Kernel:
     defaults = dict(
         charge_dispatch_overhead=False, syscall_cost_us=0,
         record_dispatches=True,
     )
     defaults.update(kwargs)
-    return Kernel(
-        RoundRobinScheduler(), n_cpus=n_cpus, engine=engine, **defaults
-    )
+    return Kernel(RoundRobinScheduler(), n_cpus=n_cpus, **defaults)
 
 
 class TestFailRecover:
@@ -68,10 +67,7 @@ class TestFailRecover:
         assert kernel.cpu_states[1].offline_us == 10_000
         assert kernel.offline_us == 10_000
         # Conservation with the offline term.
-        assert (
-            kernel.total_thread_cpu_us() + kernel.idle_us + kernel.stolen_us
-            + kernel.offline_us == kernel.capacity_us()
-        )
+        assert kernel.conservation_gap_us() == 0
 
     def test_capacity_listeners_fire_on_both_transitions(self):
         kernel = make_kernel(n_cpus=2)
@@ -126,101 +122,67 @@ class TestFailRecover:
             thread.pin_to(1)
 
 
-def _observe(kernel):
-    return (
-        tuple(kernel.dispatch_log),
-        {
-            t.name: (t.accounting.total_us, t.state.value, t.affinity)
-            for t in kernel.threads
-        },
-        (kernel.now, kernel.idle_us, kernel.offline_us),
-    )
+def _dispatched_after(kernel, name, t_us):
+    """Dispatch-log entries of ``name`` starting at or after ``t_us``."""
+    return [e for e in kernel.dispatch_log if e[2] == name and e[0] >= t_us]
 
 
-class TestMidBatchEdges:
-    """Kill and hotplug events landing inside horizon batch windows."""
+class TestForcedEventsMidBurst:
+    """Kill and hotplug events landing inside long compute bursts."""
 
     @pytest.mark.parametrize("scheduler_cls", [RoundRobinScheduler,
                                                ReservationScheduler])
-    def test_kill_during_batch_matches_oracle(self, scheduler_cls):
-        # Long bursts give the horizon engine big batch windows; the
-        # kill at an odd time must break the batch identically.
-        def build(engine):
-            kernel = Kernel(
-                scheduler_cls(), n_cpus=2, engine=engine,
-                charge_dispatch_overhead=False, syscall_cost_us=0,
-                record_dispatches=True,
-            )
-            victim = kernel.spawn("victim", spin_body(25_000))
-            kernel.spawn("other", spin_body(25_000))
-            kernel.spawn("third", finite_body(40_000, 25_000))
-            kernel.events.schedule(
-                13_337, lambda: kernel.kill_thread(victim), label="kill"
-            )
-            return kernel, victim
+    def test_kill_mid_burst_stops_the_victim(self, scheduler_cls):
+        kernel = Kernel(
+            scheduler_cls(), n_cpus=2,
+            charge_dispatch_overhead=False, syscall_cost_us=0,
+            record_dispatches=True,
+        )
+        victim = kernel.spawn("victim", spin_body(25_000))
+        kernel.spawn("other", spin_body(25_000))
+        kernel.spawn("third", finite_body(40_000, 25_000))
+        kernel.events.schedule(
+            13_337, lambda: kernel.kill_thread(victim), label="kill"
+        )
+        kernel.run_for(60_000)
+        assert not victim.state.is_live
+        assert _dispatched_after(kernel, "victim", 13_337) == []
+        assert kernel.conservation_gap_us() == 0
 
-        results = {}
-        for engine in ("quantum", "horizon"):
-            kernel, victim = build(engine)
-            kernel.run_for(60_000)
-            assert not victim.state.is_live
-            results[engine] = _observe(kernel)
-        assert results["quantum"] == results["horizon"]
+    def test_fail_cpu_mid_burst_accrues_offline_time(self):
+        kernel = make_kernel(n_cpus=4)
+        kernel.spawn("pinned", spin_body(25_000), affinity=1)
+        for i in range(3):
+            kernel.spawn(f"w{i}", spin_body(25_000))
+        kernel.events.schedule(13_337, lambda: kernel.fail_cpu(1), label="fail")
+        kernel.events.schedule(
+            41_221, lambda: kernel.recover_cpu(1), label="recover"
+        )
+        kernel.run_for(80_000)
+        assert kernel.online_cpu_count == 4
+        assert kernel.offline_us == 41_221 - 13_337
+        assert not [
+            e for e in kernel.dispatch_log
+            if e[1] == 1 and 13_337 <= e[0] < 41_221
+        ]
+        assert kernel.conservation_gap_us() == 0
 
-    def test_fail_cpu_during_batch_matches_oracle(self):
-        def build(engine):
-            kernel = Kernel(
-                RoundRobinScheduler(), n_cpus=4, engine=engine,
-                charge_dispatch_overhead=False, syscall_cost_us=0,
-                record_dispatches=True,
-            )
-            kernel.spawn("pinned", spin_body(25_000), affinity=1)
-            for i in range(3):
-                kernel.spawn(f"w{i}", spin_body(25_000))
-            kernel.events.schedule(
-                13_337, lambda: kernel.fail_cpu(1), label="fail"
-            )
-            kernel.events.schedule(
-                41_221, lambda: kernel.recover_cpu(1), label="recover"
-            )
-            return kernel
-
-        results = {}
-        for engine in ("quantum", "horizon"):
-            kernel = build(engine)
-            kernel.run_for(80_000)
-            assert kernel.online_cpu_count == 4
-            results[engine] = _observe(kernel)
-        assert results["quantum"] == results["horizon"]
-
-    def test_kill_on_failed_cpus_thread_during_batch(self):
+    def test_kill_drained_thread_while_its_cpu_is_down(self):
         """The drained thread is killed while its home CPU is down, and
-        the CPU later recovers: nothing dangles, engines agree."""
-
-        def build(engine):
-            kernel = Kernel(
-                RoundRobinScheduler(), n_cpus=2, engine=engine,
-                charge_dispatch_overhead=False, syscall_cost_us=0,
-                record_dispatches=True,
-            )
-            victim = kernel.spawn("victim", spin_body(25_000), affinity=1)
-            kernel.spawn("other", spin_body(25_000))
-            kernel.events.schedule(
-                10_003, lambda: kernel.fail_cpu(1), label="fail"
-            )
-            kernel.events.schedule(
-                20_011, lambda: kernel.kill_thread(victim), label="kill"
-            )
-            kernel.events.schedule(
-                30_029, lambda: kernel.recover_cpu(1), label="recover"
-            )
-            return kernel, victim
-
-        results = {}
-        for engine in ("quantum", "horizon"):
-            kernel, victim = build(engine)
-            kernel.run_for(60_000)
-            assert not victim.state.is_live
-            # The dead thread's pin was not restored on recovery.
-            results[engine] = _observe(kernel)
-        assert results["quantum"] == results["horizon"]
+        the CPU later recovers: nothing dangles."""
+        kernel = make_kernel(n_cpus=2)
+        victim = kernel.spawn("victim", spin_body(25_000), affinity=1)
+        kernel.spawn("other", spin_body(25_000))
+        kernel.events.schedule(10_003, lambda: kernel.fail_cpu(1), label="fail")
+        kernel.events.schedule(
+            20_011, lambda: kernel.kill_thread(victim), label="kill"
+        )
+        kernel.events.schedule(
+            30_029, lambda: kernel.recover_cpu(1), label="recover"
+        )
+        kernel.run_for(60_000)
+        assert not victim.state.is_live
+        # The dead thread's pin was not restored on recovery.
+        assert victim.affinity == 0
+        assert _dispatched_after(kernel, "victim", 20_011) == []
+        assert kernel.conservation_gap_us() == 0

@@ -6,14 +6,12 @@ phase-scripted kills / re-pins / rate changes / retimes — and asserts
 the invariants that must survive any such sequence:
 
 * **conservation** — ``total_thread_cpu + idle + stolen == n_cpus * now``
-  at every checkpoint, so churn never leaks or double-charges time;
+  at every checkpoint, under every scheduler policy, so churn never
+  leaks or double-charges time;
 * **no lost, no double-dispatched threads** — every non-rejected
   arrival exists exactly once, stream bookkeeping adds up
   (``spawned == completed + killed + live``), nothing is dispatched
-  after it exited, and no SMP round dispatches one thread on two CPUs;
-* **engine equivalence** — the quantum-sliced oracle and the
-  run-to-horizon engine produce bit-identical dispatch logs, thread
-  accounting and kernel totals for the identical churn sequence.
+  after it exited, and no SMP round dispatches one thread on two CPUs.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.golden import GOLDEN_SCHEDULERS
 from repro.sched.rbs import ReservationScheduler
 from repro.sim.kernel import Kernel
 from repro.workloads.arrivals import (
@@ -67,11 +66,10 @@ action_specs = st.lists(
 )
 
 
-def build_churn(engine, n_cpus, specs, actions):
+def build_churn(scheduler, n_cpus, specs, actions):
     """One deterministic churn run; returns (kernel, workload engine)."""
     kernel = Kernel(
-        ReservationScheduler(), n_cpus=n_cpus, record_dispatches=True,
-        engine=engine,
+        GOLDEN_SCHEDULERS[scheduler](), n_cpus=n_cpus, record_dispatches=True,
     )
     churn = WorkloadEngine(kernel)
     streams = []
@@ -119,42 +117,10 @@ def build_churn(engine, n_cpus, specs, actions):
                 at_us, stream.template,
                 total_cpu_us=300 * knob, burst_us=150 * knob,
             )
-        else:  # reserve
+        elif scheduler == "rbs":  # reserve: only RBS has reservations
             script.set_reservation(at_us, stream, 40 * knob, 10_000)
     churn.start(script)
     return kernel, churn
-
-
-def observe(kernel):
-    accounting = {
-        t.name: (
-            t.accounting.total_us,
-            t.accounting.dispatches,
-            t.accounting.preemptions,
-            t.accounting.blocks,
-            t.accounting.sleeps,
-            t.state.value,
-        )
-        for t in kernel.threads
-    }
-    totals = (
-        kernel.now,
-        kernel.idle_us,
-        kernel.stolen_dispatch_us,
-        kernel.dispatch_count,
-        tuple(
-            (c.idle_us, c.stolen_dispatch_us, c.dispatches)
-            for c in kernel.cpu_states
-        ),
-    )
-    return tuple(kernel.dispatch_log), accounting, totals
-
-
-def assert_conserved(kernel):
-    assert (
-        kernel.total_thread_cpu_us() + kernel.idle_us + kernel.stolen_us
-        == kernel.capacity_us()
-    ), "conservation identity violated under churn"
 
 
 def assert_no_lost_no_double(kernel, churn):
@@ -204,26 +170,20 @@ def assert_no_lost_no_double(kernel, churn):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 4])
-@settings(max_examples=15, deadline=None)
-@given(specs=stream_specs, actions=action_specs)
-def test_churn_invariants_and_engine_equivalence(n_cpus, specs, actions):
-    observations = {}
-    for engine in ("quantum", "horizon"):
-        kernel, churn = build_churn(engine, n_cpus, specs, actions)
-        # Run in segments: conservation must hold at arbitrary
-        # checkpoints, not just the end of the run.
-        for _ in range(3):
-            kernel.run_for(DURATION_US // 3)
-            assert_conserved(kernel)
-        assert_no_lost_no_double(kernel, churn)
-        observations[engine] = observe(kernel)
-    quantum, horizon = observations["quantum"], observations["horizon"]
-    if horizon[0] != quantum[0]:
-        for index, (h, q) in enumerate(zip(horizon[0], quantum[0])):
-            assert h == q, f"dispatch log diverged at entry {index}: {h} != {q}"
-        assert len(horizon[0]) == len(quantum[0]), "dispatch log length diverged"
-    assert horizon[1] == quantum[1], "per-thread accounting diverged"
-    assert horizon[2] == quantum[2], "kernel totals diverged"
+@settings(max_examples=25, deadline=None)
+@given(
+    scheduler=st.sampled_from(sorted(GOLDEN_SCHEDULERS)),
+    specs=stream_specs,
+    actions=action_specs,
+)
+def test_churn_invariants(n_cpus, scheduler, specs, actions):
+    kernel, churn = build_churn(scheduler, n_cpus, specs, actions)
+    # Run in segments: conservation must hold at arbitrary checkpoints,
+    # not just the end of the run.
+    for _ in range(3):
+        kernel.run_for(DURATION_US // 3)
+        assert kernel.conservation_gap_us() == 0
+    assert_no_lost_no_double(kernel, churn)
 
 
 @settings(max_examples=10, deadline=None)
@@ -255,7 +215,7 @@ def test_mass_kill_conserves_and_reclaims(specs, kill_at, checkpoint):
         script.kill(kill_at, stream)
     churn.start(script)
     kernel.run_for(kill_at + checkpoint)
-    assert_conserved(kernel)
+    assert kernel.conservation_gap_us() == 0
     assert_no_lost_no_double(kernel, churn)
     total_reserved = kernel.scheduler.total_reserved_ppt()
     live_reserved = sum(

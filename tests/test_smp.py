@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.core.allocator import ProportionAllocator
-from repro.core.config import PROPORTION_SCALE, ControllerConfig
+from repro.core.config import PROPORTION_SCALE
 from repro.core.errors import AdmissionError
 from repro.core.taxonomy import ThreadSpec
-from repro.ipc.registry import SymbioticRegistry
 from repro.sched.placement import LeastLoadedPlacement, PinnedPlacement
 from repro.sched.rbs import ReservationScheduler
 from repro.sched.round_robin import RoundRobinScheduler
 from repro.sim.errors import SimulationError
 from repro.sim.kernel import Kernel
-from repro.sim.requests import Compute
 from repro.sim.thread import SimThread
 from repro.system import build_real_rate_system
 from repro.workloads.webfarm import WebFarm
@@ -59,10 +56,7 @@ class TestKernelSMP:
         kernel.spawn("a", finite_body(20_000))
         kernel.spawn("b", finite_body(5_000))
         kernel.run_for(40_000)
-        assert (
-            kernel.total_thread_cpu_us() + kernel.idle_us + kernel.stolen_us
-            == kernel.n_cpus * kernel.now
-        )
+        assert kernel.conservation_gap_us() == 0
 
     def test_per_cpu_dispatch_counts_aggregate(self):
         kernel = make_kernel(2)

@@ -14,74 +14,16 @@ from pathlib import Path
 from repro.staticcheck.atomicwrite import AtomicWriteChecker
 from repro.staticcheck.core import Project
 from repro.staticcheck.determinism import DeterminismChecker
-from repro.staticcheck.epoch import EpochContractChecker
 from repro.staticcheck.experiments import ExperimentRegistryChecker
 from repro.staticcheck.floatorder import FloatOrderChecker
 from repro.staticcheck.wire import WireFormatChecker, build_snapshot
 
 FIXTURES = Path(__file__).parent / "staticcheck_fixtures"
 REPO_ROOT = Path(__file__).parent.parent
-SRC_SCHED = REPO_ROOT / "src" / "repro" / "sched"
 
 
 def fixture_project(*names: str) -> Project:
     return Project([FIXTURES / name for name in names], display_root=REPO_ROOT)
-
-
-# ----------------------------------------------------------------------
-# epoch-contract
-# ----------------------------------------------------------------------
-def test_epoch_checker_flags_unbumped_mutations():
-    findings = EpochContractChecker().check(fixture_project("epoch_bad.py"))
-    by_symbol = {f.symbol for f in findings}
-    assert "BrokenScheduler.enqueue" in by_symbol
-    assert "BrokenScheduler.set_weight" in by_symbol
-    assert "BrokenScheduler.drop_weight" in by_symbol
-    assert "BrokenScheduler.requeue" in by_symbol
-
-
-def test_epoch_checker_flags_malformed_registry():
-    findings = EpochContractChecker().check(fixture_project("epoch_bad.py"))
-    assert any(
-        "PICK_RELEVANT_STATE" in f.message and f.symbol == "MalformedScheduler"
-        for f in findings
-    )
-
-
-def test_epoch_checker_accepts_all_bump_spellings():
-    findings = EpochContractChecker().check(fixture_project("epoch_good.py"))
-    assert findings == []
-
-
-def test_epoch_checker_catches_doctored_rbs(tmp_path):
-    """The acceptance criterion: seed a 'mutate the ready heap without
-    bumping the epoch' edit into a copy of sched/rbs.py and prove the
-    checker reports it (and that the pristine copy stays clean)."""
-    sched_dir = tmp_path / "sched"
-    sched_dir.mkdir()
-    for name in ("base.py", "rbs.py"):
-        (sched_dir / name).write_text(
-            (SRC_SCHED / name).read_text(encoding="utf-8"), encoding="utf-8"
-        )
-
-    clean = EpochContractChecker().check(Project([sched_dir]))
-    assert [f for f in clean if f.check == "epoch-contract"] == []
-
-    rbs = sched_dir / "rbs.py"
-    text = rbs.read_text(encoding="utf-8")
-    anchor = "    def pick_next("
-    assert anchor in text
-    doctored_method = (
-        "    def doctored_requeue(self, tid):\n"
-        "        heapq.heappush(self._rm_heap, (0, 0, tid))\n\n"
-    )
-    rbs.write_text(text.replace(anchor, doctored_method + anchor, 1))
-
-    findings = EpochContractChecker().check(Project([sched_dir]))
-    doctored = [f for f in findings if f.symbol.endswith("doctored_requeue")]
-    assert len(doctored) == 1
-    assert "_rm_heap" in doctored[0].message
-    assert "state_epoch" in doctored[0].message
 
 
 # ----------------------------------------------------------------------
@@ -240,15 +182,14 @@ def test_experiment_checker_flags_missing_knobs_and_fingerprint():
         fixture_project("experiments_bad.py")
     )
     messages = "\n".join(f.message for f in findings)
-    assert "'engine' param" in messages
     assert "'seed' param" in messages
     assert "dispatch_fingerprint" in messages
-    assert len(findings) == 3
+    assert len(findings) == 2
 
 
 def test_experiment_checker_resolves_shared_params_on_real_tree():
     """Every registered experiment in the shipped tree conforms — the
-    shared ENGINE_PARAM alias chain must resolve across modules."""
+    shared SEED_PARAM declaration must resolve across modules."""
     from repro.staticcheck.cli import PACKAGE_ROOT
 
     project = Project([PACKAGE_ROOT], display_root=REPO_ROOT)

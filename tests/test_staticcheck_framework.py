@@ -44,10 +44,10 @@ def test_suppression_comment_parses_checks_and_justification():
         Path("x.py"),
         "x.py",
         "import time\n"
-        "t = time.time()  # repro-lint: disable=determinism,epoch-contract -- why not\n",
+        "t = time.time()  # repro-lint: disable=determinism,float-order -- why not\n",
     )
     (suppression,) = module.suppressions
-    assert suppression.checks == ("determinism", "epoch-contract")
+    assert suppression.checks == ("determinism", "float-order")
     assert suppression.justification == "why not"
     assert suppression.covers == (2,)
 
@@ -62,7 +62,7 @@ def test_standalone_suppression_covers_next_line():
     (suppression,) = module.suppressions
     assert suppression.covers == (1, 2)
     assert module.suppression_for("determinism", 2) is suppression
-    assert module.suppression_for("epoch-contract", 2) is None
+    assert module.suppression_for("float-order", 2) is None
 
 
 def test_float_order_annotation_detected_in_header_only():

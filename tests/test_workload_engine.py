@@ -3,7 +3,7 @@
 Covers the arrival processes (determinism, live rate changes, trace
 parsing), the engine's spawn/complete/reject/kill bookkeeping, the
 phase-script actions, and the kernel/scheduler churn contract they
-depend on (``Kernel.kill_thread``, the affinity epoch bump,
+depend on (``Kernel.kill_thread``, the affinity-change hook,
 ``ProportionAllocator.would_admit``).
 """
 
@@ -17,7 +17,7 @@ from repro.core.taxonomy import ThreadSpec
 from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.sched.rbs import ReservationScheduler
 from repro.sched.round_robin import RoundRobinScheduler
-from repro.sim.errors import SimulationError, ThreadStateError
+from repro.sim.errors import SimulationError
 from repro.sim.kernel import Kernel
 from repro.sim.requests import Compute, Get, Put, Sleep
 from repro.sim.thread import ThreadState
@@ -546,24 +546,25 @@ class TestKillThread:
 
 
 # ----------------------------------------------------------------------
-# affinity epoch bump
+# affinity-change hook
 # ----------------------------------------------------------------------
-class TestAffinityEpoch:
-    def test_live_repin_bumps_epoch(self):
+class TestAffinityChange:
+    def test_live_repin_notifies_scheduler(self):
         kernel = Kernel(RoundRobinScheduler(), n_cpus=2)
         def body(env):
             yield Compute(50_000)
 
         thread = kernel.spawn("t", body)
         kernel.run_for(1_000)
-        before = kernel.scheduler.state_epoch
+        notified = []
+        kernel.scheduler.note_affinity_change = notified.append
         thread.pin_to(1)
-        assert kernel.scheduler.state_epoch == before + 1
-        # A no-op re-pin to the same CPU does not churn the epoch.
+        assert notified == [thread]
+        # A no-op re-pin to the same CPU does not notify.
         thread.pin_to(1)
-        assert kernel.scheduler.state_epoch == before + 1
+        assert notified == [thread]
         thread.pin_to(None)
-        assert kernel.scheduler.state_epoch == before + 2
+        assert notified == [thread, thread]
 
     def test_unbound_pin_does_not_need_a_kernel(self):
         from repro.sim.thread import SimThread
