@@ -53,9 +53,8 @@ def _jittered_worker(compute_us: int, sleep_us: int, jitter: tuple[int, ...]):
     """A periodic thread whose think time cycles a pre-seeded jitter.
 
     The jitter tuple is drawn once, outside the kernel, from the
-    experiment seed — both passes replay the exact
-    same sequence, so every behavioural difference is the placement
-    policy's.
+    experiment seed — both passes replay the exact same sequence, so
+    every behavioural difference is the placement policy's.
     """
 
     def body(env: ThreadEnv):

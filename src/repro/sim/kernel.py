@@ -125,9 +125,9 @@ class Kernel:
         ``n_cpus`` must match it.  Every dispatch of a thread whose
         previous dispatch ran on a different CPU then charges the
         topology's migration penalty as stolen time (visible in the
-        dispatch log as a sixth tuple element); a ``None`` topology — or one with all-zero
-        penalties — charges nothing and leaves the dispatch log in its
-        historical 5-tuple form.  Migration *counts* are tracked on
+        dispatch log as a sixth tuple element); a ``None`` topology —
+        or one with all-zero penalties — charges nothing and leaves the
+        dispatch log in its historical 5-tuple form.  Migration *counts* are tracked on
         every multiprocessor kernel regardless.
     cpu:
         CPU cost model; controls the per-dispatch overhead charged as

@@ -624,8 +624,8 @@ class PhaseScript:
     Actions are scheduled as one-shot calendar events at absolute
     virtual times when the script is installed (``engine.start(script)``
     or :meth:`install`), so they are ordinary kernel transitions.
-    Equal-time actions fire in the order they were
-    added (the calendar's sequence numbers guarantee it).
+    Equal-time actions fire in the order they were added (the
+    calendar's sequence numbers guarantee it).
     """
 
     def __init__(self) -> None:

@@ -1,10 +1,11 @@
 """Golden-trace conformance: fresh runs must match the committed corpora.
 
 Each corpus (``tests/golden/churn_smoke.json``,
-``tests/golden/fault_smoke.json``) pins the full dispatch behaviour of
-one golden scenario for every scheduler policy x 1 and 4 CPUs.  A failure here means scheduling behaviour changed: if
-intentional, refresh the corpora with ``python -m repro golden --regen``
-and commit the diff.
+``tests/golden/fault_smoke.json``, ``tests/golden/topology_placement.json``)
+pins the full dispatch behaviour of one golden scenario for every
+scheduler policy x 1 and 4 CPUs.  A failure here means scheduling
+behaviour changed: if intentional, refresh the corpora with
+``python -m repro golden --regen`` and commit the diff.
 """
 
 from __future__ import annotations

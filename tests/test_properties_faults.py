@@ -97,21 +97,19 @@ def build_faulty_churn(n_cpus, specs, faults):
         kernel, fault_plan(n_cpus, len(specs), faults)
     )
     injector.install()
-    manager = DegradationManager(kernel, kernel.scheduler)
-    watchdog = Watchdog(
+    DegradationManager(kernel, kernel.scheduler)
+    Watchdog(
         kernel, kernel.scheduler,
         period_us=10_000, miss_windows=2, stall_windows=3,
     )
-    return kernel, churn, injector, manager, watchdog
+    return kernel, churn, injector
 
 
 @pytest.mark.parametrize("n_cpus", [1, 4])
 @settings(max_examples=12, deadline=None)
 @given(specs=stream_specs, faults=fault_specs)
 def test_fault_churn_invariants(n_cpus, specs, faults):
-    kernel, churn, _injector, _manager, _watchdog = build_faulty_churn(
-        n_cpus, specs, faults
-    )
+    kernel, churn, _injector = build_faulty_churn(n_cpus, specs, faults)
     # Conservation must hold at arbitrary checkpoints, including ones
     # that land inside fault windows.
     for _ in range(3):
@@ -131,9 +129,7 @@ def test_fault_churn_invariants(n_cpus, specs, faults):
 def test_conservation_at_irregular_checkpoints(specs, faults, checkpoints):
     """Run lengths chosen independently of the fault times: conservation
     and liveness bookkeeping hold no matter where the run pauses."""
-    kernel, churn, injector, _manager, _watchdog = build_faulty_churn(
-        4, specs, faults
-    )
+    kernel, churn, injector = build_faulty_churn(4, specs, faults)
     for segment in checkpoints:
         kernel.run_for(segment)
         assert kernel.conservation_gap_us() == 0

@@ -4,8 +4,8 @@ Covers the :class:`~repro.sim.topology.CpuTopology` model itself, the
 three topology-aware placement policies, the placement edge-case fixes
 (empty online set, out-of-range affinity, the unified offline-pin
 fallback), migration counting and virtual-time penalty charging in the
-kernel, and the engine-equivalence / byte-identity guarantees the
-``topology_placement`` experiment rides on.
+kernel, and the byte-identity guarantees the ``topology_placement``
+experiment rides on.
 """
 
 import pytest
@@ -155,8 +155,8 @@ class TestCacheWarmPlacement:
 
     def test_stable_under_self_application(self):
         # Re-running assign after threads "ran" where they were placed
-        # must reproduce the identical map (the horizon engine caches
-        # it; the quantum oracle recomputes it every round).
+        # must reproduce the identical map, so steady rounds, which
+        # recompute placement every time, never migrate anyone.
         topo = CpuTopology.from_spec(
             "2x2x2"
         )
