@@ -32,7 +32,6 @@ from repro.core.estimator import EstimateResult, ProportionEstimator
 from repro.core.overload import (
     FairShareSquish,
     SquishPolicy,
-    SquishRequest,
     WeightedFairShareSquish,
 )
 from repro.core.period import PeriodEstimator
@@ -53,7 +52,6 @@ __all__ = [
     "ProportionEstimator",
     "QualityException",
     "SquishPolicy",
-    "SquishRequest",
     "ThreadClass",
     "ThreadSpec",
     "WeightedFairShareSquish",

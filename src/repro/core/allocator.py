@@ -5,10 +5,12 @@
 1. **Monitor progress** — for every controlled thread it samples the
    symbiotic registry (queue fill levels and roles) or falls back to
    the miscellaneous constant-pressure heuristic.
-2. **Estimate** — the per-thread :class:`ProportionEstimator` turns the
-   pressure and last-interval CPU usage into a desired proportion
-   (Figure 4); real-time and aperiodic real-time threads skip this and
-   use their specified proportion.
+2. **Estimate** — the Figure 4 law, specified by
+   :meth:`ProportionEstimator.estimate
+   <repro.core.estimator.ProportionEstimator.estimate>`, turns the
+   pressure and last-interval CPU usage into a desired proportion;
+   real-time and aperiodic real-time threads skip this and use their
+   specified proportion.
 3. **Resolve overload** — desired allocations are summed; if they
    exceed the overload threshold, real-rate and miscellaneous proposals
    are squished (fair share or weighted fair share), and quality
@@ -16,12 +18,18 @@
 4. **Actuate** — the resulting (proportion, period) pairs are written
    into the reservation scheduler.
 
+Steps 1–2 and the overload sums of step 3 run in one pass over the
+controlled threads (see :meth:`ProportionAllocator.update`).
+
 The allocator is deliberately independent of the simulation kernel: it
 only needs a scheduler that accepts reservations, a registry to read
 fill levels from, and a clock value passed into :meth:`update`.  The
 :class:`~repro.core.driver.ControllerDriver` wires it to a simulated
 system and models its own CPU cost.
 """
+
+# float-order: exact — the tick replays the Figure 4 estimation law;
+# reassociating it would break golden-trace equality.
 
 from __future__ import annotations
 
@@ -33,7 +41,6 @@ from repro.core.errors import AdmissionError, ControllerError, QualityException
 from repro.core.estimator import ProportionEstimator
 from repro.core.overload import (
     SquishPolicy,
-    SquishRequest,
     WeightedFairShareSquish,
     check_admission_smp,
 )
@@ -89,8 +96,6 @@ class _ControlledThread:
     #: decision exists per controlled thread per tick by construction,
     #: so reuse saves a nine-field dataclass build per thread-tick).
     decision: Optional[AllocationDecision] = None
-    #: Reusable squish proposal for the overload path.
-    squish_request: Optional[SquishRequest] = None
 
 
 class ProportionAllocator:
@@ -292,20 +297,301 @@ class ProportionAllocator:
         decision exists per thread per tick.  Read them before the next
         update; a caller that wants a history must copy the fields it
         cares about, not retain the objects.
+
+        The tick is one pass over the controlled threads.  For each it
+        classifies, samples usage and progress, runs the Figure 4 law
+        inline — the arithmetic of :meth:`ProportionEstimator.estimate
+        <repro.core.estimator.ProportionEstimator.estimate>` in the same
+        order, on the same estimator and PID state holders — picks the
+        period, and files the desired proportion into the overload
+        partitions.  Overload resolution then works from those
+        partitions, and a second loop actuates the grants.
         """
-        dt = self.config.controller_period_s
         self.updates += 1
         self._drop_exited()
 
-        decide = self._decide
+        # Per-tick constants.  Every estimator is built from
+        # ``self.config``: its PID has the config's gains, the output
+        # range [0, max_fraction / k_scale] and, when ki > 0, that range
+        # over ki as its integral clamp.
+        config = self.config
+        dt = config.controller_period_s
+        gains = config.pid_gains
+        kp = gains.kp
+        ki = gains.ki
+        kd = gains.kd
+        k_scale = config.k_scale
+        output_high = config.max_fraction / k_scale
+        integral_low: Optional[float] = None
+        integral_high: Optional[float] = None
+        if ki > 0:
+            integral_low = 0.0
+            integral_high = output_high / ki
+        alpha = ProportionEstimator.USAGE_EMA_ALPHA
+        beta = 1.0 - alpha
+        min_ppt = config.min_proportion_ppt
+        max_ppt = config.max_proportion_ppt
+        min_fraction = config.min_fraction
+        max_fraction = config.max_fraction
+        unused_threshold = config.unused_threshold
+        reclaim_decrement = config.reclaim_decrement_ppt
+        default_period = config.default_period_us
+        interactive_period = config.interactive_period_us
+        misc_pressure = self.misc_pressure_source.pressure
+        registry = self.registry
+        version = registry.version
+        monitor_last = self.usage_monitor._last
+        real_rate = ThreadClass.REAL_RATE
+        miscellaneous = ThreadClass.MISCELLANEOUS
+        real_time = ThreadClass.REAL_TIME
+
         states = list(self._controlled.values())
-        decisions = [decide(state, now, dt) for state in states]
+        decisions: list[AllocationDecision] = []
+        # The overload inputs, built in the same pass: real-time and
+        # aperiodic desires are protected, real-rate and miscellaneous
+        # ones are squishable (index-aligned desired/importance lists).
+        protected = 0
+        real_rate_total = 0
+        misc_total = 0
+        rr_decisions: list[AllocationDecision] = []
+        rr_desired: list[int] = []
+        rr_importance: list[float] = []
+        misc_decisions: list[AllocationDecision] = []
+        misc_desired: list[int] = []
+        misc_importance: list[float] = []
 
-        self._resolve_overload(decisions, now)
+        for state in states:
+            spec = state.spec
+            thread = state.thread
+            # Classification is a pure function of the (immutable) spec
+            # and the registry's linkage knowledge; re-derive it only
+            # when a linkage was added or removed.
+            if state.class_version == version:
+                thread_class = state.last_class
+            else:
+                thread_class = classify(spec, registry.has_progress_metric(thread))
+                state.last_class = thread_class
+                state.class_version = version
 
-        # ``decisions`` is index-aligned with ``states`` (both walk the
-        # registration-ordered dict), so actuation avoids a dict lookup
-        # per thread.
+            decision = state.decision
+            if decision is None:
+                decision = state.decision = AllocationDecision(
+                    thread=thread,
+                    thread_class=thread_class,
+                    pressure_raw=None,
+                    cumulative_pressure=None,
+                    desired_ppt=0,
+                    granted_ppt=0,
+                    period_us=0,
+                )
+            else:
+                decision.thread_class = thread_class
+                decision.squished = False
+                decision.reclaimed = False
+                decision._saturation = None
+            decisions.append(decision)
+
+            # Usage sampling (UsageMonitor.sample), inlined: one dict
+            # probe and three integer ops, no sample object.
+            tid = thread.tid
+            total = thread.accounting.total_us
+            previous = monitor_last.get(tid)
+            monitor_last[tid] = (total, now)
+
+            if thread_class is not real_rate and thread_class is not miscellaneous:
+                # Real-time and aperiodic real-time: keep the specified
+                # proportion; usage is still sampled above so the
+                # monitor's bookkeeping stays continuous.
+                decision.pressure_raw = None
+                decision.cumulative_pressure = None
+                decision.desired_ppt = decision.granted_ppt = spec.proportion_ppt
+                if thread_class is real_time:
+                    decision.period_us = spec.period_us
+                elif spec.interactive:
+                    decision.period_us = interactive_period
+                else:
+                    decision.period_us = default_period
+                protected += decision.desired_ppt
+                continue
+
+            if thread_class is real_rate:
+                sample = state.sampler.sample()
+                pressure_raw = sample.raw if sample is not None else 0.0
+                fill_level = sample.mean_fill if sample is not None else None
+            else:
+                sample = None
+                pressure_raw = misc_pressure
+                fill_level = None
+
+            current_ppt = state.current_ppt
+            if previous is None:
+                used = 0
+                interval = 0
+            else:
+                used = total - previous[0]
+                if used < 0:
+                    used = 0
+                interval = now - previous[1]
+                if interval < 0:
+                    interval = 0
+            allocated = interval * current_ppt // 1000
+
+            # -- Figure 4: PIDController.step (same arithmetic, same order) --
+            estimator = state.estimator
+            pid = estimator.pid
+            integrator = pid._integrator
+            value = integrator.value + pressure_raw * dt
+            if integral_high is not None and value > integral_high:
+                value = integral_high
+            if integral_low is not None and value < integral_low:
+                value = integral_low
+            integrator.value = value
+            differentiator = pid._differentiator
+            last_error = differentiator._previous
+            if last_error is None:
+                derivative = 0.0
+            else:
+                derivative = (pressure_raw - last_error) / dt
+            differentiator._previous = pressure_raw
+            lpf = pid._derivative_filter
+            if lpf is not None:
+                if lpf._primed:
+                    lpf.value += dt / (lpf.time_constant_s + dt) * (derivative - lpf.value)
+                else:
+                    lpf.value = derivative
+                    lpf._primed = True
+                derivative = lpf.value
+            cumulative = kp * pressure_raw + ki * value + kd * derivative
+            if cumulative > output_high:
+                cumulative = output_high
+            if cumulative < 0.0:
+                cumulative = 0.0
+            pid.last_output = cumulative
+            pid.last_error = pressure_raw
+            pid.steps += 1
+
+            # -- Figure 4: the reclaim rule, its EMAs and the wind-down --
+            desired_fraction = k_scale * cumulative
+            reclaimed = False
+            if allocated > 0:
+                ratio = used / allocated
+                if ratio > 2.0:
+                    ratio = 2.0
+                usage_ema = alpha * ratio + beta * estimator._usage_ratio_ema
+                estimator._usage_ratio_ema = usage_ema
+                used_ema = alpha * (used / interval) + beta * estimator._used_fraction_ema
+                estimator._used_fraction_ema = used_ema
+                if (
+                    current_ppt > min_ppt
+                    and 1.0 - (1.0 if usage_ema > 1.0 else usage_ema) > unused_threshold
+                ):
+                    reclaim_fraction = (current_ppt - reclaim_decrement) / PROPORTION_SCALE
+                    # Never reclaim below what the thread demonstrably uses.
+                    if used_ema > reclaim_fraction:
+                        reclaim_fraction = used_ema
+                    if reclaim_fraction < desired_fraction:
+                        desired_fraction = reclaim_fraction
+                        reclaimed = True
+                        estimator.reclaim_count += 1
+                        if ki > 0:
+                            target_output = desired_fraction / k_scale
+                            if target_output < 0.0:
+                                target_output = 0.0
+                            integrator.value = target_output / ki
+
+            # -- Figure 4: the clamps --
+            if desired_fraction < min_fraction:
+                desired_fraction = min_fraction
+            if desired_fraction > max_fraction:
+                desired_fraction = max_fraction
+            desired_ppt = int(round(desired_fraction * PROPORTION_SCALE))
+            if desired_ppt < min_ppt:
+                desired_ppt = min_ppt
+            if desired_ppt > max_ppt:
+                desired_ppt = max_ppt
+            estimator.last_desired_ppt = desired_ppt
+
+            if spec.interactive:
+                period = interactive_period
+                # Interactive jobs: "assigning them a small period and
+                # estimating their proportion by measuring the amount of
+                # time they typically run before blocking".  Their input
+                # queues are empty almost all the time, so the fill-level
+                # feedback alone would park them at the floor; the
+                # run-before-block heuristic reserves enough to serve one
+                # typical burst within each (small) period.
+                burst_us = thread.accounting.run_before_block_ema_us
+                if burst_us > 0:
+                    heuristic_ppt = int(
+                        round(1.5 * burst_us * PROPORTION_SCALE / period)
+                    )
+                    heuristic_ppt = min(max_ppt, heuristic_ppt)
+                    desired_ppt = max(desired_ppt, heuristic_ppt)
+            elif spec.period_us is not None:
+                period = spec.period_us
+            elif state.period_estimator is not None and thread_class is real_rate:
+                period = state.period_estimator.update(
+                    current_ppt or min_ppt, fill_level
+                ).period_us
+            else:
+                period = default_period
+
+            decision.pressure_raw = pressure_raw
+            decision.cumulative_pressure = cumulative
+            decision.desired_ppt = desired_ppt
+            decision.granted_ppt = desired_ppt
+            decision.period_us = period
+            decision.reclaimed = reclaimed
+            if thread_class is real_rate:
+                # A quality exception is only warranted when a queue
+                # saturated in the direction that means this thread is
+                # falling behind (signed pressure at its maximum): a
+                # consumer's queue completely full, or a producer's queue
+                # completely empty.
+                if (
+                    sample is not None
+                    and sample.per_channel
+                    and (sample.saturated_full or sample.saturated_empty)
+                    and max(sample.per_channel.values()) >= 0.45
+                ):
+                    decision._saturation = "full" if sample.saturated_full else "empty"
+                real_rate_total += desired_ppt
+                rr_decisions.append(decision)
+                rr_desired.append(desired_ppt)
+                rr_importance.append(spec.importance)
+            else:
+                misc_total += desired_ppt
+                misc_decisions.append(decision)
+                misc_desired.append(desired_ppt)
+                misc_importance.append(spec.importance)
+
+        # Overload resolution: fit the proposals under the threshold.
+        # Real-time (and aperiodic real-time) reservations are
+        # protected; the rest of the capacity is handed out in two
+        # tiers, which is what produces the Figure 7 behaviour where the
+        # CPU hog "effectively loses allocation to the consumer":
+        #
+        # 1. real-rate threads — whose desired allocation reflects a
+        #    *measured* need — are satisfied first, squished among
+        #    themselves only if they alone exceed the available capacity;
+        # 2. miscellaneous threads — whose constant pseudo-pressure just
+        #    says "give me whatever is spare" — share the residual via
+        #    the (weighted) fair-share squish policy, never dropping
+        #    below the minimum proportion (starvation freedom).
+        threshold = config.overload_threshold_total_ppt(self.capacity_cpus)
+        if protected + real_rate_total + misc_total > threshold:
+            available = max(0, threshold - protected)
+            if real_rate_total > available:
+                self._squish(rr_decisions, rr_desired, rr_importance, available, now)
+                misc_available = 0
+            else:
+                misc_available = available - real_rate_total
+            self._squish(
+                misc_decisions, misc_desired, misc_importance, misc_available, now
+            )
+
+        # ``decisions`` is index-aligned with ``states``, so actuation
+        # needs no dict lookup per thread.
         scheduler = self.scheduler
         for state, decision in zip(states, decisions):
             scheduler.set_reservation(
@@ -315,250 +601,22 @@ class ProportionAllocator:
             state.current_period_us = decision.period_us
         return decisions
 
-    # ------------------------------------------------------------------
-    # per-thread decision
-    # ------------------------------------------------------------------
-    def _decide(
-        self, state: _ControlledThread, now: int, dt: float
-    ) -> AllocationDecision:
-        spec = state.spec
-        thread = state.thread
-        registry = self.registry
-        # Classification is a pure function of the (immutable) spec and
-        # the registry's linkage knowledge; re-derive it only when a
-        # linkage was added or removed.
-        version = registry.version
-        if state.class_version == version:
-            thread_class = state.last_class
-        else:
-            thread_class = classify(spec, registry.has_progress_metric(thread))
-            state.last_class = thread_class
-            state.class_version = version
-
-        decision = state.decision
-        if decision is None:
-            decision = state.decision = AllocationDecision(
-                thread=thread,
-                thread_class=thread_class,
-                pressure_raw=None,
-                cumulative_pressure=None,
-                desired_ppt=0,
-                granted_ppt=0,
-                period_us=0,
-            )
-        else:
-            decision.thread_class = thread_class
-            decision.squished = False
-            decision.reclaimed = False
-            decision._saturation = None
-
-        if thread_class is ThreadClass.REAL_TIME:
-            # Keep the reservation exactly as specified; usage is still
-            # sampled so the monitor's bookkeeping stays continuous.
-            self.usage_monitor.sample(thread, now, state.current_ppt)
-            decision.pressure_raw = None
-            decision.cumulative_pressure = None
-            decision.desired_ppt = spec.proportion_ppt
-            decision.granted_ppt = spec.proportion_ppt
-            decision.period_us = spec.period_us
-            return decision
-
-        if thread_class is ThreadClass.APERIODIC_REAL_TIME:
-            self.usage_monitor.sample(thread, now, state.current_ppt)
-            period = self._period_for(state, thread_class, fill_level=None)
-            decision.pressure_raw = None
-            decision.cumulative_pressure = None
-            decision.desired_ppt = spec.proportion_ppt
-            decision.granted_ppt = spec.proportion_ppt
-            decision.period_us = period
-            return decision
-
-        # Real-rate and miscellaneous threads go through the estimator.
-        if thread_class is ThreadClass.REAL_RATE:
-            sample = state.sampler.sample()
-            pressure_raw = sample.raw if sample is not None else 0.0
-            fill_level = sample.mean_fill if sample is not None else None
-        else:
-            sample = None
-            pressure_raw = self.misc_pressure_source.pressure
-            fill_level = None
-
-        current_ppt = state.current_ppt
-        # Usage sampling (UsageMonitor.sample) inlined: one dict probe
-        # and three integer ops per thread-tick, no sample object.
-        tid = thread.tid
-        total = thread.accounting.total_us
-        monitor_last = self.usage_monitor._last
-        previous = monitor_last.get(tid)
-        if previous is None:
-            used = 0
-            interval = 0
-        else:
-            used = total - previous[0]
-            if used < 0:
-                used = 0
-            interval = now - previous[1]
-            if interval < 0:
-                interval = 0
-        monitor_last[tid] = (total, now)
-        allocated = interval * current_ppt // 1000
-        desired_ppt, cumulative, reclaimed = state.estimator.estimate_tick(
-            pressure_raw, used, interval, allocated, current_ppt, dt
-        )
-        # _period_for, inlined (one branch cascade per thread-tick).
-        config = self.config
-        if spec.interactive:
-            period = config.interactive_period_us
-        elif spec.period_us is not None:
-            period = spec.period_us
-        elif (
-            state.period_estimator is not None
-            and thread_class is ThreadClass.REAL_RATE
-        ):
-            period = state.period_estimator.update(
-                current_ppt or config.min_proportion_ppt, fill_level
-            ).period_us
-        else:
-            period = config.default_period_us
-        if spec.interactive:
-            # Interactive jobs: "assigning them a small period and
-            # estimating their proportion by measuring the amount of
-            # time they typically run before blocking".  Their input
-            # queues are empty almost all the time, so the fill-level
-            # feedback alone would park them at the floor; the
-            # run-before-block heuristic reserves enough to serve one
-            # typical burst within each (small) period.
-            burst_us = thread.accounting.run_before_block_ema_us
-            if burst_us > 0:
-                heuristic_ppt = int(
-                    round(1.5 * burst_us * PROPORTION_SCALE / period)
-                )
-                heuristic_ppt = min(self.config.max_proportion_ppt, heuristic_ppt)
-                desired_ppt = max(desired_ppt, heuristic_ppt)
-        decision.pressure_raw = pressure_raw
-        decision.cumulative_pressure = cumulative
-        decision.desired_ppt = desired_ppt
-        decision.granted_ppt = desired_ppt
-        decision.period_us = period
-        decision.reclaimed = reclaimed
-        # A quality exception is only warranted when a queue saturated in
-        # the direction that means this thread is falling behind (signed
-        # pressure at its maximum): a consumer's queue completely full,
-        # or a producer's queue completely empty.
-        if sample is not None and sample.per_channel:
-            behind = max(sample.per_channel.values())
-            if behind >= 0.45 and (sample.saturated_full or sample.saturated_empty):
-                saturation = "full" if sample.saturated_full else "empty"
-                decision._saturation = saturation
-        return decision
-
-    def _representative_fill(self, state: _ControlledThread) -> Optional[float]:
-        linkages = state.sampler.linkages()
-        if not linkages:
-            return None
-        # Average across the thread's queues; a single-queue thread (the
-        # common case) just reports that queue's fill level.
-        return sum(l.channel.fill_level() for l in linkages) / len(linkages)
-
-    def _period_for(
-        self,
-        state: _ControlledThread,
-        thread_class: ThreadClass,
-        fill_level: Optional[float],
-    ) -> int:
-        spec = state.spec
-        if spec.interactive:
-            return self.config.interactive_period_us
-        if spec.specifies_period:
-            return spec.period_us
-        if state.period_estimator is not None and thread_class is ThreadClass.REAL_RATE:
-            proportion = state.current_ppt or self.config.min_proportion_ppt
-            return state.period_estimator.update(proportion, fill_level).period_us
-        return self.config.default_period_us
-
-    # ------------------------------------------------------------------
-    # overload resolution
-    # ------------------------------------------------------------------
-    def _resolve_overload(
-        self, decisions: list[AllocationDecision], now: int
-    ) -> None:
-        """Fit the proposed allocations under the overload threshold.
-
-        Real-time (and aperiodic real-time) reservations are protected.
-        The remaining capacity is handed out in two tiers, which is what
-        produces the Figure 7 behaviour where the CPU hog "effectively
-        loses allocation to the consumer":
-
-        1. real-rate threads — whose desired allocation reflects a
-           *measured* need — are satisfied first, squished
-           proportionally among themselves only if they alone exceed
-           the available capacity;
-        2. miscellaneous threads — whose constant pseudo-pressure just
-           says "give me whatever is spare" — share the residual via
-           the (weighted) fair-share squish policy, never dropping
-           below the minimum proportion (starvation freedom).
-        """
-        total_desired = sum(d.desired_ppt for d in decisions)
-        threshold = self.config.overload_threshold_total_ppt(self.capacity_cpus)
-        if total_desired <= threshold:
-            return
-
-        # Single pass over the decisions (this runs on every tick while
-        # the system is overloaded).  Squishable == real-rate or
-        # miscellaneous, so the three buckets partition the classes.
-        protected = 0
-        real_rate: list[AllocationDecision] = []
-        misc: list[AllocationDecision] = []
-        real_rate_total = 0
-        for d in decisions:
-            thread_class = d.thread_class
-            if thread_class is ThreadClass.REAL_RATE:
-                real_rate.append(d)
-                real_rate_total += d.desired_ppt
-            elif thread_class is ThreadClass.MISCELLANEOUS:
-                misc.append(d)
-            else:
-                protected += d.desired_ppt
-        available = max(0, threshold - protected)
-        if real_rate_total > available:
-            self._apply_squish(real_rate, available, now)
-            misc_available = 0
-        else:
-            misc_available = available - real_rate_total
-        self._apply_squish(misc, misc_available, now)
-
-    def _apply_squish(
+    def _squish(
         self,
         decisions: list[AllocationDecision],
+        desired: list[int],
+        importance: list[float],
         available_ppt: int,
         now: int,
     ) -> None:
+        """Apply the squish policy's grants to one overload tier."""
         if not decisions:
             return
-        controlled = self._controlled
-        requests = []
-        append = requests.append
-        for d in decisions:
-            state = controlled[d.thread.tid]
-            request = state.squish_request
-            if request is None:
-                request = state.squish_request = SquishRequest(
-                    key=d.thread.tid,
-                    desired_ppt=d.desired_ppt,
-                    importance=state.spec.importance,
-                )
-            else:
-                # Reused proposal: only the desired proportion moves
-                # tick to tick (the key is the tid and the importance
-                # comes from the immutable spec).
-                request.desired_ppt = d.desired_ppt
-                request.importance = state.spec.importance
-            append(request)
-        grants = self.squish_policy.squish(requests, max(0, available_ppt))
-        for decision in decisions:
-            granted = grants.get(decision.thread.tid, decision.desired_ppt)
-            if granted < decision.desired_ppt:
-                decision.granted_ppt = max(self.config.min_proportion_ppt, granted)
+        grants = self.squish_policy.squish(desired, importance, available_ppt)
+        min_ppt = self.config.min_proportion_ppt
+        for decision, want, granted in zip(decisions, desired, grants):
+            if granted < want:
+                decision.granted_ppt = max(min_ppt, granted)
                 decision.squished = True
                 self._maybe_quality_exception(decision, now)
 
@@ -618,7 +676,10 @@ class ProportionAllocator:
 
     def total_allocated_ppt(self) -> int:
         """Sum of currently actuated proportions across controlled threads."""
-        return sum(s.current_ppt for s in self._controlled.values())
+        total = 0
+        for state in self._controlled.values():
+            total += state.current_ppt
+        return total
 
 
 __all__ = ["AllocationDecision", "ProportionAllocator"]

@@ -33,11 +33,7 @@ from repro.swift.pid import PIDController
 
 
 class EstimateResult(NamedTuple):
-    """Outcome of one estimation step for one thread.
-
-    A named tuple: one result is constructed per controlled thread per
-    controller tick, so creation cost sits on the controller hot path.
-    """
+    """Outcome of one estimation step for one thread."""
 
     desired_ppt: int
     cumulative_pressure: float
@@ -126,122 +122,6 @@ class ProportionEstimator:
             cumulative_pressure=cumulative,
             reclaimed=reclaimed,
         )
-
-    def estimate_tick(
-        self,
-        pressure_raw: float,
-        used_us: int,
-        interval_us: int,
-        allocated_us: int,
-        current_ppt: int,
-        dt: float,
-    ) -> tuple[int, float, bool]:
-        """Fused fast path of :meth:`estimate` for the controller tick.
-
-        Performs exactly the arithmetic of :meth:`estimate` (PID step,
-        reclaim rule with its EMA side effects, wind-down, clamps) in
-        the same order on the same state holders, but takes the usage
-        sample as three scalars and returns a plain ``(desired_ppt,
-        cumulative_pressure, reclaimed)`` tuple — the allocator runs
-        this once per controlled thread per tick, so the per-call
-        object constructions and method dispatches of the unfused path
-        are measurable.  ``tests/test_core_estimator_period.py`` pins
-        the two paths bit-identical over randomized histories.
-        """
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        config = self.config
-        # -- PIDController.step, inlined (same arithmetic, same order) --
-        pid = self.pid
-        gains = pid.gains
-        proportional = gains.kp * pressure_raw
-        integrator = pid._integrator
-        value = integrator.value + pressure_raw * dt
-        limit_high = integrator.limit_high
-        if limit_high is not None and value > limit_high:
-            value = limit_high
-        limit_low = integrator.limit_low
-        if limit_low is not None and value < limit_low:
-            value = limit_low
-        integrator.value = value
-        integral = gains.ki * value
-        differentiator = pid._differentiator
-        previous = differentiator._previous
-        if previous is None:
-            derivative_raw = 0.0
-        else:
-            derivative_raw = (pressure_raw - previous) / dt
-        differentiator._previous = pressure_raw
-        lpf = pid._derivative_filter
-        if lpf is not None:
-            if not lpf._primed:
-                lpf.value = derivative_raw
-                lpf._primed = True
-            else:
-                alpha = dt / (lpf.time_constant_s + dt)
-                lpf.value += alpha * (derivative_raw - lpf.value)
-            derivative_raw = lpf.value
-        cumulative = proportional + integral + gains.kd * derivative_raw
-        output_high = pid.output_high
-        if output_high is not None and cumulative > output_high:
-            cumulative = output_high
-        output_low = pid.output_low
-        if output_low is not None and cumulative < output_low:
-            cumulative = output_low
-        pid.last_output = cumulative
-        pid.last_error = pressure_raw
-        pid.steps += 1
-
-        # -- estimate body: reclaim rule and clamps --
-        desired_fraction = config.k_scale * cumulative
-        reclaimed = False
-        too_generous = False
-        if allocated_us > 0 and interval_us > 0:
-            ratio = used_us / allocated_us
-            if ratio > 2.0:
-                ratio = 2.0
-            alpha = self.USAGE_EMA_ALPHA
-            beta = 1.0 - alpha
-            self._usage_ratio_ema = alpha * ratio + beta * self._usage_ratio_ema
-            self._used_fraction_ema = (
-                alpha * (used_us / interval_us) + beta * self._used_fraction_ema
-            )
-            if current_ppt > config.min_proportion_ppt:
-                ema = self._usage_ratio_ema
-                unused = 1.0 - (1.0 if ema > 1.0 else ema)
-                too_generous = unused > config.unused_threshold
-        if too_generous:
-            reclaim_fraction = (
-                current_ppt - config.reclaim_decrement_ppt
-            ) / PROPORTION_SCALE
-            used_ema = self._used_fraction_ema
-            if used_ema > reclaim_fraction:
-                reclaim_fraction = used_ema
-            if reclaim_fraction < desired_fraction:
-                desired_fraction = reclaim_fraction
-                reclaimed = True
-                self.reclaim_count += 1
-                # _wind_down_to, inlined.
-                if gains.ki > 0:
-                    target_output = desired_fraction / config.k_scale
-                    if target_output < 0.0:
-                        target_output = 0.0
-                    integrator.value = target_output / gains.ki
-        min_fraction = config.min_fraction
-        if desired_fraction < min_fraction:
-            desired_fraction = min_fraction
-        max_fraction = config.max_fraction
-        if desired_fraction > max_fraction:
-            desired_fraction = max_fraction
-        desired_ppt = int(round(desired_fraction * PROPORTION_SCALE))
-        min_ppt = config.min_proportion_ppt
-        if desired_ppt < min_ppt:
-            desired_ppt = min_ppt
-        max_ppt = config.max_proportion_ppt
-        if desired_ppt > max_ppt:
-            desired_ppt = max_ppt
-        self.last_desired_ppt = desired_ppt
-        return desired_ppt, cumulative, reclaimed
 
     def _too_generous(self, usage: UsageSample, current_ppt: int) -> bool:
         """Whether the previous allocation overestimated the real need."""

@@ -19,35 +19,24 @@ the threads."  Two mechanisms, as in the paper:
   keeps at least the minimum proportion.
 """
 
+# float-order: exact — squish shares feed the golden-verified
+# allocations; the weight total is an explicit left fold.
+
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.config import ControllerConfig
 from repro.core.errors import AdmissionError
 
 
-@dataclass
-class SquishRequest:
-    """One squishable thread's proposal entering the squish step."""
-
-    key: int
-    desired_ppt: int
-    importance: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.desired_ppt < 0:
-            raise ValueError(
-                f"desired proportion cannot be negative, got {self.desired_ppt}"
-            )
-        if self.importance <= 0:
-            raise ValueError(f"importance must be positive, got {self.importance}")
-
-
 class SquishPolicy(ABC):
-    """Strategy for distributing a limited budget over proposals."""
+    """Strategy for distributing a limited budget over proposals.
+
+    Proposals are index-aligned lists: ``desired[i]`` is one squishable
+    thread's desired proportion and ``importance[i]`` its weight.
+    """
 
     def __init__(self, min_proportion_ppt: int = 1) -> None:
         if min_proportion_ppt < 0:
@@ -57,80 +46,90 @@ class SquishPolicy(ABC):
         self.min_proportion_ppt = min_proportion_ppt
 
     @abstractmethod
-    def weights(self, requests: list[SquishRequest]) -> list[float]:
+    def weights(self, desired: list[int], importance: list[float]) -> list[float]:
         """Relative weights used to share the available budget."""
 
     def squish(
-        self, requests: list[SquishRequest], available_ppt: int
-    ) -> dict[int, int]:
+        self, desired: list[int], importance: list[float], available_ppt: int
+    ) -> list[int]:
         """Scale the proposals down into ``available_ppt``.
 
-        Returns a mapping from request key to granted proportion.  If
-        the proposals already fit, they are returned unchanged.  Each
+        Returns the granted proportions, index-aligned with ``desired``.
+        If the proposals already fit, they are returned unchanged.  Each
         grant is capped at its proposal (squishing never gives a thread
         more than it asked for) and floored at the minimum proportion
         (starvation freedom), even if the floor technically exceeds the
         budget — the overload threshold's reserve capacity absorbs that.
         """
-        if not requests:
-            return {}
-        total_desired = sum(r.desired_ppt for r in requests)
+        if len(importance) != len(desired):
+            raise ValueError(
+                f"{len(desired)} proposals but {len(importance)} importances"
+            )
+        if not desired:
+            return []
+        if min(desired) < 0:
+            raise ValueError(f"desired proportions cannot be negative: {desired}")
+        if min(importance) <= 0:
+            raise ValueError(f"importances must be positive: {importance}")
+        total_desired = sum(desired)  # repro-lint: disable=float-order -- integer ppt sum; exact in any order
         if total_desired <= available_ppt:
-            return {r.key: r.desired_ppt for r in requests}
+            return list(desired)
 
         available = max(0, available_ppt)
-        grants: dict[int, int] = {}
-        remaining = list(requests)
+        # A proposal's weight depends on nothing but the proposal, so it
+        # is computed once, not once per water-filling round.
+        weights = self.weights(desired, importance)
+        grants = [0] * len(desired)
+        remaining = list(range(len(desired)))
         # Iterative water-filling: grant proportionally to weight, cap at
         # the proposal, and redistribute leftover budget from capped
-        # requests to the rest.
+        # proposals to the rest.
         while remaining and available > 0:
-            weights = self.weights(remaining)
-            total_weight = sum(weights)
+            total_weight = 0.0
+            for i in remaining:
+                total_weight += weights[i]
             if total_weight <= 0:
                 break
-            capped: list[SquishRequest] = []
-            next_round: list[SquishRequest] = []
+            next_round: list[int] = []
+            shares: list[int] = []
             used = 0
-            for request, weight in zip(remaining, weights):
-                share = int(available * weight / total_weight)
-                if share >= request.desired_ppt:
-                    grants[request.key] = request.desired_ppt
-                    used += request.desired_ppt
-                    capped.append(request)
+            for i in remaining:
+                share = int(available * weights[i] / total_weight)
+                want = desired[i]
+                if share >= want:
+                    grants[i] = want
+                    used += want
                 else:
-                    next_round.append(request)
-            if not capped:
+                    next_round.append(i)
+                    shares.append(share)
+            if len(next_round) == len(remaining):
                 # Nobody capped: hand out the proportional shares directly.
-                for request, weight in zip(remaining, weights):
-                    grants[request.key] = int(available * weight / total_weight)
-                remaining = []
-                available = 0
+                for i, share in zip(remaining, shares):
+                    grants[i] = share
                 break
             available -= used
             remaining = next_round
-        for request in remaining:
-            grants.setdefault(request.key, 0)
         # Starvation freedom: every thread keeps at least the minimum.
-        for request in requests:
-            floor = min(self.min_proportion_ppt, request.desired_ppt)
-            if grants.get(request.key, 0) < floor:
-                grants[request.key] = floor
+        floor = self.min_proportion_ppt
+        for i, want in enumerate(desired):
+            minimum = floor if floor < want else want
+            if grants[i] < minimum:
+                grants[i] = minimum
         return grants
 
 
 class FairShareSquish(SquishPolicy):
     """Scale every proposal by the same factor (plain fair share)."""
 
-    def weights(self, requests: list[SquishRequest]) -> list[float]:
-        return [float(r.desired_ppt) for r in requests]
+    def weights(self, desired: list[int], importance: list[float]) -> list[float]:
+        return [float(d) for d in desired]
 
 
 class WeightedFairShareSquish(SquishPolicy):
     """Scale proposals by importance-weighted size (weighted fair share)."""
 
-    def weights(self, requests: list[SquishRequest]) -> list[float]:
-        return [float(r.desired_ppt) * r.importance for r in requests]
+    def weights(self, desired: list[int], importance: list[float]) -> list[float]:
+        return [float(d) * w for d, w in zip(desired, importance)]
 
 
 def check_admission(
@@ -201,7 +200,6 @@ def check_admission_smp(
 __all__ = [
     "FairShareSquish",
     "SquishPolicy",
-    "SquishRequest",
     "WeightedFairShareSquish",
     "check_admission",
     "check_admission_smp",

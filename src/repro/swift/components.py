@@ -8,9 +8,8 @@ controller frequency when discussing responsiveness and overhead.
 """
 
 # float-order: exact — circuit outputs feed the golden-verified PID
-# path; existing sum() folds are grandfathered in the lint baseline
-# (python's sum is a defined left fold), but new reductions must keep
-# the explicit order.
+# path and the period heuristic; every reduction is an explicit left
+# fold (CPython 3.12's builtin sum() compensates float sums).
 
 from __future__ import annotations
 
@@ -53,14 +52,19 @@ class SummingJunction:
     def combine(self, values: Iterable[float]) -> float:
         """Return the (signed) sum of ``values``."""
         values = list(values)
+        total: float = 0
         if self.signs is None:
-            return float(sum(values))
+            for value in values:
+                total += value
+            return float(total)
         if len(values) != len(self.signs):
             raise ValueError(
                 f"summing junction configured with {len(self.signs)} signs "
                 f"but received {len(values)} inputs"
             )
-        return float(sum(s * v for s, v in zip(self.signs, values)))
+        for sign, value in zip(self.signs, values):
+            total += sign * value
+        return float(total)
 
 
 class Integrator(Component):
@@ -170,7 +174,10 @@ class MovingAverage(Component):
 
     def step(self, value: float, dt: float) -> float:
         self._samples.append(value)
-        return sum(self._samples) / len(self._samples)
+        total = 0.0
+        for sample in self._samples:
+            total += sample
+        return total / len(self._samples)
 
     def reset(self) -> None:
         self._samples.clear()

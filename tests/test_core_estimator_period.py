@@ -4,10 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.allocator import ProportionAllocator
 from repro.core.config import ControllerConfig
 from repro.core.estimator import ProportionEstimator
 from repro.core.period import PeriodEstimator
+from repro.ipc.bounded_buffer import BoundedBuffer
+from repro.ipc.registry import SymbioticRegistry
+from repro.ipc.roles import Role
+from repro.monitor.progress import PressureSample
 from repro.monitor.usage import UsageSample
+from repro.sched.rbs import ReservationScheduler
+from repro.sim.kernel import Kernel
+
+from tests.conftest import spin_body
 
 
 def usage(used_us: int, interval_us: int, allocated_ppt: int) -> UsageSample:
@@ -199,11 +208,26 @@ class TestPeriodEstimator:
         assert estimator.period_us == 42_000
 
 
-class TestEstimateTickEquivalence:
-    """The fused controller fast path (estimate_tick) must be
-    bit-identical to estimate() — same outputs, same internal state —
-    over arbitrary histories, since the production controller runs only
-    the fused copy while the unfused one remains the readable spec."""
+class FixedPressureSampler:
+    """A progress sensor that reports whatever pressure the test sets."""
+
+    def __init__(self, thread):
+        self.thread = thread
+        self.pressure = 0.0
+
+    def sample(self):
+        return PressureSample(raw=self.pressure, per_channel={})
+
+    def linkages(self):
+        return []
+
+
+class TestControllerTickEquivalence:
+    """The allocator's tick runs the Figure 4 law inline; over arbitrary
+    histories its decisions and estimator state must equal
+    ProportionEstimator.estimate() — the readable spec — fed the same
+    usage samples, bit for bit, for real-rate and miscellaneous
+    threads alike."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -212,47 +236,65 @@ class TestEstimateTickEquivalence:
                 st.floats(
                     min_value=-2.0, max_value=2.0,
                     allow_nan=False, allow_infinity=False,
-                ),
-                st.integers(min_value=0, max_value=20_000),   # used_us
+                ),                                            # pressure
                 st.integers(min_value=0, max_value=20_000),   # interval_us
-                st.integers(min_value=0, max_value=1_000),    # current_ppt
+                st.integers(min_value=0, max_value=20_000),   # real-rate used_us
+                st.integers(min_value=0, max_value=20_000),   # misc used_us
+                st.integers(min_value=0, max_value=1_000),    # real-rate ppt
+                st.integers(min_value=0, max_value=1_000),    # misc ppt
             ),
             min_size=1,
             max_size=40,
         )
     )
-    def test_fused_path_is_bit_identical(self, steps):
+    def test_allocator_matches_estimate(self, steps):
         config = ControllerConfig()
         dt = config.controller_period_s
-        unfused = ProportionEstimator(config)
-        fused = ProportionEstimator(config)
-        for pressure, used, interval, current_ppt in steps:
-            allocated = interval * current_ppt // 1000
-            reference = unfused.estimate(
-                pressure,
-                UsageSample(
-                    used_us=used, interval_us=interval, allocated_us=allocated
-                ),
-                current_ppt,
-                dt,
-            )
-            desired, cumulative, reclaimed = fused.estimate_tick(
-                pressure, used, interval, allocated, current_ppt, dt
-            )
-            assert desired == reference.desired_ppt
-            assert cumulative == reference.cumulative_pressure
-            assert reclaimed == reference.reclaimed
-            # Internal state must track exactly, or later steps drift.
-            assert fused.pid.integral_value == unfused.pid.integral_value
-            assert fused.pid.last_output == unfused.pid.last_output
-            assert fused.pid.last_error == unfused.pid.last_error
-            assert fused.pid.steps == unfused.pid.steps
-            assert fused._usage_ratio_ema == unfused._usage_ratio_ema
-            assert fused._used_fraction_ema == unfused._used_fraction_ema
-            assert fused.reclaim_count == unfused.reclaim_count
-            assert fused.last_desired_ppt == unfused.last_desired_ppt
+        scheduler = ReservationScheduler()
+        kernel = Kernel(scheduler, charge_dispatch_overhead=False)
+        registry = SymbioticRegistry()
+        allocator = ProportionAllocator(scheduler, registry, config)
+        real_rate = kernel.spawn("rr", spin_body())
+        registry.register(real_rate, BoundedBuffer("q", 100), Role.CONSUMER)
+        allocator.register(real_rate)
+        sensor = FixedPressureSampler(real_rate)
+        allocator.set_sampler(real_rate, sensor)
+        misc = kernel.spawn("misc", spin_body())
+        allocator.register(misc)
+        states = [allocator._controlled[t.tid] for t in (real_rate, misc)]
+        references = [ProportionEstimator(config), ProportionEstimator(config)]
 
-    def test_fused_path_rejects_bad_dt(self):
-        estimator = ProportionEstimator(ControllerConfig())
-        with pytest.raises(ValueError, match="dt must be positive"):
-            estimator.estimate_tick(0.1, 0, 0, 0, 0, 0.0)
+        now = 0
+        for index, step in enumerate(steps):
+            pressure, interval, rr_used, misc_used, rr_ppt, misc_ppt = step
+            used = (rr_used, misc_used)
+            if index == 0:
+                # The first tick has no previous usage sample to diff.
+                interval, used = 0, (0, 0)
+            now += interval
+            sensor.pressure = pressure
+            for state, used_us, current_ppt in zip(states, used, (rr_ppt, misc_ppt)):
+                state.thread.accounting.total_us += used_us
+                state.current_ppt = current_ppt
+            decisions = allocator.update(now)
+            inputs = zip(
+                decisions, states, references,
+                (pressure, config.misc_pressure), used, (rr_ppt, misc_ppt),
+            )
+            for decision, state, reference, raw, used_us, current_ppt in inputs:
+                expected = reference.estimate(
+                    raw, usage(used_us, interval, current_ppt), current_ppt, dt
+                )
+                assert decision.desired_ppt == expected.desired_ppt
+                assert decision.cumulative_pressure == expected.cumulative_pressure
+                assert decision.reclaimed == expected.reclaimed
+                # Internal state must track exactly, or later steps drift.
+                fused = state.estimator
+                assert fused.pid.integral_value == reference.pid.integral_value
+                assert fused.pid.last_output == reference.pid.last_output
+                assert fused.pid.last_error == reference.pid.last_error
+                assert fused.pid.steps == reference.pid.steps
+                assert fused._usage_ratio_ema == reference._usage_ratio_ema
+                assert fused._used_fraction_ema == reference._used_fraction_ema
+                assert fused.reclaim_count == reference.reclaim_count
+                assert fused.last_desired_ppt == reference.last_desired_ppt

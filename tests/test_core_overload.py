@@ -6,107 +6,94 @@ from repro.core.config import ControllerConfig
 from repro.core.errors import AdmissionError
 from repro.core.overload import (
     FairShareSquish,
-    SquishRequest,
     WeightedFairShareSquish,
     check_admission,
 )
 
 
-class TestSquishRequest:
+class TestSquishValidation:
     def test_validation(self):
+        policy = FairShareSquish()
         with pytest.raises(ValueError):
-            SquishRequest(key=1, desired_ppt=-1)
+            policy.squish([-1], [1.0], available_ppt=100)
         with pytest.raises(ValueError):
-            SquishRequest(key=1, desired_ppt=100, importance=0)
+            policy.squish([100], [0.0], available_ppt=100)
+        with pytest.raises(ValueError):
+            policy.squish([100, 200], [1.0], available_ppt=100)
 
 
 class TestFairShareSquish:
     def test_no_squish_when_fits(self):
         policy = FairShareSquish()
-        requests = [SquishRequest(1, 200), SquishRequest(2, 300)]
-        grants = policy.squish(requests, available_ppt=600)
-        assert grants == {1: 200, 2: 300}
+        grants = policy.squish([200, 300], [1.0, 1.0], available_ppt=600)
+        assert grants == [200, 300]
 
     def test_proportional_reduction(self):
         policy = FairShareSquish()
-        requests = [SquishRequest(1, 600), SquishRequest(2, 300)]
-        grants = policy.squish(requests, available_ppt=450)
+        grants = policy.squish([600, 300], [1.0, 1.0], available_ppt=450)
         # Scaled by one half, preserving the 2:1 ratio.
-        assert grants[1] == pytest.approx(300, abs=2)
-        assert grants[2] == pytest.approx(150, abs=2)
+        assert grants[0] == pytest.approx(300, abs=2)
+        assert grants[1] == pytest.approx(150, abs=2)
 
     def test_equal_desires_get_equal_grants(self):
         policy = FairShareSquish()
-        requests = [SquishRequest(i, 900) for i in range(3)]
-        grants = policy.squish(requests, available_ppt=600)
-        values = list(grants.values())
-        assert max(values) - min(values) <= 1
-        assert sum(values) <= 600
+        grants = policy.squish([900] * 3, [1.0] * 3, available_ppt=600)
+        assert max(grants) - min(grants) <= 1
+        assert sum(grants) <= 600
 
     def test_total_never_exceeds_available(self):
         policy = FairShareSquish()
-        requests = [SquishRequest(i, 500 + i * 100) for i in range(5)]
-        grants = policy.squish(requests, available_ppt=700)
-        assert sum(grants.values()) <= 700 + len(requests)  # floor rounding slack
+        desired = [500 + i * 100 for i in range(5)]
+        grants = policy.squish(desired, [1.0] * 5, available_ppt=700)
+        assert sum(grants) <= 700 + len(desired)  # floor rounding slack
 
     def test_small_request_not_inflated(self):
         policy = FairShareSquish()
-        requests = [SquishRequest(1, 50), SquishRequest(2, 900)]
-        grants = policy.squish(requests, available_ppt=800)
-        assert grants[1] <= 50
+        grants = policy.squish([50, 900], [1.0, 1.0], available_ppt=800)
+        assert grants[0] <= 50
 
     def test_empty_requests(self):
-        assert FairShareSquish().squish([], 500) == {}
+        assert FairShareSquish().squish([], [], 500) == []
 
     def test_zero_available_floors_at_minimum(self):
         policy = FairShareSquish(min_proportion_ppt=5)
-        requests = [SquishRequest(1, 400), SquishRequest(2, 400)]
-        grants = policy.squish(requests, available_ppt=0)
+        grants = policy.squish([400, 400], [1.0, 1.0], available_ppt=0)
+        assert grants[0] == 5
         assert grants[1] == 5
-        assert grants[2] == 5
 
     def test_minimum_proportion_enforced(self):
         policy = FairShareSquish(min_proportion_ppt=10)
-        requests = [SquishRequest(1, 900), SquishRequest(2, 900), SquishRequest(3, 20)]
-        grants = policy.squish(requests, available_ppt=100)
-        assert all(g >= 10 for g in grants.values())
+        grants = policy.squish([900, 900, 20], [1.0] * 3, available_ppt=100)
+        assert all(g >= 10 for g in grants)
 
 
 class TestWeightedFairShareSquish:
     def test_importance_biases_shares(self):
         policy = WeightedFairShareSquish()
-        requests = [
-            SquishRequest(1, 900, importance=1.0),
-            SquishRequest(2, 900, importance=3.0),
-        ]
-        grants = policy.squish(requests, available_ppt=400)
-        assert grants[2] > grants[1]
-        assert grants[2] / grants[1] == pytest.approx(3.0, rel=0.1)
+        grants = policy.squish([900, 900], [1.0, 3.0], available_ppt=400)
+        assert grants[1] > grants[0]
+        assert grants[1] / grants[0] == pytest.approx(3.0, rel=0.1)
 
     def test_importance_cannot_starve(self):
         policy = WeightedFairShareSquish(min_proportion_ppt=5)
-        requests = [
-            SquishRequest(1, 900, importance=0.001),
-            SquishRequest(2, 900, importance=1_000.0),
-        ]
-        grants = policy.squish(requests, available_ppt=500)
-        assert grants[1] >= 5
+        grants = policy.squish([900, 900], [0.001, 1_000.0], available_ppt=500)
+        assert grants[0] >= 5
 
     def test_equal_importance_reduces_to_fair_share(self):
         weighted = WeightedFairShareSquish()
         fair = FairShareSquish()
-        requests = [SquishRequest(1, 600), SquishRequest(2, 300)]
-        assert weighted.squish(requests, 450) == fair.squish(requests, 450)
+        desired = [600, 300]
+        importance = [1.0, 1.0]
+        assert weighted.squish(desired, importance, 450) == fair.squish(
+            desired, importance, 450
+        )
 
     def test_capped_request_redistributes(self):
         policy = WeightedFairShareSquish()
-        requests = [
-            SquishRequest(1, 100, importance=10.0),  # wants little, high importance
-            SquishRequest(2, 900, importance=1.0),
-        ]
-        grants = policy.squish(requests, available_ppt=600)
-        assert grants[1] == 100          # capped at its own desire
-        assert grants[2] >= 400          # leftover goes to the other request
+        # The first wants little at high importance.
+        grants = policy.squish([100, 900], [10.0, 1.0], available_ppt=600)
+        assert grants[0] == 100          # capped at its own desire
+        assert grants[1] >= 400          # leftover goes to the other request
 
 
 class TestAdmissionControl:

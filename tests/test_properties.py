@@ -7,7 +7,7 @@ from repro.analysis.regression import linear_fit
 from repro.analysis.series import rate_from_cumulative, sparkline
 from repro.core.config import ControllerConfig
 from repro.core.estimator import ProportionEstimator
-from repro.core.overload import FairShareSquish, SquishRequest, WeightedFairShareSquish
+from repro.core.overload import FairShareSquish, WeightedFairShareSquish
 from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.monitor.usage import UsageSample
 from repro.sched.rbs import Reservation
@@ -90,27 +90,30 @@ def test_reservation_remaining_never_negative(proportion, period, charges):
 # ----------------------------------------------------------------------
 
 squish_requests = st.lists(
-    st.builds(
-        SquishRequest,
-        key=st.integers(min_value=0, max_value=1_000_000),
-        desired_ppt=st.integers(min_value=0, max_value=1_000),
-        importance=st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
+    st.tuples(
+        st.integers(min_value=0, max_value=1_000),
+        st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
     ),
     min_size=1,
     max_size=10,
-    unique_by=lambda r: r.key,
 )
+
+
+def split(requests):
+    """Index-aligned (desired, importance) lists of the requests."""
+    return [d for d, _ in requests], [w for _, w in requests]
 
 
 @given(requests=squish_requests, available=st.integers(min_value=0, max_value=1_000))
 @settings(max_examples=200)
 def test_squish_never_grants_more_than_desired(requests, available):
+    desired, importance = split(requests)
     for policy in (FairShareSquish(5), WeightedFairShareSquish(5)):
-        grants = policy.squish(list(requests), available)
-        for request in requests:
-            assert grants[request.key] <= max(request.desired_ppt,
-                                              min(5, request.desired_ppt))
-            assert grants[request.key] >= 0
+        grants = policy.squish(desired, importance, available)
+        assert len(grants) == len(desired)
+        for want, granted in zip(desired, grants):
+            assert granted <= max(want, min(5, want))
+            assert granted >= 0
 
 
 @given(requests=squish_requests, available=st.integers(min_value=0, max_value=1_000))
@@ -122,20 +125,80 @@ def test_squish_respects_budget_up_to_minimum_floors(requests, available):
     the budget is tiny — that slack is what the overload threshold's
     reserve capacity absorbs.)
     """
+    desired, importance = split(requests)
     policy = FairShareSquish(5)
-    grants = policy.squish(list(requests), available)
-    floor_total = sum(min(5, r.desired_ppt) for r in requests)
-    assert sum(grants.values()) <= available + floor_total + len(requests)
+    grants = policy.squish(desired, importance, available)
+    floor_total = sum(min(5, want) for want in desired)
+    assert sum(grants) <= available + floor_total + len(desired)
 
 
 @given(requests=squish_requests)
 @settings(max_examples=100)
 def test_squish_grants_everything_when_budget_is_ample(requests):
+    desired, importance = split(requests)
     policy = WeightedFairShareSquish(5)
-    total = sum(r.desired_ppt for r in requests)
-    grants = policy.squish(list(requests), total)
-    for request in requests:
-        assert grants[request.key] == request.desired_ppt
+    grants = policy.squish(desired, importance, sum(desired))
+    assert grants == desired
+
+
+def reference_water_fill(desired, importance, available, floor, weighted):
+    """Naive water-fill: weights recomputed every round, dict grants."""
+
+    def weight(i):
+        return float(desired[i]) * importance[i] if weighted else float(desired[i])
+
+    if sum(desired) <= available:
+        return list(desired)
+    available = max(0, available)
+    grants = {}
+    remaining = list(range(len(desired)))
+    while remaining and available > 0:
+        total_weight = 0.0
+        for i in remaining:
+            total_weight += weight(i)
+        if total_weight <= 0:
+            break
+        shares = {i: int(available * weight(i) / total_weight) for i in remaining}
+        capped = [i for i in remaining if shares[i] >= desired[i]]
+        if not capped:
+            grants.update(shares)
+            break
+        for i in capped:
+            grants[i] = desired[i]
+            available -= desired[i]
+        remaining = [i for i in remaining if i not in capped]
+    return [
+        max(grants.get(i, 0), min(floor, desired[i])) for i in range(len(desired))
+    ]
+
+
+@given(
+    requests=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=1_000),
+            st.one_of(
+                st.sampled_from([0.1, 1 / 3, 0.7, 1.1, 2 / 3, 2.9, 7.3]),
+                st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
+            ),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    available=st.integers(min_value=0, max_value=4_000),
+    floor=st.integers(min_value=0, max_value=20),
+)
+@settings(max_examples=300)
+def test_squish_matches_reference_water_fill(requests, available, floor):
+    """The one-weights-per-squish water-fill grants exactly what the
+    naive per-round reference grants, for non-dyadic importances too."""
+    desired, importance = split(requests)
+    for policy, weighted in (
+        (FairShareSquish(floor), False),
+        (WeightedFairShareSquish(floor), True),
+    ):
+        assert policy.squish(desired, importance, available) == reference_water_fill(
+            desired, importance, available, floor, weighted
+        )
 
 
 # ----------------------------------------------------------------------
