@@ -18,9 +18,6 @@
 4. **Actuate** — the resulting (proportion, period) pairs are written
    into the reservation scheduler.
 
-Steps 1–2 and the overload sums of step 3 run in one pass over the
-controlled threads (see :meth:`ProportionAllocator.update`).
-
 The allocator is deliberately independent of the simulation kernel: it
 only needs a scheduler that accepts reservations, a registry to read
 fill levels from, and a clock value passed into :meth:`update`.  The

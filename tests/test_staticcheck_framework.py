@@ -74,6 +74,16 @@ def test_float_order_annotation_detected_in_header_only():
     assert not buried.float_order_exact
 
 
+@pytest.mark.parametrize(
+    "rel_path",
+    ["src/repro/core/allocator.py", "src/repro/core/overload.py"],
+)
+def test_controller_modules_sit_inside_float_order_boundary(rel_path):
+    path = REPO_ROOT / rel_path
+    module = ModuleSource(path, rel_path, path.read_text())
+    assert module.float_order_exact
+
+
 # ----------------------------------------------------------------------
 # the suppression meta-check
 # ----------------------------------------------------------------------
