@@ -308,9 +308,7 @@ class ProportionAllocator:
         self._drop_exited()
 
         # Per-tick constants.  Every estimator is built from
-        # ``self.config``: its PID has the config's gains, the output
-        # range [0, max_fraction / k_scale] and, when ki > 0, that range
-        # over ki as its integral clamp.
+        # ``self.config``, so its PID gains and limits are the config's.
         config = self.config
         dt = config.controller_period_s
         gains = config.pid_gains
@@ -318,12 +316,9 @@ class ProportionAllocator:
         ki = gains.ki
         kd = gains.kd
         k_scale = config.k_scale
-        output_high = config.max_fraction / k_scale
-        integral_low: Optional[float] = None
-        integral_high: Optional[float] = None
-        if ki > 0:
-            integral_low = 0.0
-            integral_high = output_high / ki
+        output_high, integral_low, integral_high = ProportionEstimator.pid_limits(
+            config
+        )
         alpha = ProportionEstimator.USAGE_EMA_ALPHA
         beta = 1.0 - alpha
         min_ppt = config.min_proportion_ppt

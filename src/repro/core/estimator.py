@@ -25,7 +25,7 @@ property.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from repro.core.config import PROPORTION_SCALE, ControllerConfig
 from repro.monitor.usage import UsageSample
@@ -52,7 +52,7 @@ class ProportionEstimator:
         self.pid = PIDController(
             config.pid_gains,
             output_low=0.0,
-            output_high=config.max_fraction / config.k_scale,
+            output_high=self.pid_limits(config)[0],
         )
         self.last_desired_ppt = config.min_proportion_ppt
         self.reclaim_count = 0
@@ -70,6 +70,21 @@ class ProportionEstimator:
 
     #: Weight of the newest usage sample in the smoothed ratio.
     USAGE_EMA_ALPHA = 0.25
+
+    @staticmethod
+    def pid_limits(
+        config: ControllerConfig,
+    ) -> tuple[float, Optional[float], Optional[float]]:
+        """``(output_high, integral_low, integral_high)`` of the PID.
+
+        The output range is [0, max_fraction / k]; the integral clamp is
+        the PID's own anti-windup rule applied to that range.
+        """
+        output_high = config.max_fraction / config.k_scale
+        integral_low, integral_high = PIDController.integral_limits(
+            config.pid_gains, 0.0, output_high
+        )
+        return output_high, integral_low, integral_high
 
     def estimate(
         self,

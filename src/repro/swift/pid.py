@@ -75,13 +75,9 @@ class PIDController:
         self.gains = gains if gains is not None else PIDGains()
         self.output_low = output_low
         self.output_high = output_high
-        integral_low = None
-        integral_high = None
-        if self.gains.ki > 0:
-            if output_low is not None:
-                integral_low = output_low / self.gains.ki
-            if output_high is not None:
-                integral_high = output_high / self.gains.ki
+        integral_low, integral_high = self.integral_limits(
+            self.gains, output_low, output_high
+        )
         self._integrator = Integrator(
             limit_low=integral_low, limit_high=integral_high
         )
@@ -94,6 +90,24 @@ class PIDController:
         self.last_output = 0.0
         self.last_error = 0.0
         self.steps = 0
+
+    @staticmethod
+    def integral_limits(
+        gains: PIDGains,
+        output_low: Optional[float],
+        output_high: Optional[float],
+    ) -> tuple[Optional[float], Optional[float]]:
+        """The anti-windup clamp: the output range over ``ki``.
+
+        Unclamped (``None``) on a side with no output limit, or
+        everywhere when ``ki`` is zero.
+        """
+        if gains.ki <= 0:
+            return None, None
+        return (
+            None if output_low is None else output_low / gains.ki,
+            None if output_high is None else output_high / gains.ki,
+        )
 
     def step(self, error: float, dt: float) -> float:
         """Advance one controller period with the given error sample.
