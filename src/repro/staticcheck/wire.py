@@ -1,9 +1,8 @@
 """The wire-format checker: versioned, round-trippable serialisation.
 
 Every persisted artifact in the repo — experiment results, golden
-traces, bench records, sweep manifests — travels as a dict from a
-``to_dict`` method and is re-read (possibly releases later) by a
-``from_dict``.  The contract, established by
+traces, sweep manifests — travels as a dict from a ``to_dict`` method
+and is re-read (possibly releases later) by a ``from_dict``.  The contract, established by
 :class:`repro.analysis.results.ExperimentResult`, has three legs:
 
 1. every ``to_dict`` class has a ``from_dict`` (no write-only formats
@@ -14,7 +13,8 @@ traces, bench records, sweep manifests — travels as a dict from a
    bumped — detected by diffing against a committed snapshot
    (``wire_snapshot.json``, refreshed via
    ``python -m repro lint --update-wire-snapshot`` and reviewed like a
-   lockfile).
+   lockfile).  A snapshot entry whose class is gone is drift too; it is
+   reported when its file lies under the scanned paths.
 
 Field sets are extracted statically: string keys of dict literals
 returned from (or built inside) ``to_dict``, plus ``out["key"] = ...``
@@ -161,6 +161,15 @@ def build_snapshot(project: Project) -> dict:
     return {"schema_version": SNAPSHOT_SCHEMA_VERSION, "classes": classes}
 
 
+def _under_scan_roots(project: Project, rel_path: str) -> bool:
+    """Whether the file a snapshot key names lies under the scanned paths."""
+    path = Path(rel_path)
+    if project.display_root is not None:
+        path = project.display_root / path
+    path = path.resolve()
+    return any(path == root or root in path.parents for root in project.roots)
+
+
 def load_snapshot(path: Path) -> Optional[dict]:
     if not path.exists():
         return None
@@ -181,8 +190,9 @@ class WireFormatChecker(Checker):
         findings: list[Finding] = []
         snapshot = load_snapshot(self.snapshot_path)
         known = (snapshot or {}).get("classes", {})
+        classes = collect_wire_classes(project)
 
-        for info in collect_wire_classes(project):
+        for info in classes:
             path, line = info["path"], info["line"]
             symbol = info["class_name"]
 
@@ -279,6 +289,25 @@ class WireFormatChecker(Checker):
                         ),
                     )
                 )
+
+        present = {info["key"] for info in classes}
+        for key in sorted(known):
+            path, _, symbol = key.rpartition("::")
+            if key in present or not _under_scan_roots(project, path):
+                continue
+            findings.append(
+                Finding(
+                    check=self.name,
+                    path=path,
+                    line=1,
+                    symbol=symbol,
+                    message=(
+                        f"the committed wire snapshot lists {symbol}, but "
+                        f"{path} no longer defines it; run 'python -m repro "
+                        "lint --update-wire-snapshot' and commit the diff"
+                    ),
+                )
+            )
         return findings
 
 

@@ -112,6 +112,38 @@ def test_wire_checker_detects_field_drift_without_version_bump(tmp_path):
                for f in findings)
 
 
+def test_wire_checker_reports_snapshot_entries_whose_class_is_gone(tmp_path):
+    source = (FIXTURES / "wire_bad.py").read_text(encoding="utf-8")
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "record.py").write_text(source)
+    (tmp_path / "outside.py").write_text(source)
+    snapshot = build_snapshot(Project([tmp_path], display_root=tmp_path))
+    entry = snapshot["classes"]["pkg/record.py::WriteOnlyRecord"]
+    snapshot["classes"]["pkg/record.py::Vanished"] = entry
+    snapshot["classes"]["pkg/gone.py::WriteOnlyRecord"] = entry
+    snapshot["classes"]["gone.py::WriteOnlyRecord"] = entry
+    snapshot_path = tmp_path / "snapshot.json"
+    snapshot_path.write_text(json.dumps(snapshot), encoding="utf-8")
+    checker = WireFormatChecker(snapshot_path)
+
+    def ghosts(*roots: Path) -> set[tuple[str, str]]:
+        findings = checker.check(Project(roots, display_root=tmp_path))
+        return {
+            (f.path, f.symbol) for f in findings
+            if "no longer defines it" in f.message
+        }
+
+    # a class gone from a scanned file, and a file gone from a scanned dir
+    assert ghosts(package) == {
+        ("pkg/record.py", "Vanished"),
+        ("pkg/gone.py", "WriteOnlyRecord"),
+    }
+    # a subset scan leaves entries outside it alone
+    assert ghosts(package / "record.py") == {("pkg/record.py", "Vanished")}
+    assert ghosts(tmp_path / "outside.py") == set()
+
+
 def test_shipped_wire_snapshot_matches_tree():
     """The committed wire_snapshot.json must equal what the tree builds
     — otherwise someone changed a to_dict without refreshing it."""
