@@ -43,16 +43,6 @@ controller comparison and sparkline "plots" of every series::
 
     python -m repro run flash_crowd_rt --quick --json flash.json
     python -m repro report flash.json --out flash.md
-
-``bench`` times the registered macro scenarios (see
-:mod:`repro.bench`) with min-of-K repeats and reports simulated
-microseconds per wall-clock second; ``--json`` (optionally with a
-path; default ``BENCH_kernel.json``, or ``BENCH_kernel.quick.json``
-under ``--quick`` so smoke runs never clobber the tracked baseline)
-writes the schema-versioned perf artifact::
-
-    python -m repro bench --quick --json
-    python -m repro bench overload64 --repeats 5 --json -
 """
 
 from __future__ import annotations
@@ -69,22 +59,6 @@ from repro.analysis.report import (
     ReportError,
     load_report_artifact,
     render_report,
-)
-from repro.bench import (
-    BENCH_REGISTRY,
-    DEFAULT_ARTIFACT,
-    DEFAULT_REGRESSION_THRESHOLD,
-    HISTORY_FILE,
-    QUICK_ARTIFACT,
-    BenchError,
-    append_history,
-    bench_to_json,
-    compare_to_baseline,
-    format_bench_table,
-    format_compare_table,
-    load_bench_artifact,
-    run_bench,
-    run_bench_journaled,
 )
 from repro.core.artifacts import write_atomic
 from repro.experiments.registry import (
@@ -413,143 +387,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warn_if_scenario_like(flag: str, value: Optional[str]) -> None:
-    """Warn when a --json/--compare value looks like a typo'd scenario.
-
-    ``bench overlaod64 --json`` (note the typo) parses the misspelled
-    name as ``--json``'s output path and would happily benchmark *all*
-    scenarios, then clobber a file named after the typo.  Exact matches
-    are already hard errors; near-misses get a stderr warning so the
-    user can interrupt.
-    """
-    if value is None or value == "-" or value in BENCH_REGISTRY:
-        return
-    import difflib
-    import os
-
-    stem = os.path.basename(value)
-    stem = stem[: -len(".json")] if stem.endswith(".json") else stem
-    close = difflib.get_close_matches(stem, BENCH_REGISTRY, n=1, cutoff=0.75)
-    if close:
-        print(
-            f"warning: {flag} value {value!r} looks like scenario "
-            f"{close[0]!r}; it is being used as a file path "
-            f"(use {flag}=PATH to silence this)",
-            file=sys.stderr,
-        )
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.list:
-        width = max(len(name) for name in BENCH_REGISTRY)
-        for scenario in BENCH_REGISTRY.values():
-            print(f"{scenario.name.ljust(width)}  {scenario.description}")
-        return 0
-    if args.json in BENCH_REGISTRY:
-        # ``bench --json overload64`` parses the scenario name as the
-        # output path (--json takes an optional value); catch the
-        # footgun instead of silently benchmarking everything.
-        raise BenchError(
-            f"--json consumed the scenario name {args.json!r} as its output "
-            f"path; put scenario names before --json, or use "
-            f"--json=PATH"
-        )
-    if args.compare in BENCH_REGISTRY:
-        # Same footgun for ``bench --compare overload64``.
-        raise BenchError(
-            f"--compare consumed the scenario name {args.compare!r} as its "
-            f"baseline path; put scenario names before --compare, or use "
-            f"--compare=PATH"
-        )
-    _warn_if_scenario_like("--json", args.json)
-    _warn_if_scenario_like("--compare", args.compare)
-    json_path = args.json
-    if args.quick and json_path == DEFAULT_ARTIFACT:
-        # ``--quick --json`` (bare, or naming the default path — argparse
-        # cannot tell the two apart): quick numbers must not overwrite
-        # the tracked full-run baseline, so redirect and say so.
-        json_path = QUICK_ARTIFACT
-        print(
-            f"--quick: writing {QUICK_ARTIFACT} "
-            f"(tracked {DEFAULT_ARTIFACT} left untouched)"
-        )
-    baseline = None
-    if args.compare is not None:
-        # Load before the (slow) run so a bad path fails fast.
-        baseline = load_bench_artifact(args.compare)
-    try:
-        if args.journal is not None or args.resume is not None:
-            journal_path = args.resume or args.journal
-            results, resumed = run_bench_journaled(
-                args.scenario or None,
-                quick=args.quick,
-                repeats=args.repeats,
-                journal_path=journal_path,
-                resume=args.resume is not None,
-                on_event=lambda message: print(message, file=sys.stderr),
-            )
-            try:
-                os.unlink(journal_path)
-            except OSError:
-                pass
-        else:
-            results = run_bench(
-                args.scenario or None, quick=args.quick, repeats=args.repeats
-            )
-    except OrchestrationInterrupted as interrupt:
-        print(f"interrupted: {interrupt}", file=sys.stderr)
-        print(
-            f"resume with the same bench command plus "
-            f"--resume {interrupt.journal_path}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    if json_path != "-":
-        print(format_bench_table(results))
-    if json_path is not None:
-        _write_artifact(
-            bench_to_json(results, quick=args.quick, repeats=args.repeats),
-            json_path,
-        )
-    if not args.quick and not args.no_history:
-        record = append_history(
-            results, args.history, quick=args.quick, repeats=args.repeats
-        )
-        if json_path != "-":
-            print(f"appended run {record['git_sha']} to {args.history}")
-    if baseline is not None:
-        # When the user named scenarios, only those are expected to be
-        # present; a bare ``--compare`` claims full-suite coverage, so
-        # any baseline scenario the run failed to produce is a MISSING
-        # failure rather than a silent pass.
-        comparisons = compare_to_baseline(
-            results,
-            baseline,
-            threshold=args.threshold,
-            expected=args.scenario or None,
-        )
-        print(format_compare_table(comparisons))
-        failed = False
-        regressed = [c.name for c in comparisons if c.regressed]
-        if regressed:
-            print(
-                f"perf regression (> {args.threshold:.0%} throughput drop) "
-                f"vs {args.compare}: {', '.join(regressed)}"
-            )
-            failed = True
-        missing = [c.name for c in comparisons if c.missing]
-        if missing:
-            print(
-                f"baseline scenario(s) missing from this run: "
-                f"{', '.join(missing)} (present in {args.compare}; "
-                f"refresh the baseline if they were removed on purpose)"
-            )
-            failed = True
-        if failed:
-            return 1
-    return 0
-
-
 # ----------------------------------------------------------------------
 # parser assembly
 # ----------------------------------------------------------------------
@@ -697,77 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_golden.set_defaults(handler=_cmd_golden)
 
-    p_bench = sub.add_parser(
-        "bench", help="time the macro perf scenarios (repro.bench)"
-    )
-    p_bench.add_argument(
-        "scenario", nargs="*",
-        help="scenario name(s); default: all registered scenarios",
-    )
-    p_bench.add_argument(
-        "--list", action="store_true", help="enumerate bench scenarios"
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="short simulated durations (CI smoke mode)",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=3, metavar="K",
-        help="wall-clock repeats per scenario; min is reported (default 3)",
-    )
-    p_bench.add_argument(
-        "--json", metavar="PATH", nargs="?", const=DEFAULT_ARTIFACT,
-        help=(
-            "write the perf artifact to PATH ('-' for stdout; default "
-            f"{DEFAULT_ARTIFACT}, or {QUICK_ARTIFACT} under --quick so "
-            "quick numbers never clobber the tracked baseline)"
-        ),
-    )
-    p_bench.add_argument(
-        "--compare", metavar="BASELINE", nargs="?", const=DEFAULT_ARTIFACT,
-        help=(
-            "diff this run against a committed baseline artifact "
-            f"(default {DEFAULT_ARTIFACT}); exits non-zero when any "
-            "scenario's throughput regressed past --threshold"
-        ),
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=DEFAULT_REGRESSION_THRESHOLD,
-        metavar="FRACTION",
-        help=(
-            "allowed fractional throughput drop before --compare fails "
-            f"(default {DEFAULT_REGRESSION_THRESHOLD:g}; CI uses a looser "
-            "value because shared runners are noisy)"
-        ),
-    )
-    p_bench.add_argument(
-        "--history", metavar="PATH", default=HISTORY_FILE,
-        help=(
-            "append-only JSONL perf log written by non-quick runs "
-            f"(default {HISTORY_FILE})"
-        ),
-    )
-    p_bench.add_argument(
-        "--no-history", action="store_true",
-        help="skip appending this run to the history log",
-    )
-    p_bench.add_argument(
-        "--journal", metavar="PATH",
-        help=(
-            "journal each scenario's timing as it lands, so an "
-            "interrupted bench resumes without re-timing finished "
-            "scenarios (deleted after a fully successful run)"
-        ),
-    )
-    p_bench.add_argument(
-        "--resume", metavar="JOURNAL",
-        help=(
-            "resume an interrupted --journal bench; pass the same "
-            "scenario/--quick/--repeats arguments as the original run"
-        ),
-    )
-    p_bench.set_defaults(handler=_cmd_bench)
-
     p_report = sub.add_parser(
         "report",
         help="render a result/sweep JSON artifact as a markdown report",
@@ -802,7 +568,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (
         ParameterError,
         UnknownExperimentError,
-        BenchError,
         ReportError,
         JournalError,
         OrchestrationError,

@@ -24,7 +24,7 @@ This package implements the adaptive controller of Section 3.3:
 """
 
 from repro.core.allocator import AllocationDecision, ProportionAllocator
-from repro.core.artifacts import DurableAppender, append_durable, write_atomic
+from repro.core.artifacts import DurableAppender, write_atomic
 from repro.core.config import ControllerConfig
 from repro.core.driver import ControllerDriver, ControllerOverheadModel
 from repro.core.errors import AdmissionError, ControllerError, QualityException
@@ -55,7 +55,6 @@ __all__ = [
     "ThreadClass",
     "ThreadSpec",
     "WeightedFairShareSquish",
-    "append_durable",
     "classify",
     "write_atomic",
 ]

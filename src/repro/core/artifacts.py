@@ -1,20 +1,19 @@
 """Durable artifact writes: atomic replace and fsync'd appends.
 
 Every artifact this repository commits to disk — experiment ``--json``
-results, sweep manifests, ``BENCH_kernel.json``, the append-only
-``BENCH_history.jsonl``, golden corpora, rendered reports, and the
-orchestration journals — must survive a crash at any instant without
-leaving a torn file behind.  Two primitives cover every case:
+results, sweep manifests, golden corpora, rendered reports, and the
+append-only orchestration journals — must survive a crash at any
+instant without leaving a torn file behind.  Two primitives cover every case:
 
 * :func:`write_atomic` — write the full text to a temporary file in
   the destination directory, fsync it, then :func:`os.replace` it over
   the target.  Readers observe either the old complete file or the new
   complete file, never a prefix.
-* :class:`DurableAppender` / :func:`append_durable` — append-only
-  JSONL logs cannot use replace (that would rewrite history); instead
-  every appended line is flushed and fsync'd before the call returns,
-  so a crash can tear at most the line being written — which JSONL
-  consumers (the sweep journal, history readers) detect and drop.
+* :class:`DurableAppender` — append-only JSONL logs cannot use replace
+  (that would rewrite history); instead every appended line is flushed
+  and fsync'd before the call returns, so a crash can tear at most the
+  line being written — which the sweep journal's loader detects and
+  drops.
 
 The ``atomic-write`` check of ``python -m repro lint`` flags direct
 write-mode ``open()`` calls elsewhere in the tree, so new artifact
@@ -133,14 +132,7 @@ class DurableAppender:
         self.close()
 
 
-def append_durable(path: _PathLike, line: str, *, fsync: bool = True) -> None:
-    """One-shot durable append of a single line (open, write, fsync, close)."""
-    with DurableAppender(path, fsync=fsync) as appender:
-        appender.append_line(line)
-
-
 __all__ = [
     "DurableAppender",
-    "append_durable",
     "write_atomic",
 ]

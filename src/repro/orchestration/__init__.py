@@ -13,9 +13,7 @@ emitting a subtly different artifact on the second try.
 * :mod:`~repro.orchestration.worker` — the subprocess task loop;
 * :mod:`~repro.orchestration.runner` — the coordinator:
   :func:`~repro.orchestration.runner.orchestrate_sweep` (journaled,
-  resumable, byte-identical sweeps) and
-  :func:`~repro.orchestration.runner.run_journaled_serial` (the same
-  journal contract for ``bench``);
+  resumable, byte-identical sweeps);
 * :mod:`~repro.orchestration.chaos` — seeded fault injection that
   proves all of the above end-to-end.
 """
@@ -45,7 +43,6 @@ from repro.orchestration.runner import (
     PointOutcome,
     SweepReport,
     orchestrate_sweep,
-    run_journaled_serial,
 )
 
 __all__ = [
@@ -70,6 +67,5 @@ __all__ = [
     "load_journal",
     "orchestrate_sweep",
     "result_fingerprint",
-    "run_journaled_serial",
     "tear_journal_tail",
 ]

@@ -17,9 +17,9 @@ a corrupt line in the *middle* of the file means something other than
 a crash happened and raises :class:`JournalError` rather than
 silently resuming from a lie.
 
-Resume identity is two-level: the header fingerprint must match the
-run being resumed (same experiment, same grid, same quick flag), and
-individual points match by :func:`repro.experiments.registry.point_key`.
+A resumed run takes its identity (experiment, grid, quick flag) from
+the header fingerprint, so resume cannot change *what* runs; individual
+points match by :func:`repro.experiments.registry.point_key`.
 Within a journal, a later line for the same key supersedes an earlier
 one — that is how ``--retry-failed`` records a success over an old
 FAILED row without rewriting history.
@@ -42,6 +42,11 @@ JOURNAL_SCHEMA_VERSION = 1
 #: The ``kind`` stamp in a journal header line.
 JOURNAL_KIND = "orchestration_journal"
 
+#: The ``run_kind`` stamp in a journal header line.  Sweeps are the only
+#: journaled runs; :meth:`Journal.resume` still checks the stamp because
+#: the file it reads comes from outside the program.
+RUN_KIND = "sweep"
+
 _PathLike = Union[str, "os.PathLike[str]"]
 
 
@@ -55,10 +60,10 @@ def result_fingerprint(payload: Mapping[str, Any]) -> str:
     Hashes the ``metrics`` and ``metadata`` sections (canonical JSON),
     which ``(experiment, params, seed)`` fully determine — envelope
     fields like ``repro_version`` stay out so a version bump does not
-    read as nondeterminism.  Payloads without either section (e.g.
-    bench records) hash whole.  Computable even for payloads that fail
-    schema validation, which is what lets a retry be compared against
-    a corrupted earlier attempt.
+    read as nondeterminism.  Payloads without either section hash
+    whole.  Computable even for payloads that fail schema validation,
+    which is what lets a retry be compared against a corrupted earlier
+    attempt.
     """
     if "metrics" in payload or "metadata" in payload:
         core: Any = {
@@ -177,10 +182,6 @@ def _validate_header(record: Mapping[str, Any], path: _PathLike) -> dict[str, An
     return dict(record)
 
 
-def _canonical(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 class Journal:
     """An open journal being appended to by a run."""
 
@@ -201,7 +202,6 @@ class Journal:
         cls,
         path: _PathLike,
         *,
-        run_kind: str,
         fingerprint: Mapping[str, Any],
     ) -> "Journal":
         """Start a fresh journal; refuses to clobber an existing one.
@@ -220,7 +220,7 @@ class Journal:
             "kind": JOURNAL_KIND,
             "schema_version": JOURNAL_SCHEMA_VERSION,
             "repro_version": __version__,
-            "run_kind": run_kind,
+            "run_kind": RUN_KIND,
             "fingerprint": dict(fingerprint),
         }
         appender = DurableAppender(target)
@@ -229,33 +229,17 @@ class Journal:
         return journal
 
     @classmethod
-    def resume(
-        cls,
-        path: _PathLike,
-        *,
-        run_kind: str,
-        fingerprint: Optional[Mapping[str, Any]] = None,
-    ) -> tuple["Journal", dict[str, JournalEntry]]:
+    def resume(cls, path: _PathLike) -> tuple["Journal", dict[str, JournalEntry]]:
         """Reopen an interrupted journal and return its settled entries.
 
-        Validates the header against ``run_kind`` (and, when given,
-        the expected run ``fingerprint`` — pass ``None`` to derive the
-        run from the journal instead), truncates any torn tail, and
-        reopens for appending.
+        Validates the header's ``run_kind``, truncates any torn tail,
+        and reopens for appending.
         """
         header, entries, valid_bytes = load_journal(path)
-        if header.get("run_kind") != run_kind:
+        if header.get("run_kind") != RUN_KIND:
             raise JournalError(
                 f"journal {os.fspath(path)!r} belongs to a "
-                f"{header.get('run_kind')!r} run, not {run_kind!r}"
-            )
-        if fingerprint is not None and _canonical(
-            header.get("fingerprint")
-        ) != _canonical(dict(fingerprint)):
-            raise JournalError(
-                f"journal {os.fspath(path)!r} was written by a different "
-                f"run configuration (fingerprint mismatch); resume must "
-                f"not change the experiment, grid, or quick flag"
+                f"{header.get('run_kind')!r} run, not {RUN_KIND!r}"
             )
         target = os.fspath(path)
         if valid_bytes < os.path.getsize(target):

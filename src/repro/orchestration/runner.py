@@ -32,7 +32,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional
 
 from repro.analysis.results import ExperimentResult
 from repro.experiments.registry import REGISTRY, _jsonable, point_key
@@ -453,7 +453,7 @@ def orchestrate_sweep(
     done: dict[str, JournalEntry] = {}
     journal: Optional[Journal] = None
     if resume:
-        journal, done = Journal.resume(journal_path, run_kind="sweep")
+        journal, done = Journal.resume(journal_path)
         header_fp = journal.header.get("fingerprint") or {}
         try:
             name = header_fp["experiment"]
@@ -478,9 +478,7 @@ def orchestrate_sweep(
                 for axis, values in axes.items()
             },
         }
-        journal = Journal.create(
-            journal_path, run_kind="sweep", fingerprint=fingerprint
-        )
+        journal = Journal.create(journal_path, fingerprint=fingerprint)
 
     keys = [point_key(point) for point in points]
     outcomes: dict[int, PointOutcome] = {}
@@ -546,75 +544,10 @@ def orchestrate_sweep(
     )
 
 
-def run_journaled_serial(
-    keys: Sequence[str],
-    run_one: Callable[[int, str], dict[str, Any]],
-    *,
-    journal_path: str,
-    run_kind: str,
-    fingerprint: Mapping[str, Any],
-    resume: bool = False,
-    on_event: Optional[Callable[[str], None]] = None,
-) -> tuple[dict[str, dict[str, Any]], int]:
-    """Journal a serial run of named units (used by ``bench``).
-
-    Runs ``run_one(index, key)`` for every key not already settled in
-    the journal, durably recording each payload as it lands; returns
-    ``(key -> payload, resumed count)``.  A :class:`KeyboardInterrupt`
-    flushes and closes the journal, then surfaces as
-    :class:`OrchestrationInterrupted` so the CLI can print the resume
-    command.  Unlike sweeps, units run in-process (bench timings must
-    not pay subprocess noise), so per-unit timeouts do not apply.
-    """
-    notify = on_event or (lambda message: None)
-    if resume:
-        journal, done = Journal.resume(
-            journal_path, run_kind=run_kind, fingerprint=fingerprint
-        )
-    else:
-        journal = Journal.create(
-            journal_path, run_kind=run_kind, fingerprint=fingerprint
-        )
-        done = {}
-    payloads: dict[str, dict[str, Any]] = {}
-    resumed = 0
-    try:
-        for index, key in enumerate(keys):
-            entry = done.get(key)
-            if entry is not None and entry.status == "ok" and entry.payload is not None:
-                payloads[key] = entry.payload
-                resumed += 1
-                continue
-            payload = run_one(index, key)
-            journal.record(
-                JournalEntry(
-                    status="ok",
-                    key=key,
-                    attempt=1,
-                    fingerprint=result_fingerprint(payload),
-                    payload=payload,
-                )
-            )
-            payloads[key] = payload
-    except KeyboardInterrupt:
-        journal.close()
-        raise OrchestrationInterrupted(
-            journal.path, len(payloads), len(keys)
-        ) from None
-    except BaseException:
-        journal.close()
-        raise
-    journal.close()
-    if resumed:
-        notify(f"resumed {resumed}/{len(keys)} unit(s) from {journal.path}")
-    return payloads, resumed
-
-
 __all__ = [
     "OrchestrationError",
     "OrchestrationInterrupted",
     "PointOutcome",
     "SweepReport",
     "orchestrate_sweep",
-    "run_journaled_serial",
 ]

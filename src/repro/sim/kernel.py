@@ -217,7 +217,8 @@ class Kernel:
         self._offline_states: list[CPUState] = []
         #: Running totals mirroring the per-CPU fields, maintained at
         #: every mutation site so the aggregate properties are O(1)
-        #: instead of O(n_cpus) sums (hot in bench reporting and tests).
+        #: instead of O(n_cpus) sums (read by the conservation identity,
+        #: experiment metrics and tests).
         self._idle_us_total = 0
         self._stolen_dispatch_us_total = 0
         self._dispatch_count_total = 0

@@ -1,13 +1,14 @@
 """The atomic-write checker: no raw file writes outside the helper.
 
-Artifacts in this repo are contracts — the bench baseline, the perf
-history, golden corpora, sweep results — and a raw ``open(path, "w")``
-torn by a crash (or by two concurrent runs) leaves a half-written file
-that *parses as damage* somewhere downstream, often much later.
+Artifacts in this repo are contracts — experiment results, golden
+corpora, sweep results and their journals — and a raw
+``open(path, "w")`` torn by a crash (or by two concurrent runs) leaves
+a half-written file that *parses as damage* somewhere downstream,
+often much later.
 :mod:`repro.core.artifacts` exists so every durable byte goes through
 one audited path: ``write_atomic`` (temp file + fsync + ``os.replace``)
-for whole-file writes, ``append_durable`` / ``DurableAppender`` for
-append-only logs and journals.
+for whole-file writes, ``DurableAppender`` for append-only logs and
+journals.
 
 This pass flags the two ways Python code sidesteps that helper:
 
@@ -105,8 +106,7 @@ class _Visitor(ast.NodeVisitor):
                     node,
                     f"raw {name}(..., {mode!r}) can tear on crash; route "
                     "the write through repro.core.artifacts (write_atomic "
-                    "for whole files, append_durable/DurableAppender for "
-                    "logs)",
+                    "for whole files, DurableAppender for logs)",
                 )
         elif isinstance(node.func, ast.Attribute) and node.func.attr == "write_text":
             self._flag(
@@ -121,7 +121,7 @@ class AtomicWriteChecker(Checker):
     name = "atomic-write"
     description = (
         "durable writes go through repro.core.artifacts (write_atomic / "
-        "append_durable), not raw open()/write_text()"
+        "DurableAppender), not raw open()/write_text()"
     )
 
     def check(self, project: Project) -> list[Finding]:

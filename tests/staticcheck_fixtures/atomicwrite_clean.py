@@ -31,9 +31,10 @@ def through_the_helper(path, payload):
 
 
 def durable_append(path, record):
-    from repro.core.artifacts import append_durable
+    from repro.core.artifacts import DurableAppender
 
-    append_durable(path, json.dumps(record, sort_keys=True))
+    with DurableAppender(path) as appender:
+        appender.append_line(json.dumps(record, sort_keys=True))
 
 
 def pathlib_read(path):

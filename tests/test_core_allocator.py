@@ -30,11 +30,14 @@ def make_setup():
 class TestRegistration:
     def test_register_and_classify_misc(self):
         kernel, scheduler, registry, allocator = make_setup()
-        thread = kernel.spawn("hog", spin_body())
-        allocator.register(thread)
+        threads = [kernel.spawn(f"hog{i}", spin_body()) for i in range(40)]
+        for thread in threads:
+            allocator.register(thread)
         decisions = allocator.update(now=10_000)
-        assert len(decisions) == 1
-        assert decisions[0].thread_class is ThreadClass.MISCELLANEOUS
+        assert [d.thread for d in decisions] == threads
+        assert all(
+            d.thread_class is ThreadClass.MISCELLANEOUS for d in decisions
+        )
 
     def test_register_real_time_actuates_immediately(self):
         kernel, scheduler, registry, allocator = make_setup()

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.bench import BENCH_REGISTRY, run_scenario
 from repro.cli import main
 from repro.experiments.churn import DEFAULT_TRACE
 from repro.experiments.registry import REGISTRY
@@ -166,30 +165,3 @@ class TestCli:
         artifact = json.loads(path.read_text())
         assert artifact["experiment_id"] == "thundering_herd"
         assert "dispatch_fingerprint" in artifact["metadata"]
-
-
-class TestChurnBench:
-    def test_churn1k_registered(self):
-        scenario = BENCH_REGISTRY["churn1k"]
-        assert "churn" in scenario.tags
-
-    def test_churn1k_quick_run_counts_lifetimes(self):
-        result = run_scenario(BENCH_REGISTRY["churn1k"], quick=True, repeats=1)
-        assert result.threads_completed > 50
-        assert result.n_threads >= result.threads_completed
-        assert result.to_dict()["threads_completed"] == result.threads_completed
-
-    def test_full_churn1k_exceeds_1000_lifetimes_by_construction(self):
-        """The full-size scenario must stay above the 1000-lifetime bar.
-
-        Running the full 2-second simulation here would be slow, so the
-        bar is checked by arithmetic on the registered configuration:
-        the deterministic stream alone contributes sim_us/4000 arrivals
-        and the Poisson stream ~450/s, with per-job demand well under
-        capacity (measured headroom in BENCH_kernel.json's
-        threads_completed).
-        """
-        scenario = BENCH_REGISTRY["churn1k"]
-        deterministic_jobs = scenario.sim_us // 4_000
-        poisson_jobs = 450 * scenario.sim_us // 1_000_000
-        assert deterministic_jobs + poisson_jobs > 1_200

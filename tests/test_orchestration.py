@@ -20,6 +20,8 @@ from repro.orchestration import (
     TIMEOUT,
     ChaosError,
     ChaosPlan,
+    JOURNAL_KIND,
+    JOURNAL_SCHEMA_VERSION,
     Journal,
     JournalEntry,
     JournalError,
@@ -28,7 +30,6 @@ from repro.orchestration import (
     load_journal,
     orchestrate_sweep,
     result_fingerprint,
-    run_journaled_serial,
     tear_journal_tail,
 )
 
@@ -49,9 +50,7 @@ def serial_reference() -> str:
 class TestJournal:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "run.partial.jsonl")
-        journal = Journal.create(
-            path, run_kind="sweep", fingerprint={"experiment": "x"}
-        )
+        journal = Journal.create(path, fingerprint={"experiment": "x"})
         journal.record(
             JournalEntry(status="ok", key="k1", attempt=1,
                          fingerprint="f1", payload={"a": 1})
@@ -70,13 +69,13 @@ class TestJournal:
 
     def test_create_refuses_existing_journal(self, tmp_path):
         path = str(tmp_path / "run.partial.jsonl")
-        Journal.create(path, run_kind="sweep", fingerprint={}).close()
+        Journal.create(path, fingerprint={}).close()
         with pytest.raises(JournalError, match="--resume"):
-            Journal.create(path, run_kind="sweep", fingerprint={})
+            Journal.create(path, fingerprint={})
 
     def test_later_entry_supersedes_earlier(self, tmp_path):
         path = str(tmp_path / "run.partial.jsonl")
-        journal = Journal.create(path, run_kind="sweep", fingerprint={})
+        journal = Journal.create(path, fingerprint={})
         journal.record(
             JournalEntry(status="failed", key="k", attempt=1,
                          error={"kind": CRASH, "detail": "", "attempts": 1})
@@ -91,7 +90,7 @@ class TestJournal:
 
     def test_torn_final_line_is_dropped(self, tmp_path):
         path = str(tmp_path / "run.partial.jsonl")
-        journal = Journal.create(path, run_kind="sweep", fingerprint={})
+        journal = Journal.create(path, fingerprint={})
         journal.record(
             JournalEntry(status="ok", key="k1", attempt=1,
                          fingerprint="f", payload={"a": 1})
@@ -108,7 +107,7 @@ class TestJournal:
 
     def test_corruption_mid_file_is_an_error(self, tmp_path):
         path = tmp_path / "run.partial.jsonl"
-        journal = Journal.create(str(path), run_kind="sweep", fingerprint={})
+        journal = Journal.create(str(path), fingerprint={})
         journal.record(
             JournalEntry(status="ok", key="k1", attempt=1,
                          fingerprint="f", payload={"a": 1})
@@ -122,7 +121,7 @@ class TestJournal:
 
     def test_resume_truncates_torn_tail_and_appends(self, tmp_path):
         path = str(tmp_path / "run.partial.jsonl")
-        journal = Journal.create(path, run_kind="sweep", fingerprint={})
+        journal = Journal.create(path, fingerprint={})
         journal.record(
             JournalEntry(status="ok", key="k1", attempt=1,
                          fingerprint="f", payload={"a": 1})
@@ -133,7 +132,7 @@ class TestJournal:
         )
         journal.close()
         tear_journal_tail(path)
-        journal, entries = Journal.resume(path, run_kind="sweep")
+        journal, entries = Journal.resume(path)
         assert set(entries) == {"k1"}
         journal.record(
             JournalEntry(status="ok", key="k3", attempt=1,
@@ -143,17 +142,17 @@ class TestJournal:
         _, entries, _ = load_journal(path)
         assert set(entries) == {"k1", "k3"}
 
-    def test_resume_rejects_wrong_kind_and_fingerprint(self, tmp_path):
-        path = str(tmp_path / "run.partial.jsonl")
-        Journal.create(
-            path, run_kind="sweep", fingerprint={"experiment": "figure8"}
-        ).close()
-        with pytest.raises(JournalError, match="belongs to"):
-            Journal.resume(path, run_kind="bench")
-        with pytest.raises(JournalError, match="fingerprint"):
-            Journal.resume(
-                path, run_kind="sweep", fingerprint={"experiment": "other"}
-            )
+    def test_resume_rejects_a_foreign_run_kind(self, tmp_path):
+        path = tmp_path / "foreign.partial.jsonl"
+        header = {
+            "kind": JOURNAL_KIND,
+            "schema_version": JOURNAL_SCHEMA_VERSION,
+            "run_kind": "bench",
+            "fingerprint": {},
+        }
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(JournalError, match="belongs to a 'bench' run"):
+            Journal.resume(str(path))
 
 
 class TestResultFingerprint:
@@ -386,57 +385,4 @@ class TestOrchestrateSweep:
         with pytest.raises(JournalError, match="--resume"):
             orchestrate_sweep(
                 "figure8", GRID, quick=True, journal_path=journal_path
-            )
-
-
-# ----------------------------------------------------------------------
-# journaled serial runs (the bench contract)
-# ----------------------------------------------------------------------
-class TestRunJournaledSerial:
-    def test_skips_settled_units_on_resume(self, tmp_path):
-        journal_path = str(tmp_path / "bench.partial.jsonl")
-        ran = []
-
-        def run_one(index, key):
-            ran.append(key)
-            if key == "b":
-                raise KeyboardInterrupt
-            return {"unit": key}
-
-        with pytest.raises(OrchestrationInterrupted):
-            run_journaled_serial(
-                ["a", "b", "c"], run_one,
-                journal_path=journal_path, run_kind="bench",
-                fingerprint={"units": ["a", "b", "c"]},
-            )
-        assert ran == ["a", "b"]
-
-        def run_one_resumed(index, key):
-            ran.append(key)
-            return {"unit": key}
-
-        payloads, resumed = run_journaled_serial(
-            ["a", "b", "c"], run_one_resumed,
-            journal_path=journal_path, run_kind="bench",
-            fingerprint={"units": ["a", "b", "c"]}, resume=True,
-        )
-        assert resumed == 1
-        assert ran == ["a", "b", "b", "c"]  # "a" never re-ran
-        assert payloads == {
-            "a": {"unit": "a"}, "b": {"unit": "b"}, "c": {"unit": "c"}
-        }
-
-    def test_fingerprint_pins_the_configuration(self, tmp_path):
-        journal_path = str(tmp_path / "bench.partial.jsonl")
-        with pytest.raises(OrchestrationInterrupted):
-            run_journaled_serial(
-                ["a"], lambda i, k: (_ for _ in ()).throw(KeyboardInterrupt),
-                journal_path=journal_path, run_kind="bench",
-                fingerprint={"repeats": 3},
-            )
-        with pytest.raises(JournalError, match="fingerprint"):
-            run_journaled_serial(
-                ["a"], lambda i, k: {"unit": k},
-                journal_path=journal_path, run_kind="bench",
-                fingerprint={"repeats": 5}, resume=True,
             )

@@ -1,4 +1,4 @@
-"""CLI-level behaviour of crash-safe sweeps and journaled benches.
+"""CLI-level behaviour of crash-safe sweeps.
 
 Covers the exit-code contract (0 clean, 1 FAILED rows, 2 usage,
 130 interrupted), journal lifecycle (created beside the artifact,
@@ -20,7 +20,6 @@ import pytest
 
 from repro.cli import EXIT_INTERRUPTED, main
 from repro.experiments.sweep import run_sweep, sweep_to_json
-from repro.orchestration import Journal
 
 REPO_SRC = Path(__file__).parent.parent / "src"
 
@@ -167,42 +166,4 @@ class TestSweepSigint:
         assert main(["sweep", "--resume", str(journal), "--json", str(out)]) == 0
         reference = sweep_to_json(run_sweep("figure8", grid, quick=True)) + "\n"
         assert out.read_text() == reference
-        assert not journal.exists()
-
-
-class TestBenchCli:
-    def test_journaled_bench_deletes_journal_on_success(self, tmp_path, capsys):
-        journal = tmp_path / "bench.partial.jsonl"
-        code = main([
-            "bench", "overload64", "--quick", "--repeats", "1",
-            "--no-history", "--journal", str(journal), "--json", "-",
-        ])
-        assert code == 0
-        assert not journal.exists()
-        data = json.loads(capsys.readouterr().out)
-        assert data["kind"] == "bench"
-        assert [s["name"] for s in data["scenarios"]] == ["overload64"]
-
-    def test_bench_resume_validates_fingerprint(self, tmp_path, capsys):
-        journal = tmp_path / "bench.partial.jsonl"
-        Journal.create(
-            str(journal),
-            run_kind="bench",
-            fingerprint={"scenarios": ["overload64"], "quick": True,
-                         "repeats": 1},
-        ).close()
-        # mismatched repeats -> usage error, journal untouched
-        code = main([
-            "bench", "overload64", "--quick", "--repeats", "2",
-            "--no-history", "--resume", str(journal), "--json", "-",
-        ])
-        assert code == 2
-        assert "fingerprint" in capsys.readouterr().err
-        assert journal.exists()
-        # matching configuration -> resumes (nothing settled, runs all)
-        code = main([
-            "bench", "overload64", "--quick", "--repeats", "1",
-            "--no-history", "--resume", str(journal), "--json", "-",
-        ])
-        assert code == 0
         assert not journal.exists()

@@ -188,15 +188,21 @@ class TestRateMonotonicOrdering:
         scheduler = kernel.scheduler
         reserved = kernel.spawn("reserved", spin_body())
         scheduler.set_reservation(reserved, 300, 10_000)
-        best_effort = kernel.spawn(
-            "be", spin_body(), policy=SchedulingPolicy.BEST_EFFORT
-        )
+        best_effort = [
+            kernel.spawn(f"be{i}", spin_body(), policy=SchedulingPolicy.BEST_EFFORT)
+            for i in range(10)
+        ]
         kernel.run_for(1_000_000)
         reserved_fraction = reserved.accounting.total_us / kernel.now
-        best_effort_fraction = best_effort.accounting.total_us / kernel.now
+        best_effort_fraction = (
+            sum(t.accounting.total_us for t in best_effort) / kernel.now
+        )
         assert reserved_fraction == pytest.approx(0.3, abs=0.12)
-        # Best effort mops up the rest of the machine.
+        # Best effort mops up the rest of the machine, one dispatch per
+        # 1 ms burst, and no hog starves.
         assert best_effort_fraction == pytest.approx(1 - reserved_fraction, abs=0.02)
+        assert kernel.dispatch_count >= 980
+        assert all(t.accounting.dispatches > 0 for t in best_effort)
 
     def test_two_reservations_both_met_when_feasible(self):
         kernel = make_kernel()

@@ -107,6 +107,7 @@ class TestPulsePipeline:
             system, schedule=PulseSchedule([], default_rate=0.01)
         )
         system.run_for(seconds(1))
+        assert system.kernel.dispatch_count > 200
         decisions = {d.thread.name: d for d in system.driver.last_decisions}
         assert decisions["pulse.producer"].thread_class.name == "REAL_TIME"
         assert decisions["pulse.consumer"].thread_class.name == "REAL_RATE"
