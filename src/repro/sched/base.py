@@ -50,15 +50,16 @@ The structures are *hints*; correctness never depends on their
 freshness, only on the invariant that a thread eligible for dispatch
 is reachable through at least one of them.  All mutations funnel
 through the owning scheduler's transition points (add/remove,
-ready/block, charge, reservation changes), which enqueue the thread
-for *pick-time* re-examination rather than reclassifying it eagerly:
-period windows are only rolled forward at the same virtual times the
-scan-based implementation rolled them (pick, charge, refresh), so
-deadline-miss accounting and pick order stay bit-identical to the
-O(n)-scan code this replaces.  Subclasses overriding the lifecycle
-hooks (:meth:`Scheduler.on_ready`, :meth:`Scheduler.on_block`,
-:meth:`Scheduler.on_yield`, :meth:`Scheduler.on_preempt`) must call
-``super()`` so the shared hints stay maintained.
+ready/block, charge, reservation changes), which re-route the thread
+at once but never roll its period window there: windows are only
+rolled forward at the same virtual times the scan-based
+implementation rolled them (pick, charge, refresh), and unmet demand
+is only recorded at a pick, so deadline-miss accounting and pick order
+stay bit-identical to the O(n)-scan code this replaces.  Subclasses
+overriding the lifecycle hooks (:meth:`Scheduler.on_ready`,
+:meth:`Scheduler.on_block`, :meth:`Scheduler.on_yield`,
+:meth:`Scheduler.on_preempt`) must call ``super()`` so the shared hints
+stay maintained.
 """
 
 from __future__ import annotations

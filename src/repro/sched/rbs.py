@@ -35,13 +35,25 @@ maintains the run-queue structures of :mod:`repro.sched.base` —
 * a replenishment heap ``(period_end, tid)`` of runnable, throttled
   reservations, which answers :meth:`next_wakeup` and replenishes due
   threads without touching the rest;
-* a pending deque of threads whose eligibility changed (woke up,
-  exhausted their budget, had their reservation re-sized) and that are
-  re-examined *at pick time*, so period windows roll forward at the
-  exact virtual times the scan-based code rolled them — which keeps
-  deadline-miss accounting and pick order bit-identical;
 * running aggregates for :meth:`total_reserved_ppt` and
   :meth:`deadline_misses`, maintained at set/clear/charge time.
+
+A thread is routed to one heap as soon as its eligibility changes (a
+charge spends its budget, it wakes, its reservation is made or
+re-sized), by its current window and without rolling it.  A stale
+exhausted window is already due on the replenishment heap, so the next
+pick or refresh rolls it at the virtual time the scan-based code did.
+
+Recording unmet demand (``wanted_more``, which turns into a deadline
+miss when the window rolls) is the one step that stays deferred.  The
+scan recorded it at a pick, for a thread it found runnable and still
+exhausted there.  Between a charge and the next pick the kernel fires
+due events, and a controller tick steals CPU, so in that gap the window
+can roll, the thread can block, or a proportion raise can make it
+eligible again; a mark set at charge time would become a miss the scan
+never counted.  A charge therefore leaves an *owed* mark, and the next
+pick realises it: roll the window to the pick time, then mark the
+thread if it is still runnable and still exhausted.
 
 Period windows of threads the dispatcher has no reason to examine roll
 *lazily*: :meth:`Reservation.advance_to` composes, so a later roll
@@ -61,7 +73,6 @@ on the candidate count per pick, so any reordering — e.g. a plain FIFO
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,6 +85,11 @@ PROPORTION_SCALE = 1_000
 
 #: Default period assigned by the controller when none is known (30 ms).
 DEFAULT_PERIOD_US = 30_000
+
+# Runnable states, bound once: the hot paths below test ``state is
+# _READY or state is _RUNNING`` (ThreadState.is_runnable, inlined).
+_READY = ThreadState.READY
+_RUNNING = ThreadState.RUNNING
 
 
 @dataclass
@@ -193,24 +209,21 @@ class ReservationScheduler(Scheduler):
         self._rm_heap = LazyMinHeap()
         #: Runnable, throttled reservations keyed by replenishment time.
         self._replenish = LazyMinHeap()
-        #: Threads whose eligibility must be re-examined at pick time.
-        self._pending: deque[int] = deque()
-        self._pending_set: set[int] = set()
+        #: Throttled threads owed a ``wanted_more`` mark by the next
+        #: pick: put on the replenishment heap unmarked since the last
+        #: pick (by a charge, a wake-up, a re-size, or by ``refresh``,
+        #: which never marks).  Always a subset of the replenishment
+        #: heap.  Dicts here are insertion-ordered sets.
+        self._owed: dict[int, None] = {}
         #: Best-effort members (any state), in registration order.
         self._best_effort: dict[int, SimThread] = {}
         #: Reservations with unmet demand recorded (``wanted_more``)
-        #: that are *not* covered by the replenishment heap or the
-        #: pending queue — a throttled thread that blocked, or one made
-        #: eligible again by a proportion raise before its period
-        #: rolled.  The scan-based code realised their period rolls (and
-        #: thus their deadline misses) at every pick/refresh; this set
-        #: is almost always empty, so doing the same stays O(1).
-        self._wanted_stray: set[int] = set()
-        #: Throttled threads classified by ``refresh`` (which, like the
-        #: old full scan's refresh, never records unmet demand); the
-        #: next pick marks their ``wanted_more`` exactly as the scan's
-        #: per-candidate pass did.
-        self._unmarked: set[int] = set()
+        #: that the replenishment heap does not cover: a throttled
+        #: thread that blocked, or one made eligible again by a
+        #: proportion raise before its period rolled.  The scan rolled
+        #: their windows (realising the miss) at every pick/refresh;
+        #: this is almost always empty, so doing the same stays O(1).
+        self._wanted_stray: dict[int, None] = {}
         #: Running aggregates (see total_reserved_ppt / deadline_misses).
         self._reserved_ppt_total = 0
         self._deadline_miss_total = 0
@@ -283,10 +296,10 @@ class ReservationScheduler(Scheduler):
             current.period_us = period_us
             current.period_start = now
             current.used_in_period_us = 0
-            # The window was reset: route through a full pick-time
-            # reclassification (also refreshes any replenishment entry
-            # keyed by the old window's end).
-            self._reexamine(thread)
+            # The window was reset: re-route by the new one (this also
+            # re-keys a replenishment entry from the old window's end).
+            if thread.state.is_runnable:
+                self._route(thread.tid, current)
         else:
             self._requeue_resized(thread, current)
         return current
@@ -302,9 +315,8 @@ class ReservationScheduler(Scheduler):
             self._deadline_miss_total -= reservation.deadline_misses
             self._rm_heap.discard(tid)
             self._replenish.discard(tid)
-            self._pending_set.discard(tid)
-            self._wanted_stray.discard(tid)
-            self._unmarked.discard(tid)
+            self._owed.pop(tid, None)
+            self._wanted_stray.pop(tid, None)
         if self.has_thread(thread):
             # Rebuild so best-effort candidates keep registration order
             # (a demoted thread must not move to the back of the line).
@@ -340,44 +352,66 @@ class ReservationScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _track_reservation(self, thread: SimThread, reservation: Reservation) -> None:
         """Start tracking ``reservation`` in the aggregate counters and
-        queue the thread for pick-time classification."""
+        route the thread if it is runnable (``on_ready`` routes it on
+        wake-up otherwise)."""
         self._reservations[thread.tid] = reservation
         self._reserved_ppt_total += reservation.proportion_ppt
         self._deadline_miss_total += reservation.deadline_misses
-        self._reexamine(thread)
+        if thread.state.is_runnable:
+            self._route(thread.tid, reservation)
 
-    def _reexamine(self, thread: SimThread) -> None:
-        """Invalidate ``thread``'s queue entries and defer its
-        reclassification to the next pick (where ``now`` is known)."""
-        tid = thread.tid
+    def _route(self, tid: int, reservation: Reservation) -> None:
+        """Queue a runnable reservation thread by its current window.
+
+        The window is not rolled: if it is stale, an exhausted thread's
+        replenishment entry is already due and the next pick or refresh
+        rolls it, and an unexhausted one stays unexhausted when it rolls.
+        """
+        if reservation.used_in_period_us >= (
+            reservation.period_us * reservation.proportion_ppt // PROPORTION_SCALE
+        ):
+            self._throttle(tid, reservation)
+        else:
+            self._make_ready(tid, reservation)
+
+    def _throttle(self, tid: int, reservation: Reservation) -> None:
+        """Park an exhausted thread on the replenishment heap until its
+        window ends, owing the next pick a ``wanted_more`` mark unless
+        it already carries one."""
         self._rm_heap.discard(tid)
+        self._replenish.push(
+            tid, (reservation.period_start + reservation.period_us, tid)
+        )
+        if reservation.wanted_more:
+            # The heap rolls the window (realising the miss) when due.
+            self._wanted_stray.pop(tid, None)
+        else:
+            self._owed[tid] = None
+
+    def _make_ready(self, tid: int, reservation: Reservation) -> None:
+        """Put an unexhausted thread on the rate-monotonic heap."""
         self._replenish.discard(tid)
-        if tid not in self._pending_set:
-            self._pending_set.add(tid)
-            self._pending.append(tid)
+        self._owed.pop(tid, None)
+        if reservation.wanted_more:
+            # Eligible again before the window rolled (proportion
+            # raised mid-period): the recorded demand still turns into
+            # a miss at the next roll, which the scan realised at every
+            # pick — track it so we do too.
+            self._wanted_stray[tid] = None
+        self._rm_heap.push(
+            tid, (reservation.period_us, -reservation.proportion_ppt, tid)
+        )
 
     def _requeue_resized(self, thread: SimThread, reservation: Reservation) -> None:
         """Re-queue after a proportion-only change (period untouched).
 
-        The common controller actuation.  Where the routing outcome is
-        already determined it is applied in place, skipping the deferred
-        classification:
-
-        * already queued for examination — nothing to do, the pending
-          pass reads the fresh values;
-        * on the ready heap and still unexhausted — only the heap key
-          changed (``exhausted`` can only flip towards eligible when the
-          window rolls, so an unexhausted stale window stays
-          unexhausted);
-        * throttled and still exhausted — the replenishment key
-          (``period_end``) did not move, so the entry stands.
-
-        Every other combination (flipped exhaustion, blocked threads)
-        defers to pick time exactly like the scan-based code did.
+        The common controller actuation.  A ready thread that stays
+        eligible only changes its heap key, and a throttled thread that
+        stays exhausted keeps its entry (``period_end`` did not move).
+        A flipped exhaustion is re-routed.  A blocked thread is on
+        neither heap; ``on_ready`` routes it when it wakes.
         """
         tid = thread.tid
-        if tid in self._pending_set:
-            return
         exhausted = reservation.used_in_period_us >= (
             reservation.period_us * reservation.proportion_ppt // PROPORTION_SCALE
         )
@@ -388,15 +422,9 @@ class ReservationScheduler(Scheduler):
                     (reservation.period_us, -reservation.proportion_ppt, tid),
                 )
             else:
-                self._reexamine(thread)
-            return
-        if tid in self._replenish:
-            if not exhausted:
-                self._reexamine(thread)
-            return
-        state = thread.state
-        if state is ThreadState.READY or state is ThreadState.RUNNING:
-            self._reexamine(thread)
+                self._throttle(tid, reservation)
+        elif tid in self._replenish and not exhausted:
+            self._make_ready(tid, reservation)
 
     def _rebuild_best_effort(self) -> None:
         reservations = self._reservations
@@ -411,120 +439,73 @@ class ReservationScheduler(Scheduler):
         if reservation.advance_to(now):
             # A roll consumes wanted_more, so the thread (if tracked as
             # a stray) no longer needs pick-time realisation.
-            self._wanted_stray.discard(tid)
+            self._wanted_stray.pop(tid, None)
         after = reservation.deadline_misses
         if after != before:
             self._deadline_miss_total += after - before
 
     def _classify(self, tid: int, now: int, mark_wanted: bool) -> None:
-        """(Re)classify one reservation thread at a service point.
+        """Replenish one due thread from the replenishment heap.
 
         Rolls the period window to ``now`` exactly as the historical
-        scan did, then routes the thread to the rate-monotonic heap
-        (eligible) or the replenishment heap (throttled).
-
-        ``mark_wanted`` distinguishes the two historical service
-        points: the *pick* scan recorded unmet demand
-        (``wanted_more = True``, the flag that turns into a deadline
-        miss at the next period boundary) for every runnable exhausted
-        candidate, while ``refresh`` only advanced windows.  A thread
-        classified as throttled from refresh therefore stays unmarked
-        and is recorded for marking at the next pick.
+        scan did, then re-routes the thread.  ``mark_wanted`` is set at
+        a pick, where the scan recorded unmet demand for every runnable
+        exhausted candidate; ``refresh`` only advanced windows, so a
+        thread still throttled there is owed its mark by the next pick.
         """
-        thread = self._run_queue.get(tid)
-        if thread is None:
-            return
-        reservation = self._reservations.get(tid)
-        if reservation is None:
-            return
-        if not thread.state.is_runnable:
-            # Blocked/sleeping: stays off both queues; on_ready will
-            # queue a fresh examination when it wakes.  Pending unmet
-            # demand keeps being realised through the stray set.
-            if reservation.wanted_more:
-                self._wanted_stray.add(tid)
-            return
+        reservation = self._reservations[tid]
         self._advance(tid, reservation, now)
-        if reservation.exhausted:
+        if reservation.used_in_period_us >= (
+            reservation.period_us * reservation.proportion_ppt // PROPORTION_SCALE
+        ):
             if mark_wanted:
                 reservation.wanted_more = True
-                self._unmarked.discard(tid)
-            elif not reservation.wanted_more:
-                self._unmarked.add(tid)
-            self._wanted_stray.discard(tid)
-            self._replenish.push(tid, (reservation.period_end(), tid))
+            self._throttle(tid, reservation)
         else:
-            if reservation.wanted_more:
-                # Eligible again before the window rolled (proportion
-                # raised mid-period): the recorded demand still turns
-                # into a miss at the next roll, which the scan realised
-                # at every pick — track it so we do too.
-                self._wanted_stray.add(tid)
-            self._rm_heap.push(
-                tid,
-                (reservation.period_us, -reservation.proportion_ppt, tid),
-            )
+            self._make_ready(tid, reservation)
 
-    def _service_queues(
-        self, now: int, *, mark_wanted: bool, include_blocked: bool = False
-    ) -> None:
-        """Process deferred examinations and due replenishments.
+    def _service_queues(self, now: int, *, pick: bool) -> None:
+        """Realise owed marks, due replenishments and stray rolls.
 
-        The flags mirror the scan-based realisation points: picks
-        advanced only runnable threads and recorded their unmet demand
-        (``mark_wanted``); ``refresh`` (the kernel's idle path)
-        advanced every reservation — including blocked ones — but
-        never marked demand.
+        ``pick`` selects between the scan's two realisation points.  A
+        pick rolled only runnable threads and recorded their unmet
+        demand; ``refresh`` (the kernel's idle path) rolled every
+        reservation, blocked ones included, but never recorded demand.
+        Both heaps hold only runnable threads (``on_block`` and
+        ``on_remove`` take a thread off them), and so does ``_owed``.
         """
-        if not self._unmarked and not self._pending and not self._wanted_stray:
-            # Fast path for the common steady state: nothing deferred,
-            # so only a due replenishment can require service.
-            entry = self._replenish.peek()
-            if entry is None or entry[0] > now:
-                return
-        if mark_wanted and self._unmarked:
-            # Throttled threads that were last examined by refresh: the
-            # scan would record their unmet demand at this pick.
-            # repro-lint: disable=determinism -- per-tid flag updates on each thread's own reservation; no cross-thread ordering effect
-            for tid in list(self._unmarked):
-                self._unmarked.discard(tid)
-                reservation = self._reservations.get(tid)
-                thread = self._run_queue.get(tid)
-                if reservation is None or thread is None:
-                    continue
-                if not thread.state.is_runnable:
-                    continue
-                self._advance(tid, reservation, now)
-                if reservation.exhausted:
-                    reservation.wanted_more = True
-                # A rolled, no-longer-exhausted thread keeps its (now
-                # stale, already due) replenishment entry; it is popped
-                # and re-routed to the ready heap just below.
-        pending = self._pending
-        if pending:
-            pending_set = self._pending_set
-            while pending:
-                tid = pending.popleft()
-                if tid in pending_set:
-                    pending_set.discard(tid)
-                    self._classify(tid, now, mark_wanted)
-        replenish = self._replenish
-        while True:
-            entry = replenish.peek()
-            if entry is None or entry[0] > now:
-                break
-            replenish.pop()
-            self._classify(entry[1], now, mark_wanted)
-        if self._wanted_stray:
-            # repro-lint: disable=determinism -- independent per-tid period rolls; each touches only its own reservation
-            for tid in list(self._wanted_stray):
-                reservation = self._reservations.get(tid)
-                thread = self._run_queue.get(tid)
-                if reservation is None or thread is None:
-                    self._wanted_stray.discard(tid)
-                    continue
-                if include_blocked or thread.state.is_runnable:
+        reservations = self._reservations
+        if pick and self._owed:
+            owed = self._owed
+            self._owed = {}
+            for tid in owed:
+                reservation = reservations[tid]
+                if now - reservation.period_start >= reservation.period_us:
+                    # A rolled, no-longer-exhausted thread keeps its (now
+                    # stale, already due) replenishment entry; it is
+                    # popped and re-routed just below.
                     self._advance(tid, reservation, now)
+                if reservation.used_in_period_us >= (
+                    reservation.period_us
+                    * reservation.proportion_ppt
+                    // PROPORTION_SCALE
+                ):
+                    reservation.wanted_more = True
+        replenish = self._replenish
+        entry = replenish.peek()
+        while entry is not None and entry[0] <= now:
+            replenish.pop()
+            self._classify(entry[1], now, pick)
+            entry = replenish.peek()
+        stray = self._wanted_stray
+        if stray:
+            run_queue = self._run_queue
+            for tid in list(stray):
+                thread = run_queue.get(tid)
+                if thread is not None and (
+                    not pick or thread.state is _READY or thread.state is _RUNNING
+                ):
+                    self._advance(tid, reservations[tid], now)
 
     # ------------------------------------------------------------------
     # policy hooks
@@ -556,20 +537,20 @@ class ReservationScheduler(Scheduler):
             self._deadline_miss_total -= reservation.deadline_misses
         self._rm_heap.discard(tid)
         self._replenish.discard(tid)
-        self._pending_set.discard(tid)
-        self._wanted_stray.discard(tid)
-        self._unmarked.discard(tid)
+        self._owed.pop(tid, None)
+        self._wanted_stray.pop(tid, None)
         self._best_effort.pop(tid, None)
 
     def on_ready(self, thread: SimThread, now: int) -> None:
         super().on_ready(thread, now)
         tid = thread.tid
+        reservation = self._reservations.get(tid)
         if (
-            tid in self._reservations
+            reservation is not None
             and tid not in self._rm_heap
             and tid not in self._replenish
         ):
-            self._reexamine(thread)
+            self._route(tid, reservation)
 
     def on_block(self, thread: SimThread, now: int) -> None:
         super().on_block(thread, now)
@@ -578,19 +559,19 @@ class ReservationScheduler(Scheduler):
         if reservation is not None:
             self._rm_heap.discard(tid)
             self._replenish.discard(tid)
-            self._pending_set.discard(tid)
-            self._unmarked.discard(tid)
+            self._owed.pop(tid, None)
             if reservation.wanted_more:
                 # Recorded unmet demand still owes a deadline miss at
                 # the next period roll; refresh realises it even while
                 # the thread stays blocked (as the full scan did).
-                self._wanted_stray.add(tid)
+                self._wanted_stray[tid] = None
 
     def refresh(self, now: int) -> None:
-        self._service_queues(now, mark_wanted=False, include_blocked=True)
+        self._service_queues(now, pick=False)
 
     def charge(self, thread: SimThread, consumed_us: int, now: int) -> None:
-        reservation = self._reservations.get(thread.tid)
+        tid = thread.tid
+        reservation = self._reservations.get(tid)
         if reservation is None:
             return
         reservation.used_in_period_us += consumed_us
@@ -598,18 +579,20 @@ class ReservationScheduler(Scheduler):
         # _advance is a no-op until the window must roll (its guard,
         # inlined: elapsed periods > 0 iff now - start >= period).
         if now - reservation.period_start >= reservation.period_us:
-            self._advance(thread.tid, reservation, now)
+            self._advance(tid, reservation, now)
         if reservation.used_in_period_us >= (
             reservation.period_us
             * reservation.proportion_ppt
             // PROPORTION_SCALE
         ):
-            # The budget ran out: leave the ready order and wait for a
-            # pick to mark unmet demand / schedule the replenishment
-            # (pick time is when the scan-based code did both).
-            self._rm_heap.discard(thread.tid)
-            if thread.state.is_runnable:
-                self._reexamine(thread)
+            # The budget ran out: wait for the window end on the
+            # replenishment heap, owing the next pick the unmet-demand
+            # mark (see "Incremental dispatch" for why not now).
+            state = thread.state
+            if state is _READY or state is _RUNNING:
+                self._throttle(tid, reservation)
+            else:
+                self._rm_heap.discard(tid)
 
     # ------------------------------------------------------------------
     # placement (multiprocessor)
@@ -641,18 +624,19 @@ class ReservationScheduler(Scheduler):
     # dispatch
     # ------------------------------------------------------------------
     def pick_next(self, now: int, cpu: Optional[int] = None) -> Optional[SimThread]:
-        # The _service_queues fast-path test, inlined (per-CPU picks
-        # call this up to n_cpus times per round at the same instant).
-        if self._unmarked or self._pending or self._wanted_stray:
-            self._service_queues(now, mark_wanted=True)
+        # Service only when a mark is owed, a stray may roll or a
+        # replenishment is due (per-CPU picks call this up to n_cpus
+        # times per round at the same instant).
+        if self._owed or self._wanted_stray:
+            self._service_queues(now, pick=True)
         else:
             due = self._replenish.peek()
             if due is not None and due[0] <= now:
-                self._service_queues(now, mark_wanted=True)
+                self._service_queues(now, pick=True)
         rm_heap = self._rm_heap
         run_queue = self._run_queue
-        ready = ThreadState.READY
-        running = ThreadState.RUNNING
+        ready = _READY
+        running = _RUNNING
         # Fast path: the heap minimum is usually dispatchable as-is —
         # peek avoids walking the live set (the dispatchability test is
         # _dispatchable, inlined).
@@ -716,8 +700,8 @@ class ReservationScheduler(Scheduler):
         READY threads placed on (or free to run on) that CPU."""
         state = thread.state
         if cpu is None:
-            return state is ThreadState.READY or state is ThreadState.RUNNING
-        return state is ThreadState.READY and self.eligible_on(thread, cpu)
+            return state is _READY or state is _RUNNING
+        return state is _READY and self.eligible_on(thread, cpu)
 
     def time_slice(self, thread: SimThread, now: int) -> int:
         reservation = self._reservations.get(thread.tid)
@@ -731,28 +715,8 @@ class ReservationScheduler(Scheduler):
         return slice_us
 
     def next_wakeup(self, now: int) -> Optional[int]:
-        earliest: Optional[int] = None
         entry = self._replenish.peek()
-        if entry is not None:
-            earliest = entry[0]
-        # Pending examinations are normally drained by the pick that
-        # precedes any idle advance; cover them anyway so a direct call
-        # never misses a throttled thread.
-        # repro-lint: disable=determinism -- min-fold over period ends; the minimum is independent of visitation order
-        for tid in self._pending_set:
-            reservation = self._reservations.get(tid)
-            thread = self._run_queue.get(tid)
-            if (
-                reservation is None
-                or thread is None
-                or not thread.state.is_runnable
-                or not reservation.exhausted
-            ):
-                continue
-            end = reservation.period_end()
-            if earliest is None or end < earliest:
-                earliest = end
-        return earliest
+        return None if entry is None else int(entry[0])
 
 
 __all__ = [

@@ -112,7 +112,7 @@ def _is_set_expr(node: ast.AST, set_attrs: set[str]) -> bool:
         if name in _SET_SOURCES:
             return True
         if name in ("list", "tuple", "iter", "reversed", "enumerate") and node.args:
-            # list(self._pending_set) iterates in the same hash order
+            # list(self._members) over a set iterates in its hash order too
             return _is_set_expr(node.args[0], set_attrs)
         return False
     if (

@@ -21,6 +21,7 @@ accounting.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -458,3 +459,132 @@ def test_reference_is_really_the_old_algorithm():
     scheduler.set_reservation(short, 100, 5_000)
     scheduler.set_reservation(long, 100, 50_000)
     assert scheduler.pick_next(0) is short
+
+
+# -- owed marks: unmet demand realised at the pick, not at the charge ---
+#
+# A charge that exhausts a budget leaves the thread *owing* a
+# ``wanted_more`` mark: the scan recorded unmet demand only when a pick
+# found the thread still runnable and still exhausted.  In each case
+# below a charge exhausts the budget, then one thing happens before any
+# pick that makes an eagerly set mark wrong.  None of them is a deadline
+# miss, so an eager mark shows up as a spurious one.
+
+
+def _exhaust_then(action) -> DualHarness:
+    harness = DualHarness(n_threads=2, n_cpus=1)
+    harness.set_reservation(0, 100, 10_000)  # 1 ms budget per 10 ms
+    harness.dispatch_round(1_000)  # t0 runs and spends the whole budget
+    action(harness)
+    return harness
+
+
+def _refresh_past_window_end(harness: DualHarness) -> None:
+    harness.refresh(15_000)
+
+
+def _block_then_refresh_past_window_end(harness: DualHarness) -> None:
+    harness.block(0)
+    harness.refresh(15_000)
+    harness.wake(0)
+
+
+def _raise_proportion(harness: DualHarness) -> None:
+    harness.set_reservation(0, 1_000, 10_000)  # eligible again
+    harness.dispatch_round(500)
+    harness.refresh(15_000)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        _refresh_past_window_end,
+        _block_then_refresh_past_window_end,
+        _raise_proportion,
+    ],
+    ids=["refresh", "block_refresh", "raise"],
+)
+def test_owed_mark_is_not_unmet_demand_yet(action):
+    harness = _exhaust_then(action)
+    assert harness.opt.deadline_misses() == harness.ref.deadline_misses() == 0
+    for _ in range(5):
+        harness.dispatch_round(1_000)
+    harness.check_final()
+
+
+# -- real kernels --------------------------------------------------------
+#
+# DualHarness drives the schedulers directly.  In a real Kernel, due
+# events fire between a dispatch's charge and the next pick, and a
+# controller tick steals CPU there (Kernel.steal_cpu), so a period
+# window can end inside that gap.  These runs put both schedulers in
+# real kernels fed the same seeded workload.
+
+_KERNEL_PERIODS_US = (2_000, 5_000, 10_000, 30_000)
+
+
+def _run_real_kernel(scheduler, seed: int, n_cpus: int):
+    from repro.sim.kernel import Kernel
+    from repro.sim.requests import Compute, Sleep
+
+    kernel = Kernel(scheduler, n_cpus=n_cpus, record_dispatches=True)
+
+    def body(index):
+        def run(env):
+            rng = random.Random(seed * 1_000 + index)
+            while True:
+                yield Compute(rng.randint(100, 6_000))
+                if rng.random() < 0.6:
+                    yield Sleep(rng.randint(0, 12_000))
+
+        return run
+
+    n_threads = 3 * n_cpus + 2
+    setup = random.Random(seed)
+    threads = []
+    for index in range(n_threads):
+        thread = kernel.spawn(
+            f"t{index}", body(index), policy=SchedulingPolicy.BEST_EFFORT
+        )
+        threads.append(thread)
+        if index < n_threads - 1:  # one best-effort thread
+            scheduler.set_reservation(
+                thread,
+                setup.randint(20, 400),
+                setup.choice(_KERNEL_PERIODS_US),
+                now=kernel.now,
+            )
+    actuate = random.Random(seed + 7)
+
+    def controller_tick(now: int) -> None:
+        kernel.steal_cpu(actuate.randint(0, 1_500))
+        thread = threads[actuate.randrange(n_threads - 1)]
+        reservation = scheduler.reservation(thread)
+        period = (
+            reservation.period_us
+            if actuate.random() < 0.7
+            else actuate.choice(_KERNEL_PERIODS_US)
+        )
+        scheduler.set_reservation(
+            thread, actuate.randint(0, 500), period, now=kernel.now
+        )
+
+    kernel.add_periodic(2_300, controller_tick, start_us=1_300)
+    misses = []
+    for _ in range(8):
+        kernel.run_for(25_000)
+        misses.append(scheduler.deadline_misses())
+    return kernel.dispatch_log, misses
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+@pytest.mark.parametrize("seed", range(12))
+def test_real_kernel_matches_reference(n_cpus, seed):
+    """Dispatch logs and deadline misses match inside real kernels."""
+    log, misses = _run_real_kernel(ReservationScheduler(), seed, n_cpus)
+    ref_log, ref_misses = _run_real_kernel(
+        ReferenceReservationScheduler(), seed, n_cpus
+    )
+    assert log == ref_log
+    assert misses == ref_misses
+    assert misses[-1] > 0
