@@ -400,10 +400,11 @@ class Scheduler(ABC):
         """
         if cpu is None:
             return self.runnable_threads()
+        ready = ThreadState.READY
         return [
             t
             for t in self._run_queue.ready_in_order()
-            if t.state is ThreadState.READY and self.eligible_on(t, cpu)
+            if t.state is ready and self.eligible_on(t, cpu)
         ]
 
     # ------------------------------------------------------------------

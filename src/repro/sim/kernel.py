@@ -52,9 +52,11 @@ time); :meth:`Kernel.conservation_gap_us` checks it.
 Dispatch loop
 -------------
 There is one loop, quantum-sliced like the paper's dispatcher: every
-dispatch (or SMP round) fires the due events, asks the scheduler for a
-pick (on SMP after a fresh placement round) and runs the picked thread
-for at most one slice, capped by the next pending event.  When nothing
+dispatch (or SMP round) fires the due events — polling the calendar
+only when its head is due — asks the scheduler for a pick (on SMP after
+a fresh placement round) and runs the picked thread for at most one
+slice, capped by the next pending event.  The per-dispatch overhead and
+any migration penalty are charged inline in that step.  When nothing
 is runnable the clock jumps straight to the next transition the
 :class:`~repro.sim.events.EventCalendar` knows about — a timer,
 controller tick, workload arrival, sleep/I/O wake-up or a scheduler
@@ -92,6 +94,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Default dispatch interval: 1 ms, matching the paper's timer interval.
 DEFAULT_DISPATCH_INTERVAL_US = 1_000
+
+# Thread states the dispatch path writes, bound once (an enum class
+# attribute lookup costs far more than a module global).
+_READY = ThreadState.READY
+_RUNNING = ThreadState.RUNNING
 
 
 class _DispatchOutcome:
@@ -459,7 +466,7 @@ class Kernel:
             )
         if thread.state == ThreadState.EXITED:
             return False
-        if thread.state == ThreadState.RUNNING:
+        if thread.state == _RUNNING:
             raise ThreadStateError(
                 f"cannot kill {thread.name!r} while it is running a slice"
             )
@@ -644,7 +651,10 @@ class Kernel:
             raise ValueError(f"cannot steal negative CPU time {us}")
         if us == 0:
             return
-        self._tick(us)
+        if self._now_override is None:
+            self.clock.advance_by(us)
+        else:
+            self._now_override += us
         if reason == "dispatch":
             # The stealing CPU is the lowest-numbered *online* one (CPU
             # 0 unless it has failed).
@@ -664,20 +674,6 @@ class Kernel:
                 self._offline_us_total += us * len(offline)
 
     # ------------------------------------------------------------------
-    # time
-    # ------------------------------------------------------------------
-    def _tick(self, us: int) -> None:
-        """Advance the current time cursor by ``us`` microseconds.
-
-        Outside an SMP dispatch round this is the global clock; inside
-        a round it is the executing CPU's local clock.
-        """
-        if self._now_override is None:
-            self.clock.advance_by(us)
-        else:
-            self._now_override += us
-
-    # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def run_for(self, duration_us: int) -> None:
@@ -690,31 +686,39 @@ class Kernel:
             raise ValueError(
                 f"cannot run until {t_end}us, already at {self.now}us"
             )
+        # Due events fire only when the calendar head is due: every
+        # live event sits at or after the head, so skipping the poll
+        # while the head is in the future fires nothing less (a
+        # cancelled head is dropped by ``pop_due`` or ``next_time``).
+        clock = self.clock
+        heap = self.events._heap
         if self.n_cpus == 1:
             # Uniprocessor fast path: the paper's original loop,
             # bit-identical to the seed reproduction.  Outside SMP
-            # rounds ``self.now`` is exactly ``clock.now``; reading the
+            # rounds ``self.now`` is exactly ``clock._now``; reading the
             # clock directly skips the property dispatch per iteration.
             cpu0 = self.cpu_states[0]
-            clock = self.clock
             scheduler = self.scheduler
-            while clock.now < t_end:
-                self._fire_due_events()
-                now = clock.now
-                if now >= t_end:
-                    break
+            dispatch = self._dispatch
+            while clock._now < t_end:
+                now = clock._now
+                if heap and heap[0].time <= now:
+                    self._fire_due_events()
+                    now = clock._now
+                    if now >= t_end:
+                        break
                 thread = scheduler.pick_next(now)
                 if thread is None:
                     if not self._advance_idle(t_end):
                         break
                     continue
-                self._dispatch(cpu0, thread, t_end)
+                dispatch(cpu0, thread, t_end)
         else:
-            clock = self.clock
-            while clock.now < t_end:
-                self._fire_due_events()
-                if clock.now >= t_end:
-                    break
+            while clock._now < t_end:
+                if heap and heap[0].time <= clock._now:
+                    self._fire_due_events()
+                    if clock._now >= t_end:
+                        break
                 if not self._dispatch_round(t_end):
                     if not self._advance_idle(t_end):
                         break
@@ -789,7 +793,7 @@ class Kernel:
                 continue
             # Claim immediately so higher-numbered CPUs cannot pick the
             # same thread within this round.
-            thread.state = ThreadState.RUNNING
+            thread.state = _RUNNING
             picks.append((cpu, thread))
         if not picks:
             return False
@@ -835,41 +839,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _charge_dispatch_overhead(self, cpu: CPUState) -> int:
-        """Charge the per-dispatch cost; returns the microseconds ticked.
-
-        The effective cost is a pure function of the dispatch interval
-        and the CPU model's cost parameters, so it is cached and only
-        recomputed when that signature changes (covers both swapping
-        ``kernel.cpu`` and mutating the model's fields in place).
-        """
-        if not self.charge_dispatch_overhead:
-            return 0
-        model = self.cpu
-        interval = self.dispatch_interval_us
-        cost = model.dispatch_cost_us
-        quadratic = model.dispatch_cost_quadratic_us
-        signature = self._dispatch_cost_sig
-        if (
-            signature is None
-            or signature[0] != interval
-            or signature[1] != cost
-            or signature[2] != quadratic
-        ):
-            self._dispatch_cost_us = model.effective_dispatch_cost_us(
-                US_PER_SEC / interval
-            )
-            self._dispatch_cost_sig = (interval, cost, quadratic)
-        cpu.overhead_accumulator += self._dispatch_cost_us
-        whole = int(cpu.overhead_accumulator)
-        if whole > 0:
-            cpu.overhead_accumulator -= whole
-            self._tick(whole)
-            cpu.stolen_dispatch_us += whole
-            self._stolen_dispatch_us_total += whole
-            return whole
-        return 0
-
     def _dispatch(
         self,
         cpu: CPUState,
@@ -892,7 +861,31 @@ class Kernel:
         dispatch_start = now
         cpu.dispatches += 1
         self._dispatch_count_total += 1
-        now += self._charge_dispatch_overhead(cpu)
+
+        # Per-dispatch overhead, stolen time (charged to no thread).
+        # The effective cost is a pure function of the dispatch
+        # interval and the CPU model's cost parameters, so it is cached
+        # and recomputed only when that signature changes (covers both
+        # swapping ``kernel.cpu`` and mutating its fields in place).
+        if self.charge_dispatch_overhead:
+            model = self.cpu
+            interval = self.dispatch_interval_us
+            signature = (
+                interval, model.dispatch_cost_us, model.dispatch_cost_quadratic_us
+            )
+            if signature != self._dispatch_cost_sig:
+                self._dispatch_cost_us = model.effective_dispatch_cost_us(
+                    US_PER_SEC / interval
+                )
+                self._dispatch_cost_sig = signature
+            accumulator = cpu.overhead_accumulator + self._dispatch_cost_us
+            whole = int(accumulator)
+            if whole > 0:
+                accumulator -= whole
+                now += whole
+                cpu.stolen_dispatch_us += whole
+                self._stolen_dispatch_us_total += whole
+            cpu.overhead_accumulator = accumulator
 
         # Migration accounting: charged after the dispatch overhead and
         # before the thread's slice, like the cache refill it models.
@@ -908,15 +901,19 @@ class Kernel:
                 if cost_fn is not None:
                     migration_us = cost_fn(last, index)
                     if migration_us > 0:
-                        self._tick(migration_us)
                         now += migration_us
                         cpu.migration_us += migration_us
                         self._migration_us_total += migration_us
             thread.last_cpu = index
+        if now != dispatch_start:
+            if override:
+                self._now_override = now
+            else:
+                clock._now = now
 
         scheduler = self.scheduler
         accounting = thread.accounting
-        thread.state = ThreadState.RUNNING
+        thread.state = _RUNNING
         accounting.dispatches += 1
         accounting.last_run_started = now
         on_dispatch = self._on_dispatch
@@ -994,7 +991,7 @@ class Kernel:
             # _finish_dispatch's preempted arm, inlined (the common
             # outcome: ran out of slice or an event is due).
             accounting.preemptions += 1
-            thread.state = ThreadState.READY
+            thread.state = _READY
             scheduler.on_preempt(thread, now)
         else:
             self._finish_dispatch(thread, outcome)
@@ -1033,12 +1030,12 @@ class Kernel:
             return
         if outcome == _DispatchOutcome.YIELDED:
             acct.voluntary_switches += 1
-            thread.state = ThreadState.READY
+            thread.state = _READY
             self.scheduler.on_yield(thread, self.now)
             return
         # preempted: ran out of slice or an event is due
         acct.preemptions += 1
-        thread.state = ThreadState.READY
+        thread.state = _READY
         self.scheduler.on_preempt(thread, self.now)
 
     def _next_request(self, thread: SimThread) -> Optional[Request]:
@@ -1214,7 +1211,7 @@ class Kernel:
     # ------------------------------------------------------------------
     def _wake(self, thread: SimThread) -> None:
         thread.blocked_on = None
-        thread.state = ThreadState.READY
+        thread.state = _READY
         self.scheduler.on_ready(thread, self.now)
 
     def _exit_thread(self, thread: SimThread, status: int) -> None:

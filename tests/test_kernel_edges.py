@@ -4,7 +4,9 @@ Covers the less-travelled paths of :mod:`repro.sim.kernel` and
 :mod:`repro.sim.events`: deadlock detection with mutual blocking (on
 one CPU and on several), releasing a mutex the thread does not hold,
 event cancellation interleaved with re-scheduling under ``pop_due``,
-and the zero-length sleep that must behave as a yield.
+the zero-length sleep that must behave as a yield, and how the
+dispatch loop treats the calendar head (cancelled heads, same-time
+events, events scheduled at ``now`` from a callback).
 """
 
 import pytest
@@ -181,3 +183,73 @@ class TestZeroLengthSleep:
         assert t.accounting.voluntary_switches >= 3
         # No wake-up event was ever scheduled for a zero sleep.
         assert t.wakeup_event is None
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+class TestCalendarHead:
+    """What the dispatch loop does with the event calendar's head.
+
+    One hog under a 10 ms round-robin slice, so a slice ends early only
+    where a live calendar event cuts it.
+    """
+
+    def _kernel(self, n_cpus):
+        return Kernel(
+            RoundRobinScheduler(slice_us=10_000), n_cpus=n_cpus,
+            charge_dispatch_overhead=False, syscall_cost_us=0,
+            record_dispatches=True,
+        )
+
+    def test_cancelled_head_not_yet_due_does_not_cut_the_slice(self, n_cpus):
+        kernel = self._kernel(n_cpus)
+        kernel.spawn("hog", lambda env: (yield Compute(1_000_000)))
+        fired = []
+        kernel.events.schedule(3_000, lambda: fired.append("cancelled")).cancel()
+        kernel.events.schedule(5_000, lambda: fired.append(("live", kernel.now)))
+        kernel.run_for(12_000)
+        assert fired == [("live", 5_000)]
+        assert kernel.dispatch_log == [
+            (0, 0, "hog", "preempted", 5_000),
+            (5_000, 0, "hog", "preempted", 7_000),
+        ]
+
+    def test_cancelled_due_head_with_live_twin_fires_the_twin_once(self, n_cpus):
+        kernel = self._kernel(n_cpus)
+        fired = []
+        doomed = kernel.events.schedule(5_000, lambda: fired.append("cancelled"))
+        kernel.events.schedule(5_000, lambda: fired.append(("live", kernel.now)))
+
+        def body(env):
+            yield Compute(2_000)
+            # Cancelled after the slice was cut at 5 ms, so the dead
+            # event is still the calendar head when 5 ms is due.
+            doomed.cancel()
+            yield Compute(1_000_000)
+
+        kernel.spawn("hog", body)
+        kernel.run_for(12_000)
+        assert fired == [("live", 5_000)]
+        assert kernel.dispatch_log == [
+            (0, 0, "hog", "preempted", 5_000),
+            (5_000, 0, "hog", "preempted", 7_000),
+        ]
+
+    def test_event_scheduled_at_now_fires_before_the_next_pick(self, n_cpus):
+        kernel = self._kernel(n_cpus)
+        victim = kernel.spawn("victim", lambda env: (yield Compute(1_000_000)))
+        fired = []
+
+        def kill() -> None:
+            fired.append(("kill", kernel.now))
+            kernel.kill_thread(victim)
+
+        def arm() -> None:
+            fired.append(("arm", kernel.now))
+            kernel.events.schedule(kernel.now, kill)
+
+        kernel.events.schedule(5_000, arm)
+        kernel.run_for(12_000)
+        assert fired == [("arm", 5_000), ("kill", 5_000)]
+        # Had the kill waited for the next iteration, the victim would
+        # have been picked again at 5 ms.
+        assert kernel.dispatch_log == [(0, 0, "victim", "preempted", 5_000)]

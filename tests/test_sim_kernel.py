@@ -5,6 +5,7 @@ import pytest
 from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.ipc.mutex import Mutex
 from repro.sched.round_robin import RoundRobinScheduler
+from repro.sim.cpu import CPUModel
 from repro.sim.errors import DeadlockError
 from repro.sim.kernel import Kernel
 from repro.sim.requests import (
@@ -318,6 +319,60 @@ class TestOverheadAccounting:
         thread = kernel.spawn("putter", body)
         kernel.run_for(1_000)
         assert thread.accounting.total_us == 3 * 2  # put + exit
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_overhead_follows_cost_changes_mid_run(self, n_cpus):
+        # The per-dispatch cost is cached; changing its inputs mid-run
+        # (mutating the CPU model, swapping it, changing the interval)
+        # must take effect at the next dispatch.
+        kernel = Kernel(
+            RoundRobinScheduler(), n_cpus=n_cpus, charge_dispatch_overhead=True,
+            syscall_cost_us=0, record_dispatches=True,
+        )
+        for i in range(n_cpus + 1):
+            kernel.spawn(f"hog{i}", spin_body(700))
+
+        def mutate() -> None:
+            kernel.cpu.dispatch_cost_us = 20.25
+
+        def swap() -> None:
+            kernel.cpu = CPUModel(
+                dispatch_cost_us=3.3, dispatch_cost_quadratic_us=0.7
+            )
+
+        def shrink_interval() -> None:
+            kernel.dispatch_interval_us = 400
+
+        kernel.events.schedule(10_000, mutate)
+        kernel.events.schedule(20_000, swap)
+        kernel.events.schedule(30_000, shrink_interval)
+        kernel.run_for(40_000)
+
+        # (segment start, interval, constant cost, quadratic cost)
+        segments = [
+            (0, 1_000, 6.75, 0.0),
+            (10_000, 1_000, 20.25, 0.0),
+            (20_000, 1_000, 3.3, 0.7),
+            (30_000, 400, 3.3, 0.7),
+        ]
+        accumulators = [0.0] * n_cpus
+        stolen = 0
+        seen = set()
+        for entry in kernel.dispatch_log:
+            start, cpu = entry[0], entry[1]
+            index = max(i for i, seg in enumerate(segments) if seg[0] <= start)
+            seen.add(index)
+            _, interval, cost, quadratic = segments[index]
+            f_khz = (1_000_000 / interval) / 1_000.0
+            accumulators[cpu] += cost + quadratic * f_khz * f_khz
+            whole = int(accumulators[cpu])
+            if whole > 0:
+                accumulators[cpu] -= whole
+                stolen += whole
+        assert seen == {0, 1, 2, 3}
+        assert kernel.stolen_dispatch_us == stolen
+        assert [c.overhead_accumulator for c in kernel.cpu_states] == accumulators
+        assert kernel.conservation_gap_us() == 0
 
     def test_total_time_conservation_without_overhead(self):
         kernel = make_kernel()
