@@ -6,9 +6,9 @@ This package implements the adaptive controller of Section 3.3:
   :class:`~repro.core.taxonomy.ThreadSpec` — the four-way taxonomy of
   Figure 2 (real-time, aperiodic real-time, real-rate, miscellaneous)
   and what an application declares about each thread;
-* :class:`~repro.core.estimator.ProportionEstimator` — the proportion
-  estimation law of Figure 4 (PID over progress pressure, plus the
-  unused-allocation reclaim rule);
+* :class:`~repro.core.estimator.ProportionEstimator` — the readable
+  spec of Figure 4's estimation law (PID over progress pressure, plus
+  the unused-allocation reclaim rule), which the allocator inlines;
 * :class:`~repro.core.period.PeriodEstimator` — the period-adaptation
   heuristic (disabled in the paper's experiments, available here for
   the ablation study);

@@ -10,7 +10,9 @@
    <repro.core.estimator.ProportionEstimator.estimate>`, turns the
    pressure and last-interval CPU usage into a desired proportion;
    real-time and aperiodic real-time threads skip this and use their
-   specified proportion.
+   specified proportion.  The tick runs that law inline on one flat
+   record per thread, which holds the PID, usage and reclaim state
+   itself.
 3. **Resolve overload** — desired allocations are summed; if they
    exceed the overload threshold, real-rate and miscellaneous proposals
    are squished (fair share or weighted fair share), and quality
@@ -45,9 +47,9 @@ from repro.core.period import PeriodEstimator
 from repro.core.taxonomy import ThreadClass, ThreadSpec, classify
 from repro.ipc.registry import SymbioticRegistry
 from repro.monitor.progress import ConstantPressureSource, ProgressSampler
-from repro.monitor.usage import UsageMonitor
 from repro.sched.rbs import ReservationScheduler
 from repro.sim.thread import SimThread, ThreadState
+from repro.swift.pid import DERIVATIVE_FILTER_S
 
 
 @dataclass
@@ -67,23 +69,21 @@ class AllocationDecision:
     #: consumed by the quality-exception check during overload.
     _saturation: Optional[str] = field(default=None, repr=False, compare=False)
 
-    @property
-    def granted_fraction(self) -> float:
-        """Granted proportion as a fraction of the CPU."""
-        return self.granted_ppt / PROPORTION_SCALE
 
-
-@dataclass
+@dataclass(slots=True)
 class _ControlledThread:
-    """Internal per-thread controller state."""
+    """Internal per-thread controller state, one flat record that the
+    tick reads and writes directly.  Its Figure 4 fields start and step
+    as the state of :class:`ProportionEstimator
+    <repro.core.estimator.ProportionEstimator>` and its PID do."""
 
     thread: SimThread
     spec: ThreadSpec
-    estimator: ProportionEstimator
     sampler: ProgressSampler
+    #: Desired proportion of the last Figure 4 step.
+    last_desired_ppt: int
     period_estimator: Optional[PeriodEstimator] = None
     current_ppt: int = 0
-    current_period_us: int = 0
     last_class: Optional[ThreadClass] = None
     #: Registry version at which ``last_class`` was derived;
     #: classification only changes when a linkage is added or removed,
@@ -93,6 +93,18 @@ class _ControlledThread:
     #: decision exists per controlled thread per tick by construction,
     #: so reuse saves a nine-field dataclass build per thread-tick).
     decision: Optional[AllocationDecision] = None
+    # -- Figure 4: PID state, then the reclaim rule's EMAs and count --
+    integral: float = 0.0
+    #: Pressure of the previous step (``None`` before the first).
+    last_error: Optional[float] = None
+    derivative: float = 0.0
+    derivative_primed: bool = False
+    usage_ratio_ema: float = 1.0
+    used_fraction_ema: float = 0.0
+    reclaim_count: int = 0
+    # -- last usage sample: lifetime CPU and the time it was read --
+    last_total_us: Optional[int] = None
+    last_sample_us: int = 0
 
 
 class ProportionAllocator:
@@ -127,10 +139,8 @@ class ProportionAllocator:
             if squish_policy is not None
             else WeightedFairShareSquish(self.config.min_proportion_ppt)
         )
-        self.usage_monitor = UsageMonitor()
         self.misc_pressure_source = ConstantPressureSource(self.config.misc_pressure)
         self.quality_exceptions: list[QualityException] = []
-        self.updates = 0
         self._controlled: dict[int, _ControlledThread] = {}
 
     @property
@@ -172,10 +182,10 @@ class ProportionAllocator:
         state = _ControlledThread(
             thread=thread,
             spec=spec,
-            estimator=ProportionEstimator(self.config),
             sampler=ProgressSampler(
                 thread, self.registry, setpoint=self.config.setpoint_fill
             ),
+            last_desired_ppt=self.config.min_proportion_ppt,
         )
         if self.config.adapt_period:
             state.period_estimator = PeriodEstimator(
@@ -186,7 +196,8 @@ class ProportionAllocator:
         self._controlled[thread.tid] = state
         if spec.specifies_proportion:
             period = spec.period_us or self.config.default_period_us
-            self._actuate(state, spec.proportion_ppt, period)
+            self.scheduler.set_reservation(thread, spec.proportion_ppt, period)
+            state.current_ppt = spec.proportion_ppt
 
     def would_admit(
         self,
@@ -225,17 +236,12 @@ class ProportionAllocator:
         state = self._controlled.pop(thread.tid, None)
         if state is None:
             return
-        self.usage_monitor.forget(thread)
         if thread.state.is_live:
             self.scheduler.clear_reservation(thread)
 
     def controlled_threads(self) -> list[SimThread]:
         """All threads currently under control."""
         return [state.thread for state in self._controlled.values()]
-
-    def decision_count(self) -> int:
-        """Number of threads the next update will decide for."""
-        return len(self._controlled)
 
     def spec_for(self, thread: SimThread) -> ThreadSpec:
         """The spec a thread registered with."""
@@ -299,16 +305,16 @@ class ProportionAllocator:
         classifies, samples usage and progress, runs the Figure 4 law
         inline — the arithmetic of :meth:`ProportionEstimator.estimate
         <repro.core.estimator.ProportionEstimator.estimate>` in the same
-        order, on the same estimator and PID state holders — picks the
+        order, on the fields of the thread's flat record — picks the
         period, and files the desired proportion into the overload
         partitions.  Overload resolution then works from those
-        partitions, and a second loop actuates the grants.
+        partitions, and a second loop actuates the grants, one
+        ``scheduler.set_reservation`` call per thread.
         """
-        self.updates += 1
         self._drop_exited()
 
-        # Per-tick constants.  Every estimator is built from
-        # ``self.config``, so its PID gains and limits are the config's.
+        # Per-tick constants: the Figure 4 gains and limits are the
+        # config's, the same for every thread.
         config = self.config
         dt = config.controller_period_s
         gains = config.pid_gains
@@ -321,6 +327,8 @@ class ProportionAllocator:
         )
         alpha = ProportionEstimator.USAGE_EMA_ALPHA
         beta = 1.0 - alpha
+        # The derivative filter's gain, dt / (tc + dt), is fixed per tick.
+        filter_gain = dt / (DERIVATIVE_FILTER_S + dt)
         min_ppt = config.min_proportion_ppt
         max_ppt = config.max_proportion_ppt
         min_fraction = config.min_fraction
@@ -332,7 +340,6 @@ class ProportionAllocator:
         misc_pressure = self.misc_pressure_source.pressure
         registry = self.registry
         version = registry.version
-        monitor_last = self.usage_monitor._last
         real_rate = ThreadClass.REAL_RATE
         miscellaneous = ThreadClass.MISCELLANEOUS
         real_time = ThreadClass.REAL_TIME
@@ -383,17 +390,18 @@ class ProportionAllocator:
                 decision._saturation = None
             decisions.append(decision)
 
-            # Usage sampling (UsageMonitor.sample), inlined: one dict
-            # probe and three integer ops, no sample object.
-            tid = thread.tid
+            # Usage sampling (UsageMonitor.sample), on the record: the
+            # previous sample is read and replaced, no sample object.
             total = thread.accounting.total_us
-            previous = monitor_last.get(tid)
-            monitor_last[tid] = (total, now)
+            last_total = state.last_total_us
+            last_time = state.last_sample_us
+            state.last_total_us = total
+            state.last_sample_us = now
 
             if thread_class is not real_rate and thread_class is not miscellaneous:
                 # Real-time and aperiodic real-time: keep the specified
                 # proportion; usage is still sampled above so the
-                # monitor's bookkeeping stays continuous.
+                # record's last sample stays continuous.
                 decision.pressure_raw = None
                 decision.cumulative_pressure = None
                 decision.desired_ppt = decision.granted_ppt = spec.proportion_ppt
@@ -416,51 +424,43 @@ class ProportionAllocator:
                 fill_level = None
 
             current_ppt = state.current_ppt
-            if previous is None:
+            if last_total is None:
                 used = 0
                 interval = 0
             else:
-                used = total - previous[0]
+                used = total - last_total
                 if used < 0:
                     used = 0
-                interval = now - previous[1]
+                interval = now - last_time
                 if interval < 0:
                     interval = 0
             allocated = interval * current_ppt // 1000
 
             # -- Figure 4: PIDController.step (same arithmetic, same order) --
-            estimator = state.estimator
-            pid = estimator.pid
-            integrator = pid._integrator
-            value = integrator.value + pressure_raw * dt
+            value = state.integral + pressure_raw * dt
             if integral_high is not None and value > integral_high:
                 value = integral_high
             if integral_low is not None and value < integral_low:
                 value = integral_low
-            integrator.value = value
-            differentiator = pid._differentiator
-            last_error = differentiator._previous
+            state.integral = value
+            last_error = state.last_error
             if last_error is None:
                 derivative = 0.0
             else:
                 derivative = (pressure_raw - last_error) / dt
-            differentiator._previous = pressure_raw
-            lpf = pid._derivative_filter
-            if lpf is not None:
-                if lpf._primed:
-                    lpf.value += dt / (lpf.time_constant_s + dt) * (derivative - lpf.value)
-                else:
-                    lpf.value = derivative
-                    lpf._primed = True
-                derivative = lpf.value
-            cumulative = kp * pressure_raw + ki * value + kd * derivative
+            state.last_error = pressure_raw
+            if state.derivative_primed:
+                filtered = state.derivative
+                filtered += filter_gain * (derivative - filtered)
+            else:
+                filtered = derivative
+                state.derivative_primed = True
+            state.derivative = filtered
+            cumulative = kp * pressure_raw + ki * value + kd * filtered
             if cumulative > output_high:
                 cumulative = output_high
             if cumulative < 0.0:
                 cumulative = 0.0
-            pid.last_output = cumulative
-            pid.last_error = pressure_raw
-            pid.steps += 1
 
             # -- Figure 4: the reclaim rule, its EMAs and the wind-down --
             desired_fraction = k_scale * cumulative
@@ -469,10 +469,10 @@ class ProportionAllocator:
                 ratio = used / allocated
                 if ratio > 2.0:
                     ratio = 2.0
-                usage_ema = alpha * ratio + beta * estimator._usage_ratio_ema
-                estimator._usage_ratio_ema = usage_ema
-                used_ema = alpha * (used / interval) + beta * estimator._used_fraction_ema
-                estimator._used_fraction_ema = used_ema
+                usage_ema = alpha * ratio + beta * state.usage_ratio_ema
+                state.usage_ratio_ema = usage_ema
+                used_ema = alpha * (used / interval) + beta * state.used_fraction_ema
+                state.used_fraction_ema = used_ema
                 if (
                     current_ppt > min_ppt
                     and 1.0 - (1.0 if usage_ema > 1.0 else usage_ema) > unused_threshold
@@ -484,12 +484,13 @@ class ProportionAllocator:
                     if reclaim_fraction < desired_fraction:
                         desired_fraction = reclaim_fraction
                         reclaimed = True
-                        estimator.reclaim_count += 1
+                        state.reclaim_count += 1
                         if ki > 0:
+                            # The wind-down overwrites the clamped integral.
                             target_output = desired_fraction / k_scale
                             if target_output < 0.0:
                                 target_output = 0.0
-                            integrator.value = target_output / ki
+                            state.integral = target_output / ki
 
             # -- Figure 4: the clamps --
             if desired_fraction < min_fraction:
@@ -501,7 +502,7 @@ class ProportionAllocator:
                 desired_ppt = min_ppt
             if desired_ppt > max_ppt:
                 desired_ppt = max_ppt
-            estimator.last_desired_ppt = desired_ppt
+            state.last_desired_ppt = desired_ppt
 
             if spec.interactive:
                 period = interactive_period
@@ -590,7 +591,6 @@ class ProportionAllocator:
                 state.thread, decision.granted_ppt, decision.period_us, now=now
             )
             state.current_ppt = decision.granted_ppt
-            state.current_period_us = decision.period_us
         return decisions
 
     def _squish(
@@ -608,18 +608,18 @@ class ProportionAllocator:
         min_ppt = self.config.min_proportion_ppt
         for decision, want, granted in zip(decisions, desired, grants):
             if granted < want:
-                decision.granted_ppt = max(min_ppt, granted)
+                # max(min_ppt, granted), inlined.
+                decision.granted_ppt = granted if granted > min_ppt else min_ppt
                 decision.squished = True
-                self._maybe_quality_exception(decision, now)
+                if decision._saturation is not None:
+                    self._quality_exception(decision, now)
 
-    def _maybe_quality_exception(self, decision: AllocationDecision, now: int) -> None:
-        saturation = decision._saturation
-        if saturation is None:
-            return
+    def _quality_exception(self, decision: AllocationDecision, now: int) -> None:
+        """Raise a quality exception for a squished, saturated thread."""
         exception = QualityException(
             time_us=now,
             thread=decision.thread,
-            reason=f"queue {saturation} while overloaded",
+            reason=f"queue {decision._saturation} while overloaded",
             desired_ppt=decision.desired_ppt,
             granted_ppt=decision.granted_ppt,
         )
@@ -627,22 +627,6 @@ class ProportionAllocator:
         callback = self._controlled[decision.thread.tid].spec.quality_callback
         if callback is not None:
             callback(exception)
-
-    # ------------------------------------------------------------------
-    # actuation
-    # ------------------------------------------------------------------
-    def _actuate(
-        self,
-        state: _ControlledThread,
-        proportion_ppt: int,
-        period_us: int,
-        now: Optional[int] = None,
-    ) -> None:
-        self.scheduler.set_reservation(
-            state.thread, proportion_ppt, period_us, now=now
-        )
-        state.current_ppt = proportion_ppt
-        state.current_period_us = period_us
 
     def _drop_exited(self) -> None:
         # Inline the is_live property: this runs over every controlled
@@ -653,8 +637,7 @@ class ProportionAllocator:
             if s.thread.state is exited
         ]
         for tid in gone:
-            state = self._controlled.pop(tid)
-            self.usage_monitor.forget(state.thread)
+            del self._controlled[tid]
 
     # ------------------------------------------------------------------
     # reporting helpers

@@ -17,6 +17,9 @@ the number of controlled processes and finds it linear
 3. records per-thread allocation traces in the kernel's tracer.
 """
 
+# float-order: exact — the overhead remainder fold decides how many
+# whole microseconds steal_cpu takes, and so shapes the dispatch log.
+
 from __future__ import annotations
 
 import time
@@ -102,13 +105,13 @@ class ControllerDriver:
         self.measured_wall_ns_total = 0
         self.last_decisions: list[AllocationDecision] = []
         self._overhead_remainder = 0.0
-        #: tid -> [alloc series, pressure series or None, pressure
-        #: label]; resolves the label f-strings and the tracer's name
-        #: lookup once per thread instead of twice per tick.
-        self._trace_series: dict[int, list] = {}
-        #: Cached "alloc:total" series, created on first use so a
-        #: driver that never ticks leaves no empty series behind.
-        self._total_series = None
+        #: tid -> [alloc times, alloc values, pressure times, pressure
+        #: values] (the pressure pair ``None`` until its first sample):
+        #: series columns resolved once per thread, not once per tick.
+        self._trace_columns: dict[int, list] = {}
+        #: "alloc:total" columns, created on first use so a driver that
+        #: never ticks leaves no empty series behind.
+        self._total_columns: Optional[tuple[list[int], list[float]]] = None
         # The tick is a periodic entry in the kernel's unified event
         # calendar, so the idle fast-forward sees the next sample as an
         # ordinary transition instead of being polled for it.
@@ -141,8 +144,12 @@ class ControllerDriver:
                 self.kernel.steal_cpu(whole, reason="controller")
 
         if self.trace_allocations:
+            # Samples go straight onto each series' columns, normalised
+            # as TraceSeries.append does.  One earlier than its series'
+            # last sample goes through Tracer.record, which raises.
             tracer = self.kernel.tracer
-            cache = self._trace_series
+            cache = self._trace_columns
+            time_us = int(now)
             total_granted = 0
             for decision in decisions:
                 thread = decision.thread
@@ -153,24 +160,33 @@ class ControllerDriver:
                     # through Tracer.record — threads that never report
                     # a pressure must not leave an empty series behind.
                     entry = cache[thread.tid] = [
-                        tracer.series(f"alloc:{thread.name}"),
-                        None,
-                        f"pressure:{thread.name}",
+                        *tracer.series(f"alloc:{thread.name}").columns(), None, None
                     ]
                 granted = decision.granted_ppt
                 total_granted += granted
-                entry[0].append(now, granted)
-                if decision.cumulative_pressure is not None:
-                    pressure_series = entry[1]
-                    if pressure_series is None:
-                        pressure_series = entry[1] = tracer.series(entry[2])
-                    pressure_series.append(now, decision.cumulative_pressure)
+                times = entry[0]
+                if times and now < times[-1]:
+                    tracer.record(f"alloc:{thread.name}", now, granted)
+                times.append(time_us)
+                entry[1].append(float(granted))
+                pressure = decision.cumulative_pressure
+                if pressure is not None:
+                    if entry[2] is None:
+                        entry[2:] = tracer.series(f"pressure:{thread.name}").columns()
+                    times = entry[2]
+                    if times and now < times[-1]:
+                        tracer.record(f"pressure:{thread.name}", now, pressure)
+                    times.append(time_us)
+                    entry[3].append(float(pressure))
             # Aggregate grant, for eyeballing total load against the
             # kernel's capacity of n_cpus * PROPORTION_SCALE.
-            total_series = self._total_series
-            if total_series is None:
-                total_series = self._total_series = tracer.series("alloc:total")
-            total_series.append(now, total_granted)
+            if self._total_columns is None:
+                self._total_columns = tracer.series("alloc:total").columns()
+            times, values = self._total_columns
+            if times and now < times[-1]:
+                tracer.record("alloc:total", now, total_granted)
+            times.append(time_us)
+            values.append(float(total_granted))
 
     # ------------------------------------------------------------------
     # overhead reporting (Figure 5)

@@ -1,9 +1,10 @@
 """Proportion estimation (Figure 4).
 
-One :class:`ProportionEstimator` exists per controlled real-rate or
-miscellaneous thread.  Each controller period it receives the thread's
-summed progress pressure (Figure 3) and its CPU usage over the last
-interval, and produces the thread's *desired* proportion:
+:class:`ProportionEstimator` is the readable spec of the law; the
+allocator's tick runs it inline on a flat per-thread record, and a
+test checks the two bit for bit.  Each controller period the law takes
+a thread's summed progress pressure (Figure 3) and its CPU usage over
+the last interval, and produces the thread's *desired* proportion:
 
 * **on target** — the cumulative pressure Q_t from the PID block is
   multiplied by the constant scaling factor k to give the new desired

@@ -11,9 +11,9 @@ times) into the per-thread signals the adaptive controller consumes:
 * :class:`~repro.monitor.progress.ProgressSampler` — gathers a thread's
   combined pressure sample from all of its linkages;
 * :class:`~repro.monitor.usage.UsageMonitor` — per-controller-interval
-  CPU usage vs. allocation, driving the "too generous" reclaim rule of
-  Figure 4 and the run-before-block heuristic for threads with no
-  progress metric;
+  CPU usage vs. allocation, the input of the "too generous" reclaim
+  rule of Figure 4 (the allocator samples it inline), and the
+  run-before-block heuristic for threads with no progress metric;
 * :class:`~repro.monitor.watchdog.Watchdog` — a second feedback loop
   that quarantines runaway or stalled reservations (demotion to
   best-effort with backoff re-promotion), keeping a misbehaving thread

@@ -14,7 +14,8 @@ consumed during the last controller interval:
 
 :class:`UsageMonitor` keeps a per-thread snapshot of lifetime CPU so it
 can report per-interval deltas without the kernel having to maintain
-controller-specific counters.
+controller-specific counters.  The allocator's tick applies the same
+rule to the last sample on its own per-thread record.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sched.placement import LeastLoadedPlacement, PlacementPolicy
 from repro.sim.errors import SchedulerError
@@ -85,19 +85,22 @@ class LazyMinHeap:
     ``discard`` invalidates).  Dead entries stay in the underlying list
     and are skipped when they reach the top, so every operation is
     O(log n) amortised.
+
+    ``live`` maps each tid to its live entry: read it freely (a plain
+    dict probe), change it only through the methods below.
     """
 
-    __slots__ = ("_heap", "_live")
+    __slots__ = ("_heap", "live")
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
-        self._live: dict[int, tuple] = {}
+        self.live: dict[int, tuple] = {}
 
     def __len__(self) -> int:
-        return len(self._live)
+        return len(self.live)
 
     def __contains__(self, tid: int) -> bool:
-        return tid in self._live
+        return tid in self.live
 
     #: Compact when the backing list holds this many times more
     #: entries than are live (and is past the size floor below) —
@@ -108,27 +111,27 @@ class LazyMinHeap:
 
     def push(self, tid: int, entry: tuple) -> None:
         """Insert ``entry`` for ``tid``, replacing any live entry."""
-        self._live[tid] = entry
+        self.live[tid] = entry
         heap = self._heap
         heapq.heappush(heap, entry)
         if (
             len(heap) > self._COMPACT_FLOOR
-            and len(heap) > self._COMPACT_RATIO * len(self._live)
+            and len(heap) > self._COMPACT_RATIO * len(self.live)
         ):
             # Rebuild from the live entries only.  Pop order is a total
             # order over the entry tuples (tids are unique), so the
             # internal arrangement cannot affect any pick sequence.
-            self._heap = list(self._live.values())
+            self._heap = list(self.live.values())
             heapq.heapify(self._heap)
 
     def discard(self, tid: int) -> None:
         """Invalidate ``tid``'s live entry (no-op if absent)."""
-        self._live.pop(tid, None)
+        self.live.pop(tid, None)
 
     def peek(self) -> Optional[tuple]:
         """The smallest live entry, or ``None``; drops stale tops."""
         heap = self._heap
-        live = self._live
+        live = self.live
         while heap:
             entry = heap[0]
             if live.get(entry[-1]) is entry:
@@ -139,19 +142,13 @@ class LazyMinHeap:
     def pop(self) -> Optional[tuple]:
         """Remove and return the smallest live entry (``None`` if empty)."""
         heap = self._heap
-        live = self._live
+        live = self.live
         while heap:
             entry = heapq.heappop(heap)
             if live.get(entry[-1]) is entry:
                 del live[entry[-1]]
                 return entry
         return None
-
-    def push_back(self, entries: Iterable[tuple]) -> None:
-        """Re-insert entries previously obtained from :meth:`pop`."""
-        for entry in entries:
-            self._live[entry[-1]] = entry
-            heapq.heappush(self._heap, entry)
 
     def live_sorted(self) -> list[tuple]:
         """All live entries in ascending order (a non-mutating walk).
@@ -162,13 +159,9 @@ class LazyMinHeap:
         *scan past* ineligible entries: sorting the small live set
         beats a pop/push-back churn through the backing heap.
         """
-        entries = list(self._live.values())
+        entries = list(self.live.values())
         entries.sort()
         return entries
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self._live.clear()
 
 
 class RunQueue:

@@ -250,13 +250,17 @@ class ReservationScheduler(Scheduler):
         change proportion and period": actuation does not reset
         accounting, it simply changes the budget going forward.
         """
-        if thread.tid not in self._run_queue:
-            raise SchedulerError(
-                f"thread {thread.name!r} is not registered with this scheduler"
-            )
+        tid = thread.tid
+        current = thread.sched_data.get(self.SCHED_KEY)
+        # A tracked reservation proves registration (``on_remove`` drops
+        # it), so only an untracked one needs the run-queue probe.
+        if current is None or self._reservations.get(tid) is not current:
+            if tid not in self._run_queue:
+                raise SchedulerError(
+                    f"thread {thread.name!r} is not registered with this scheduler"
+                )
         proportion_ppt = int(proportion_ppt)
         period_us = int(period_us)
-        current = thread.sched_data.get(self.SCHED_KEY)
         if current is None:
             if now is None:
                 now = self.kernel.now if self.kernel is not None else 0
@@ -267,7 +271,7 @@ class ReservationScheduler(Scheduler):
             )
             thread.sched_data[self.SCHED_KEY] = reservation
             thread.policy = SchedulingPolicy.RESERVATION
-            self._best_effort.pop(thread.tid, None)
+            self._best_effort.pop(tid, None)
             self._track_reservation(thread, reservation)
             return reservation
         if (
@@ -299,9 +303,24 @@ class ReservationScheduler(Scheduler):
             # The window was reset: re-route by the new one (this also
             # re-keys a replenishment entry from the old window's end).
             if thread.state.is_runnable:
-                self._route(thread.tid, current)
+                self._route(tid, current)
         else:
-            self._requeue_resized(thread, current)
+            # Proportion only, the common controller actuation.  A
+            # ready thread that stays eligible only changes its heap
+            # key, and a throttled one that stays exhausted keeps its
+            # entry (``period_end`` did not move).  A flipped exhaustion
+            # is re-routed.  A blocked thread is on neither heap;
+            # ``on_ready`` routes it when it wakes.
+            exhausted = current.used_in_period_us >= (
+                period_us * proportion_ppt // PROPORTION_SCALE
+            )
+            if tid in self._rm_heap.live:
+                if exhausted:
+                    self._throttle(tid, current)
+                else:
+                    self._rm_heap.push(tid, (period_us, -proportion_ppt, tid))
+            elif not exhausted and tid in self._replenish.live:
+                self._make_ready(tid, current)
         return current
 
     def clear_reservation(self, thread: SimThread) -> None:
@@ -401,30 +420,6 @@ class ReservationScheduler(Scheduler):
         self._rm_heap.push(
             tid, (reservation.period_us, -reservation.proportion_ppt, tid)
         )
-
-    def _requeue_resized(self, thread: SimThread, reservation: Reservation) -> None:
-        """Re-queue after a proportion-only change (period untouched).
-
-        The common controller actuation.  A ready thread that stays
-        eligible only changes its heap key, and a throttled thread that
-        stays exhausted keeps its entry (``period_end`` did not move).
-        A flipped exhaustion is re-routed.  A blocked thread is on
-        neither heap; ``on_ready`` routes it when it wakes.
-        """
-        tid = thread.tid
-        exhausted = reservation.used_in_period_us >= (
-            reservation.period_us * reservation.proportion_ppt // PROPORTION_SCALE
-        )
-        if tid in self._rm_heap:
-            if not exhausted:
-                self._rm_heap.push(
-                    tid,
-                    (reservation.period_us, -reservation.proportion_ppt, tid),
-                )
-            else:
-                self._throttle(tid, reservation)
-        elif tid in self._replenish and not exhausted:
-            self._make_ready(tid, reservation)
 
     def _rebuild_best_effort(self) -> None:
         reservations = self._reservations

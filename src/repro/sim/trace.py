@@ -72,6 +72,12 @@ class TraceSeries:
         times.append(int(time_us))
         self._values.append(float(value))
 
+    def columns(self) -> tuple[list[int], list[float]]:
+        """The live time and value lists, for a bulk appender that keeps
+        :meth:`append`'s rules itself (non-decreasing ``int`` times,
+        ``float`` values)."""
+        return self._times, self._values
+
     def times(self) -> list[int]:
         """All sample times in microseconds."""
         return list(self._times)

@@ -24,6 +24,10 @@ from typing import Optional
 
 from repro.swift.components import Differentiator, Integrator, LowPassFilter
 
+#: Time constant (s) of the derivative term's low-pass filter, for
+#: :class:`PIDController` and the allocator's inline tick alike.
+DERIVATIVE_FILTER_S = 0.05
+
 
 @dataclass(frozen=True)
 class PIDGains:
@@ -70,7 +74,7 @@ class PIDController:
         *,
         output_low: Optional[float] = None,
         output_high: Optional[float] = None,
-        derivative_filter_s: Optional[float] = 0.05,
+        derivative_filter_s: Optional[float] = DERIVATIVE_FILTER_S,
     ) -> None:
         self.gains = gains if gains is not None else PIDGains()
         self.output_low = output_low
@@ -194,4 +198,4 @@ class PIDController:
         self.steps = 0
 
 
-__all__ = ["PIDController", "PIDGains"]
+__all__ = ["DERIVATIVE_FILTER_S", "PIDController", "PIDGains"]

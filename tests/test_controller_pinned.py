@@ -54,7 +54,7 @@ from tests.conftest import consumer_body, finite_body, producer_body, spin_body
 IMPORTANCES = (0.5, 1.0, 1.5, 3.0)
 
 #: (n_cpus, policy) -> (tracer fingerprint, dispatch fingerprint,
-#: quality exceptions, reclaims summed over the surviving estimators).
+#: quality exceptions, reclaims summed over the surviving threads).
 PINNED = {
     (1, "weighted"): (
         "4e8a94d68bc806f7fd7a947a5e52f56cc9bc93aa52c4ce958e0c941bc7c8f4f6",
@@ -137,7 +137,7 @@ def run_scenario(n_cpus: int, policy: str):
     allocator = system.allocator
     reclaims = 0
     for state in allocator._controlled.values():
-        reclaims += state.estimator.reclaim_count
+        reclaims += state.reclaim_count
     return (
         system.kernel.tracer.fingerprint(),
         dispatch_fingerprint(system.kernel),

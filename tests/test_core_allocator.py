@@ -14,9 +14,10 @@ from repro.ipc.roles import Role
 from repro.sched.rbs import ReservationScheduler
 from repro.sim.kernel import Kernel
 from repro.sim.requests import Compute, Get, Put, Sleep
+from repro.sim.trace import Tracer
 from repro.system import build_real_rate_system
 
-from tests.conftest import consumer_body, producer_body, spin_body
+from tests.conftest import consumer_body, finite_body, producer_body, spin_body
 
 
 def make_setup():
@@ -310,3 +311,83 @@ class TestControllerDriver:
         system.spawn_controlled("hog", spin_body())
         system.kernel.run_for(100_000)
         assert system.driver.measured_wall_us_per_invocation() > 0
+
+
+class TestDriverTracePath:
+    """The driver's allocation traces obey the TraceSeries contract:
+    the same ordering error, and the same samples as recording each
+    decision through TraceSeries.append."""
+
+    @pytest.mark.parametrize(
+        "name,after_ticks",
+        [
+            ("alloc:hog", 3),
+            ("pressure:hog", 3),
+            ("alloc:total", 3),
+            ("alloc:hog", 0),
+            ("pressure:hog", 0),
+        ],
+    )
+    def test_later_foreign_sample_raises_ordering_error(self, name, after_ticks):
+        system = build_real_rate_system(
+            charge_dispatch_overhead=False, charge_controller_overhead=False
+        )
+        system.spawn_controlled("hog", spin_body())
+        period = system.driver.period_us
+        system.kernel.run_for(after_ticks * period)
+        late = 10 * period * (after_ticks + 1)
+        system.kernel.tracer.record(name, late, 1.0)
+        with pytest.raises(ValueError) as excinfo:
+            system.kernel.run_for(period)
+        now = after_ticks * period
+        assert str(excinfo.value) == (
+            f"series {name!r}: sample at {now}us is earlier than "
+            f"previous sample at {late}us"
+        )
+
+    @pytest.mark.parametrize("n_cpus", [1, 4])
+    def test_traces_equal_decisions_appended_one_by_one(self, n_cpus):
+        system = build_real_rate_system(n_cpus=n_cpus, record_dispatches=True)
+        for i in range(3 * n_cpus):
+            system.spawn_controlled(
+                f"hog{i}", spin_body(), spec=ThreadSpec(importance=1.0 + i % 3)
+            )
+        system.spawn_controlled("finite", finite_body(60_000))
+        queue = BoundedBuffer("q", 4_000)
+        producer = system.spawn_controlled("producer", producer_body(queue, 200, 800))
+        consumer = system.spawn_controlled("consumer", consumer_body(queue, 200, 1_200))
+        system.registry.register_pair(producer, consumer, queue)
+        system.spawn_controlled(
+            "rt", spin_body(), spec=ThreadSpec(proportion_ppt=100, period_us=20_000)
+        )
+
+        allocator = system.allocator
+        update = allocator.update
+        ticks = []
+
+        def spy(now):
+            ticks.append(now)
+            return update(now)
+
+        allocator.update = spy
+        expected = Tracer()
+        period = system.driver.period_us
+        for tick in range(40):
+            system.kernel.run_for(period)
+            assert len(ticks) == tick + 1
+            now = ticks[-1]
+            total = 0
+            for decision in system.driver.last_decisions:
+                name = decision.thread.name
+                expected.series(f"alloc:{name}").append(now, decision.granted_ppt)
+                total += decision.granted_ppt
+                if decision.cumulative_pressure is not None:
+                    expected.series(f"pressure:{name}").append(
+                        now, decision.cumulative_pressure
+                    )
+            expected.series("alloc:total").append(now, total)
+
+        tracer = system.kernel.tracer
+        assert sorted(tracer.names()) == sorted(expected.names())
+        assert "pressure:rt" not in tracer
+        assert tracer.fingerprint() == expected.fingerprint()

@@ -223,11 +223,11 @@ class FixedPressureSampler:
 
 
 class TestControllerTickEquivalence:
-    """The allocator's tick runs the Figure 4 law inline; over arbitrary
-    histories its decisions and estimator state must equal
-    ProportionEstimator.estimate() — the readable spec — fed the same
-    usage samples, bit for bit, for real-rate and miscellaneous
-    threads alike."""
+    """The allocator's tick runs the Figure 4 law inline on a flat
+    per-thread record; over arbitrary histories its decisions and that
+    record must equal ProportionEstimator.estimate() — the readable
+    spec — and its state, fed the same usage samples, bit for bit, for
+    real-rate and miscellaneous threads alike."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -288,13 +288,11 @@ class TestControllerTickEquivalence:
                 assert decision.desired_ppt == expected.desired_ppt
                 assert decision.cumulative_pressure == expected.cumulative_pressure
                 assert decision.reclaimed == expected.reclaimed
-                # Internal state must track exactly, or later steps drift.
-                fused = state.estimator
-                assert fused.pid.integral_value == reference.pid.integral_value
-                assert fused.pid.last_output == reference.pid.last_output
-                assert fused.pid.last_error == reference.pid.last_error
-                assert fused.pid.steps == reference.pid.steps
-                assert fused._usage_ratio_ema == reference._usage_ratio_ema
-                assert fused._used_fraction_ema == reference._used_fraction_ema
-                assert fused.reclaim_count == reference.reclaim_count
-                assert fused.last_desired_ppt == reference.last_desired_ppt
+                # The flat record must track the spec's state exactly, or
+                # later steps drift.
+                assert state.integral == reference.pid.integral_value
+                assert state.last_error == reference.pid.last_error
+                assert state.usage_ratio_ema == reference._usage_ratio_ema
+                assert state.used_fraction_ema == reference._used_fraction_ema
+                assert state.reclaim_count == reference.reclaim_count
+                assert state.last_desired_ppt == reference.last_desired_ppt

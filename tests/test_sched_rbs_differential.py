@@ -512,6 +512,165 @@ def test_owed_mark_is_not_unmet_demand_yet(action):
     harness.check_final()
 
 
+# -- proportion-only re-sizes ------------------------------------------
+#
+# The controller's common actuation changes a proportion and keeps the
+# period, so the window and its usage stay put and only the thread's
+# place in the run queues can move.  Each case re-sizes one reserved
+# thread (t0, beside a best-effort t1) and checks where the optimized
+# scheduler queued it, then runs both schedulers on to a final
+# comparison with the scan oracle.
+
+
+def _queues_of(harness: DualHarness, index: int) -> tuple[bool, bool, bool]:
+    """(on the ready heap, on the replenishment heap, owed a mark)."""
+    tid = harness.opt_threads[index].tid
+    opt = harness.opt
+    return tid in opt._rm_heap, tid in opt._replenish, tid in opt._owed
+
+
+def _settle(harness: DualHarness) -> None:
+    for _ in range(3):
+        harness.dispatch_round(1_000)
+    harness.refresh(25_000)
+    for _ in range(3):
+        harness.dispatch_round(1_000)
+    harness.check_final()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+def test_resize_cut_keeps_ready_thread_and_rekeys_it(n_cpus):
+    """(a) A cut that leaves budget re-keys the ready-heap entry, so
+    the rate-monotonic order follows the new proportion."""
+    harness = DualHarness(n_threads=3, n_cpus=n_cpus)
+    harness.set_reservation(0, 300, 10_000)
+    harness.set_reservation(1, 200, 10_000)
+    tids = [thread.tid for thread in harness.opt_threads]
+    order = [entry[-1] for entry in harness.opt._rm_heap.live_sorted()]
+    assert order == [tids[0], tids[1]]
+
+    harness.set_reservation(0, 100, 10_000)  # 1 ms budget, none used
+    assert _queues_of(harness, 0) == (True, False, False)
+    order = [entry[-1] for entry in harness.opt._rm_heap.live_sorted()]
+    assert order == [tids[1], tids[0]]
+    harness.dispatch_round(500)
+    if n_cpus == 1:
+        assert harness.picks == ["t1"]
+    _settle(harness)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+def test_resize_cut_that_exhausts_throttles_with_owed_mark(n_cpus):
+    """(b) A cut below what the window already used moves the thread
+    to the replenishment heap, owing the next pick its mark."""
+    harness = DualHarness(n_threads=2, n_cpus=n_cpus)
+    harness.set_reservation(0, 300, 10_000)  # 3 ms budget
+    harness.dispatch_round(1_000)  # t0 runs 1 ms and stays eligible
+    assert _queues_of(harness, 0) == (True, False, False)
+
+    harness.set_reservation(0, 50, 10_000)  # 0.5 ms budget: exhausted
+    assert _queues_of(harness, 0) == (False, True, True)
+    reservation = harness.opt.reservation(harness.opt_threads[0])
+    assert not reservation.wanted_more
+    harness.dispatch_round(500)  # the pick realises the owed mark
+    assert reservation.wanted_more
+    assert _queues_of(harness, 0) == (False, True, False)
+    harness.refresh(10_000)  # past the window end: one miss on each side
+    assert harness.opt.deadline_misses() == harness.ref.deadline_misses() == 1
+    _settle(harness)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+def test_resize_raise_returns_throttled_thread_to_ready_heap(n_cpus):
+    """(c) A raise that restores budget before the window ends puts a
+    throttled thread back on the ready heap; its recorded demand still
+    becomes a miss at the roll."""
+    harness = DualHarness(n_threads=2, n_cpus=n_cpus)
+    harness.set_reservation(0, 100, 10_000)  # 1 ms budget
+    harness.dispatch_round(1_000)  # t0 spends the whole budget
+    assert _queues_of(harness, 0) == (False, True, True)
+    harness.dispatch_round(500)  # a pick marks the unmet demand
+    assert _queues_of(harness, 0) == (False, True, False)
+
+    harness.set_reservation(0, 500, 10_000)  # 5 ms budget: eligible
+    assert _queues_of(harness, 0) == (True, False, False)
+    assert harness.opt_threads[0].tid in harness.opt._wanted_stray
+    harness.dispatch_round(500)
+    harness.refresh(10_000)
+    assert harness.opt.deadline_misses() == harness.ref.deadline_misses() == 1
+    _settle(harness)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+@pytest.mark.parametrize(
+    "new_ppt,queues_at_wake",
+    [(50, (False, True, True)), (500, (True, False, False))],
+    ids=["cut", "raise"],
+)
+def test_resize_of_blocked_thread_routes_at_wake(n_cpus, new_ppt, queues_at_wake):
+    """(d) A blocked thread sits on neither heap through a re-size and
+    is routed by its new size when it wakes."""
+    harness = DualHarness(n_threads=2, n_cpus=n_cpus)
+    harness.set_reservation(0, 100 if new_ppt > 100 else 300, 10_000)
+    harness.dispatch_round(1_000)
+    harness.block(0)
+    assert _queues_of(harness, 0) == (False, False, False)
+
+    harness.set_reservation(0, new_ppt, 10_000)
+    assert _queues_of(harness, 0) == (False, False, False)
+    harness.wake(0)
+    assert _queues_of(harness, 0) == queues_at_wake
+    _settle(harness)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+@pytest.mark.parametrize(
+    "ppt,period",
+    [(1_001, 10_000), (-1, 10_000), (100, 0), (100, -5_000)],
+    ids=["ppt_high", "ppt_negative", "period_zero", "period_negative"],
+)
+def test_resize_out_of_range_raises_oracle_text(n_cpus, ppt, period):
+    """(e) A re-size out of range raises the oracle's SchedulerError
+    text and changes nothing."""
+    harness = DualHarness(n_threads=2, n_cpus=n_cpus)
+    harness.set_reservation(0, 300, 10_000)
+    harness.dispatch_round(1_000)
+    before = _queues_of(harness, 0)
+    messages = []
+    for scheduler, thread in (
+        (harness.opt, harness.opt_threads[0]),
+        (harness.ref, harness.ref_threads[0]),
+    ):
+        with pytest.raises(SchedulerError) as excinfo:
+            scheduler.set_reservation(thread, ppt, period, now=harness.now)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert _queues_of(harness, 0) == before
+    assert harness.opt.total_reserved_ppt() == harness.ref.total_reserved_ppt() == 300
+    _settle(harness)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+def test_resize_of_removed_thread_raises_not_registered(n_cpus):
+    """(e) A thread removed from the scheduler still carries its
+    reservation, and a re-size of it raises the oracle's text."""
+    harness = DualHarness(n_threads=2, n_cpus=n_cpus)
+    harness.set_reservation(0, 300, 10_000)
+    messages = []
+    for scheduler, thread in (
+        (harness.opt, harness.opt_threads[0]),
+        (harness.ref, harness.ref_threads[0]),
+    ):
+        scheduler.remove_thread(thread)
+        assert scheduler.reservation(thread) is not None
+        with pytest.raises(SchedulerError) as excinfo:
+            scheduler.set_reservation(thread, 200, 10_000, now=harness.now)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1] == (
+        "thread 't0' is not registered with this scheduler"
+    )
+
+
 # -- real kernels --------------------------------------------------------
 #
 # DualHarness drives the schedulers directly.  In a real Kernel, due

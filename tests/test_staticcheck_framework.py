@@ -76,7 +76,11 @@ def test_float_order_annotation_detected_in_header_only():
 
 @pytest.mark.parametrize(
     "rel_path",
-    ["src/repro/core/allocator.py", "src/repro/core/overload.py"],
+    [
+        "src/repro/core/allocator.py",
+        "src/repro/core/driver.py",
+        "src/repro/core/overload.py",
+    ],
 )
 def test_controller_modules_sit_inside_float_order_boundary(rel_path):
     path = REPO_ROOT / rel_path
