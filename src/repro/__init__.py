@@ -13,9 +13,10 @@ The library has two layers:
   (:mod:`repro.sim`, :mod:`repro.sched`), symbiotic IPC interfaces
   (:mod:`repro.ipc`) and progress monitors (:mod:`repro.monitor`) —
   standing in for the paper's modified Linux 2.0.35 kernel; and
-* the **contribution**: a SWiFT-style feedback toolkit
-  (:mod:`repro.swift`) and the adaptive proportion/period controller
-  built on it (:mod:`repro.core`), plus the workloads
+* the **contribution**: the adaptive proportion/period controller
+  (:mod:`repro.core`), whose tick realises the paper's SWiFT feedback
+  circuit as one function, and the SLO-driven second-level loop on
+  top of it (:mod:`repro.swift`), plus the workloads
   (:mod:`repro.workloads`), analysis tools (:mod:`repro.analysis`) and
   experiment drivers (:mod:`repro.experiments`) that reproduce the
   paper's figures.

@@ -6,9 +6,6 @@ This package implements the adaptive controller of Section 3.3:
   :class:`~repro.core.taxonomy.ThreadSpec` — the four-way taxonomy of
   Figure 2 (real-time, aperiodic real-time, real-rate, miscellaneous)
   and what an application declares about each thread;
-* :class:`~repro.core.estimator.ProportionEstimator` — the readable
-  spec of Figure 4's estimation law (PID over progress pressure, plus
-  the unused-allocation reclaim rule), which the allocator inlines;
 * :class:`~repro.core.period.PeriodEstimator` — the period-adaptation
   heuristic (disabled in the paper's experiments, available here for
   the ablation study);
@@ -16,8 +13,13 @@ This package implements the adaptive controller of Section 3.3:
   reservations and the proportional / weighted-fair-share squishing
   applied to real-rate and miscellaneous threads under overload;
 * :class:`~repro.core.allocator.ProportionAllocator` — the controller
-  that ties monitors, estimators and the reservation scheduler
-  together;
+  that ties the progress monitors and the reservation scheduler
+  together.  Its tick is the Figure 4 estimation law (PID over
+  progress pressure, plus the unused-allocation reclaim rule): the
+  paper's SWiFT feedback circuit, realised as one function;
+* :mod:`~repro.core.config` — the controller's tunables
+  (:class:`~repro.core.config.ControllerConfig`, with the PID gains
+  in :class:`~repro.core.config.PIDGains`);
 * :class:`~repro.core.driver.ControllerDriver` — runs the allocator
   periodically inside a simulation, models its CPU overhead (Figure 5)
   and records allocation traces.
@@ -25,10 +27,9 @@ This package implements the adaptive controller of Section 3.3:
 
 from repro.core.allocator import AllocationDecision, ProportionAllocator
 from repro.core.artifacts import DurableAppender, write_atomic
-from repro.core.config import ControllerConfig
+from repro.core.config import ControllerConfig, PIDGains
 from repro.core.driver import ControllerDriver, ControllerOverheadModel
 from repro.core.errors import AdmissionError, ControllerError, QualityException
-from repro.core.estimator import EstimateResult, ProportionEstimator
 from repro.core.overload import (
     FairShareSquish,
     SquishPolicy,
@@ -45,11 +46,10 @@ __all__ = [
     "ControllerError",
     "ControllerOverheadModel",
     "DurableAppender",
-    "EstimateResult",
     "FairShareSquish",
     "PeriodEstimator",
+    "PIDGains",
     "ProportionAllocator",
-    "ProportionEstimator",
     "QualityException",
     "SquishPolicy",
     "ThreadClass",

@@ -5,14 +5,12 @@
 1. **Monitor progress** — for every controlled thread it samples the
    symbiotic registry (queue fill levels and roles) or falls back to
    the miscellaneous constant-pressure heuristic.
-2. **Estimate** — the Figure 4 law, specified by
-   :meth:`ProportionEstimator.estimate
-   <repro.core.estimator.ProportionEstimator.estimate>`, turns the
-   pressure and last-interval CPU usage into a desired proportion;
-   real-time and aperiodic real-time threads skip this and use their
-   specified proportion.  The tick runs that law inline on one flat
-   record per thread, which holds the PID, usage and reclaim state
-   itself.
+2. **Estimate** — the Figure 4 law turns the pressure and
+   last-interval CPU usage into a desired proportion; real-time and
+   aperiodic real-time threads skip this and use their specified
+   proportion.  The tick runs that law inline on one flat record per
+   thread, which holds the PID, usage and reclaim state itself.  This
+   is the paper's SWiFT feedback circuit, realised as one function.
 3. **Resolve overload** — desired allocations are summed; if they
    exceed the overload threshold, real-rate and miscellaneous proposals
    are squished (fair share or weighted fair share), and quality
@@ -27,7 +25,7 @@ fill levels from, and a clock value passed into :meth:`update`.  The
 system and models its own CPU cost.
 """
 
-# float-order: exact — the tick replays the Figure 4 estimation law;
+# float-order: exact — the tick runs the Figure 4 estimation law;
 # reassociating it would break golden-trace equality.
 
 from __future__ import annotations
@@ -35,9 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.config import PROPORTION_SCALE, ControllerConfig
+from repro.core.config import (
+    DERIVATIVE_FILTER_S,
+    PROPORTION_SCALE,
+    USAGE_EMA_ALPHA,
+    ControllerConfig,
+)
 from repro.core.errors import AdmissionError, ControllerError, QualityException
-from repro.core.estimator import ProportionEstimator
 from repro.core.overload import (
     SquishPolicy,
     WeightedFairShareSquish,
@@ -49,7 +51,6 @@ from repro.ipc.registry import SymbioticRegistry
 from repro.monitor.progress import ConstantPressureSource, ProgressSampler
 from repro.sched.rbs import ReservationScheduler
 from repro.sim.thread import SimThread, ThreadState
-from repro.swift.pid import DERIVATIVE_FILTER_S
 
 
 @dataclass
@@ -73,9 +74,8 @@ class AllocationDecision:
 @dataclass(slots=True)
 class _ControlledThread:
     """Internal per-thread controller state, one flat record that the
-    tick reads and writes directly.  Its Figure 4 fields start and step
-    as the state of :class:`ProportionEstimator
-    <repro.core.estimator.ProportionEstimator>` and its PID do."""
+    tick reads and writes directly.  A thread that is unregistered and
+    registered again starts from a fresh record."""
 
     thread: SimThread
     spec: ThreadSpec
@@ -303,13 +303,13 @@ class ProportionAllocator:
 
         The tick is one pass over the controlled threads.  For each it
         classifies, samples usage and progress, runs the Figure 4 law
-        inline — the arithmetic of :meth:`ProportionEstimator.estimate
-        <repro.core.estimator.ProportionEstimator.estimate>` in the same
-        order, on the fields of the thread's flat record — picks the
-        period, and files the desired proportion into the overload
-        partitions.  Overload resolution then works from those
-        partitions, and a second loop actuates the grants, one
-        ``scheduler.set_reservation`` call per thread.
+        inline on the fields of the thread's flat record — the PID
+        step, the reclaim rule with its two EMAs, the integral
+        wind-down and the clamps — picks the period, and files the
+        desired proportion into the overload partitions.  Overload
+        resolution then works from those partitions, and a second loop
+        actuates the grants, one ``scheduler.set_reservation`` call per
+        thread.
         """
         self._drop_exited()
 
@@ -322,10 +322,8 @@ class ProportionAllocator:
         ki = gains.ki
         kd = gains.kd
         k_scale = config.k_scale
-        output_high, integral_low, integral_high = ProportionEstimator.pid_limits(
-            config
-        )
-        alpha = ProportionEstimator.USAGE_EMA_ALPHA
+        output_high, integral_low, integral_high = config.pid_limits
+        alpha = USAGE_EMA_ALPHA
         beta = 1.0 - alpha
         # The derivative filter's gain, dt / (tc + dt), is fixed per tick.
         filter_gain = dt / (DERIVATIVE_FILTER_S + dt)
@@ -390,8 +388,8 @@ class ProportionAllocator:
                 decision._saturation = None
             decisions.append(decision)
 
-            # Usage sampling (UsageMonitor.sample), on the record: the
-            # previous sample is read and replaced, no sample object.
+            # Usage sampling, on the record: the previous sample is read
+            # and replaced, no sample object.
             total = thread.accounting.total_us
             last_total = state.last_total_us
             last_time = state.last_sample_us
@@ -436,7 +434,7 @@ class ProportionAllocator:
                     interval = 0
             allocated = interval * current_ppt // 1000
 
-            # -- Figure 4: PIDController.step (same arithmetic, same order) --
+            # -- Figure 4: the PID step, anti-windup, filtered derivative --
             value = state.integral + pressure_raw * dt
             if integral_high is not None and value > integral_high:
                 value = integral_high

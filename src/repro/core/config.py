@@ -10,12 +10,41 @@ remaining well damped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.core.errors import ControllerError
-from repro.swift.pid import PIDGains
 
 #: Parts-per-thousand scale used throughout (matches the paper's interface).
 PROPORTION_SCALE = 1_000
+
+#: Time constant (s) of the low-pass filter on the PID's derivative term.
+DERIVATIVE_FILTER_S = 0.05
+
+#: Weight of the newest sample in the reclaim rule's usage EMAs.
+USAGE_EMA_ALPHA = 0.25
+
+
+@dataclass(frozen=True)
+class PIDGains:
+    """Gains for the three PID terms (the G function of Figure 3).
+
+    The defaults are the ones used by the experiment reproductions;
+    they were tuned (see ``benchmarks/test_bench_ablation_pid.py``) so
+    that the pulse workload of Figure 6 settles in roughly a third of a
+    second, matching the paper's reported response time, while staying
+    well damped.
+    """
+
+    kp: float = 0.25
+    ki: float = 0.8
+    kd: float = 0.005
+
+    def __post_init__(self) -> None:
+        if self.kp < 0 or self.ki < 0 or self.kd < 0:
+            raise ValueError(
+                f"PID gains must be non-negative, got kp={self.kp}, "
+                f"ki={self.ki}, kd={self.kd}"
+            )
 
 
 @dataclass
@@ -177,5 +206,26 @@ class ControllerConfig:
         """Maximum proportion as a fraction of the CPU."""
         return self.max_proportion_ppt / PROPORTION_SCALE
 
+    @property
+    def pid_limits(self) -> tuple[float, Optional[float], Optional[float]]:
+        """``(output_high, integral_low, integral_high)`` of the PID.
 
-__all__ = ["ControllerConfig", "PROPORTION_SCALE"]
+        The PID output is a cumulative pressure that ``k_scale`` turns
+        into a CPU fraction, so its range is [0, max_fraction / k].  The
+        integral is clamped to that range over ``ki`` (anti-windup), and
+        left unclamped when ``ki`` is zero.
+        """
+        output_high = self.max_fraction / self.k_scale
+        ki = self.pid_gains.ki
+        if ki <= 0:
+            return output_high, None, None
+        return output_high, 0.0, output_high / ki
+
+
+__all__ = [
+    "DERIVATIVE_FILTER_S",
+    "PROPORTION_SCALE",
+    "USAGE_EMA_ALPHA",
+    "ControllerConfig",
+    "PIDGains",
+]

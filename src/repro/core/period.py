@@ -13,13 +13,16 @@ do our figure reproductions; the ablation benchmark
 ``benchmarks/test_bench_ablation_period.py`` exercises it.
 """
 
+# float-order: exact — the swing average is an explicit left fold
+# (CPython 3.12's builtin sum() compensates float sums).
+
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import ControllerConfig
-from repro.swift.components import MovingAverage
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,12 @@ class PeriodEstimator:
         self.dispatch_interval_us = dispatch_interval_us
         self.period_us = initial_period_us or config.default_period_us
         self._last_fill: Optional[float] = None
-        self._oscillation = MovingAverage(config.oscillation_window)
+        if config.oscillation_window <= 0:
+            raise ValueError(
+                f"window must be positive, got {config.oscillation_window}"
+            )
+        #: The last ``oscillation_window`` fill-level swings.
+        self._swings: deque[float] = deque(maxlen=config.oscillation_window)
         self.adjustments = 0
 
     def observe_fill(self, fill_level: float) -> float:
@@ -70,7 +78,12 @@ class PeriodEstimator:
             return 0.0
         swing = abs(fill_level - self._last_fill)
         self._last_fill = fill_level
-        return self._oscillation.step(swing, 0.0)
+        swings = self._swings
+        swings.append(swing)
+        total = 0.0
+        for sample in swings:
+            total += sample
+        return total / len(swings)
 
     def update(self, proportion_ppt: int, fill_level: Optional[float]) -> PeriodDecision:
         """Adapt the period given the current proportion and fill level."""

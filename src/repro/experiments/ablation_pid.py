@@ -17,12 +17,11 @@ from typing import Optional, Sequence
 from repro.analysis.response import step_response
 from repro.analysis.results import ExperimentResult
 from repro.analysis.series import mean_absolute_deviation
-from repro.core.config import ControllerConfig
+from repro.core.config import ControllerConfig, PIDGains
 from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.sim.kernel import Kernel
-from repro.swift.pid import PIDGains
 from repro.system import build_real_rate_system
 from repro.workloads.pulse import PulseParameters, PulsePipeline, PulseSchedule
 

@@ -1,7 +1,8 @@
 """The float-order checker: exact arithmetic order in annotated modules.
 
-The PID controller, its replay estimator, and the SLO window math are
-verified against goldens bit-for-bit: floating-point addition is not
+The controller tick (the Figure 4 law in the allocator), the period
+heuristic's swing average and the SLO window math are verified
+against goldens bit-for-bit: floating-point addition is not
 associative, so "harmless" refactors — replacing an explicit left-fold
 with ``sum()``, compensated summation via ``math.fsum``, hoisting a
 numpy reduction, or rewriting ``a += b; a += c`` as ``a += b + c`` —

@@ -1,54 +1,18 @@
-"""SWiFT-style software feedback toolkit.
+"""Second-level feedback control.
 
 The paper's controller "is implemented using the SWiFT software
 feedback toolkit [6]", in which a controller is a *circuit* of small
-feedback components computing a function of its inputs.  This package
-is a reimplementation of the parts of that toolkit the allocator
-needs:
+feedback components.  Here that circuit — the PID block over progress
+pressure, the reclaim rule and the clamps of Figure 4 — is realised as
+one function, the allocator's tick
+(:meth:`repro.core.allocator.ProportionAllocator.update`).
 
-* stateless and stateful signal-processing blocks
-  (:mod:`repro.swift.components`): gain, summing junction, integrator
-  with anti-windup, differentiator, first-order low-pass filter,
-  clamp and dead-band;
-* a :class:`~repro.swift.pid.PIDController` assembled from those blocks
-  (the G function of Figure 3);
-* a :class:`~repro.swift.circuit.Circuit` container for composing and
-  stepping a whole dataflow graph at the controller's sampling rate;
-* an :class:`~repro.swift.slo.SLOController` — a second-level feedback
-  loop that drives a job class's reservation from its observed tail
-  latency (windowed exact-rank p99 vs an SLO target) instead of
-  progress pressure.
+This package holds the feedback loop layered on top of it: the
+:class:`~repro.swift.slo.SLOController`, which drives a job class's
+reservation from its observed tail latency (windowed exact-rank p99
+vs an SLO target) instead of progress pressure.
 """
 
-from repro.swift.circuit import Circuit, Wire
-from repro.swift.components import (
-    Clamp,
-    Component,
-    DeadBand,
-    Differentiator,
-    Gain,
-    Integrator,
-    LowPassFilter,
-    MovingAverage,
-    SummingJunction,
-)
-from repro.swift.pid import PIDController, PIDGains
 from repro.swift.slo import SLOController, SLOPolicy
 
-__all__ = [
-    "Circuit",
-    "Clamp",
-    "Component",
-    "DeadBand",
-    "Differentiator",
-    "Gain",
-    "Integrator",
-    "LowPassFilter",
-    "MovingAverage",
-    "PIDController",
-    "PIDGains",
-    "SLOController",
-    "SLOPolicy",
-    "SummingJunction",
-    "Wire",
-]
+__all__ = ["SLOController", "SLOPolicy"]

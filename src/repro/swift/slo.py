@@ -1,3 +1,5 @@
+# float-order: exact — window percentile and AIMD math must stay
+# bit-identical across releases.
 """SLO-driven second-level reservation control.
 
 The paper's feedback loop converts *progress pressure* into
@@ -29,9 +31,6 @@ unified event calendar and computes only from virtual-time observables
 (completion records), so a fixed seed yields a bit-identical dispatch
 log — the same contract every other churn transition obeys.
 """
-
-# float-order: exact — window percentile and AIMD math must stay
-# bit-identical across releases.
 
 from __future__ import annotations
 

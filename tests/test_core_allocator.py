@@ -1,5 +1,7 @@
 """Unit and integration tests for the ProportionAllocator and driver."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.allocator import ProportionAllocator
@@ -17,6 +19,7 @@ from repro.sim.requests import Compute, Get, Put, Sleep
 from repro.sim.trace import Tracer
 from repro.system import build_real_rate_system
 
+from tests import figure4_oracle as oracle
 from tests.conftest import consumer_body, finite_body, producer_body, spin_body
 
 
@@ -72,6 +75,48 @@ class TestRegistration:
         allocator.unregister(thread)
         assert scheduler.reservation(thread) is None
         assert thread not in allocator.controlled_threads()
+
+    def test_reregistered_thread_starts_from_a_fresh_record(self):
+        """Unregister + register (what the period ablation and the
+        watchdog do) drops the Figure 4 state and the usage baseline:
+        the first tick after it sees interval 0 and used 0, and steps
+        the law from integral 0 and reclaim count 0."""
+        kernel, _, _, allocator = make_setup()
+        config = allocator.config
+        thread = kernel.spawn("hog", spin_body())
+        allocator.register(thread)
+        now = 0
+        # The hog never runs, so its allocation goes unused and the
+        # reclaim rule fires.
+        for _ in range(20):
+            allocator.update(now)
+            now += config.controller_period_us
+        state = allocator._controlled[thread.tid]
+        assert state.integral > 0.0 and state.reclaim_count > 0
+        thread.accounting.charge(7_000)
+
+        allocator.unregister(thread)
+        allocator.register(thread)
+        state = allocator._controlled[thread.tid]
+        assert (state.integral, state.reclaim_count, state.last_total_us) == (
+            0.0, 0, None
+        )
+        (decision,) = allocator.update(now)
+
+        reference = oracle.State()
+        usage = oracle.sample_usage(reference, thread.accounting.total_us, now, 0)
+        assert usage == (0, 0, 0)
+        expected = oracle.estimate(
+            reference, config, config.misc_pressure, usage, 0,
+            config.controller_period_s,
+        )
+        assert state.integral == config.misc_pressure * config.controller_period_s
+        assert (state.reclaim_count, state.usage_ratio_ema) == (0, 1.0)
+        assert (state.last_total_us, state.last_sample_us) == (7_000, now)
+        assert decision.desired_ppt == expected.desired_ppt
+        assert decision.cumulative_pressure == expected.cumulative_pressure
+        for field in dataclasses.fields(oracle.State):
+            assert getattr(state, field.name) == getattr(reference, field.name)
 
     def test_spec_for_unknown_thread_raises(self):
         kernel, _, _, allocator = make_setup()

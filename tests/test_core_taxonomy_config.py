@@ -1,11 +1,12 @@
 """Unit tests for the thread taxonomy and the controller configuration."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.config import ControllerConfig
+from repro.core.config import ControllerConfig, PIDGains
 from repro.core.errors import ControllerError
 from repro.core.taxonomy import ThreadClass, ThreadSpec, classify
-from repro.swift.pid import PIDGains
 
 
 class TestThreadSpec:
@@ -110,3 +111,13 @@ class TestControllerConfig:
     def test_custom_gains_accepted(self):
         config = ControllerConfig(pid_gains=PIDGains(kp=1.0, ki=2.0, kd=0.1))
         assert config.pid_gains.ki == 2.0
+
+    def test_pid_limits_are_derived_from_the_config(self):
+        config = ControllerConfig(
+            pid_gains=PIDGains(kp=1.0, ki=2.0, kd=0.1), k_scale=5.0,
+            max_proportion_ppt=800,
+        )
+        assert config.pid_limits == (0.8 / 5.0, 0.0, 0.8 / 5.0 / 2.0)
+        assert "pid_limits" not in {f.name for f in dataclasses.fields(config)}
+        with pytest.raises(AttributeError):
+            config.pid_limits = (1.0, None, None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import ControllerConfig
 from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.ipc.registry import SymbioticRegistry
 from repro.ipc.roles import Role
@@ -10,8 +11,9 @@ from repro.monitor.progress import (
     ProgressSampler,
     QueueFillMonitor,
 )
-from repro.monitor.usage import UsageMonitor
 from repro.sim.thread import SimThread
+
+from tests import figure4_oracle as oracle
 
 
 class TestQueueFillMonitor:
@@ -109,47 +111,41 @@ class TestProgressSampler:
 
 
 class TestUsageMonitor:
+    """Per-interval CPU usage as the controller tick samples it, on the
+    test oracle's record (``tests/figure4_oracle.py``).  Re-registration
+    is covered by ``test_core_allocator.py``."""
+
     def test_first_sample_has_zero_interval(self):
-        monitor = UsageMonitor()
-        thread = SimThread("t")
-        sample = monitor.sample(thread, now=10_000, allocated_ppt=100)
+        sample = oracle.sample_usage(oracle.State(), 0, now=10_000, allocated_ppt=100)
         assert sample.used_us == 0
         assert sample.interval_us == 0
+        assert sample.allocated_us == 0
 
     def test_delta_accounting(self):
-        monitor = UsageMonitor()
+        state = oracle.State()
         thread = SimThread("t")
-        monitor.sample(thread, now=0, allocated_ppt=100)
+        oracle.sample_usage(state, thread.accounting.total_us, now=0, allocated_ppt=100)
         thread.accounting.charge(3_000)
-        sample = monitor.sample(thread, now=10_000, allocated_ppt=500)
-        assert sample.used_us == 3_000
-        assert sample.interval_us == 10_000
-        assert sample.allocated_us == 5_000
-        assert sample.used_fraction == pytest.approx(0.3)
-        assert sample.allocated_fraction == pytest.approx(0.5)
-        assert sample.unused_fraction_of_allocation == pytest.approx(0.4)
+        sample = oracle.sample_usage(
+            state, thread.accounting.total_us, now=10_000, allocated_ppt=500
+        )
+        assert sample == (3_000, 10_000, 5_000)
+        assert (state.last_total_us, state.last_sample_us) == (3_000, 10_000)
 
     def test_unused_fraction_zero_when_fully_used(self):
-        monitor = UsageMonitor()
-        thread = SimThread("t")
-        monitor.sample(thread, now=0, allocated_ppt=100)
-        thread.accounting.charge(1_000)
-        sample = monitor.sample(thread, now=10_000, allocated_ppt=100)
-        assert sample.unused_fraction_of_allocation == pytest.approx(0.0)
-
-    def test_forget_resets_baseline(self):
-        monitor = UsageMonitor()
-        thread = SimThread("t")
-        monitor.sample(thread, now=0, allocated_ppt=100)
-        thread.accounting.charge(500)
-        monitor.forget(thread)
-        sample = monitor.sample(thread, now=20_000, allocated_ppt=100)
-        assert sample.used_us == 0
-        assert sample.interval_us == 0
+        state = oracle.State()
+        oracle.sample_usage(state, 0, now=0, allocated_ppt=100)
+        sample = oracle.sample_usage(state, 1_000, now=10_000, allocated_ppt=100)
+        assert sample.used_us == sample.allocated_us == 1_000
+        # A fully used allocation keeps the usage-ratio EMA at 1, so the
+        # reclaim rule does not fire.
+        assert not oracle.too_generous(state, ControllerConfig(), sample, 100)
+        assert state.usage_ratio_ema == 1.0
 
     def test_run_before_block_passthrough(self):
-        monitor = UsageMonitor()
+        """The interactive heuristic reads the thread's smoothed
+        run-before-block time straight from its accounting."""
         thread = SimThread("t")
         thread.accounting.charge(2_000)
         thread.accounting.note_block()
-        assert monitor.run_before_block_us(thread) == pytest.approx(2_000)
+        assert thread.accounting.run_before_block_ema_us == pytest.approx(2_000)

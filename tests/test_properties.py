@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from repro.analysis.regression import linear_fit
 from repro.analysis.series import rate_from_cumulative, sparkline
-from repro.core.config import ControllerConfig
-from repro.core.estimator import ProportionEstimator
+from repro.core.config import ControllerConfig, PIDGains
 from repro.core.overload import FairShareSquish, WeightedFairShareSquish
 from repro.ipc.bounded_buffer import BoundedBuffer
-from repro.monitor.usage import UsageSample
 from repro.sched.rbs import Reservation
 from repro.sim.events import EventQueue
-from repro.swift.pid import PIDController, PIDGains
+
+from tests import figure4_oracle as oracle
 
 # ----------------------------------------------------------------------
 # Event queue ordering
@@ -213,11 +212,14 @@ def test_squish_matches_reference_water_fill(requests, available, floor):
     )
 )
 def test_pid_output_respects_saturation_bounds(errors):
-    pid = PIDController(PIDGains(kp=1.0, ki=2.0, kd=0.1), output_low=0.0,
-                        output_high=1.0)
+    gains = PIDGains(kp=1.0, ki=2.0, kd=0.1)
+    state = oracle.State()
     for error in errors:
-        output = pid.step(error, 0.01)
+        output = oracle.pid_step(
+            state, error, 0.01, gains, output_low=0.0, output_high=1.0
+        )
         assert 0.0 <= output <= 1.0
+        assert 0.0 <= state.integral <= 1.0 / gains.ki
 
 
 @given(
@@ -225,8 +227,8 @@ def test_pid_output_respects_saturation_bounds(errors):
     error=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
 )
 def test_pid_proportional_term_is_linear(gain, error):
-    pid = PIDController(PIDGains(kp=gain, ki=0.0, kd=0.0))
-    assert pid.step(error, 0.01) == gain * error
+    gains = PIDGains(kp=gain, ki=0.0, kd=0.0)
+    assert oracle.pid_step(oracle.State(), error, 0.01, gains) == gain * error
 
 
 # ----------------------------------------------------------------------
@@ -244,13 +246,12 @@ def test_pid_proportional_term_is_linear(gain, error):
 @settings(max_examples=100)
 def test_estimator_output_always_within_configured_bounds(pressures):
     config = ControllerConfig()
-    estimator = ProportionEstimator(config)
+    state = oracle.State()
     current = config.min_proportion_ppt
     for pressure in pressures:
         allocated = 10_000 * current // 1000
-        usage = UsageSample(used_us=allocated, interval_us=10_000,
-                            allocated_us=allocated)
-        result = estimator.estimate(pressure, usage, current, 0.01)
+        usage = oracle.Usage(allocated, 10_000, allocated)
+        result = oracle.estimate(state, config, pressure, usage, current, 0.01)
         current = result.desired_ppt
         assert config.min_proportion_ppt <= current <= config.max_proportion_ppt
 

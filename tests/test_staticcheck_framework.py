@@ -80,6 +80,8 @@ def test_float_order_annotation_detected_in_header_only():
         "src/repro/core/allocator.py",
         "src/repro/core/driver.py",
         "src/repro/core/overload.py",
+        "src/repro/core/period.py",
+        "src/repro/swift/slo.py",
     ],
 )
 def test_controller_modules_sit_inside_float_order_boundary(rel_path):
