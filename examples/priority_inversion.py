@@ -16,12 +16,13 @@ Run with::
     python examples/priority_inversion.py
 """
 
-from repro.experiments.inversion import run_inversion_comparison
+import repro.experiments  # noqa: F401 — importing populates the registry
+from repro.experiments.registry import REGISTRY
 
 
 def main() -> None:
     print("running the three-scheduler comparison (10 simulated seconds each) ...")
-    result = run_inversion_comparison()
+    result = REGISTRY.run("inversion")
     print()
     print(result.summary())
     print()

@@ -5,7 +5,7 @@ Resolves the experiment drivers through the declarative registry
 (``repro.experiments.registry``), runs Figures 5–8 plus the taxonomy
 and priority-inversion extension experiments, prints a
 paper-vs-measured table for each, and renders the key time series as
-ASCII sparklines.  This is the script behind EXPERIMENTS.md.
+ASCII sparklines.
 
 Run with::
 

@@ -33,8 +33,9 @@ Quick start
     system.kernel.run_for(5_000_000)          # five simulated seconds
     print(pipeline.queue.fill_level())
 
-See ``examples/`` for complete programs and ``EXPERIMENTS.md`` for the
-figure-by-figure reproduction results.
+See ``examples/`` for complete programs; ``python -m repro run NAME``
+(or ``examples/reproduce_figures.py``) prints the figure-by-figure
+reproduction results beside the paper's values.
 """
 
 from repro._version import __version__

@@ -11,7 +11,7 @@ artifacts.  The wire format is schema-versioned
 (:data:`RESULT_SCHEMA_VERSION`) and stamped with the package version.
 
 ``format_table`` renders a list of ``(label, paper, measured)`` rows as
-a plain-text table for the examples and for EXPERIMENTS.md; rows whose
+a plain-text table for the examples and the CLI summaries; rows whose
 paper value is absent render an em dash aligned with the numeric
 column.
 """

@@ -6,10 +6,13 @@ with the :func:`repro.experiments.registry.experiment` decorator,
 producing an :class:`~repro.experiments.registry.ExperimentSpec` —
 name, description, typed parameter schema with defaults and bounds,
 and quick-mode overrides.  Importing this package registers every
-experiment (the ten paper reproductions/ablations plus the open-system
-churn scenarios); enumerate and run them through
-:data:`~repro.experiments.registry.REGISTRY` or the ``python -m repro``
-command line (``list`` / ``describe`` / ``run`` / ``sweep``).
+experiment (the paper reproductions and ablations plus the churn,
+fault, SLO and topology extensions); run them through
+:data:`~repro.experiments.registry.REGISTRY` (``REGISTRY.run(name,
+overrides, quick=...)``) or the ``python -m repro`` command line
+(``list`` / ``describe`` / ``run`` / ``sweep``).  That is the only way
+to run one: the registry resolves the parameters, stamps the seed and
+checks the dispatch fingerprint.
 
 Every experiment returns an
 :class:`repro.analysis.results.ExperimentResult` containing
@@ -19,22 +22,14 @@ Every experiment returns an
 * the raw time series needed to redraw the figure, and
 * notes about any deviation from the paper's setup.
 
-The historical ``run_*`` entry points remain as thin back-compat
-wrappers around the registered functions.  The benchmark suite
-(``benchmarks/``) resolves drivers through the registry and asserts
-the *shape* properties the paper claims; the examples print their
-summaries.
+The benchmark suite (``benchmarks/``) runs the experiments through
+the registry and asserts the *shape* properties the paper claims; the
+examples print their summaries.
 """
 
-from repro.experiments.ablation_period import (
-    ablation_period_experiment,
-    run_ablation_period,
-)
-from repro.experiments.ablation_pid import ablation_pid_experiment, run_ablation_pid
-from repro.experiments.ablation_squish import (
-    ablation_squish_experiment,
-    run_ablation_squish,
-)
+from repro.experiments.ablation_period import ablation_period_experiment
+from repro.experiments.ablation_pid import ablation_pid_experiment
+from repro.experiments.ablation_squish import ablation_squish_experiment
 from repro.experiments.churn import (
     churn_webfarm_experiment,
     flash_crowd_rt_experiment,
@@ -47,11 +42,11 @@ from repro.experiments.faults import (
     runaway_quarantine_experiment,
     sensor_dropout_experiment,
 )
-from repro.experiments.figure5 import figure5_experiment, run_figure5
-from repro.experiments.figure6 import figure6_experiment, run_figure6
-from repro.experiments.figure7 import figure7_experiment, run_figure7
-from repro.experiments.figure8 import figure8_experiment, run_figure8
-from repro.experiments.inversion import inversion_experiment, run_inversion_comparison
+from repro.experiments.figure5 import figure5_experiment
+from repro.experiments.figure6 import figure6_experiment
+from repro.experiments.figure7 import figure7_experiment
+from repro.experiments.figure8 import figure8_experiment
+from repro.experiments.inversion import inversion_experiment
 from repro.experiments.registry import (
     REGISTRY,
     DuplicateExperimentError,
@@ -64,8 +59,8 @@ from repro.experiments.registry import (
 )
 from repro.experiments.response_curve import response_curve_experiment
 from repro.experiments.slo import slo_flash_crowd_experiment
-from repro.experiments.smp_scaling import run_smp_scaling, smp_scaling_experiment
-from repro.experiments.taxonomy import run_taxonomy, taxonomy_experiment
+from repro.experiments.smp_scaling import smp_scaling_experiment
+from repro.experiments.taxonomy import taxonomy_experiment
 from repro.experiments.topology import topology_placement_experiment
 
 __all__ = [
@@ -91,16 +86,6 @@ __all__ = [
     "figure7_experiment",
     "figure8_experiment",
     "inversion_experiment",
-    "run_ablation_period",
-    "run_ablation_pid",
-    "run_ablation_squish",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8",
-    "run_inversion_comparison",
-    "run_smp_scaling",
-    "run_taxonomy",
     "response_curve_experiment",
     "runaway_quarantine_experiment",
     "sensor_dropout_experiment",

@@ -56,7 +56,6 @@ def ablation_period_experiment(
     *,
     sim_seconds: float = 10.0,
     seed: Optional[int] = None,
-    config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Exercise period adaptation and enforcement-granularity effects."""
     # --- Part 1: period adaptation on a low-rate consumer -------------
@@ -83,7 +82,6 @@ def ablation_period_experiment(
     overruns: dict[str, float] = {}
     for label, enforce in (("dispatch_granularity", False), ("exact", True)):
         sys2 = build_real_rate_system(
-            config,
             enforce_within_slice=enforce,
             record_dispatches=True,
         )
@@ -112,7 +110,7 @@ def ablation_period_experiment(
             "overrun_exact_enforcement": overruns["exact"],
         },
     )
-    stamp_reproducibility(result, *kernels, seed=seed)
+    stamp_reproducibility(result, *kernels)
     result.notes.append(
         "with a small proportion the heuristic grows the period above the "
         "30 ms default to reduce quantisation error; exact enforcement "
@@ -122,17 +120,4 @@ def ablation_period_experiment(
     return result
 
 
-def run_ablation_period(
-    *,
-    sim_seconds: float = 10.0,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``ablation_period``
-    experiment."""
-    return ablation_period_experiment(
-        sim_seconds=sim_seconds, seed=seed, config=config
-    )
-
-
-__all__ = ["ablation_period_experiment", "run_ablation_period"]
+__all__ = ["ablation_period_experiment"]

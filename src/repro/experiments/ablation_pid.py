@@ -110,24 +110,12 @@ def ablation_pid_experiment(
     labels: Sequence[str] = DEFAULT_GAIN_LABELS,
     sim_seconds: float = 8.0,
     seed: Optional[int] = None,
-    settings: Optional[Sequence[tuple[str, float, float, float]]] = None,
 ) -> ExperimentResult:
-    """Sweep PID gains on the pulse workload.
-
-    ``settings`` (label, kp, ki, kd) overrides ``labels`` when given —
-    the programmatic escape hatch for gains outside the default grid.
-    """
-    if settings is None:
-        by_label = {s[0]: s for s in DEFAULT_GAIN_SETTINGS}
-        unknown = [label for label in labels if label not in by_label]
-        if unknown:
-            raise ValueError(
-                f"unknown gain labels {unknown}; known: {sorted(by_label)}"
-            )
-        settings = tuple(by_label[label] for label in labels)
+    """Sweep the chosen default PID gain settings on the pulse workload."""
+    by_label = {setting[0]: setting for setting in DEFAULT_GAIN_SETTINGS}
     outcomes: list[GainOutcome] = []
     kernels = []
-    for label, kp, ki, kd in settings:
+    for label, kp, ki, kd in (by_label[label] for label in labels):
         rise, overshoot, fill_mad, kernel = _evaluate(
             kp, ki, kd, sim_seconds=sim_seconds
         )
@@ -152,7 +140,7 @@ def ablation_pid_experiment(
         list(range(len(outcomes))),
         [o.response_time_s for o in outcomes],
     )
-    stamp_reproducibility(result, *kernels, seed=seed)
+    stamp_reproducibility(result, *kernels)
     result.notes.append(
         "settings: " + ", ".join(
             f"{o.label}(kp={o.kp}, ki={o.ki}, kd={o.kd})" for o in outcomes
@@ -161,23 +149,9 @@ def ablation_pid_experiment(
     return result
 
 
-def run_ablation_pid(
-    settings: Sequence[tuple[str, float, float, float]] = DEFAULT_GAIN_SETTINGS,
-    *,
-    sim_seconds: float = 8.0,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``ablation_pid``
-    experiment."""
-    return ablation_pid_experiment(
-        settings=settings, sim_seconds=sim_seconds, seed=seed
-    )
-
-
 __all__ = [
     "DEFAULT_GAIN_LABELS",
     "DEFAULT_GAIN_SETTINGS",
     "GainOutcome",
     "ablation_pid_experiment",
-    "run_ablation_pid",
 ]

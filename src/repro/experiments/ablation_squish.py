@@ -36,11 +36,10 @@ def _run_with_policy(
     policy_name: str,
     importances: Sequence[float],
     sim_seconds: float,
-    config: Optional[ControllerConfig],
     seed: Optional[int],
     kernels: list,
 ) -> dict[str, float]:
-    cfg = config if config is not None else ControllerConfig()
+    cfg = ControllerConfig()
     if policy_name == "fair":
         policy = FairShareSquish(cfg.min_proportion_ppt)
     elif policy_name == "weighted":
@@ -88,7 +87,6 @@ def ablation_squish_experiment(
     importances: Sequence[float] = DEFAULT_IMPORTANCES,
     sim_seconds: float = 8.0,
     seed: Optional[int] = None,
-    config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Compare fair-share and weighted-fair-share squishing."""
     result = ExperimentResult(
@@ -99,8 +97,7 @@ def ablation_squish_experiment(
     for policy_name in ("fair", "weighted"):
         result.metrics.update(
             _run_with_policy(
-                policy_name, importances, sim_seconds, config, seed,
-                kernels,
+                policy_name, importances, sim_seconds, seed, kernels
             )
         )
 
@@ -118,7 +115,7 @@ def ablation_squish_experiment(
         weighted_top / weighted_base if weighted_base > 0 else float("inf")
     )
     result.metrics["importance_ratio"] = top / base
-    stamp_reproducibility(result, *kernels, seed=seed)
+    stamp_reproducibility(result, *kernels)
     result.notes.append(
         "under plain fair share equally-greedy hogs end up with equal shares "
         "regardless of importance; under weighted fair share the shares "
@@ -128,25 +125,7 @@ def ablation_squish_experiment(
     return result
 
 
-def run_ablation_squish(
-    importances: Sequence[float] = DEFAULT_IMPORTANCES,
-    *,
-    sim_seconds: float = 8.0,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``ablation_squish``
-    experiment."""
-    return ablation_squish_experiment(
-        importances=importances,
-        sim_seconds=sim_seconds,
-        seed=seed,
-        config=config,
-    )
-
-
 __all__ = [
     "DEFAULT_IMPORTANCES",
     "ablation_squish_experiment",
-    "run_ablation_squish",
 ]

@@ -17,9 +17,8 @@ and exiting while the feedback controller adapts:
 * ``trace_replay`` — a tagged arrival trace (built-in sample or
   ``trace_file=...``) mixing web, batch and real-time job classes.
 
-Every scenario records ``metadata["dispatch_fingerprint"]`` (the
-SHA-256 of the full dispatch log), so any two runs can be diffed
-bit-for-bit.
+Every scenario stamps its dispatch fingerprint (the SHA-256 of the
+full dispatch log), so any two runs can be diffed bit-for-bit.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Optional
 from repro.analysis.results import ExperimentResult
 from repro.analysis.sojourn import sojourn_stats_by_tag
 from repro.core.taxonomy import ThreadSpec
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.system import RealRateSystem, build_real_rate_system
@@ -37,7 +37,6 @@ from repro.workloads.engine import (
     JobTemplate,
     PhaseScript,
     WorkloadEngine,
-    dispatch_fingerprint,
 )
 from repro.workloads.webfarm import WebFarm
 
@@ -90,7 +89,7 @@ def _churn_metrics(
     if len(live):
         result.metrics["peak_live_jobs"] = max(live.values())
         result.add_series("live_jobs", live.times_s(), live.values())
-    result.metadata["dispatch_fingerprint"] = dispatch_fingerprint(system.kernel)
+    stamp_reproducibility(result, system.kernel)
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +167,6 @@ def churn_webfarm_experiment(
     result.metrics["served_rps"] = farm.served_rps(system.now)
     result.metrics["offered_rps"] = n_servers * float(requests_per_second)
     _churn_metrics(result, system, churn)
-    result.metadata["seed"] = seed
     result.notes.append(
         "open-system extension: the paper's closed workloads never exercise "
         "admission/reclaim under churn; the farm's served rate tracking the "
@@ -251,7 +249,6 @@ def tidal_pipeline_experiment(
     result.metrics["throughput_jps"] = (
         stream.completed * 1_000_000 / system.now if system.now else 0.0
     )
-    result.metadata["seed"] = seed
     result.notes.append(
         "phase scripts retime a live arrival process and live jobs "
         "(mid-run demand halving) — the controller must track both tides."
@@ -324,7 +321,6 @@ def thundering_herd_experiment(
     result.metrics["herd_size"] = float(herd_size)
     result.metrics["n_waves"] = float(n_waves)
     _churn_metrics(result, system, churn)
-    result.metadata["seed"] = seed
     result.notes.append(
         "all arrivals of a wave share one virtual timestamp; the spike is "
         "absorbed by the run-queue and drained before the next wave iff "
@@ -453,7 +449,6 @@ def flash_crowd_rt_experiment(
     if len(reserved):
         result.metrics["peak_reserved_ppt"] = max(reserved.values())
         result.add_series("reserved_ppt", reserved.times_s(), reserved.values())
-    result.metadata["seed"] = seed
     result.notes.append(
         "admission-on-arrival: the flash crowd is shed by rejecting "
         "reservations the partitioned test cannot place, never by squishing "
@@ -541,7 +536,6 @@ def trace_replay_experiment(
     )
     result.metrics["trace_arrivals"] = float(len(trace.entries))
     _churn_metrics(result, system, churn)
-    result.metadata["seed"] = seed
     result.metadata["trace_file"] = trace_file or "<built-in>"
     result.notes.append(
         "replayed traces make production traffic shapes reproducible "

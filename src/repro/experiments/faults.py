@@ -173,7 +173,7 @@ def cpu_failover_experiment(
         }
         for a in manager.actions
     ]
-    stamp_reproducibility(result, kernel, seed=seed)
+    stamp_reproducibility(result, kernel)
     result.notes.append(
         "degradation chain: squish-first (fair-share scale to the surviving "
         "capacity), then shed best-effort, then revoke lowest-value "
@@ -311,7 +311,7 @@ def runaway_quarantine_experiment(
         }
         for r in watchdog.history
     ]
-    stamp_reproducibility(result, kernel_on, kernel_off, seed=seed)
+    stamp_reproducibility(result, kernel_on, kernel_off)
     result.notes.append(
         "runaway detection: deadline-miss streaks with zero voluntary "
         "blocking; quarantine demotes to best-effort and re-promotes after "
@@ -451,9 +451,7 @@ def sensor_dropout_experiment(
     result.metadata["decode_share_faulted"] = hurt_pipeline.cpu_shares()[
         "pipeline.decode"
     ]
-    stamp_reproducibility(
-        result, clean_system.kernel, hurt_system.kernel, seed=seed
-    )
+    stamp_reproducibility(result, clean_system.kernel, hurt_system.kernel)
     result.notes.append(
         "dropout makes the decoder read as metric-less (zero pressure); "
         "corruption adds seeded uniform noise to the raw R*F signal the PID "

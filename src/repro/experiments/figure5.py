@@ -33,7 +33,7 @@ from repro.sim.clock import seconds
 from repro.sim.requests import Sleep
 from repro.system import build_real_rate_system
 
-#: Paper-reported values for comparison in EXPERIMENTS.md.
+#: Paper-reported values, shown beside the measured ones in the summary.
 PAPER_SLOPE = 0.00066
 PAPER_INTERCEPT = 0.00057
 PAPER_R_SQUARED = 0.999
@@ -81,7 +81,6 @@ def figure5_experiment(
     controller_period_us: int = 10_000,
     sim_seconds: float = 2.0,
     seed: Optional[int] = None,
-    config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 5: controller overhead vs. controlled processes."""
     counts: list[float] = []
@@ -90,11 +89,8 @@ def figure5_experiment(
     kernels = []
 
     for count in process_counts:
-        cfg = config if config is not None else ControllerConfig(
-            controller_period_us=controller_period_us
-        )
         system = build_real_rate_system(
-            cfg,
+            ControllerConfig(controller_period_us=controller_period_us),
             charge_dispatch_overhead=False,
             record_dispatches=True,
         )
@@ -131,7 +127,7 @@ def figure5_experiment(
     )
     result.add_series("modeled_overhead_vs_processes", counts, modeled_overheads)
     result.add_series("measured_wall_us_vs_processes", counts, measured_wall_us)
-    stamp_reproducibility(result, *kernels, seed=seed)
+    stamp_reproducibility(result, *kernels)
     result.notes.append(
         "modeled overhead uses the per-process/fixed cost calibrated from the "
         "paper (6.6 us + 5.7 us at a 10 ms period); the measured series is the "
@@ -141,30 +137,10 @@ def figure5_experiment(
     return result
 
 
-def run_figure5(
-    process_counts: Sequence[int] = DEFAULT_PROCESS_COUNTS,
-    *,
-    controller_period_us: int = 10_000,
-    sim_seconds: float = 2.0,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper; the canonical entry is the registered
-    ``figure5`` experiment (see :mod:`repro.experiments.registry`)."""
-    return figure5_experiment(
-        process_counts=process_counts,
-        controller_period_us=controller_period_us,
-        sim_seconds=sim_seconds,
-        seed=seed,
-        config=config,
-    )
-
-
 __all__ = [
     "DEFAULT_PROCESS_COUNTS",
     "PAPER_INTERCEPT",
     "PAPER_OVERHEAD_AT_40",
     "PAPER_SLOPE",
     "figure5_experiment",
-    "run_figure5",
 ]

@@ -27,7 +27,6 @@ from typing import Optional
 from repro.analysis.response import step_response
 from repro.analysis.results import ExperimentResult
 from repro.analysis.series import mean_absolute_deviation, rate_from_cumulative
-from repro.core.config import ControllerConfig
 from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
@@ -44,8 +43,12 @@ RATE_SAMPLE_PERIOD_US = 200_000
 FILL_SAMPLE_PERIOD_US = 50_000
 
 
-def small_figure6_schedule(base_rate: float) -> PulseSchedule:
-    """A shrunken pulse schedule for quick-mode runs and fast tests."""
+def pulse_schedule(params: PulseParameters, small: bool) -> PulseSchedule:
+    """The paper's Figure 6 pulse schedule or, when ``small``, one
+    shortened rising/falling pulse pair for quick-mode runs and tests."""
+    base_rate = params.base_rate_bytes_per_cpu_us
+    if not small:
+        return PulseSchedule.paper_figure6(base_rate)
     return PulseSchedule.paper_figure6(
         base_rate,
         rising_widths_s=(1.5,),
@@ -177,22 +180,11 @@ def figure6_experiment(
     extra_seconds: float = 1.0,
     n_cpus: int = 1,
     seed: Optional[int] = None,
-    config: Optional[ControllerConfig] = None,
-    params: Optional[PulseParameters] = None,
-    schedule: Optional[PulseSchedule] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 6: the pulse pipeline on an otherwise idle system."""
-    params = params if params is not None else PulseParameters()
-    if schedule is None:
-        if small_schedule:
-            schedule = small_figure6_schedule(params.base_rate_bytes_per_cpu_us)
-        else:
-            schedule = PulseSchedule.paper_figure6(
-                params.base_rate_bytes_per_cpu_us
-            )
-    system = build_real_rate_system(
-        config, n_cpus=n_cpus, record_dispatches=True
-    )
+    params = PulseParameters()
+    schedule = pulse_schedule(params, small_schedule)
+    system = build_real_rate_system(n_cpus=n_cpus, record_dispatches=True)
     pipeline = PulsePipeline.attach(system, schedule=schedule, params=params)
     _instrument(system, pipeline)
     system.run_for(schedule.end_us() + seconds(extra_seconds))
@@ -203,7 +195,7 @@ def figure6_experiment(
         paper_values={"response_time_s": PAPER_RESPONSE_TIME_S},
     )
     _collect(system, pipeline, schedule, result)
-    stamp_reproducibility(result, system.kernel, seed=seed)
+    stamp_reproducibility(result, system.kernel)
     result.notes.append(
         "byte rates depend on the simulated CPU's quantisation overrun and so "
         "differ in absolute value from the paper's; the reproduced claims are "
@@ -213,29 +205,10 @@ def figure6_experiment(
     return result
 
 
-def run_figure6(
-    *,
-    config: Optional[ControllerConfig] = None,
-    params: Optional[PulseParameters] = None,
-    schedule: Optional[PulseSchedule] = None,
-    extra_seconds: float = 1.0,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``figure6`` experiment."""
-    return figure6_experiment(
-        config=config,
-        params=params,
-        schedule=schedule,
-        extra_seconds=extra_seconds,
-        seed=seed,
-    )
-
-
 __all__ = [
     "PAPER_RESPONSE_TIME_S",
     "figure6_experiment",
-    "run_figure6",
-    "small_figure6_schedule",
+    "pulse_schedule",
     "_collect",
     "_instrument",
 ]

@@ -18,14 +18,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.results import ExperimentResult
-from repro.core.config import ControllerConfig
-from repro.experiments.figure6 import _collect, _instrument, small_figure6_schedule
+from repro.experiments.figure6 import _collect, _instrument, pulse_schedule
 from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.system import build_real_rate_system
 from repro.workloads.cpu_hog import CpuHog
-from repro.workloads.pulse import PulseParameters, PulsePipeline, PulseSchedule
+from repro.workloads.pulse import PulseParameters, PulsePipeline
 
 
 def _correlation(xs: list[float], ys: list[float]) -> float:
@@ -73,22 +72,11 @@ def figure7_experiment(
     extra_seconds: float = 1.0,
     n_cpus: int = 1,
     seed: Optional[int] = None,
-    config: Optional[ControllerConfig] = None,
-    params: Optional[PulseParameters] = None,
-    schedule: Optional[PulseSchedule] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 7: the pulse pipeline with a competing CPU hog."""
-    params = params if params is not None else PulseParameters()
-    if schedule is None:
-        if small_schedule:
-            schedule = small_figure6_schedule(params.base_rate_bytes_per_cpu_us)
-        else:
-            schedule = PulseSchedule.paper_figure6(
-                params.base_rate_bytes_per_cpu_us
-            )
-    system = build_real_rate_system(
-        config, n_cpus=n_cpus, record_dispatches=True
-    )
+    params = PulseParameters()
+    schedule = pulse_schedule(params, small_schedule)
+    system = build_real_rate_system(n_cpus=n_cpus, record_dispatches=True)
     pipeline = PulsePipeline.attach(system, schedule=schedule, params=params)
     hog = CpuHog.attach(system, importance=hog_importance, seed=seed)
     _instrument(system, pipeline)
@@ -134,7 +122,7 @@ def figure7_experiment(
     result.metrics["consumer_hog_allocation_correlation"] = _correlation(
         consumer_alloc.values()[: n], hog_alloc.values()[: n]
     )
-    stamp_reproducibility(result, system.kernel, seed=seed)
+    stamp_reproducibility(result, system.kernel)
     result.notes.append(
         "the hog's allocation mirrors the consumer's (strongly negative "
         "correlation): when the producer speeds up, the consumer's growing "
@@ -144,24 +132,4 @@ def figure7_experiment(
     return result
 
 
-def run_figure7(
-    *,
-    config: Optional[ControllerConfig] = None,
-    params: Optional[PulseParameters] = None,
-    schedule: Optional[PulseSchedule] = None,
-    hog_importance: float = 1.0,
-    extra_seconds: float = 1.0,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``figure7`` experiment."""
-    return figure7_experiment(
-        config=config,
-        params=params,
-        schedule=schedule,
-        hog_importance=hog_importance,
-        extra_seconds=extra_seconds,
-        seed=seed,
-    )
-
-
-__all__ = ["figure7_experiment", "run_figure7"]
+__all__ = ["figure7_experiment"]

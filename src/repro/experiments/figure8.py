@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 from repro.analysis.results import ExperimentResult
 from repro.analysis.series import find_knee
-from repro.core.config import ControllerConfig
 from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import US_PER_SEC, seconds
@@ -108,7 +107,6 @@ def figure8_experiment(
     dispatch_cost_us: float = CALIBRATED_BASE_COST_US,
     dispatch_cost_quadratic_us: float = CALIBRATED_QUADRATIC_COST_US,
     seed: Optional[int] = None,
-    config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 8: available CPU vs. dispatcher frequency."""
     if BASELINE_FREQUENCY_HZ not in frequencies_hz:
@@ -159,7 +157,7 @@ def figure8_experiment(
         list(frequencies),
         [fractions[f] for f in frequencies],
     )
-    stamp_reproducibility(result, *kernels, seed=seed)
+    stamp_reproducibility(result, *kernels)
     result.notes.append(
         "per-dispatch cost calibrated so a 4 kHz dispatcher loses ~2.7% of "
         "the CPU (the paper's knee) and a 10 kHz dispatcher ~15%; the "
@@ -169,30 +167,9 @@ def figure8_experiment(
     return result
 
 
-def run_figure8(
-    frequencies_hz: Sequence[float] = DEFAULT_FREQUENCIES_HZ,
-    *,
-    sim_seconds: float = 2.0,
-    dispatch_cost_us: float = CALIBRATED_BASE_COST_US,
-    dispatch_cost_quadratic_us: float = CALIBRATED_QUADRATIC_COST_US,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``figure8`` experiment."""
-    return figure8_experiment(
-        frequencies_hz=frequencies_hz,
-        sim_seconds=sim_seconds,
-        dispatch_cost_us=dispatch_cost_us,
-        dispatch_cost_quadratic_us=dispatch_cost_quadratic_us,
-        seed=seed,
-        config=config,
-    )
-
-
 __all__ = [
     "DEFAULT_FREQUENCIES_HZ",
     "PAPER_KNEE_HZ",
     "PAPER_OVERHEAD_AT_KNEE",
     "figure8_experiment",
-    "run_figure8",
 ]

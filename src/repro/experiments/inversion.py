@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.results import ExperimentResult
-from repro.core.config import ControllerConfig
 from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sched.priority import FixedPriorityScheduler
@@ -47,12 +46,8 @@ def _run_priority(
     return scenario, kernel
 
 
-def _run_real_rate(
-    sim_seconds: float, config: Optional[ControllerConfig]
-) -> tuple[InversionScenario, Kernel]:
-    system = build_real_rate_system(
-        config, record_dispatches=True
-    )
+def _run_real_rate(sim_seconds: float) -> tuple[InversionScenario, Kernel]:
+    system = build_real_rate_system(record_dispatches=True)
     scenario = InversionScenario().attach_real_rate(system)
     system.run_for(seconds(sim_seconds))
     return scenario, system.kernel
@@ -74,12 +69,11 @@ def inversion_experiment(
     *,
     sim_seconds: float = 10.0,
     seed: Optional[int] = None,
-    config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Compare the inversion scenario across the three schedulers."""
     no_pi, kernel_a = _run_priority(sim_seconds, inheritance=False)
     with_pi, kernel_b = _run_priority(sim_seconds, inheritance=True)
-    real_rate, kernel_c = _run_real_rate(sim_seconds, config)
+    real_rate, kernel_c = _run_real_rate(sim_seconds)
     now_a, now_b, now_c = kernel_a.now, kernel_b.now, kernel_c.now
 
     result = ExperimentResult(
@@ -111,20 +105,8 @@ def inversion_experiment(
         "without any mutex-specific mechanism because the low task is never "
         "starved."
     )
-    stamp_reproducibility(result, kernel_a, kernel_b, kernel_c, seed=seed)
+    stamp_reproducibility(result, kernel_a, kernel_b, kernel_c)
     return result
 
 
-def run_inversion_comparison(
-    *,
-    sim_seconds: float = 10.0,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``inversion`` experiment."""
-    return inversion_experiment(
-        sim_seconds=sim_seconds, seed=seed, config=config
-    )
-
-
-__all__ = ["inversion_experiment", "run_inversion_comparison"]
+__all__ = ["inversion_experiment"]

@@ -1,16 +1,19 @@
-"""Shared parameter declarations and reproducibility stamps.
+"""Shared parameter declarations and the dispatch-fingerprint stamp.
 
 Every registered experiment must expose the ``seed`` reproducibility
 knob and stamp the dispatch fingerprint of every kernel it built into
 its result metadata, so any run can be diffed bit-for-bit against any
-other (the experiment-registry lint check enforces both).  Declaring
-the parameter once keeps its help text and default identical across
-the registry.
+other.  :class:`~repro.experiments.registry.ExperimentSpec` enforces
+both: registration fails without a ``seed`` parameter, and a run fails
+without a fingerprint.  The spec stamps the seed itself; this module's
+:func:`stamp_reproducibility` is the one place the fingerprint is
+written.  Declaring the parameter once keeps its help text and default
+identical across the registry.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.experiments.registry import Param
 from repro.workloads.engine import dispatch_fingerprint
@@ -28,17 +31,12 @@ SEED_PARAM = Param(
 )
 
 
-def stamp_reproducibility(
-    result: "ExperimentResult",
-    *kernels: "Kernel",
-    seed: Optional[int] = None,
-) -> None:
-    """Stamp the dispatch fingerprint(s) and seed into ``result.metadata``.
+def stamp_reproducibility(result: "ExperimentResult", *kernels: "Kernel") -> None:
+    """Stamp the dispatch fingerprint(s) into ``result.metadata``.
 
     Multi-point experiments pass every kernel they built (in sweep
     order); the fingerprints are joined with ``"+"`` into one composite
-    identity, the same convention the response-curve and SLO
-    experiments established.  Kernels must have been built with
+    identity.  Kernels must have been built with
     ``record_dispatches=True``.
     """
     if not kernels:
@@ -46,7 +44,6 @@ def stamp_reproducibility(
     result.metadata["dispatch_fingerprint"] = "+".join(
         dispatch_fingerprint(kernel) for kernel in kernels
     )
-    result.metadata["seed"] = seed
 
 
 __all__ = ["SEED_PARAM", "stamp_reproducibility"]

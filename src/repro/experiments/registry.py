@@ -19,11 +19,15 @@ decorator::
 The decorator builds an :class:`ExperimentSpec` — name, description,
 tags, a typed parameter schema with defaults/bounds and quick-mode
 overrides — and registers it in the module-level :data:`REGISTRY`.
-Everything downstream (the ``python -m repro`` CLI, the sweep runner,
-the benchmarks and the figure-reproduction example) enumerates and runs
-experiments through the registry instead of importing ``run_*``
-functions by hand; the historical ``run_*`` entry points remain as thin
-back-compat wrappers around the registered functions.
+:meth:`ExperimentSpec.run` is the one way to run an experiment:
+the ``python -m repro`` CLI, the sweep runner, the benchmarks, the
+examples and the tests all go through it.
+
+The spec also owns the reproducibility contract.  Registration fails
+unless the schema declares a ``seed`` parameter, and every run stamps
+the resolved seed into the result's metadata, then fails unless the
+experiment stamped a non-empty dispatch fingerprint (see
+:func:`repro.experiments.params.stamp_reproducibility`).
 
 Parameter values arriving from the command line are strings; each
 :class:`Param` knows how to parse its ``kind`` (``int``, ``float``,
@@ -172,12 +176,20 @@ class Param:
         return value
 
     def validate(self, value: Any) -> None:
-        """Check bounds/choices; raise :class:`ParameterError` on violation."""
+        """Check bounds/choices, and that a list is non-empty with no
+        repeated element; raise :class:`ParameterError` on violation."""
         if value is None:
             return
         elements = value if self.kind in LIST_KINDS else (value,)
-        if self.kind in LIST_KINDS and len(elements) == 0:
-            raise ParameterError(f"parameter {self.name!r}: empty list")
+        if self.kind in LIST_KINDS:
+            if len(elements) == 0:
+                raise ParameterError(f"parameter {self.name!r}: empty list")
+            repeated = [e for i, e in enumerate(elements) if e in elements[:i]]
+            if repeated:
+                raise ParameterError(
+                    f"parameter {self.name!r}: {repeated[0]!r} repeated in "
+                    f"{tuple(elements)}"
+                )
         for element in elements:
             if self.choices is not None and element not in self.choices:
                 raise ParameterError(
@@ -248,6 +260,10 @@ class ExperimentSpec:
     quick: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not any(param.name == "seed" for param in self.params):
+            raise RegistryError(
+                f"experiment {self.name!r} declares no 'seed' parameter"
+            )
         seen: set[str] = set()
         normalized: list[Param] = []
         for param in self.params:
@@ -319,16 +335,22 @@ class ExperimentSpec:
     ) -> ExperimentResult:
         """Run the experiment with the resolved parameter assignment.
 
-        The assignment (and quick-mode flag) is stamped into the
-        result's ``metadata`` so every artifact records how it was
-        produced.
+        The assignment, its seed and the quick-mode flag are stamped
+        into the result's ``metadata`` so every artifact records how it
+        was produced.  A result without a dispatch fingerprint breaks
+        the reproducibility contract and raises :class:`RegistryError`.
         """
         values = self.resolve(overrides, quick=quick)
         result = self.func(**values)
+        if not result.metadata.get("dispatch_fingerprint"):
+            raise RegistryError(
+                f"experiment {self.name!r} stamped no dispatch_fingerprint"
+            )
         result.metadata.setdefault("experiment", self.name)
-        result.metadata["params"] = {
-            name: _jsonable(value) for name, value in values.items()
-        }
+        result.metadata.update(
+            params={name: _jsonable(value) for name, value in values.items()},
+            seed=values["seed"],
+        )
         if quick:
             result.metadata["quick"] = True
         return result

@@ -29,15 +29,13 @@ from repro.analysis.sojourn import (
 )
 from repro.analysis.series import find_knee
 from repro.core.taxonomy import ThreadSpec
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
+from repro.sim.kernel import Kernel
 from repro.system import build_real_rate_system
 from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.engine import (
-    JobTemplate,
-    WorkloadEngine,
-    dispatch_fingerprint,
-)
+from repro.workloads.engine import JobTemplate, WorkloadEngine
 
 #: Default sweep levels (arrivals per second).
 DEFAULT_RATES = (20.0, 40.0, 80.0, 120.0, 160.0, 240.0)
@@ -81,8 +79,8 @@ def _run_level(
     job_cpu_us: int,
     duration_s: float,
     seed: Optional[int],
-) -> tuple[ResponseCurvePoint, float, str]:
-    """One sweep level; returns (curve point, admit ratio, fingerprint)."""
+) -> tuple[ResponseCurvePoint, float, Kernel]:
+    """One sweep level; returns (curve point, admit ratio, kernel)."""
     system = build_real_rate_system(
         n_cpus=n_cpus, record_dispatches=True
     )
@@ -99,7 +97,7 @@ def _run_level(
     arrivals_total = stream.spawned + stream.rejected
     admit_ratio = stream.spawned / arrivals_total if arrivals_total else 0.0
     point = ResponseCurvePoint(offered_per_s=rate_per_s, stats=stats)
-    return point, admit_ratio, dispatch_fingerprint(system.kernel)
+    return point, admit_ratio, system.kernel
 
 
 @experiment(
@@ -139,9 +137,9 @@ def response_curve_experiment(
     levels = sorted(float(rate) for rate in rates)
     points: list[ResponseCurvePoint] = []
     admit_ratios: list[float] = []
-    fingerprints: list[str] = []
+    kernels: list[Kernel] = []
     for rate in levels:
-        point, admit_ratio, fingerprint = _run_level(
+        point, admit_ratio, kernel = _run_level(
             rate_per_s=rate,
             workload=workload,
             n_cpus=n_cpus,
@@ -151,7 +149,7 @@ def response_curve_experiment(
         )
         points.append(point)
         admit_ratios.append(admit_ratio)
-        fingerprints.append(fingerprint)
+        kernels.append(kernel)
 
     result = ExperimentResult(
         experiment_id="response_curve",
@@ -174,8 +172,7 @@ def response_curve_experiment(
 
     result.metadata["response_curve"] = point_dicts
     result.metadata["workload"] = workload
-    result.metadata["seed"] = seed
-    result.metadata["dispatch_fingerprint"] = "+".join(fingerprints)
+    stamp_reproducibility(result, *kernels)
     result.notes.append(
         "each sweep level is a fresh system with the same seed, so points "
         "differ only in offered rate; knee = max distance from the chord of "

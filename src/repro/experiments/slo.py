@@ -24,8 +24,10 @@ from typing import Optional
 from repro.analysis.results import ExperimentResult
 from repro.analysis.sojourn import sojourn_stats
 from repro.experiments.churn import build_flash_crowd_workload
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
+from repro.sim.kernel import Kernel
 from repro.swift.slo import SLOController, SLOPolicy
 from repro.workloads.engine import dispatch_fingerprint
 
@@ -37,8 +39,8 @@ def _run_pass(
     slo_period_ms: float,
     duration_s: float,
     **workload_kwargs,
-) -> dict:
-    """One full simulation; returns the pass's stats dict."""
+) -> tuple[dict, Kernel]:
+    """One full simulation; returns the pass's stats dict and kernel."""
     system, churn, stream, template, script = build_flash_crowd_workload(
         **workload_kwargs
     )
@@ -75,7 +77,7 @@ def _run_pass(
         out["slo_adjustments"] = len(controller.adjustments)
         out["slo_violation_ticks"] = controller.violations
         out["slo_invocations"] = controller.invocations
-    return out
+    return out, system.kernel
 
 
 @experiment(
@@ -133,7 +135,7 @@ def slo_flash_crowd_experiment(
         job_cpu_us=job_cpu_us,
         seed=seed,
     )
-    passes = {
+    runs = {
         name: _run_pass(
             use_slo=(name == "slo"),
             target_p99_ms=target_p99_ms,
@@ -143,6 +145,7 @@ def slo_flash_crowd_experiment(
         )
         for name in ("pid", "slo")
     }
+    passes = {name: data for name, (data, _) in runs.items()}
 
     result = ExperimentResult(
         experiment_id="slo_flash_crowd",
@@ -175,12 +178,9 @@ def slo_flash_crowd_experiment(
     result.metadata["job_records"] = {
         name: data["records"] for name, data in passes.items()
     }
-    result.metadata["seed"] = seed
     # One composite fingerprint (plus the per-pass ones above) keeps
     # the same-seed-same-report determinism contract checkable.
-    result.metadata["dispatch_fingerprint"] = "+".join(
-        passes[name]["dispatch_fingerprint"] for name in ("pid", "slo")
-    )
+    stamp_reproducibility(result, *(kernel for _, kernel in runs.values()))
     result.notes.append(
         "second-level SLO loop: additive-increase/multiplicative-decrease on "
         "the job class's reservation, sensed from windowed exact-rank p99; "

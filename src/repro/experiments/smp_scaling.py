@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.results import ExperimentResult
-from repro.core.config import PROPORTION_SCALE, ControllerConfig
+from repro.core.config import PROPORTION_SCALE
 from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
@@ -76,14 +76,8 @@ def smp_scaling_experiment(
     duration_s: float = 3.0,
     pin: bool = False,
     seed: Optional[int] = None,
-    config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Sweep the web farm over kernels with increasing CPU counts."""
-    if isinstance(n_cpus, int):
-        n_cpus = (n_cpus,)
-    cpu_counts = tuple(n_cpus)
-    if not cpu_counts:
-        raise ValueError("need at least one CPU count to sweep")
     offered_rps = n_servers * float(requests_per_second)
 
     throughputs: list[float] = []
@@ -94,10 +88,8 @@ def smp_scaling_experiment(
         title="Web-farm throughput vs CPU count (SMP extension)",
     )
 
-    for count in cpu_counts:
-        system = build_real_rate_system(
-            config, n_cpus=count, record_dispatches=True
-        )
+    for count in n_cpus:
+        system = build_real_rate_system(n_cpus=count, record_dispatches=True)
         kernels.append(system.kernel)
         farm = WebFarm.attach(
             system,
@@ -130,20 +122,20 @@ def smp_scaling_experiment(
         offered_rps * service_cpu_us / 1_000_000
     )
     # Speedups are relative to the smallest CPU count swept, whatever
-    # order cpu_counts came in.
-    baseline_index = min(range(len(cpu_counts)), key=lambda i: cpu_counts[i])
+    # order n_cpus came in.
+    baseline_index = min(range(len(n_cpus)), key=lambda i: n_cpus[i])
     base = throughputs[baseline_index]
-    result.metrics["speedup_baseline_cpus"] = float(cpu_counts[baseline_index])
-    for count, rps in zip(cpu_counts, throughputs):
+    result.metrics["speedup_baseline_cpus"] = float(n_cpus[baseline_index])
+    for count, rps in zip(n_cpus, throughputs):
         result.metrics[f"speedup_{count}cpu"] = rps / base if base > 0 else 0.0
 
     result.add_series(
-        "served_rps_vs_cpus", [float(n) for n in cpu_counts], throughputs
+        "served_rps_vs_cpus", [float(n) for n in n_cpus], throughputs
     )
     result.add_series(
-        "peak_granted_ppt_vs_cpus", [float(n) for n in cpu_counts], peak_granted
+        "peak_granted_ppt_vs_cpus", [float(n) for n in n_cpus], peak_granted
     )
-    stamp_reproducibility(result, *kernels, seed=seed)
+    stamp_reproducibility(result, *kernels)
     result.notes.append(
         "extension beyond the paper: the single-CPU prototype cannot run this; "
         "the reproduced claim is that feedback-driven proportion allocation "
@@ -154,29 +146,4 @@ def smp_scaling_experiment(
     return result
 
 
-def run_smp_scaling(
-    *,
-    config: Optional[ControllerConfig] = None,
-    cpu_counts: Sequence[int] = DEFAULT_CPU_COUNTS,
-    n_servers: int = 8,
-    requests_per_second: float = 150.0,
-    service_cpu_us: int = 1_500,
-    duration_s: float = 3.0,
-    pin: bool = False,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``smp_scaling``
-    experiment (whose sweep parameter is named ``n_cpus``)."""
-    return smp_scaling_experiment(
-        n_cpus=cpu_counts,
-        n_servers=n_servers,
-        requests_per_second=requests_per_second,
-        service_cpu_us=service_cpu_us,
-        duration_s=duration_s,
-        pin=pin,
-        seed=seed,
-        config=config,
-    )
-
-
-__all__ = ["DEFAULT_CPU_COUNTS", "run_smp_scaling", "smp_scaling_experiment"]
+__all__ = ["DEFAULT_CPU_COUNTS", "smp_scaling_experiment"]

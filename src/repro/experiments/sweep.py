@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Any, Mapping, Optional, Sequence
 
 from repro._version import __version__
@@ -68,17 +69,16 @@ def expand_grid(
     return axes, points
 
 
-def _run_point(task: tuple[str, dict[str, Any], bool]) -> dict[str, Any]:
-    """Worker entry: run one grid point, return its result as a dict.
+def run_point(name: str, params: Mapping[str, Any], quick: bool) -> dict[str, Any]:
+    """Worker entry: run one grid point, return its result's wire form.
 
-    Top-level (picklable) and self-contained: it re-imports the
-    experiment modules so it works under both the ``fork`` and
-    ``spawn`` multiprocessing start methods.
+    The one entry for every worker process: :func:`run_sweep`'s pool
+    and the orchestration workers both call it.  It is top-level, so it
+    pickles, and importing this module populates the registry (it lives
+    in :mod:`repro.experiments`), so it works under both the ``fork``
+    and ``spawn`` start methods.
     """
-    name, overrides, quick = task
-    import repro.experiments  # noqa: F401 — populate the registry
-
-    return REGISTRY.run(name, overrides, quick=quick).to_dict()
+    return REGISTRY.run(name, params, quick=quick).to_dict()
 
 
 def run_sweep(
@@ -96,15 +96,15 @@ def run_sweep(
     """
     spec = REGISTRY.get(name)
     axes, points = expand_grid(spec, grid)
-    tasks = [(name, point, quick) for point in points]
+    run = partial(run_point, name, quick=quick)
 
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs <= 1 or len(points) <= 1:
         result_dicts: list[Optional[dict[str, Any]]] = [
-            _run_point(task) for task in tasks
+            run(point) for point in points
         ]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            result_dicts = list(pool.map(_run_point, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
+            result_dicts = list(pool.map(run, points))
 
     return build_sweep_artifact(name, axes, points, result_dicts, quick=quick)
 
@@ -159,6 +159,7 @@ __all__ = [
     "SWEEP_SCHEMA_VERSION",
     "build_sweep_artifact",
     "expand_grid",
+    "run_point",
     "run_sweep",
     "sweep_to_json",
 ]

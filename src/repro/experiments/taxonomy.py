@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.results import ExperimentResult
-from repro.core.config import ControllerConfig
 from repro.core.taxonomy import ThreadClass, ThreadSpec
 from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
@@ -62,12 +61,9 @@ def taxonomy_experiment(
     sim_seconds: float = 10.0,
     n_cpus: int = 1,
     seed: Optional[int] = None,
-    config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Run one thread of each Figure 2 class and report the outcome."""
-    system = build_real_rate_system(
-        config, n_cpus=n_cpus, record_dispatches=True
-    )
+    system = build_real_rate_system(n_cpus=n_cpus, record_dispatches=True)
 
     # Real-time + real-rate: the pulse pipeline provides one of each
     # (producer = real-time reservation, consumer = real-rate).
@@ -133,20 +129,8 @@ def taxonomy_experiment(
         result.metrics[f"class_is_real_time:{name}"] = float(
             decision.thread_class is ThreadClass.REAL_TIME
         )
-    stamp_reproducibility(result, system.kernel, seed=seed)
+    stamp_reproducibility(result, system.kernel)
     return result
 
 
-def run_taxonomy(
-    *,
-    sim_seconds: float = 10.0,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``taxonomy`` experiment."""
-    return taxonomy_experiment(
-        sim_seconds=sim_seconds, seed=seed, config=config
-    )
-
-
-__all__ = ["run_taxonomy", "taxonomy_experiment"]
+__all__ = ["taxonomy_experiment"]

@@ -229,7 +229,7 @@ def topology_placement_experiment(
     result.metadata["per_cpu_migrations_aware"] = [
         state.migrations for state in aware_kernel.cpu_states
     ]
-    stamp_reproducibility(result, flat_kernel, aware_kernel, seed=seed)
+    stamp_reproducibility(result, flat_kernel, aware_kernel)
     result.notes.append(
         "extension beyond the paper: the single-CPU prototype has no "
         "placement; the reproduced claim is that distance-aware placement "

@@ -15,9 +15,9 @@ Design points that matter for crash-safety:
   SIGINT to the whole foreground process group; only the coordinator
   may decide what an interrupt means (flush the journal, print the
   resume command), so workers must not race it to an exit.
-* **Experiment modules import lazily**, inside the loop's first task,
-  so the function body is picklable and works under both the ``fork``
-  and ``spawn`` multiprocessing start methods.
+* **Points run through** :func:`repro.experiments.sweep.run_point`,
+  the same entry :func:`~repro.experiments.sweep.run_sweep`'s pool
+  uses, so both paths produce the same wire form.
 * **Exceptions never kill the loop**: a raising point is reported as
   an ``error`` message and the worker stays warm for the next task.
   Only pipe loss (coordinator death) or a ``stop`` message ends it.
@@ -32,15 +32,8 @@ from __future__ import annotations
 import signal
 from typing import Any, Optional
 
+from repro.experiments.sweep import run_point
 from repro.orchestration.chaos import ChaosPlan
-
-
-def run_point(name: str, params: dict[str, Any], quick: bool) -> dict[str, Any]:
-    """Run one grid point and return its result's wire form."""
-    import repro.experiments  # noqa: F401 — populate the registry
-    from repro.experiments.registry import REGISTRY
-
-    return REGISTRY.run(name, params, quick=quick).to_dict()
 
 
 def worker_main(conn: Any, chaos: Optional[ChaosPlan] = None) -> None:
@@ -77,4 +70,4 @@ def worker_main(conn: Any, chaos: Optional[ChaosPlan] = None) -> None:
     conn.close()
 
 
-__all__ = ["run_point", "worker_main"]
+__all__ = ["worker_main"]

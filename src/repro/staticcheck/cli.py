@@ -24,7 +24,6 @@ from repro.staticcheck.baseline import (
 )
 from repro.staticcheck.core import Checker, Project, run_checks
 from repro.staticcheck.determinism import DeterminismChecker
-from repro.staticcheck.experiments import ExperimentRegistryChecker
 from repro.staticcheck.floatorder import FloatOrderChecker
 from repro.staticcheck.wire import (
     DEFAULT_SNAPSHOT_PATH,
@@ -41,7 +40,6 @@ def all_checkers(snapshot_path: Optional[Path] = None) -> list[Checker]:
         DeterminismChecker(),
         FloatOrderChecker(),
         WireFormatChecker(snapshot_path),
-        ExperimentRegistryChecker(),
         AtomicWriteChecker(),
     ]
 

@@ -4,8 +4,7 @@ The simulator rests on contracts that ordinary linters cannot see: hot
 paths must stay deterministic (no wall-clock reads, no unseeded
 randomness, no set-order-dependent iteration), controller arithmetic
 must preserve exact float evaluation order, wire formats must version
-their schema, and every registered experiment must expose the
-reproducibility knobs (``seed``/fingerprint).  This
+their schema, and artifacts must be written atomically.  This
 package is the static analogue of the dynamic differential suites: an
 AST pass that proves (or flags) those contracts at review time instead
 of via 200-example hypothesis hunts.

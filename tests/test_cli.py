@@ -90,6 +90,24 @@ class TestRun:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "experiment, param, repeated",
+        [
+            ("ablation_squish", "importances=1,1,4", "1.0"),
+            ("smp_scaling", "n_cpus=1,1", "1"),
+        ],
+        ids=["ablation_squish", "smp_scaling"],
+    )
+    def test_repeated_list_element_is_an_error(
+        self, capsys, experiment, param, repeated
+    ):
+        # Metric keys are built from the elements, so a repeat would
+        # silently collapse two runs into one set of metrics.
+        assert main(["run", experiment, "--quick", "--param", param]) == 2
+        err = capsys.readouterr().err
+        assert repr(param.split("=")[0]) in err
+        assert f"{repeated} repeated" in err
+
 
 class TestSweep:
     def test_sweep_requires_a_grid(self, capsys):

@@ -2,37 +2,20 @@
 
 The full-size reproductions live in ``benchmarks/``; these tests run
 smaller configurations so the unit-test suite stays fast while still
-exercising every driver end to end.
+exercising every driver end to end through the registry.
 """
 
 import pytest
 
-from repro.experiments.ablation_pid import run_ablation_pid
-from repro.experiments.ablation_squish import run_ablation_squish
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.figure8 import run_figure8
-from repro.experiments.inversion import run_inversion_comparison
-from repro.experiments.taxonomy import run_taxonomy
-from repro.workloads.pulse import PulseParameters, PulseSchedule
-
-
-def small_schedule():
-    params = PulseParameters()
-    return PulseSchedule.paper_figure6(
-        params.base_rate_bytes_per_cpu_us,
-        rising_widths_s=(1.5,),
-        falling_widths_s=(1.5,),
-        gap_s=1.5,
-        start_s=2.0,
-        tail_s=1.0,
-    )
+import repro.experiments  # noqa: F401 — importing populates the registry
+from repro.experiments.registry import REGISTRY
 
 
 class TestFigure5Driver:
     def test_linear_overhead(self):
-        result = run_figure5(process_counts=(0, 10, 20, 30), sim_seconds=1.0)
+        result = REGISTRY.run(
+            "figure5", {"process_counts": (0, 10, 20, 30), "sim_seconds": 1.0}
+        )
         assert result.metric("slope_overhead_per_process") == pytest.approx(
             0.00066, rel=0.05
         )
@@ -47,7 +30,7 @@ class TestFigure5Driver:
 
 class TestFigure6Driver:
     def test_metrics_present_and_sane(self):
-        result = run_figure6(schedule=small_schedule())
+        result = REGISTRY.run("figure6", {"small_schedule": True})
         assert 0.02 <= result.metric("response_time_s") <= 0.8
         assert result.metric("tracking_error_fraction") < 0.2
         assert "producer_rate_bytes_per_s" in result.series
@@ -57,7 +40,7 @@ class TestFigure6Driver:
 
 class TestFigure7Driver:
     def test_squishing_respects_threshold(self):
-        result = run_figure7(schedule=small_schedule())
+        result = REGISTRY.run("figure7", {"small_schedule": True})
         assert result.metric("max_total_allocation_ppt") <= result.metric(
             "overload_threshold_ppt"
         ) + 10
@@ -69,9 +52,12 @@ class TestFigure7Driver:
 
 class TestFigure8Driver:
     def test_knee_and_monotonicity(self):
-        result = run_figure8(
-            frequencies_hz=(100, 500, 1_000, 2_000, 4_000, 8_000, 10_000),
-            sim_seconds=0.5,
+        result = REGISTRY.run(
+            "figure8",
+            {
+                "frequencies_hz": (100, 500, 1_000, 2_000, 4_000, 8_000, 10_000),
+                "sim_seconds": 0.5,
+            },
         )
         assert 1_000 <= result.metric("knee_frequency_hz") <= 8_000
         xs, ys = result.series["available_cpu_normalised_vs_hz"]
@@ -82,7 +68,7 @@ class TestFigure8Driver:
 
 class TestTaxonomyDriver:
     def test_classes_and_allocations(self):
-        result = run_taxonomy(sim_seconds=4.0)
+        result = REGISTRY.run("taxonomy", {"sim_seconds": 4.0})
         assert result.metric("real_time_allocation_ppt") == 250
         assert result.metric("aperiodic_allocation_ppt") == 150
         assert result.metric("aperiodic_period_us") == 30_000
@@ -92,7 +78,7 @@ class TestTaxonomyDriver:
 
 class TestInversionDriver:
     def test_real_rate_beats_plain_priorities(self):
-        result = run_inversion_comparison(sim_seconds=4.0)
+        result = REGISTRY.run("inversion", {"sim_seconds": 4.0})
         assert result.metric("fixed_priority_worst_latency_s") > 1.0
         assert result.metric("real_rate_worst_latency_s") < 0.5
         assert result.metric("real_rate_miss_rate") < 0.1
@@ -100,14 +86,12 @@ class TestInversionDriver:
 
 class TestAblationDrivers:
     def test_squish_ablation_importance_ratio(self):
-        result = run_ablation_squish(sim_seconds=4.0)
+        result = REGISTRY.run("ablation_squish", {"sim_seconds": 4.0})
         assert result.metric("fair_top_to_base_ratio") == pytest.approx(1.0, abs=0.15)
         assert result.metric("weighted_top_to_base_ratio") > 2.0
 
     def test_pid_ablation_orders_response_times(self):
-        result = run_ablation_pid(
-            settings=(("low", 0.1, 0.3, 0.0), ("high", 0.8, 3.0, 0.01))
-        )
+        result = REGISTRY.run("ablation_pid", {"labels": "low,high"})
         assert (
             result.metric("response_time_s:high")
             < result.metric("response_time_s:low")

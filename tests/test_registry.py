@@ -1,9 +1,12 @@
 """Tests for the declarative experiment registry."""
 
+import inspect
+
 import pytest
 
 import repro.experiments  # noqa: F401 — importing populates the registry
 from repro.analysis.results import ExperimentResult
+from repro.experiments.params import SEED_PARAM
 from repro.experiments.registry import (
     REGISTRY,
     DuplicateExperimentError,
@@ -19,38 +22,63 @@ ALL_EXPERIMENTS = (
     "ablation_period",
     "ablation_pid",
     "ablation_squish",
+    "churn_webfarm",
+    "cpu_failover",
     "figure5",
     "figure6",
     "figure7",
     "figure8",
+    "flash_crowd_rt",
     "inversion",
+    "response_curve",
+    "runaway_quarantine",
+    "sensor_dropout",
+    "slo_flash_crowd",
     "smp_scaling",
     "taxonomy",
+    "thundering_herd",
+    "tidal_pipeline",
+    "topology_placement",
+    "trace_replay",
 )
 
 
-def _stub(name="stub", params=(), quick=None, registry=None):
-    """Register a spec whose func records the kwargs it was called with."""
+def _stub(name="stub", params=(), quick=None, registry=None,
+          fingerprint="stub-fingerprint"):
+    """Register a spec whose func records the kwargs it was called with.
+
+    The stub declares the shared ``seed`` parameter and stamps a
+    placeholder fingerprint (``fingerprint=None`` stamps none), so it
+    meets the registry's reproducibility contract.
+    """
     calls = []
 
-    @experiment(name=name, description="a stub", params=params,
+    @experiment(name=name, description="a stub", params=(*params, SEED_PARAM),
                 quick=quick, registry=registry)
     def stub_experiment(**kwargs):
         calls.append(kwargs)
-        return ExperimentResult(experiment_id=name, title="stub")
+        result = ExperimentResult(experiment_id=name, title="stub")
+        if fingerprint is not None:
+            result.metadata["dispatch_fingerprint"] = fingerprint
+        return result
 
     return stub_experiment.spec, calls
 
 
 class TestRegistryContents:
-    def test_all_ten_experiments_registered(self):
-        assert set(ALL_EXPERIMENTS) <= set(REGISTRY.names())
-        assert len(REGISTRY) >= 10
+    def test_exactly_the_21_experiments_registered(self):
+        assert REGISTRY.names() == sorted(ALL_EXPERIMENTS)
 
     def test_every_spec_declares_a_seed_parameter(self):
-        for name in ALL_EXPERIMENTS:
-            spec = REGISTRY.get(name)
-            assert "seed" in {p.name for p in spec.params}, name
+        # Registration itself refuses a schema without ``seed`` ...
+        with pytest.raises(RegistryError, match="no 'seed' parameter"):
+            experiment(
+                name="seedless", params=(Param("x", kind="int", default=1),),
+                registry=ExperimentRegistry(),
+            )(lambda **kwargs: None)
+        # ... so every registered spec carries one.
+        for spec in REGISTRY:
+            assert "seed" in {p.name for p in spec.params}, spec.name
 
     def test_specs_carry_descriptions_and_defaults(self):
         for spec in REGISTRY:
@@ -68,6 +96,12 @@ class TestRegistryContents:
         _stub("dup", registry=registry)
         with pytest.raises(DuplicateExperimentError):
             _stub("dup", registry=registry)
+
+    def test_experiment_keywords_are_exactly_the_schema(self):
+        # No keyword escapes the schema: the registry is the only way in.
+        for spec in REGISTRY:
+            keywords = set(inspect.signature(spec.func).parameters)
+            assert keywords == {p.name for p in spec.params}, spec.name
 
     def test_attached_spec_matches_lookup(self):
         from repro.experiments.figure8 import figure8_experiment
@@ -113,6 +147,14 @@ class TestParam:
         with pytest.raises(ParameterError):
             Param("x", kind="int_list").parse(())
 
+    def test_repeated_list_element_rejected(self):
+        with pytest.raises(ParameterError, match="'x': 2 repeated"):
+            Param("x", kind="int_list").parse("1,2,2")
+        with pytest.raises(ParameterError, match="'x': 1.0 repeated"):
+            Param("x", kind="float_list").parse((1, 1.0))
+        with pytest.raises(ParameterError, match="'x': 'a' repeated"):
+            Param("x", kind="str_list").parse("a:b:a")
+
     def test_scalar_promotes_to_one_element_list(self):
         assert Param("x", kind="int_list").parse(4) == (4,)
 
@@ -150,12 +192,12 @@ class TestSpecRun:
             registry=registry,
         )
         spec.run()
-        assert calls[-1] == {"a": 1, "b": 2, "c": 3}
+        assert calls[-1] == {"a": 1, "b": 2, "c": 3, "seed": None}
         spec.run(quick=True)
-        assert calls[-1] == {"a": 10, "b": 20, "c": 3}
+        assert calls[-1] == {"a": 10, "b": 20, "c": 3, "seed": None}
         # Explicit overrides (CLI strings) beat quick mode.
         spec.run({"b": "99"}, quick=True)
-        assert calls[-1] == {"a": 10, "b": 99, "c": 3}
+        assert calls[-1] == {"a": 10, "b": 99, "c": 3, "seed": None}
 
     def test_run_stamps_metadata(self):
         registry = ExperimentRegistry()
@@ -164,10 +206,20 @@ class TestSpecRun:
             params=(Param("xs", kind="int_list", default=(1, 2)),),
             registry=registry,
         )
-        result = spec.run(quick=True)
+        result = spec.run({"seed": "7"}, quick=True)
         assert result.metadata["experiment"] == "stamped"
-        assert result.metadata["params"] == {"xs": [1, 2]}
+        assert result.metadata["params"] == {"xs": [1, 2], "seed": 7}
+        assert result.metadata["seed"] == 7
+        assert result.metadata["dispatch_fingerprint"] == "stub-fingerprint"
         assert result.metadata["quick"] is True
+
+    @pytest.mark.parametrize("fingerprint", [None, ""], ids=["none", "empty"])
+    def test_run_without_fingerprint_fails(self, fingerprint):
+        spec, _ = _stub(
+            "unstamped", fingerprint=fingerprint, registry=ExperimentRegistry()
+        )
+        with pytest.raises(RegistryError, match="'unstamped'.*fingerprint"):
+            spec.run()
 
     def test_unknown_override_rejected(self):
         spec = REGISTRY.get("figure8")
@@ -221,24 +273,14 @@ class TestSpecRun:
             )
 
 
-class TestBackCompatWrappers:
-    def test_run_wrappers_match_registry_results(self):
-        from repro.experiments.figure8 import run_figure8
 
-        via_wrapper = run_figure8(
-            frequencies_hz=(100, 1_000, 4_000), sim_seconds=0.2
-        )
-        via_registry = REGISTRY.run(
-            "figure8",
-            {"frequencies_hz": "100,1000,4000", "sim_seconds": "0.2"},
-        )
-        assert via_wrapper.metrics == via_registry.metrics
-
-    def test_smp_wrapper_maps_cpu_counts_to_n_cpus(self):
-        from repro.experiments.smp_scaling import run_smp_scaling
-
-        result = run_smp_scaling(
-            cpu_counts=(2,), n_servers=2, requests_per_second=60.0,
-            duration_s=0.4,
-        )
-        assert "served_rps_2cpu" in result.metrics
+class TestReproducibilityContract:
+    @pytest.mark.parametrize("name", REGISTRY.names())
+    def test_quick_run_stamps_seed_and_fingerprint(self, name):
+        result = REGISTRY.run(name, quick=True)
+        metadata = result.metadata
+        assert metadata["experiment"] == name
+        assert metadata["quick"] is True
+        assert metadata["seed"] == metadata["params"]["seed"]
+        fingerprints = metadata["dispatch_fingerprint"].split("+")
+        assert all(len(f) == 64 for f in fingerprints), fingerprints

@@ -14,7 +14,6 @@ from pathlib import Path
 from repro.staticcheck.atomicwrite import AtomicWriteChecker
 from repro.staticcheck.core import Project
 from repro.staticcheck.determinism import DeterminismChecker
-from repro.staticcheck.experiments import ExperimentRegistryChecker
 from repro.staticcheck.floatorder import FloatOrderChecker
 from repro.staticcheck.wire import WireFormatChecker, build_snapshot
 
@@ -204,26 +203,3 @@ def test_atomic_write_shipped_tree_is_clean_or_suppressed():
         suppression = module.suppression_for(finding.check, finding.line)
         assert suppression is not None, finding.render()
         assert suppression.justification, finding.render()
-
-
-# ----------------------------------------------------------------------
-# experiment-registry
-# ----------------------------------------------------------------------
-def test_experiment_checker_flags_missing_knobs_and_fingerprint():
-    findings = ExperimentRegistryChecker().check(
-        fixture_project("experiments_bad.py")
-    )
-    messages = "\n".join(f.message for f in findings)
-    assert "'seed' param" in messages
-    assert "dispatch_fingerprint" in messages
-    assert len(findings) == 2
-
-
-def test_experiment_checker_resolves_shared_params_on_real_tree():
-    """Every registered experiment in the shipped tree conforms — the
-    shared SEED_PARAM declaration must resolve across modules."""
-    from repro.staticcheck.cli import PACKAGE_ROOT
-
-    project = Project([PACKAGE_ROOT], display_root=REPO_ROOT)
-    findings = ExperimentRegistryChecker().check(project)
-    assert findings == []

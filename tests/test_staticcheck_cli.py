@@ -23,7 +23,6 @@ BAD_FIXTURES = (
     "floatorder_bad.py",
     "wire_bad.py",
     "wire_unversioned.py",
-    "experiments_bad.py",
     "suppress_mixed.py",
 )
 
@@ -51,14 +50,13 @@ def test_missing_path_is_usage_error(capsys):
     assert "no such path" in capsys.readouterr().err
 
 
-def test_list_checks_names_all_five(capsys):
+def test_list_checks_names_all_four(capsys):
     assert lint_main(["--list-checks"]) == 0
     out = capsys.readouterr().out
     for name in (
         "determinism",
         "float-order",
         "wire-format",
-        "experiment-registry",
         "atomic-write",
     ):
         assert name in out

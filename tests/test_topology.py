@@ -382,9 +382,9 @@ class TestKernelTopology:
 
 class TestTopologyExperiment:
     def test_quick_run_conserves_and_cuts_migration_cost(self):
-        from repro.experiments.topology import topology_placement_experiment
+        from repro.experiments import REGISTRY
 
-        result = topology_placement_experiment(duration_s=0.2)
+        result = REGISTRY.run("topology_placement", {"duration_s": 0.2})
         assert result.metadata["dispatch_fingerprint"]
         assert result.metrics["conservation_ok_flat"] == 1.0
         assert result.metrics["conservation_ok_aware"] == 1.0
@@ -394,10 +394,10 @@ class TestTopologyExperiment:
         )
 
     def test_numa_pack_variant_runs(self):
-        from repro.experiments.topology import topology_placement_experiment
+        from repro.experiments import REGISTRY
 
-        result = topology_placement_experiment(
-            duration_s=0.1, placement="numa_pack"
+        result = REGISTRY.run(
+            "topology_placement", {"duration_s": 0.1, "placement": "numa_pack"}
         )
         assert result.metadata["aware_placement"] == "numa_pack"
         assert result.metrics["conservation_ok_aware"] == 1.0
