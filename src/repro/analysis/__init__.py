@@ -17,11 +17,9 @@ from repro.analysis.report import (
 from repro.analysis.response import StepResponse, step_response
 from repro.analysis.results import ExperimentResult, format_table
 from repro.analysis.series import (
-    differentiate_series,
     find_knee,
     mean_absolute_deviation,
     rate_from_cumulative,
-    resample,
     sparkline,
 )
 from repro.analysis.sojourn import (
@@ -42,7 +40,6 @@ __all__ = [
     "SLO_PERCENTILES",
     "SojournStats",
     "StepResponse",
-    "differentiate_series",
     "exact_rank_percentile",
     "find_knee",
     "format_table",
@@ -51,7 +48,6 @@ __all__ = [
     "mean_absolute_deviation",
     "rate_from_cumulative",
     "render_report",
-    "resample",
     "response_curve_series",
     "sojourn_stats",
     "sojourn_stats_by_tag",

@@ -25,11 +25,6 @@ class StepResponse:
     settling_time_s: Optional[float]
     overshoot_fraction: float
 
-    @property
-    def responded(self) -> bool:
-        """Whether the output ever crossed the rise threshold."""
-        return self.rise_time_s is not None
-
 
 def step_response(
     times_s: Sequence[float],

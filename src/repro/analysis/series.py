@@ -2,13 +2,13 @@
 
 Small, dependency-free utilities shared by the experiment drivers:
 converting cumulative byte counters into rates, locating the knee of an
-overhead curve, resampling onto a regular grid, and rendering a series
+overhead curve, and rendering a series
 as a unicode sparkline for terminal output.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -36,49 +36,6 @@ def rate_from_cumulative(
         mid_times.append((times_s[i] + times_s[i - 1]) / 2)
         rates.append((cumulative[i] - cumulative[i - 1]) / dt)
     return mid_times, rates
-
-
-def differentiate_series(
-    times_s: Sequence[float], values: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    """First derivative of a sampled series (same convention as above)."""
-    return rate_from_cumulative(times_s, values)
-
-
-def resample(
-    times_s: Sequence[float],
-    values: Sequence[float],
-    step_s: float,
-    start_s: Optional[float] = None,
-    end_s: Optional[float] = None,
-) -> tuple[list[float], list[float]]:
-    """Zero-order-hold resampling onto a regular grid.
-
-    Each output sample takes the most recent input value at or before
-    the grid point (samples before the first input take the first
-    value).
-    """
-    if step_s <= 0:
-        raise ValueError(f"step must be positive, got {step_s}")
-    if len(times_s) != len(values):
-        raise ValueError("times and values must have the same length")
-    if not times_s:
-        return [], []
-    start = start_s if start_s is not None else times_s[0]
-    end = end_s if end_s is not None else times_s[-1]
-    grid: list[float] = []
-    out: list[float] = []
-    t = start
-    index = 0
-    current = values[0]
-    while t <= end + 1e-12:
-        while index < len(times_s) and times_s[index] <= t:
-            current = values[index]
-            index += 1
-        grid.append(t)
-        out.append(current)
-        t += step_s
-    return grid, out
 
 
 def mean_absolute_deviation(values: Sequence[float], target: float) -> float:
@@ -143,10 +100,8 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
 
 
 __all__ = [
-    "differentiate_series",
     "find_knee",
     "mean_absolute_deviation",
     "rate_from_cumulative",
-    "resample",
     "sparkline",
 ]

@@ -647,12 +647,5 @@ class ProportionAllocator:
             raise ControllerError(f"thread {thread.name!r} is not controlled")
         return state.current_ppt
 
-    def total_allocated_ppt(self) -> int:
-        """Sum of currently actuated proportions across controlled threads."""
-        total = 0
-        for state in self._controlled.values():
-            total += state.current_ppt
-        return total
-
 
 __all__ = ["AllocationDecision", "ProportionAllocator"]

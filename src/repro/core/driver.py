@@ -66,12 +66,6 @@ class ControllerOverheadModel:
             )
         return self.fixed_us + self.per_thread_us * controlled_threads
 
-    def overhead_fraction(self, controlled_threads: int, period_us: int) -> float:
-        """Fraction of the CPU the controller consumes at a given period."""
-        if period_us <= 0:
-            raise ValueError(f"period must be positive, got {period_us}")
-        return self.cost_us(controlled_threads) / period_us
-
 
 class ControllerDriver:
     """Runs a :class:`ProportionAllocator` periodically inside a kernel."""

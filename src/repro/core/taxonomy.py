@@ -35,17 +35,6 @@ class ThreadClass(enum.Enum):
     REAL_RATE = "real_rate"
     MISCELLANEOUS = "miscellaneous"
 
-    @property
-    def has_reservation_spec(self) -> bool:
-        """Whether the proportion comes from the application, not feedback."""
-        return self in (ThreadClass.REAL_TIME, ThreadClass.APERIODIC_REAL_TIME)
-
-    @property
-    def is_squishable(self) -> bool:
-        """Whether the controller may reduce this class's allocation
-        under overload (real-time reservations are protected)."""
-        return self in (ThreadClass.REAL_RATE, ThreadClass.MISCELLANEOUS)
-
 
 @dataclass
 class ThreadSpec:

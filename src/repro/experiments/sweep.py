@@ -1,24 +1,23 @@
-"""Parameter-grid sweeps with parallel worker processes.
+"""Parameter-grid sweeps.
 
 A sweep takes one registered experiment and a grid of parameter values
 (``{"n_cpus": "1,2,4", "seed": "0,1,2"}``), expands the cartesian
-product into points, runs every point — serially or fanned out over a
-:class:`concurrent.futures.ProcessPoolExecutor` — and merges the
-per-point results into one schema-versioned artifact.
+product into points, runs every point and merges the per-point results
+into one schema-versioned artifact.
 
-Results cross the process boundary as
-:meth:`~repro.analysis.results.ExperimentResult.to_dict` dictionaries,
-and the merged artifact is serialized with sorted keys, so a sweep is
-byte-for-byte reproducible regardless of worker count: the simulation
-itself is deterministic, point order is the deterministic grid order,
-and workers only change *where* a point runs, never its inputs.
+:func:`run_sweep` runs the points one after another in this process.
+It is the reference that the journaled, multi-process
+:func:`~repro.orchestration.runner.orchestrate_sweep` (the CLI's
+``repro sweep``) is held byte-identical to: results are merged as
+:meth:`~repro.analysis.results.ExperimentResult.to_dict` dictionaries in
+deterministic grid order and serialized with sorted keys, and the
+simulation itself is deterministic, so workers only change *where* a
+point runs, never its inputs.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from typing import Any, Mapping, Optional, Sequence
 
 from repro._version import __version__
@@ -72,41 +71,22 @@ def expand_grid(
 def run_point(name: str, params: Mapping[str, Any], quick: bool) -> dict[str, Any]:
     """Worker entry: run one grid point, return its result's wire form.
 
-    The one entry for every worker process: :func:`run_sweep`'s pool
-    and the orchestration workers both call it.  It is top-level, so it
-    pickles, and importing this module populates the registry (it lives
-    in :mod:`repro.experiments`), so it works under both the ``fork``
-    and ``spawn`` start methods.
+    :func:`run_sweep` and the orchestration workers both call it.  It is
+    top-level, so it pickles, and importing this module populates the
+    registry (it lives in :mod:`repro.experiments`), so it works under
+    both the ``fork`` and ``spawn`` start methods.
     """
     return REGISTRY.run(name, params, quick=quick).to_dict()
 
 
 def run_sweep(
-    name: str,
-    grid: Mapping[str, Any],
-    *,
-    jobs: int = 1,
-    quick: bool = False,
+    name: str, grid: Mapping[str, Any], *, quick: bool = False
 ) -> dict[str, Any]:
-    """Run the full grid and return the merged artifact dictionary.
-
-    ``jobs`` ≤ 1 runs every point in this process; larger values fan
-    points out over that many worker processes.  Both paths produce an
-    identical artifact.
-    """
+    """Run every grid point in this process; return the merged artifact."""
     spec = REGISTRY.get(name)
     axes, points = expand_grid(spec, grid)
-    run = partial(run_point, name, quick=quick)
-
-    if jobs <= 1 or len(points) <= 1:
-        result_dicts: list[Optional[dict[str, Any]]] = [
-            run(point) for point in points
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-            result_dicts = list(pool.map(run, points))
-
-    return build_sweep_artifact(name, axes, points, result_dicts, quick=quick)
+    results = [run_point(name, point, quick) for point in points]
+    return build_sweep_artifact(name, axes, points, results, quick=quick)
 
 
 def build_sweep_artifact(

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.sched.rbs import PROPORTION_SCALE, ReservationScheduler
+from repro.sched.rbs import ReservationScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
@@ -274,15 +274,6 @@ class DegradationManager:
     def pending_restorations(self) -> int:
         """Reservations still awaiting full restoration."""
         return len(self._squished) + len(self._revoked)
-
-    def utilisation_ppt(self) -> int:
-        """Reserved ppt as a share of one full CPU (diagnostics)."""
-        budget = self.budget_ppt()
-        if budget <= 0:
-            return 0
-        return (
-            self.scheduler.total_reserved_ppt() * PROPORTION_SCALE // budget
-        )
 
 
 __all__ = [

@@ -391,10 +391,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def active_hijacks(self) -> tuple[int, ...]:
-        """tids currently running a hijacked body."""
-        return tuple(sorted(self._hijacked))
-
     def hits(self) -> int:
         """Number of log entries that actuated (vs missed)."""
         return sum(1 for record in self.log if record.hit)

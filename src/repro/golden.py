@@ -7,10 +7,13 @@ diffs the fresh fingerprint against the corpus, so any change that
 moves a single dispatch-log entry anywhere in the matrix fails loudly
 and reviewably.
 
-Two scenarios are pinned:
+Three scenarios are pinned (:data:`GOLDEN_SCENARIOS`):
 
 * ``churn_smoke`` (``tests/golden/churn_smoke.json``) — the open-system
   churn scenario: arrivals, finite jobs, kills, re-pins, a rate change.
+* ``topology_placement`` (``tests/golden/topology_placement.json``) —
+  the same churn recipe on a kernel with a penalised CPU topology and
+  cache-warm placement, pinning migration-penalty charging.
 * ``fault_smoke`` (``tests/golden/fault_smoke.json``) — a fault-dense
   scenario layered on the same churn machinery: a scheduled runaway
   hijack (quarantined by the watchdog under the reservation scheduler),

@@ -31,10 +31,6 @@ class Mutex:
         self.waiters: deque["SimThread"] = deque()
         self.acquisitions = 0
 
-    def is_locked(self) -> bool:
-        """Whether some thread currently holds the mutex."""
-        return self.owner is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         holder = self.owner.name if self.owner else None
         return f"Mutex(name={self.name!r}, owner={holder!r}, waiters={len(self.waiters)})"

@@ -17,8 +17,6 @@ not have to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from repro.ipc.bounded_buffer import Channel
 from repro.ipc.roles import Role
 from repro.sim.errors import ChannelError
@@ -32,10 +30,6 @@ class Linkage:
     thread: SimThread
     channel: Channel
     role: Role
-
-    def pressure_sign(self) -> int:
-        """The R factor of Figure 3 for this linkage."""
-        return self.role.sign
 
 
 class SymbioticRegistry:
@@ -92,28 +86,6 @@ class SymbioticRegistry:
             self.register(consumer, channel, Role.CONSUMER),
         )
 
-    def unregister_thread(self, thread: SimThread) -> int:
-        """Drop all linkages for ``thread`` (e.g. on exit); returns count."""
-        before = len(self._linkages)
-        self.version += 1
-        self._linkages = [l for l in self._linkages if l.thread != thread]
-        self._by_thread.pop(thread.tid, None)
-        return before - len(self._linkages)
-
-    def unregister_channel(self, channel: Channel) -> int:
-        """Drop all linkages involving ``channel``; returns count removed."""
-        before = len(self._linkages)
-        self.version += 1
-        self._linkages = [l for l in self._linkages if l.channel is not channel]
-        for tid, own in list(self._by_thread.items()):
-            kept = [l for l in own if l.channel is not channel]
-            if not kept:
-                del self._by_thread[tid]
-            elif len(kept) != len(own):
-                self._by_thread[tid] = kept
-        self._channels.pop(channel.name, None)
-        return before - len(self._linkages)
-
     # ------------------------------------------------------------------
     # queries used by the controller's monitors
     # ------------------------------------------------------------------
@@ -132,19 +104,6 @@ class SymbioticRegistry:
     def channels(self) -> list[Channel]:
         """All channels with at least one registration."""
         return list(self._channels.values())
-
-    def channel_by_name(self, name: str) -> Optional[Channel]:
-        """Look up a registered channel by name."""
-        return self._channels.get(name)
-
-    def peers_of(self, thread: SimThread) -> list[SimThread]:
-        """Threads sharing a channel with ``thread`` (pipeline neighbours)."""
-        peers: list[SimThread] = []
-        for linkage in self.linkages_for(thread):
-            for other in self.linkages_on(linkage.channel):
-                if other.thread != thread and other.thread not in peers:
-                    peers.append(other.thread)
-        return peers
 
     def __len__(self) -> int:
         return len(self._linkages)

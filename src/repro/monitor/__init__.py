@@ -4,12 +4,11 @@ The monitors turn raw symbiotic-interface state (queue fill levels,
 roles) into the per-thread progress signals the adaptive controller
 consumes, and police the reservations it grants:
 
-* :class:`~repro.monitor.progress.QueueFillMonitor` — the F value of
-  Figure 3 for one (thread, channel, role) linkage;
 * :class:`~repro.monitor.progress.ConstantPressureSource` — the
   positive-constant pseudo-progress used for miscellaneous threads;
 * :class:`~repro.monitor.progress.ProgressSampler` — gathers a thread's
-  combined pressure sample from all of its linkages;
+  combined pressure sample from all of its linkages (the F value of
+  Figure 3 per (thread, channel, role) linkage, summed);
 * :class:`~repro.monitor.watchdog.Watchdog` — a second feedback loop
   that quarantines runaway or stalled reservations (demotion to
   best-effort with backoff re-promotion), keeping a misbehaving thread
@@ -20,7 +19,6 @@ from repro.monitor.progress import (
     ConstantPressureSource,
     PressureSample,
     ProgressSampler,
-    QueueFillMonitor,
 )
 from repro.monitor.watchdog import QuarantineRecord, Watchdog
 
@@ -29,6 +27,5 @@ __all__ = [
     "PressureSample",
     "ProgressSampler",
     "QuarantineRecord",
-    "QueueFillMonitor",
     "Watchdog",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.ipc.bounded_buffer import Channel
 from repro.ipc.registry import Linkage, SymbioticRegistry
 from repro.sim.thread import SimThread
 
@@ -58,29 +57,6 @@ class PressureSample:
     saturated_full: bool = False
     saturated_empty: bool = False
     mean_fill: Optional[float] = None
-
-
-class QueueFillMonitor:
-    """Computes the signed F value for a single linkage."""
-
-    def __init__(self, linkage: Linkage, setpoint: float = SETPOINT_FILL) -> None:
-        if not 0.0 < setpoint < 1.0:
-            raise ValueError(f"setpoint must be inside (0, 1), got {setpoint}")
-        self.linkage = linkage
-        self.setpoint = setpoint
-
-    @property
-    def channel(self) -> Channel:
-        """The channel being observed."""
-        return self.linkage.channel
-
-    def fill_deviation(self) -> float:
-        """F_t,i = fill_level - setpoint, in [-setpoint, 1-setpoint]."""
-        return self.channel.fill_level() - self.setpoint
-
-    def signed_pressure(self) -> float:
-        """R_t,i * F_t,i — positive means "needs more CPU"."""
-        return self.linkage.pressure_sign() * self.fill_deviation()
 
 
 class ConstantPressureSource:
@@ -143,8 +119,7 @@ class ProgressSampler:
         saturated_empty = False
         setpoint = self.setpoint
         for linkage in linkages:
-            # The per-linkage arithmetic of QueueFillMonitor, without
-            # building a monitor object per linkage per tick.
+            # F_t,i of Figure 3, signed by the linkage's role (R_t,i).
             channel = linkage.channel
             fill = channel.fill_level()
             fill_total += fill
@@ -169,6 +144,5 @@ __all__ = [
     "DEFAULT_CONSTANT_PRESSURE",
     "PressureSample",
     "ProgressSampler",
-    "QueueFillMonitor",
     "SETPOINT_FILL",
 ]

@@ -273,10 +273,6 @@ class Watchdog:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def quarantined_tids(self) -> tuple[int, ...]:
-        """tids currently serving a quarantine."""
-        return tuple(sorted(self._quarantined))
-
     def quarantine_count(self) -> int:
         """Total quarantine episodes issued so far."""
         return len(self.history)

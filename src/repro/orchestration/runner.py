@@ -1,11 +1,11 @@
 """The crash-safe sweep coordinator and its resilient worker pool.
 
-:func:`orchestrate_sweep` is the journaled replacement for the ad-hoc
-``ProcessPoolExecutor`` loop the CLI sweep used to run: every settled
-grid point is durably appended to the journal *before* the coordinator
-moves on, so a crash — of a worker, of the coordinator, of the machine
-— loses at most the points still in flight, and ``--resume`` replays
-none of the finished work.  The merged artifact is built by the same
+:func:`orchestrate_sweep` runs the CLI sweep's grid points over a pool
+of worker processes, journaled: every settled grid point is durably
+appended to the journal *before* the coordinator moves on, so a crash
+— of a worker, of the coordinator, of the machine — loses at most the
+points still in flight, and ``--resume`` replays none of the finished
+work.  The merged artifact is built by the same
 :func:`~repro.experiments.sweep.build_sweep_artifact` the serial path
 uses, from payloads that are either fresh worker results or journal
 lines (both JSON-round-trip stable), so an interrupted-then-resumed

@@ -16,7 +16,7 @@ Design points that matter for crash-safety:
   may decide what an interrupt means (flush the journal, print the
   resume command), so workers must not race it to an exit.
 * **Points run through** :func:`repro.experiments.sweep.run_point`,
-  the same entry :func:`~repro.experiments.sweep.run_sweep`'s pool
+  the same entry the serial :func:`~repro.experiments.sweep.run_sweep`
   uses, so both paths produce the same wire form.
 * **Exceptions never kill the loop**: a raising point is reported as
   an ``error`` message and the worker stays warm for the next task.

@@ -17,7 +17,6 @@ import random
 from typing import Optional
 
 from repro.sched.base import Scheduler
-from repro.sim.errors import SchedulerError
 from repro.sim.thread import SimThread
 
 
@@ -31,15 +30,6 @@ class LotteryScheduler(Scheduler):
         self._rng = random.Random(seed)
         self._slice_us = slice_us
         self.draws = 0
-
-    def set_tickets(self, thread: SimThread, tickets: int) -> None:
-        """Assign ``tickets`` to ``thread`` (must be positive)."""
-        if tickets <= 0:
-            raise SchedulerError(
-                f"ticket count must be positive, got {tickets} for "
-                f"{thread.name!r}"
-            )
-        thread.tickets = int(tickets)
 
     def pick_next(self, now: int, cpu: Optional[int] = None) -> Optional[SimThread]:
         runnable = self.dispatch_candidates(cpu)

@@ -434,13 +434,6 @@ class PipelineAffinityPlacement(_TopologyPlacement):
             (str(producer), str(consumer)) for producer, consumer in pairs
         )
 
-    @classmethod
-    def from_registry(
-        cls, topology: CpuTopology, registry: "SymbioticRegistry"
-    ) -> "PipelineAffinityPlacement":
-        """Snapshot the registry's channel endpoints into pairs."""
-        return cls(topology, pipeline_pairs(registry))
-
     def assign(
         self,
         threads: Iterable["SimThread"],

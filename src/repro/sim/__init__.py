@@ -40,7 +40,6 @@ from repro.sim.cpu import CPUModel, CPUState
 from repro.sim.errors import (
     DeadlockError,
     SimulationError,
-    SimulationFinished,
     ThreadStateError,
 )
 from repro.sim.events import Event, EventQueue
@@ -75,7 +74,6 @@ __all__ = [
     "SimClock",
     "SimThread",
     "SimulationError",
-    "SimulationFinished",
     "Sleep",
     "ThreadState",
     "ThreadStateError",

@@ -33,11 +33,6 @@ def to_seconds(us: int) -> float:
     return us / US_PER_SEC
 
 
-def to_ms(us: int) -> float:
-    """Convert integer microseconds to floating-point milliseconds."""
-    return us / US_PER_MS
-
-
 class SimClock:
     """A monotonically non-decreasing virtual clock.
 
@@ -56,11 +51,6 @@ class SimClock:
     def now(self) -> int:
         """Current virtual time in microseconds."""
         return self._now
-
-    @property
-    def now_seconds(self) -> float:
-        """Current virtual time in seconds (convenience for reporting)."""
-        return to_seconds(self._now)
 
     def advance_to(self, t: int) -> None:
         """Move the clock forward to absolute time ``t`` microseconds."""

@@ -2,13 +2,9 @@
 
 The paper's prototype runs on a 400 MHz Pentium II with a 1 ms timer.
 The simulator does not model micro-architecture; what matters for the
-scheduling experiments is
-
-* the conversion between "cycles" (the unit the pulse workload of
-  Section 4.2 reasons in) and CPU time, and
-* the fixed cost of every dispatch (the ``schedule()`` +
-  ``do_timers()`` path), which is what produces the overhead-vs-
-  frequency curve of Figure 8.
+scheduling experiments is the fixed cost of every dispatch (the
+``schedule()`` + ``do_timers()`` path), which is what produces the
+overhead-vs-frequency curve of Figure 8.
 
 A multiprocessor kernel instantiates one :class:`CPUState` per CPU (all
 sharing one :class:`CPUModel`, i.e. homogeneous SMP): it carries the
@@ -19,8 +15,6 @@ and dispatch counts — that the kernel aggregates for its totals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.sim.clock import US_PER_SEC
 
 
 @dataclass
@@ -82,9 +76,6 @@ class CPUModel:
 
     Attributes
     ----------
-    clock_hz:
-        Nominal clock rate used to convert cycles to microseconds.  The
-        default matches the paper's 400 MHz Pentium II.
     dispatch_cost_us:
         CPU time charged (to nobody) on every dispatcher invocation.
         The paper measures ~2.7% overhead at a 4 kHz dispatch rate,
@@ -97,20 +88,12 @@ class CPUModel:
         its knee (very small quanta thrash the cache), which a constant
         per-dispatch cost cannot reproduce; the dispatch-overhead
         experiment uses this term, everything else leaves it at zero.
-    timer_interrupt_cost_us:
-        Cost of servicing a timer interrupt that does not lead to a
-        dispatch (the paper's ``do_timers()`` fast path, which runs in
-        constant time thanks to the cached next-expiry optimisation).
     """
 
-    clock_hz: float = 400e6
     dispatch_cost_us: float = 6.75
     dispatch_cost_quadratic_us: float = 0.0
-    timer_interrupt_cost_us: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
-            raise ValueError(f"clock_hz must be positive, got {self.clock_hz}")
         if self.dispatch_cost_us < 0:
             raise ValueError(
                 f"dispatch_cost_us cannot be negative, got {self.dispatch_cost_us}"
@@ -120,11 +103,6 @@ class CPUModel:
                 "dispatch_cost_quadratic_us cannot be negative, got "
                 f"{self.dispatch_cost_quadratic_us}"
             )
-        if self.timer_interrupt_cost_us < 0:
-            raise ValueError(
-                "timer_interrupt_cost_us cannot be negative, "
-                f"got {self.timer_interrupt_cost_us}"
-            )
 
     def effective_dispatch_cost_us(self, dispatch_hz: float) -> float:
         """Per-dispatch cost at a given dispatcher frequency."""
@@ -132,35 +110,6 @@ class CPUModel:
             raise ValueError(f"dispatch_hz cannot be negative, got {dispatch_hz}")
         f_khz = dispatch_hz / 1_000.0
         return self.dispatch_cost_us + self.dispatch_cost_quadratic_us * f_khz * f_khz
-
-    def cycles_to_us(self, cycles: float) -> int:
-        """Convert a cycle count to integer microseconds (at least 1 if > 0)."""
-        if cycles < 0:
-            raise ValueError(f"cycle count cannot be negative, got {cycles}")
-        us = cycles / self.clock_hz * US_PER_SEC
-        if cycles > 0:
-            return max(1, int(round(us)))
-        return 0
-
-    def us_to_cycles(self, us: int) -> float:
-        """Convert microseconds of CPU time to cycles."""
-        if us < 0:
-            raise ValueError(f"CPU time cannot be negative, got {us}")
-        return us * self.clock_hz / US_PER_SEC
-
-    def overhead_fraction(self, dispatch_hz: float) -> float:
-        """Analytic dispatch overhead at a given dispatcher frequency.
-
-        ``fraction = dispatch_hz * effective_cost(dispatch_hz) / 1e6``,
-        clamped to [0, 1].  Used for calibration and as the analytic
-        reference in the Figure 8 reproduction.
-        """
-        if dispatch_hz < 0:
-            raise ValueError(f"dispatch_hz cannot be negative, got {dispatch_hz}")
-        fraction = (
-            dispatch_hz * self.effective_dispatch_cost_us(dispatch_hz) / US_PER_SEC
-        )
-        return min(1.0, max(0.0, fraction))
 
 
 __all__ = ["CPUModel", "CPUState"]

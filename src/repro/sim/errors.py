@@ -5,15 +5,6 @@ class SimulationError(Exception):
     """Base class for all errors raised by the simulation substrate."""
 
 
-class SimulationFinished(SimulationError):
-    """Raised internally when the simulation has nothing left to do.
-
-    The kernel converts this into a normal return from
-    :meth:`repro.sim.kernel.Kernel.run_until`; user code only sees it if
-    it drives the event queue directly.
-    """
-
-
 class ThreadStateError(SimulationError):
     """A thread was asked to perform an operation invalid in its state.
 

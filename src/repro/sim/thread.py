@@ -261,16 +261,6 @@ class SimThread:
             )
         self._set_current(request)
 
-    @property
-    def has_pending_work(self) -> bool:
-        """Whether the thread currently has an unfinished request."""
-        return self._current_request is not None
-
-    @property
-    def remaining_compute_us(self) -> int:
-        """Microseconds left in the current compute burst (0 if none)."""
-        return self._remaining_compute_us
-
     def _set_current(self, request: Request) -> None:
         self._current_request = request
         if isinstance(request, Compute):
@@ -306,17 +296,6 @@ class SimThread:
     def current_request(self) -> Optional[Request]:
         """The request the thread is currently executing, if any."""
         return self._current_request
-
-    def consume_compute(self, us: int) -> None:
-        """Consume ``us`` microseconds from the current compute burst."""
-        if us < 0:
-            raise ValueError(f"cannot consume negative CPU time {us}")
-        if us > self._remaining_compute_us:
-            raise ThreadStateError(
-                f"{self.name}: consuming {us}us but only "
-                f"{self._remaining_compute_us}us remain in the burst"
-            )
-        self._remaining_compute_us -= us
 
     def finish_request(self) -> None:
         """Mark the current request complete (kernel bookkeeping)."""

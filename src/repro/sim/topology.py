@@ -34,8 +34,6 @@ or branch on mutable state.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 #: Migration-distance classes returned by :meth:`CpuTopology.distance_class`.
 SAME_CPU = 0
 SMT_SIBLING = 1
@@ -105,10 +103,6 @@ class CpuTopology:
                 )
             )
             for core in range(self.sockets * self.cores_per_socket)
-        ]
-        self._socket_cpus = [
-            tuple(range(s * per_socket, (s + 1) * per_socket))
-            for s in range(self.sockets)
         ]
 
     # ------------------------------------------------------------------
@@ -191,24 +185,6 @@ class CpuTopology:
         """All hardware threads of ``cpu``'s physical core, itself included."""
         self._check(cpu)
         return self._siblings[self._core_of[cpu]]
-
-    def cpus_of_socket(self, socket: int) -> tuple[int, ...]:
-        """CPU indices belonging to ``socket``, ascending."""
-        if not 0 <= socket < self.sockets:
-            raise ValueError(
-                f"socket {socket} outside topology {self.spec()}"
-            )
-        return self._socket_cpus[socket]
-
-    def cpus_of_core(self, core: int) -> tuple[int, ...]:
-        """CPU indices of global core ``core``, ascending."""
-        if not 0 <= core < len(self._siblings):
-            raise ValueError(f"core {core} outside topology {self.spec()}")
-        return self._siblings[core]
-
-    def iter_cores(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Yield ``(global core id, its CPU indices)`` in core order."""
-        return iter(enumerate(self._siblings))
 
     # ------------------------------------------------------------------
     # migration cost

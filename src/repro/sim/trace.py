@@ -10,7 +10,7 @@ simulation run; the analysis package turns them into the figures.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.sim.clock import to_seconds
@@ -96,19 +96,6 @@ class TraceSeries:
             return None
         return TracePoint(self._times[-1], self._values[-1])
 
-    def value_at(self, time_us: int) -> float:
-        """Value of the most recent sample at or before ``time_us``.
-
-        Raises ``ValueError`` if no sample exists that early.
-        """
-        times = self._times
-        index = bisect_right(times, time_us) - 1
-        if index < 0:
-            raise ValueError(
-                f"series {self.name!r} has no sample at or before {time_us}us"
-            )
-        return self._values[index]
-
     def window(self, start_us: int, end_us: int) -> list[TracePoint]:
         """Samples with ``start_us <= time < end_us``."""
         times = self._times
@@ -129,7 +116,6 @@ class Tracer:
 
     def __init__(self) -> None:
         self._series: dict[str, TraceSeries] = {}
-        self._samplers: list[PeriodicEvent] = []
 
     def series(self, name: str) -> TraceSeries:
         """Get (creating if needed) the series called ``name``."""
@@ -166,17 +152,9 @@ class Tracer:
         def _sample(now: int) -> None:
             self.record(name, now, probe(now))
 
-        sampler = PeriodicEvent(
+        return PeriodicEvent(
             events, period_us, _sample, start=start_us, label=f"sampler:{name}"
         )
-        self._samplers.append(sampler)
-        return sampler
-
-    def stop_samplers(self) -> None:
-        """Stop all periodic samplers registered through this tracer."""
-        for sampler in self._samplers:
-            sampler.stop()
-        self._samplers.clear()
 
     def fingerprint(self) -> str:
         """SHA-256 digest of every series' exact samples.

@@ -358,58 +358,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def is_self_attr(node: ast.AST, attrs: Optional[set[str]] = None) -> Optional[str]:
-    """If ``node`` is ``self.<attr>`` (optionally restricted to
-    ``attrs``), return the attribute name."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        if attrs is None or node.attr in attrs:
-            return node.attr
-    return None
-
-
-def literal_str_set(node: ast.AST) -> Optional[set[str]]:
-    """Evaluate a literal ``frozenset({...})``/``{...}``/tuple of string
-    constants; ``None`` when the node is not such a literal."""
-    if isinstance(node, ast.Call):
-        name = call_name(node)
-        if name in ("frozenset", "set") and len(node.args) <= 1:
-            if not node.args:
-                return set()
-            return literal_str_set(node.args[0])
-        return None
-    if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
-        out: set[str] = set()
-        for element in node.elts:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                out.add(element.value)
-            else:
-                return None
-        return out
-    return None
-
-
-def literal_str_dict(node: ast.AST) -> Optional[dict[str, str]]:
-    """Evaluate a literal ``{str: str}`` dict; ``None`` otherwise."""
-    if not isinstance(node, ast.Dict):
-        return None
-    out: dict[str, str] = {}
-    for key, value in zip(node.keys, node.values):
-        if (
-            isinstance(key, ast.Constant)
-            and isinstance(key.value, str)
-            and isinstance(value, ast.Constant)
-            and isinstance(value.value, str)
-        ):
-            out[key.value] = value.value
-        else:
-            return None
-    return out
-
-
 __all__ = [
     "Checker",
     "Finding",
@@ -421,8 +369,5 @@ __all__ = [
     "Suppression",
     "call_name",
     "dotted_name",
-    "is_self_attr",
-    "literal_str_dict",
-    "literal_str_set",
     "run_checks",
 ]

@@ -161,14 +161,6 @@ def _set_attrs_of_module(tree: ast.Module) -> set[str]:
     return attrs
 
 
-def _sorted_wrapped(parents: list[ast.AST]) -> bool:
-    """Is the innermost enclosing call ``sorted(...)``?"""
-    for parent in reversed(parents):
-        if isinstance(parent, ast.Call):
-            return call_name(parent) == "sorted"
-    return False
-
-
 class _Visitor(ast.NodeVisitor):
     def __init__(self, checker_name: str, module: ModuleSource) -> None:
         self.check = checker_name

@@ -15,10 +15,6 @@ discusses:
 * :mod:`repro.workloads.webfarm` — many such servers on a
   multiprocessor kernel (the SMP scaling scenario);
 * :mod:`repro.workloads.interactive` — a tty-driven interactive job;
-* :mod:`repro.workloads.io_intensive` — a disk-bottlenecked consumer
-  (the "I/O intensive" class), which exercises the reclaim rule;
-* :mod:`repro.workloads.modem` — an isochronous software modem, the
-  paper's canonical real-time (reservation) application;
 * :mod:`repro.workloads.inversion` — the Mars-Pathfinder-style priority
   inversion scenario from Section 2;
 * :mod:`repro.workloads.arrivals` / :mod:`repro.workloads.engine` — the
@@ -48,8 +44,6 @@ from repro.workloads.engine import (
 )
 from repro.workloads.interactive import InteractiveJob, InteractiveUser
 from repro.workloads.inversion import InversionResult, InversionScenario
-from repro.workloads.io_intensive import IoIntensiveJob
-from repro.workloads.modem import SoftwareModem
 from repro.workloads.pipeline import MultimediaPipeline, PipelineStageSpec
 from repro.workloads.pulse import (
     PulsePipeline,
@@ -78,13 +72,11 @@ __all__ = [
     "InteractiveUser",
     "InversionResult",
     "InversionScenario",
-    "IoIntensiveJob",
     "MultimediaPipeline",
     "PipelineStageSpec",
     "PulsePipeline",
     "PulseSchedule",
     "RateSegment",
-    "SoftwareModem",
     "WebFarm",
     "WebServer",
 ]

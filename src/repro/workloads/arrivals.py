@@ -99,11 +99,6 @@ class DeterministicArrivals(ArrivalProcess):
             )
         self.interval_us = int(interval_us)
 
-    @classmethod
-    def per_second(cls, rate_per_s: float) -> "DeterministicArrivals":
-        """Build from a rate instead of an interval."""
-        return cls(max(1, int(round(_US_PER_SEC / _check_rate(rate_per_s)))))
-
     def set_rate(self, rate_per_s: float) -> None:
         self.interval_us = max(1, int(round(_US_PER_SEC / _check_rate(rate_per_s))))
 

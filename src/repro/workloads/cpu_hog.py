@@ -67,11 +67,5 @@ class CpuHog:
         )
         return hog
 
-    def cpu_seconds(self) -> float:
-        """Total CPU the hog has consumed, in seconds."""
-        if self.thread is None:
-            return 0.0
-        return self.thread.accounting.total_us / 1_000_000
-
 
 __all__ = ["CpuHog"]

@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.core.taxonomy import ThreadSpec
 from repro.ipc.bounded_buffer import BoundedBuffer
-from repro.sim.clock import US_PER_SEC, seconds
+from repro.sim.clock import seconds
 from repro.sim.requests import Compute, Get, Put
 from repro.sim.thread import SimThread, ThreadEnv
 from repro.system import RealRateSystem
@@ -246,13 +246,6 @@ class PulsePipeline:
         """
         producer_fraction = self.params.producer_proportion_ppt / 1000
         return producer_fraction * rate / self.params.consumer_bytes_per_cpu_us
-
-    def producer_byte_rate(self, rate: Optional[float] = None) -> float:
-        """Ideal producer progress rate (bytes/second) at a schedule rate."""
-        if rate is None:
-            rate = self.schedule.default_rate
-        producer_fraction = self.params.producer_proportion_ppt / 1000
-        return producer_fraction * rate * US_PER_SEC
 
 
 __all__ = ["PulseParameters", "PulsePipeline", "PulseSchedule", "RateSegment"]

@@ -94,17 +94,9 @@ class WebFarm:
     # ------------------------------------------------------------------
     # aggregate measurement helpers
     # ------------------------------------------------------------------
-    def total_sent(self) -> int:
-        """Requests offered across the farm so far."""
-        return sum(s.requests_sent for s in self.servers)
-
     def total_served(self) -> int:
         """Requests completed across the farm so far."""
         return sum(s.requests_served for s in self.servers)
-
-    def total_backlog(self) -> float:
-        """Requests currently queued in all socket buffers."""
-        return sum(s.backlog_requests() for s in self.servers)
 
     def demand_cpus(self) -> float:
         """Aggregate CPU demand of the offered load, in CPUs."""

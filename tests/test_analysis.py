@@ -11,7 +11,6 @@ from repro.analysis.series import (
     find_knee,
     mean_absolute_deviation,
     rate_from_cumulative,
-    resample,
     sparkline,
 )
 
@@ -69,21 +68,6 @@ class TestSeriesHelpers:
         with pytest.raises(ValueError):
             rate_from_cumulative([0.0], [1.0, 2.0])
 
-    def test_resample_zero_order_hold(self):
-        times = [0.0, 1.0, 2.5]
-        values = [1.0, 2.0, 3.0]
-        grid, out = resample(times, values, step_s=0.5)
-        assert grid[0] == 0.0
-        assert out[:3] == [1.0, 1.0, 2.0]
-        assert out[-1] == 3.0
-
-    def test_resample_empty(self):
-        assert resample([], [], 0.5) == ([], [])
-
-    def test_resample_invalid_step(self):
-        with pytest.raises(ValueError):
-            resample([0.0], [1.0], 0.0)
-
     def test_mean_absolute_deviation(self):
         assert mean_absolute_deviation([0.4, 0.6], 0.5) == pytest.approx(0.1)
         assert mean_absolute_deviation([], 0.5) == 0.0
@@ -129,7 +113,6 @@ class TestStepResponse:
         # 90% rise of a first-order lag is ~2.3 tau.
         assert response.rise_time_s == pytest.approx(0.46, abs=0.05)
         assert response.overshoot_fraction == pytest.approx(0.0, abs=0.05)
-        assert response.responded
 
     def test_settling_time_reported(self):
         times, values = self._exponential_step(tau=0.1)
@@ -142,7 +125,6 @@ class TestStepResponse:
         values = [0.0] * 400
         response = step_response(times, values, 1.0, target_value=1.0)
         assert response.rise_time_s is None
-        assert not response.responded
 
     def test_overshoot_measured(self):
         times = [i * 0.01 for i in range(300)]

@@ -6,16 +6,15 @@ import pytest
 
 from repro.core.allocator import ProportionAllocator
 from repro.core.config import ControllerConfig
-from repro.core.driver import ControllerDriver, ControllerOverheadModel
+from repro.core.driver import ControllerOverheadModel
 from repro.core.errors import AdmissionError, ControllerError
-from repro.core.overload import FairShareSquish
 from repro.core.taxonomy import ThreadClass, ThreadSpec
 from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.ipc.registry import SymbioticRegistry
 from repro.ipc.roles import Role
 from repro.sched.rbs import ReservationScheduler
 from repro.sim.kernel import Kernel
-from repro.sim.requests import Compute, Get, Put, Sleep
+from repro.sim.requests import Compute, Get
 from repro.sim.trace import Tracer
 from repro.system import build_real_rate_system
 
@@ -218,10 +217,10 @@ class TestDecisions:
             )
 
     def test_total_allocated_reported(self):
-        kernel, _, _, allocator = make_setup()
+        kernel, scheduler, _, allocator = make_setup()
         thread = kernel.spawn("rt", spin_body())
         allocator.register(thread, ThreadSpec(proportion_ppt=100, period_us=10_000))
-        assert allocator.total_allocated_ppt() == 100
+        assert scheduler.total_reserved_ppt() == 100
 
 
 class TestOverloadResolution:
@@ -290,10 +289,11 @@ class TestOverloadResolution:
         rt = kernel.spawn("rt", spin_body())
         allocator.register(rt, ThreadSpec(proportion_ppt=390, period_us=10_000))
         other = kernel.spawn("rr", spin_body())
-        registry.register(other, BoundedBuffer("q2", 100), Role.CONSUMER)
+        other_queue = BoundedBuffer("q2", 100)
+        registry.register(other, other_queue, Role.CONSUMER)
         allocator.register(other)
         # Saturate q2 too so both real-rate threads demand allocation.
-        registry.channel_by_name("q2").commit_put(100)
+        other_queue.commit_put(100)
         for step in range(1, 80):
             allocator.update(now=step * 10_000)
         assert allocator.quality_exceptions
@@ -322,15 +322,12 @@ class TestControllerDriver:
         model = ControllerOverheadModel(fixed_us=5.0, per_thread_us=2.0)
         assert model.cost_us(0) == 5.0
         assert model.cost_us(10) == 25.0
-        assert model.overhead_fraction(10, period_us=10_000) == pytest.approx(0.0025)
 
     def test_overhead_model_validation(self):
         with pytest.raises(ValueError):
             ControllerOverheadModel(fixed_us=-1)
         with pytest.raises(ValueError):
             ControllerOverheadModel().cost_us(-1)
-        with pytest.raises(ValueError):
-            ControllerOverheadModel().overhead_fraction(1, period_us=0)
 
     def test_driver_charges_overhead_as_stolen_time(self):
         system = build_real_rate_system(charge_dispatch_overhead=False)

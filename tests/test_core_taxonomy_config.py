@@ -7,6 +7,32 @@ import pytest
 from repro.core.config import ControllerConfig, PIDGains
 from repro.core.errors import ControllerError
 from repro.core.taxonomy import ThreadClass, ThreadSpec, classify
+from repro.ipc.bounded_buffer import BoundedBuffer
+from repro.ipc.roles import Role
+from repro.sim.clock import seconds
+from repro.system import build_real_rate_system
+
+from tests.conftest import spin_body
+
+
+@pytest.fixture(scope="module")
+def overloaded_decisions():
+    """The controller's last decision per thread, with one thread of
+    each Figure 2 class overloading a single CPU."""
+    system = build_real_rate_system(
+        charge_dispatch_overhead=False, charge_controller_overhead=False
+    )
+    system.spawn_controlled(
+        "rt", spin_body(), spec=ThreadSpec(proportion_ppt=300, period_us=10_000)
+    )
+    system.spawn_controlled("aperiodic", spin_body(), spec=ThreadSpec(proportion_ppt=300))
+    queue = BoundedBuffer("q", 1_000)
+    queue.commit_put(1_000)
+    real_rate = system.spawn_controlled("rr", spin_body())
+    system.link(real_rate, queue, Role.CONSUMER)
+    system.spawn_controlled("misc", spin_body())
+    system.run_for(seconds(2))
+    return {d.thread.name: d for d in system.driver.last_decisions}
 
 
 class TestThreadSpec:
@@ -54,16 +80,26 @@ class TestClassification:
     def test_miscellaneous(self):
         assert classify(ThreadSpec(), False) is ThreadClass.MISCELLANEOUS
 
-    def test_squishability(self):
-        assert ThreadClass.REAL_RATE.is_squishable
-        assert ThreadClass.MISCELLANEOUS.is_squishable
-        assert not ThreadClass.REAL_TIME.is_squishable
-        assert not ThreadClass.APERIODIC_REAL_TIME.is_squishable
+    def test_squishability(self, overloaded_decisions):
+        """Under overload the controller squishes the real-rate and
+        miscellaneous threads; real-time reservations are protected."""
+        assert {
+            name: (d.thread_class, d.squished) for name, d in overloaded_decisions.items()
+        } == {
+            "rt": (ThreadClass.REAL_TIME, False),
+            "aperiodic": (ThreadClass.APERIODIC_REAL_TIME, False),
+            "rr": (ThreadClass.REAL_RATE, True),
+            "misc": (ThreadClass.MISCELLANEOUS, True),
+        }
 
-    def test_reservation_spec_flag(self):
-        assert ThreadClass.REAL_TIME.has_reservation_spec
-        assert ThreadClass.APERIODIC_REAL_TIME.has_reservation_spec
-        assert not ThreadClass.REAL_RATE.has_reservation_spec
+    def test_reservation_spec_flag(self, overloaded_decisions):
+        """Real-time classes get the application's proportion; a
+        real-rate thread's comes from feedback on its pressure."""
+        for name in ("rt", "aperiodic"):
+            decision = overloaded_decisions[name]
+            assert decision.pressure_raw is None
+            assert decision.granted_ppt == 300
+        assert overloaded_decisions["rr"].pressure_raw is not None
 
 
 class TestControllerConfig:

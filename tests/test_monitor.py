@@ -3,61 +3,58 @@
 import pytest
 
 from repro.core.config import ControllerConfig
+from repro.core.errors import ControllerError
 from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.ipc.registry import SymbioticRegistry
 from repro.ipc.roles import Role
-from repro.monitor.progress import (
-    ConstantPressureSource,
-    ProgressSampler,
-    QueueFillMonitor,
-)
+from repro.monitor.progress import ConstantPressureSource, ProgressSampler
 from repro.sim.thread import SimThread
 
 from tests import figure4_oracle as oracle
 
 
 class TestQueueFillMonitor:
-    def _make(self, role, fill, capacity=1_000, setpoint=0.5):
+    """The signed F value of Figure 3 for a single linkage, as the
+    controller's :class:`ProgressSampler` reports it."""
+
+    def _pressure(self, role, fill, capacity=1_000, setpoint=0.5):
         registry = SymbioticRegistry()
         thread = SimThread("t")
         queue = BoundedBuffer("q", capacity)
         if fill:
             queue.commit_put(fill)
-        linkage = registry.register(thread, queue, role)
-        return QueueFillMonitor(linkage, setpoint=setpoint)
+        registry.register(thread, queue, role)
+        sample = ProgressSampler(thread, registry, setpoint=setpoint).sample()
+        assert sample.per_channel == {"q": sample.raw}
+        return sample.raw
 
     def test_half_full_queue_has_zero_pressure(self):
-        monitor = self._make(Role.CONSUMER, 500)
-        assert monitor.signed_pressure() == pytest.approx(0.0)
+        assert self._pressure(Role.CONSUMER, 500) == pytest.approx(0.0)
 
     def test_full_queue_pushes_consumer_up(self):
-        monitor = self._make(Role.CONSUMER, 1_000)
-        assert monitor.signed_pressure() == pytest.approx(0.5)
+        assert self._pressure(Role.CONSUMER, 1_000) == pytest.approx(0.5)
 
     def test_full_queue_pushes_producer_down(self):
-        monitor = self._make(Role.PRODUCER, 1_000)
-        assert monitor.signed_pressure() == pytest.approx(-0.5)
+        assert self._pressure(Role.PRODUCER, 1_000) == pytest.approx(-0.5)
 
     def test_empty_queue_pushes_consumer_down(self):
-        monitor = self._make(Role.CONSUMER, 0)
-        assert monitor.signed_pressure() == pytest.approx(-0.5)
+        assert self._pressure(Role.CONSUMER, 0) == pytest.approx(-0.5)
 
     def test_empty_queue_pushes_producer_up(self):
-        monitor = self._make(Role.PRODUCER, 0)
-        assert monitor.signed_pressure() == pytest.approx(0.5)
+        assert self._pressure(Role.PRODUCER, 0) == pytest.approx(0.5)
 
     def test_pressure_bounded_by_half(self):
         for fill in (0, 100, 250, 500, 750, 999, 1_000):
-            monitor = self._make(Role.CONSUMER, fill)
-            assert -0.5 <= monitor.signed_pressure() <= 0.5
+            assert -0.5 <= self._pressure(Role.CONSUMER, fill) <= 0.5
 
     def test_custom_setpoint(self):
-        monitor = self._make(Role.CONSUMER, 250, setpoint=0.25)
-        assert monitor.signed_pressure() == pytest.approx(0.0)
+        assert self._pressure(Role.CONSUMER, 250, setpoint=0.25) == pytest.approx(0.0)
 
     def test_invalid_setpoint_rejected(self):
-        with pytest.raises(ValueError):
-            self._make(Role.CONSUMER, 0, setpoint=1.0)
+        # The controller takes its set point from the config, which
+        # refuses one outside (0, 1).
+        with pytest.raises(ControllerError):
+            ControllerConfig(setpoint_fill=1.0)
 
 
 class TestConstantPressureSource:

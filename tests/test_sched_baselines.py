@@ -6,7 +6,6 @@ from repro.sched.goodness import LinuxGoodnessScheduler
 from repro.sched.lottery import LotteryScheduler
 from repro.sched.priority import FixedPriorityScheduler
 from repro.sched.round_robin import RoundRobinScheduler
-from repro.sim.errors import SchedulerError
 from repro.sim.kernel import Kernel
 from repro.sim.requests import AcquireMutex, Compute, ReleaseMutex, Sleep
 from repro.ipc.mutex import Mutex
@@ -176,15 +175,6 @@ class TestLotteryScheduler:
             return a.accounting.total_us, b.accounting.total_us
 
         assert run(3) == run(3)
-
-    def test_set_tickets_validates(self):
-        scheduler = LotteryScheduler()
-        kernel = make_kernel(scheduler)
-        thread = kernel.spawn("t", spin_body())
-        with pytest.raises(SchedulerError):
-            scheduler.set_tickets(thread, 0)
-        scheduler.set_tickets(thread, 42)
-        assert thread.tickets == 42
 
     def test_no_runnable_threads_returns_none(self):
         scheduler = LotteryScheduler()

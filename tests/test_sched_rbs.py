@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.sched.rbs import (
-    DEFAULT_PERIOD_US,
-    PROPORTION_SCALE,
-    Reservation,
-    ReservationScheduler,
-)
+from repro.sched.rbs import Reservation, ReservationScheduler
 from repro.sim.errors import SchedulerError
 from repro.sim.kernel import Kernel
+from repro.sim.requests import Compute, Sleep
 from repro.sim.thread import SchedulingPolicy, SimThread, ThreadState
 
 from tests.conftest import finite_body, spin_body
@@ -19,6 +15,20 @@ def make_kernel(**kwargs) -> Kernel:
     defaults = dict(charge_dispatch_overhead=False, syscall_cost_us=0)
     defaults.update(kwargs)
     return Kernel(ReservationScheduler(), **defaults)
+
+
+def periodic_body(work_us: int, period_us: int):
+    """A body factory: ``work_us`` of CPU, then sleep to the next period."""
+
+    def body(env):
+        deadline = env.now + period_us
+        while True:
+            yield Compute(work_us)
+            if env.now < deadline:
+                yield Sleep(deadline - env.now)
+            deadline += period_us
+
+    return body
 
 
 class TestReservationState:
@@ -227,12 +237,24 @@ class TestRateMonotonicOrdering:
 
     def test_deadline_miss_counter_accumulates_under_demand(self):
         kernel = make_kernel()
+        scheduler = kernel.scheduler
         thread = kernel.spawn("greedy", spin_body())
-        kernel.scheduler.set_reservation(thread, 100, 10_000)
+        scheduler.set_reservation(thread, 100, 10_000)
+        # A periodic job (1.5 ms of work every 10 ms) in a 17% reservation,
+        # next to longer-period hogs that want the rest of the CPU.
+        job = kernel.spawn("periodic", periodic_body(1_500, 10_000))
+        scheduler.set_reservation(job, 170, 10_000)
+        for i in range(3):
+            scheduler.set_reservation(kernel.spawn(f"hog{i}", spin_body()), 200, 30_000)
         kernel.run_for(200_000)
-        # The thread always wants more than 10% so every period records
-        # unmet demand.
-        assert kernel.scheduler.deadline_misses() >= 15
+        # The greedy thread always wants more than 10% so every period
+        # records unmet demand.
+        assert scheduler.reservation(thread).deadline_misses >= 15
+        assert scheduler.deadline_misses() >= 15
+        # Rate-monotonic order serves the periodic job first: it meets
+        # every deadline and gets all of its work done.
+        assert scheduler.reservation(job).deadline_misses == 0
+        assert job.accounting.total_us == 20 * 1_500
 
     def test_exited_thread_is_removed(self):
         kernel = make_kernel()

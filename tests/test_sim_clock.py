@@ -8,7 +8,6 @@ from repro.sim.clock import (
     SimClock,
     ms,
     seconds,
-    to_ms,
     to_seconds,
 )
 
@@ -26,7 +25,7 @@ class TestConversions:
         assert to_seconds(seconds(3.5)) == pytest.approx(3.5)
 
     def test_round_trip_ms(self):
-        assert to_ms(ms(42)) == pytest.approx(42.0)
+        assert to_seconds(ms(42)) == pytest.approx(0.042)
 
     def test_constants_are_consistent(self):
         assert US_PER_SEC == 1_000 * US_PER_MS
@@ -73,4 +72,4 @@ class TestSimClock:
     def test_now_seconds(self):
         clock = SimClock()
         clock.advance_to(2_500_000)
-        assert clock.now_seconds == pytest.approx(2.5)
+        assert to_seconds(clock.now) == pytest.approx(2.5)

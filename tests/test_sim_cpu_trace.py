@@ -10,32 +10,13 @@ from repro.sim.trace import TracePoint, TraceSeries, Tracer
 class TestCPUModel:
     def test_defaults_are_valid(self):
         cpu = CPUModel()
-        assert cpu.clock_hz == pytest.approx(400e6)
         assert cpu.dispatch_cost_us > 0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            CPUModel(clock_hz=0)
-        with pytest.raises(ValueError):
             CPUModel(dispatch_cost_us=-1)
         with pytest.raises(ValueError):
             CPUModel(dispatch_cost_quadratic_us=-0.5)
-
-    def test_cycles_to_us_round_trip(self):
-        cpu = CPUModel(clock_hz=400e6)
-        us = cpu.cycles_to_us(400_000)  # 1 ms worth of cycles
-        assert us == 1_000
-        assert cpu.us_to_cycles(1_000) == pytest.approx(400_000)
-
-    def test_zero_cycles_is_zero_us(self):
-        assert CPUModel().cycles_to_us(0) == 0
-
-    def test_small_positive_cycles_at_least_one_us(self):
-        assert CPUModel().cycles_to_us(1) == 1
-
-    def test_negative_cycles_rejected(self):
-        with pytest.raises(ValueError):
-            CPUModel().cycles_to_us(-1)
 
     def test_effective_cost_constant_without_quadratic(self):
         cpu = CPUModel(dispatch_cost_us=5.0)
@@ -48,13 +29,18 @@ class TestCPUModel:
 
     def test_overhead_fraction_monotonic_in_frequency(self):
         cpu = CPUModel(dispatch_cost_us=6.75)
-        overheads = [cpu.overhead_fraction(f) for f in (100, 1_000, 4_000, 10_000)]
+        overheads = [
+            f * cpu.effective_dispatch_cost_us(f) / 1e6
+            for f in (100, 1_000, 4_000, 10_000)
+        ]
         assert overheads == sorted(overheads)
         assert all(0 <= o <= 1 for o in overheads)
 
     def test_overhead_fraction_matches_paper_calibration(self):
         cpu = CPUModel(dispatch_cost_us=6.75)
-        assert cpu.overhead_fraction(4_000) == pytest.approx(0.027, rel=0.01)
+        assert 4_000 * cpu.effective_dispatch_cost_us(4_000) / 1e6 == pytest.approx(
+            0.027, rel=0.01
+        )
 
 
 class TestTraceSeries:
@@ -71,20 +57,6 @@ class TestTraceSeries:
         series.append(1_000, 1.0)
         with pytest.raises(ValueError):
             series.append(500, 2.0)
-
-    def test_value_at_returns_most_recent(self):
-        series = TraceSeries("s")
-        series.append(0, 1.0)
-        series.append(1_000, 2.0)
-        series.append(2_000, 3.0)
-        assert series.value_at(1_500) == 2.0
-        assert series.value_at(2_000) == 3.0
-
-    def test_value_at_before_first_sample_raises(self):
-        series = TraceSeries("s")
-        series.append(1_000, 1.0)
-        with pytest.raises(ValueError):
-            series.value_at(999)
 
     def test_window_selects_half_open_interval(self):
         series = TraceSeries("s")
@@ -132,8 +104,7 @@ class TestTracer:
     def test_stop_samplers(self):
         tracer = Tracer()
         events = EventQueue()
-        tracer.add_sampler(events, 100, "probe", lambda now: 1.0)
-        tracer.stop_samplers()
+        tracer.add_sampler(events, 100, "probe", lambda now: 1.0).stop()
         while (event := events.pop_due(1_000)) is not None:
             event.callback()
         # Only firings scheduled before stop (none, since first fire was

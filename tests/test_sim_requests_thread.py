@@ -97,8 +97,6 @@ class TestSimThread:
         thread.bind(env=None)
         first = thread.advance()
         assert isinstance(first, Compute)
-        assert thread.remaining_compute_us == 10
-        thread.consume_compute(10)
         thread.finish_request()
         second = thread.advance()
         assert isinstance(second, Yield)
@@ -110,7 +108,6 @@ class TestSimThread:
         thread = SimThread("t", body)
         thread.bind(env=None)
         thread.advance()
-        thread.consume_compute(1)
         thread.finish_request()
         assert thread.advance() is None
 
@@ -123,20 +120,11 @@ class TestSimThread:
         with pytest.raises(ThreadStateError):
             thread.advance()
 
-    def test_consume_more_than_remaining_rejected(self):
-        def body(env):
-            yield Compute(5)
-
-        thread = SimThread("t", body)
-        thread.bind(env=None)
-        thread.advance()
-        with pytest.raises(ThreadStateError):
-            thread.consume_compute(6)
-
     def test_inject_request_for_external_thread(self):
         thread = SimThread("external", body=None)
-        thread.inject_request(Compute(100))
-        assert thread.remaining_compute_us == 100
+        request = Compute(100)
+        thread.inject_request(request)
+        assert thread.current_request() is request
 
 
 class TestCpuAccounting:

@@ -1,7 +1,5 @@
 """Integration tests for the assembled real-rate system facade."""
 
-import pytest
-
 from repro.core.config import ControllerConfig
 from repro.core.taxonomy import ThreadSpec
 from repro.ipc.roles import Role
@@ -127,7 +125,7 @@ class TestEndToEndPipeline:
         for i in range(6):
             system.spawn_controlled(f"hog{i}", spin_body())
         system.run_for(seconds(3))
-        total = system.allocator.total_allocated_ppt()
+        total = system.scheduler.total_reserved_ppt()
         assert total <= system.allocator.config.overload_threshold_ppt + 6
 
     def test_cpu_accounting_conserved(self):

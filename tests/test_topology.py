@@ -69,7 +69,6 @@ class TestCpuTopology:
         assert [topo.core_of(i) for i in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
         assert topo.siblings(0) == (0, 1)
         assert topo.siblings(5) == (4, 5)
-        assert topo.cpus_of_socket(1) == (4, 5, 6, 7)
 
     def test_from_spec_and_spec_round_trip(self):
         assert CpuTopology.from_spec("2x4x2").spec() == "2x4x2"

@@ -150,7 +150,7 @@ class TestLifecycle:
             period_us=10_000, miss_windows=2, quarantine_us=50_000,
         )
         kernel.run_for(50_000)
-        assert watchdog.quarantined_tids() == (victim.tid,)
+        assert [(r.tid, r.released) for r in watchdog.history] == [(victim.tid, False)]
         kernel.kill_thread(victim)
         kernel.run_for(100_000)
         record = watchdog.history[0]

@@ -49,10 +49,10 @@ class TestArrivalProcesses:
     def test_deterministic_interval_and_rate(self):
         arrivals = DeterministicArrivals(2_500)
         assert take_times(arrivals, 4, start_us=100) == [2_600, 5_100, 7_600, 10_100]
-        per_second = DeterministicArrivals.per_second(200.0)
-        assert per_second.interval_us == 5_000
-        per_second.set_rate(1000.0)
-        assert per_second.interval_us == 1_000
+        arrivals.set_rate(200.0)
+        assert arrivals.interval_us == 5_000
+        arrivals.set_rate(1000.0)
+        assert arrivals.interval_us == 1_000
 
     def test_deterministic_rate_change_applies_to_later_gaps(self):
         arrivals = DeterministicArrivals(1_000)
