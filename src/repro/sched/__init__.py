@@ -30,9 +30,7 @@ from repro.sched.placement import (
     LeastLoadedPlacement,
     NumaPackPlacement,
     PinnedPlacement,
-    PipelineAffinityPlacement,
     PlacementPolicy,
-    pipeline_pairs,
 )
 from repro.sched.priority import FixedPriorityScheduler
 from repro.sched.rbs import Reservation, ReservationScheduler
@@ -47,12 +45,10 @@ __all__ = [
     "LotteryScheduler",
     "NumaPackPlacement",
     "PinnedPlacement",
-    "PipelineAffinityPlacement",
     "PlacementPolicy",
     "Reservation",
     "ReservationScheduler",
     "RoundRobinScheduler",
     "RunQueue",
     "Scheduler",
-    "pipeline_pairs",
 ]

@@ -8,15 +8,20 @@ next* (:meth:`Scheduler.pick_next`) and *for at most how long*
 :meth:`Scheduler.charge` so proportion/period accounting can be kept.
 
 On a multiprocessor kernel the dispatch question is asked once per CPU:
-the kernel first calls :meth:`Scheduler.place_threads` to let the
-scheduler's :class:`~repro.sched.placement.PlacementPolicy` map runnable
-threads to CPUs for the round, then calls
-:meth:`Scheduler.pick_next_cpu` for each CPU.  Policies answer the
-per-CPU question with exactly the same ordering logic as the
-uniprocessor one, restricted to the threads placed on that CPU
-(:meth:`Scheduler.dispatch_candidates`).  With ``cpu=None`` (the
-single-CPU kernel's call) every code path reduces bit-for-bit to the
-original uniprocessor behaviour.
+the kernel first calls :meth:`Scheduler.place_threads`, which builds the
+round's heaviest-first order of runnable threads
+(:meth:`Scheduler.placement_order`, one pass over the ready hints and
+one sort) and lets the scheduler's
+:class:`~repro.sched.placement.PlacementPolicy` map that order to CPUs;
+then it calls :meth:`Scheduler.pick_next_cpu` for each online CPU in
+index order, claiming each pick before the next CPU asks.  The default
+per-CPU answer is the uniprocessor ordering logic restricted to the
+threads placed on that CPU (:meth:`Scheduler.dispatch_candidates`);
+the reservation scheduler instead plans every CPU's pick in one
+rate-monotonic walk at the round's first call (see
+:mod:`repro.sched.rbs`).  With ``cpu=None`` (the single-CPU kernel's
+call) every code path reduces bit-for-bit to the original uniprocessor
+behaviour.
 
 The run-queue layer
 -------------------
@@ -34,7 +39,9 @@ policies go incremental without changing any observable ordering:
   preempt notifications).  Candidate lists are built from this small
   set, restored to registration order via each thread's registration
   sequence number, and every read re-checks ``thread.state`` so a
-  stale hint can widen the scan but never change a pick.
+  stale hint can widen the scan but never change a pick.  Placement
+  needs no registration order (its heaviest-first order is total), so
+  it reads the hints as they are.
 * **lazily-invalidated heaps** — :class:`LazyMinHeap` keys entries by
   tid and invalidates in O(1); stale entries are discarded when they
   surface at the top.  The reservation scheduler keeps its
@@ -66,9 +73,14 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
+from collections.abc import ValuesView
 from typing import TYPE_CHECKING, Optional
 
-from repro.sched.placement import LeastLoadedPlacement, PlacementPolicy
+from repro.sched.placement import (
+    LeastLoadedPlacement,
+    PlacementOrder,
+    PlacementPolicy,
+)
 from repro.sim.errors import SchedulerError
 from repro.sim.thread import SimThread, ThreadState
 
@@ -227,6 +239,10 @@ class RunQueue:
         if seq is not None:
             self._ready.pop(seq, None)
 
+    def ready_hint(self) -> ValuesView[SimThread]:
+        """Hinted-ready members, in no particular order."""
+        return self._ready.values()
+
     def ready_in_order(self) -> list[SimThread]:
         """Hinted-ready members, restored to registration order."""
         ready = self._ready
@@ -339,15 +355,25 @@ class Scheduler(ABC):
         """
         return 1.0
 
-    def placement_weights(self, threads: list[SimThread]) -> list[float]:
-        """Bulk :meth:`placement_weight` for one placement round.
+    def placement_order(self) -> PlacementOrder:
+        """The round's runnable threads heaviest first.
 
-        Placement evaluates every runnable thread's weight every
-        dispatch round; one bulk call replaces a Python method call per
-        thread.  Overrides must agree with :meth:`placement_weight`.
+        ``(-placement_weight(t), t.tid, t)`` for every runnable thread,
+        ascending: one pass over the ready hints, one sort.  The order
+        is total (tids are unique), so it does not depend on the order
+        the hints are held in.  Overrides may inline the weight but
+        must return exactly this list.
         """
         weight = self.placement_weight
-        return [weight(t) for t in threads]
+        ready = ThreadState.READY
+        running = ThreadState.RUNNING
+        order = [
+            (-weight(t), t.tid, t)
+            for t in self._run_queue.ready_hint()
+            if t.state is ready or t.state is running
+        ]
+        order.sort()
+        return order
 
     def place_threads(self, now: int) -> dict[int, int]:
         """(Re)assign runnable threads to CPUs for the coming round.
@@ -355,17 +381,12 @@ class Scheduler(ABC):
         Called by the multiprocessor kernel at the start of every
         dispatch round.  Returns (and caches) the tid -> CPU mapping.
         """
-        runnable = self.runnable_threads()
         kernel = self.kernel
         online: Optional[tuple[int, ...]] = None
         if kernel is not None and kernel.offline_cpu_count:
             online = kernel.online_cpu_indices()
         self._placement_map = self.placement.assign(
-            runnable,
-            self.n_cpus,
-            self.placement_weight,
-            weights=self.placement_weights(runnable),
-            online=online,
+            self.placement_order(), self.n_cpus, online
         )
         return self._placement_map
 
@@ -373,10 +394,12 @@ class Scheduler(ABC):
         """Whether ``thread`` may run on ``cpu`` in the current round.
 
         A hard affinity is always honoured (the kernel and ``pin_to``
-        guarantee it names an existing CPU); otherwise the thread must
-        be assigned to ``cpu`` by the latest placement round (threads
-        that woke after placement simply wait for the next round, which
-        bounds their extra latency by one dispatch window).
+        guarantee it names an existing CPU).  Otherwise a thread the
+        latest placement round assigned may run only on its assigned
+        CPU, and a thread it did not assign (one that became runnable
+        after placement, or a pick made without a placement round) may
+        run on any CPU.  In the kernel's rounds placement runs right
+        before the picks, so every runnable thread is assigned.
         """
         if thread.affinity is not None:
             return thread.affinity == cpu
@@ -492,7 +515,12 @@ class Scheduler(ABC):
         """
 
     def pick_next_cpu(self, cpu: int, now: int) -> Optional[SimThread]:
-        """CPU-aware pick: the thread CPU ``cpu`` should dispatch at ``now``."""
+        """CPU-aware pick: the thread CPU ``cpu`` should dispatch at ``now``.
+
+        The kernel calls this once per online CPU per round, in CPU
+        order, right after :meth:`place_threads`, and claims each pick
+        (marks it RUNNING) before the next call.
+        """
         return self.pick_next(now, cpu=cpu)
 
     def time_slice(self, thread: SimThread, now: int) -> int:

@@ -9,6 +9,11 @@ scheduler for a fresh assignment of runnable threads to CPUs at the
 start of every dispatch round, and the scheduler delegates to one of the
 policies here.
 
+The scheduler hands every policy the same input: its runnable threads
+in one heaviest-first order, ``(-weight, tid, thread)`` ascending
+(:meth:`~repro.sched.base.Scheduler.placement_order`), built once per
+round.  A policy walks that order; none weighs or sorts threads itself.
+
 Flat policies (no topology model):
 
 * :class:`LeastLoadedPlacement` (the default) — greedy weighted
@@ -36,10 +41,6 @@ Topology-aware policies (take a
   stream's jobs) socket-local: each group goes to the least-loaded
   socket as a unit and balances across that socket's CPUs, so a
   pipeline's working set never straddles the interconnect.
-* :class:`PipelineAffinityPlacement` — align channel-connected
-  producer/consumer thread pairs onto SMT siblings of one physical
-  core (the ceph-aprg trick: the two ends of a queue share L1/L2);
-  threads outside any pair fall back to least-loaded balancing.
 
 Contracts every policy here honours (and new policies must):
 
@@ -61,24 +62,26 @@ Contracts every policy here honours (and new policies must):
   agreeing with the drain target keeps the defensive path
   bit-identical to the eager one.
 * **Determinism** — ties break towards the lowest CPU index and
-  threads are considered in a fixed order, so every simulation remains
-  exactly reproducible run to run.
+  threads are considered in the heaviest-first order (a total order:
+  tids are unique), so the mapping depends only on the runnable set —
+  never on the order the scheduler happened to hold it in — and every
+  simulation remains exactly reproducible run to run.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.errors import SchedulerError
 from repro.sim.topology import CpuTopology
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.ipc.registry import SymbioticRegistry
     from repro.sim.thread import SimThread
 
-#: Signature of the weight function a scheduler supplies to placement.
-ThreadWeight = Callable[["SimThread"], float]
+#: Runnable threads heaviest first: ``(-weight, tid, thread)`` tuples in
+#: ascending order, the one input every policy's ``assign`` takes.
+PlacementOrder = list[tuple[float, int, "SimThread"]]
 
 
 class PlacementPolicy(ABC):
@@ -87,20 +90,17 @@ class PlacementPolicy(ABC):
     @abstractmethod
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        order: PlacementOrder,
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
         online: "Optional[tuple[int, ...]]" = None,
     ) -> dict[int, int]:
         """Map each thread's tid to the CPU index it may run on.
 
-        ``weight`` supplies the load contribution of a thread (used by
-        load-balancing policies; static policies may ignore it).  When
-        the caller already evaluated the weights, ``weights`` carries
-        them index-aligned with ``threads`` so the policy does not make
-        one Python call per thread per round.  The mapping must respect
-        each thread's ``affinity`` when set.
+        ``order`` lists the runnable threads heaviest first as
+        ``(-weight, tid, thread)`` tuples, already sorted; the weight
+        is the thread's load contribution (load-balancing policies
+        accumulate it, static policies ignore it).  The mapping must
+        respect each thread's ``affinity`` when set.
 
         ``online`` restricts candidate CPUs to the given ascending
         index tuple (simulated hotplug: failed CPUs must receive no
@@ -159,30 +159,20 @@ class LeastLoadedPlacement(PlacementPolicy):
 
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        order: PlacementOrder,
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
         online: "Optional[tuple[int, ...]]" = None,
     ) -> dict[int, int]:
         loads = [0.0] * n_cpus
         mapping: dict[int, int] = {}
         # Heaviest-first gives the classic LPT balance guarantee; the
         # tid tiebreak keeps the order (and therefore the whole
-        # simulation) deterministic.  Weights are evaluated once per
-        # thread and the argmin over CPU loads is unrolled by hand —
-        # this runs for every dispatch round of an SMP kernel, so the
-        # per-call lambda and ``min(key=...)`` overhead is measurable.
-        if weights is None:
-            decorated = [(-weight(t), t.tid, t) for t in threads]
-        else:
-            decorated = [
-                (-w, t.tid, t) for w, t in zip(weights, threads)
-            ]
-        decorated.sort()
+        # simulation) deterministic.  The argmin over CPU loads is
+        # unrolled by hand — this runs for every dispatch round of an
+        # SMP kernel, so ``min(key=...)`` overhead is measurable.
         candidates = self._candidates(n_cpus, online)
         online_set = None if online is None else frozenset(online)
-        for neg_weight, tid, thread in decorated:
+        for neg_weight, tid, thread in order:
             if thread.affinity is not None:
                 cpu = self._checked_affinity(thread, n_cpus)
                 if online_set is not None and cpu not in online_set:
@@ -216,25 +206,21 @@ class PinnedPlacement(PlacementPolicy):
 
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        order: PlacementOrder,
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
         online: "Optional[tuple[int, ...]]" = None,
     ) -> dict[int, int]:
         mapping: dict[int, int] = {}
         if online is None:
-            for thread in threads:
+            for _, tid, thread in order:
                 if thread.affinity is not None:
-                    mapping[thread.tid] = self._checked_affinity(
-                        thread, n_cpus
-                    )
+                    mapping[tid] = self._checked_affinity(thread, n_cpus)
                 else:
-                    mapping[thread.tid] = thread.tid % n_cpus
+                    mapping[tid] = tid % n_cpus
             return mapping
         candidates = self._candidates(n_cpus, online)
         online_set = frozenset(candidates)
-        for thread in threads:
+        for _, tid, thread in order:
             if thread.affinity is not None:
                 cpu = self._checked_affinity(thread, n_cpus)
                 if cpu not in online_set:
@@ -245,8 +231,8 @@ class PinnedPlacement(PlacementPolicy):
             else:
                 # The static default restricted to online CPUs: still a
                 # pure function of the tid, never of round state.
-                cpu = candidates[thread.tid % len(candidates)]
-            mapping[thread.tid] = cpu
+                cpu = candidates[tid % len(candidates)]
+            mapping[tid] = cpu
         return mapping
 
 
@@ -279,10 +265,8 @@ class CacheWarmPlacement(_TopologyPlacement):
 
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        order: PlacementOrder,
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
         online: "Optional[tuple[int, ...]]" = None,
     ) -> dict[int, int]:
         topology = self._check_topology(n_cpus)
@@ -291,12 +275,7 @@ class CacheWarmPlacement(_TopologyPlacement):
         distance = topology.distance_class
         loads = [0.0] * n_cpus
         mapping: dict[int, int] = {}
-        if weights is None:
-            decorated = [(-weight(t), t.tid, t) for t in threads]
-        else:
-            decorated = [(-w, t.tid, t) for w, t in zip(weights, threads)]
-        decorated.sort()
-        for neg_weight, tid, thread in decorated:
+        for neg_weight, tid, thread in order:
             if thread.affinity is not None:
                 cpu = self._checked_affinity(thread, n_cpus)
                 if online_set is not None and cpu not in online_set:
@@ -340,10 +319,8 @@ class NumaPackPlacement(_TopologyPlacement):
 
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        order: PlacementOrder,
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
         online: "Optional[tuple[int, ...]]" = None,
     ) -> dict[int, int]:
         topology = self._check_topology(n_cpus)
@@ -358,16 +335,11 @@ class NumaPackPlacement(_TopologyPlacement):
         loads = [0.0] * n_cpus
         socket_loads = {socket: 0.0 for socket in socket_cpus}
         mapping: dict[int, int] = {}
-        if weights is None:
-            decorated = [(-weight(t), t.tid, t) for t in threads]
-        else:
-            decorated = [(-w, t.tid, t) for w, t in zip(weights, threads)]
-        decorated.sort()
         # Pinned threads first: their CPU is fixed, and charging their
         # weight up front lets group packing route around them.
         groups: dict[str, list[tuple[float, int, "SimThread"]]] = {}
         group_weight: dict[str, float] = {}
-        for neg_weight, tid, thread in decorated:
+        for neg_weight, tid, thread in order:
             if thread.affinity is not None:
                 cpu = self._checked_affinity(thread, n_cpus)
                 if online_set is not None and cpu not in online_set:
@@ -403,164 +375,11 @@ class NumaPackPlacement(_TopologyPlacement):
         return mapping
 
 
-class PipelineAffinityPlacement(_TopologyPlacement):
-    """Co-locate producer/consumer pairs on SMT siblings of one core.
-
-    ``pairs`` names channel-connected ``(producer, consumer)`` threads
-    (by :attr:`SimThread.name`); :func:`pipeline_pairs` derives them
-    from a :class:`~repro.ipc.registry.SymbioticRegistry` snapshot.
-    Each pair is assigned, in declaration order, to the physical core
-    with the least accumulated weight (lowest core id on ties) that
-    has at least one online CPU: the producer takes the core's
-    least-loaded online hardware thread and the consumer the next —
-    the SMT sibling when the core has one, sharing the producer's CPU
-    when it does not (still cache-warm for the channel).  Threads
-    outside any pair — and pair members that are pinned or not
-    currently runnable — fall back to least-loaded balancing.
-
-    Pairs are a construction-time snapshot (names, not live registry
-    state) so placement stays a pure function of the runnable set;
-    re-derive and install a new policy instance if the pipeline shape
-    changes mid-run.
-    """
-
-    def __init__(
-        self,
-        topology: CpuTopology,
-        pairs: Iterable[tuple[str, str]] = (),
-    ) -> None:
-        super().__init__(topology)
-        self.pairs: tuple[tuple[str, str], ...] = tuple(
-            (str(producer), str(consumer)) for producer, consumer in pairs
-        )
-
-    def assign(
-        self,
-        threads: Iterable["SimThread"],
-        n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
-        online: "Optional[tuple[int, ...]]" = None,
-    ) -> dict[int, int]:
-        topology = self._check_topology(n_cpus)
-        candidates = self._candidates(n_cpus, online)
-        online_set = frozenset(candidates)
-        loads = [0.0] * n_cpus
-        mapping: dict[int, int] = {}
-        thread_list = list(threads)
-        if weights is None:
-            weight_of = {t.tid: weight(t) for t in thread_list}
-        else:
-            weight_of = {
-                t.tid: w for w, t in zip(weights, thread_list)
-            }
-        by_name: dict[str, "SimThread"] = {}
-        for thread in thread_list:
-            # First registration wins on (pathological) duplicate names,
-            # deterministically.
-            by_name.setdefault(thread.name, thread)
-        # Pinned threads first: fixed CPUs, weights charged up front.
-        leftovers: list[tuple[float, int, "SimThread"]] = []
-        paired: set[int] = set()
-        for producer_name, consumer_name in self.pairs:
-            for name in (producer_name, consumer_name):
-                thread = by_name.get(name)
-                if thread is not None and thread.affinity is None:
-                    paired.add(thread.tid)
-        for thread in thread_list:
-            if thread.affinity is not None:
-                cpu = self._checked_affinity(thread, n_cpus)
-                if cpu not in online_set:
-                    cpu = candidates[0]
-                mapping[thread.tid] = cpu
-                loads[cpu] += weight_of[thread.tid]
-            elif thread.tid not in paired:
-                leftovers.append(
-                    (-weight_of[thread.tid], thread.tid, thread)
-                )
-        #: global core id -> its online CPUs.
-        core_cpus: dict[int, list[int]] = {}
-        for index in candidates:
-            core_cpus.setdefault(topology.core_of(index), []).append(index)
-        placed: set[int] = set()
-        for producer_name, consumer_name in self.pairs:
-            members = []
-            for name in (producer_name, consumer_name):
-                thread = by_name.get(name)
-                if (
-                    thread is not None
-                    and thread.affinity is None
-                    and thread.tid not in placed
-                ):
-                    members.append(thread)
-            if not members:
-                continue
-            core = min(
-                core_cpus,
-                key=lambda c: (
-                    sum(loads[index] for index in core_cpus[c]), c
-                ),
-            )
-            local = core_cpus[core]
-            for thread in members:
-                cpu = local[0]
-                best = loads[cpu]
-                for index in local:
-                    load = loads[index]
-                    if load < best:
-                        best = load
-                        cpu = index
-                mapping[thread.tid] = cpu
-                loads[cpu] += weight_of[thread.tid]
-                placed.add(thread.tid)
-        # Everything else: plain heaviest-first least-loaded balancing.
-        leftovers.sort()
-        for neg_weight, tid, _thread in leftovers:
-            cpu = candidates[0]
-            best = loads[cpu]
-            for index in candidates:
-                load = loads[index]
-                if load < best:
-                    best = load
-                    cpu = index
-            mapping[tid] = cpu
-            if neg_weight < 0.0:
-                loads[cpu] -= neg_weight
-        return mapping
-
-
-def pipeline_pairs(
-    registry: "SymbioticRegistry",
-) -> tuple[tuple[str, str], ...]:
-    """``(producer, consumer)`` name pairs for every registered channel.
-
-    Channels are visited in registration order; on a channel with
-    several producers/consumers the i-th producer pairs with the i-th
-    consumer (both in registration order), so the result is
-    deterministic for a deterministic setup sequence.
-    """
-    from repro.ipc.roles import Role
-
-    pairs: list[tuple[str, str]] = []
-    for channel in registry.channels():
-        linkages = registry.linkages_on(channel)
-        producers = [
-            l.thread.name for l in linkages if l.role is Role.PRODUCER
-        ]
-        consumers = [
-            l.thread.name for l in linkages if l.role is Role.CONSUMER
-        ]
-        pairs.extend(zip(producers, consumers))
-    return tuple(pairs)
-
-
 __all__ = [
     "CacheWarmPlacement",
     "LeastLoadedPlacement",
     "NumaPackPlacement",
     "PinnedPlacement",
-    "PipelineAffinityPlacement",
+    "PlacementOrder",
     "PlacementPolicy",
-    "ThreadWeight",
-    "pipeline_pairs",
 ]

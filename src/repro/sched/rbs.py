@@ -69,6 +69,31 @@ Best-effort threads keep the historical cursor-based round-robin over
 the registration-ordered candidate list (the cursor arithmetic depends
 on the candidate count per pick, so any reordering — e.g. a plain FIFO
 — would change dispatch traces).
+
+SMP rounds
+~~~~~~~~~~
+A multiprocessor round asks for one pick per online CPU, in CPU order,
+at one instant, and the kernel claims each pick before the next CPU
+asks.  The scan answered each CPU separately: the first READY
+reservation in rate-monotonic order that is pinned to that CPU, or
+placed on it, or placed nowhere.  Re-walking the order per CPU repeats
+the same work, so :meth:`ReservationScheduler.place_threads` drops the
+previous round's plan and the round's first
+:meth:`~ReservationScheduler.pick_next_cpu` builds a new one:
+
+* it realises owed marks, due replenishments and stray rolls once
+  (a second service at the same instant finds nothing left to do);
+* it walks the rate-monotonic order once and gives each READY thread
+  to the CPU the scan would have: its pin, else its placement, else (an
+  unplaced thread) the lowest online CPU still without a pick.  A CPU
+  that already has a pick keeps it.  The scan gives the same answer:
+  when it let CPU k pass a thread, the thread was either not eligible
+  on k or already claimed by a lower CPU.
+
+Later calls in the round read the plan.  A CPU the plan leaves empty
+falls back to the best-effort round-robin, per CPU and in CPU order,
+so the cursor advances exactly as before.  Best-effort threads never
+hold a reservation, so these picks cannot change the plan.
 """
 
 from __future__ import annotations
@@ -77,6 +102,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.sched.base import LazyMinHeap, Scheduler
+from repro.sched.placement import PlacementOrder
 from repro.sim.errors import SchedulerError
 from repro.sim.thread import SchedulingPolicy, SimThread, ThreadState
 
@@ -227,6 +253,9 @@ class ReservationScheduler(Scheduler):
         #: Running aggregates (see total_reserved_ppt / deadline_misses).
         self._reserved_ppt_total = 0
         self._deadline_miss_total = 0
+        #: This SMP round's reservation pick per CPU; ``None`` until the
+        #: round's first ``pick_next_cpu`` (see "SMP rounds").
+        self._plan: Optional[list[Optional[SimThread]]] = None
 
     # ------------------------------------------------------------------
     # reservation management (the controller's actuation interface)
@@ -601,27 +630,42 @@ class ReservationScheduler(Scheduler):
             return 1.0
         return float(reservation.proportion_ppt)
 
-    def placement_weights(self, threads: list[SimThread]) -> list[float]:
-        """Bulk weights: one tight loop instead of a call per thread."""
+    def placement_order(self) -> PlacementOrder:
+        """The base order with :meth:`placement_weight` inlined: one
+        loop over the ready hints, no method call per thread."""
         reservations = self._reservations
-        weights = []
-        append = weights.append
-        for thread in threads:
-            reservation = reservations.get(thread.tid)
-            if reservation is None:
-                append(1.0)
-            else:
-                ppt = reservation.proportion_ppt
-                append(float(ppt) if ppt > 0 else 1.0)
-        return weights
+        order: PlacementOrder = []
+        append = order.append
+        for thread in self._run_queue.ready_hint():
+            state = thread.state
+            if state is _READY or state is _RUNNING:
+                tid = thread.tid
+                reservation = reservations.get(tid)
+                if reservation is None or reservation.proportion_ppt <= 0:
+                    append((-1.0, tid, thread))
+                else:
+                    append((-float(reservation.proportion_ppt), tid, thread))
+        order.sort()
+        return order
+
+    def place_threads(self, now: int) -> dict[int, int]:
+        """Place the round's threads and drop the previous round's plan."""
+        self._plan = None
+        return super().place_threads(now)
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
     def pick_next(self, now: int, cpu: Optional[int] = None) -> Optional[SimThread]:
+        """The uniprocessor pick; per-CPU picks go through
+        :meth:`pick_next_cpu`."""
+        if cpu is not None:
+            raise SchedulerError(
+                "the reservation scheduler answers per-CPU picks through "
+                "pick_next_cpu"
+            )
         # Service only when a mark is owed, a stray may roll or a
-        # replenishment is due (per-CPU picks call this up to n_cpus
-        # times per round at the same instant).
+        # replenishment is due.
         if self._owed or self._wanted_stray:
             self._service_queues(now, pick=True)
         else:
@@ -630,30 +674,15 @@ class ReservationScheduler(Scheduler):
                 self._service_queues(now, pick=True)
         rm_heap = self._rm_heap
         run_queue = self._run_queue
-        ready = _READY
-        running = _RUNNING
         # Fast path: the heap minimum is usually dispatchable as-is —
-        # peek avoids walking the live set (the dispatchability test is
-        # _dispatchable, inlined).
+        # peek avoids walking the live set.
         entry = rm_heap.peek()
         if entry is not None:
             tid = entry[-1]
             thread = run_queue.get(tid)
             if thread is not None:
                 state = thread.state
-                if cpu is None:
-                    dispatchable = state is ready or state is running
-                elif state is ready:
-                    # eligible_on, inlined for the per-round hot path.
-                    affinity = thread.affinity
-                    if affinity is not None:
-                        dispatchable = affinity == cpu
-                    else:
-                        assigned = self._placement_map.get(tid)
-                        dispatchable = assigned is None or assigned == cpu
-                else:
-                    dispatchable = False
-                if dispatchable:
+                if state is _READY or state is _RUNNING:
                     # Fresh window for time_slice / remaining_us, exactly
                     # as the per-pick scan advanced every candidate
                     # (_advance guard inlined: no-op before a roll is due).
@@ -661,18 +690,15 @@ class ReservationScheduler(Scheduler):
                     if now - reservation.period_start >= reservation.period_us:
                         self._advance(tid, reservation, now)
                     return thread
-        # Walk past ineligible entries (typically threads claimed by
-        # lower-numbered CPUs this round) without mutating the heap:
-        # the sorted live snapshot is exactly the pop order, and every
-        # entry stays live either way — an ineligible thread may be
-        # eligible for the next CPU's pick, and the chosen one keeps
-        # its rate-monotonic position for future picks.
+        # Walk past entries without mutating the heap: the sorted live
+        # snapshot is exactly the pop order.
         for entry in rm_heap.live_sorted():
             tid = entry[-1]
             thread = run_queue.get(tid)
             if thread is None:
                 continue
-            if self._dispatchable(thread, cpu):
+            state = thread.state
+            if state is _READY or state is _RUNNING:
                 reservation = self._reservations[tid]
                 if now - reservation.period_start >= reservation.period_us:
                     self._advance(tid, reservation, now)
@@ -680,7 +706,9 @@ class ReservationScheduler(Scheduler):
         best_effort = self._best_effort
         if best_effort:
             candidates = [
-                t for t in best_effort.values() if self._dispatchable(t, cpu)
+                t
+                for t in best_effort.values()
+                if t.state is _READY or t.state is _RUNNING
             ]
             if candidates:
                 # Round-robin over best-effort threads for basic fairness.
@@ -688,15 +716,69 @@ class ReservationScheduler(Scheduler):
                 return candidates[self._best_effort_cursor % len(candidates)]
         return None
 
-    def _dispatchable(self, thread: SimThread, cpu: Optional[int]) -> bool:
-        """One predicate for every pick path: may ``thread`` be
-        dispatched by this pick?  Mirrors ``dispatch_candidates``:
-        uniprocessor picks take any runnable thread; per-CPU picks take
-        READY threads placed on (or free to run on) that CPU."""
-        state = thread.state
-        if cpu is None:
-            return state is _READY or state is _RUNNING
-        return state is _READY and self.eligible_on(thread, cpu)
+    def pick_next_cpu(self, cpu: int, now: int) -> Optional[SimThread]:
+        """CPU ``cpu``'s pick this round: the plan's reservation, else
+        a best-effort thread (see "SMP rounds")."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._plan_round(now)
+        thread = plan[cpu]
+        if thread is not None:
+            return thread
+        best_effort = self._best_effort
+        if best_effort:
+            candidates = [
+                t
+                for t in best_effort.values()
+                if t.state is _READY and self.eligible_on(t, cpu)
+            ]
+            if candidates:
+                self._best_effort_cursor += 1
+                return candidates[self._best_effort_cursor % len(candidates)]
+        return None
+
+    def _plan_round(self, now: int) -> list[Optional[SimThread]]:
+        """Every online CPU's reservation pick for the round at ``now``
+        (indexed by CPU; ``None`` where no reservation is eligible)."""
+        self._service_queues(now, pick=True)
+        n_cpus = self.n_cpus
+        plan: list[Optional[SimThread]] = [None] * n_cpus
+        kernel = self.kernel
+        if kernel is not None and kernel.offline_cpu_count:
+            online: "range | tuple[int, ...]" = kernel.online_cpu_indices()
+        else:
+            online = range(n_cpus)
+        #: CPUs still without a pick; offline CPUs never pick.
+        open_cpus = [False] * n_cpus
+        for index in online:
+            open_cpus[index] = True
+        left = len(online)
+        members = self._run_queue.get
+        placement = self._placement_map
+        reservations = self._reservations
+        for entry in self._rm_heap.live_sorted():
+            tid = entry[-1]
+            thread = members(tid)
+            if thread is None or thread.state is not _READY:
+                continue
+            cpu = thread.affinity
+            if cpu is None:
+                cpu = placement.get(tid)
+                if cpu is None:
+                    # Placed nowhere: eligible on every CPU, so the
+                    # lowest one still open would have claimed it.
+                    cpu = next(c for c in online if open_cpus[c])
+            if not open_cpus[cpu]:
+                continue
+            open_cpus[cpu] = False
+            plan[cpu] = thread
+            reservation = reservations[tid]
+            if now - reservation.period_start >= reservation.period_us:
+                self._advance(tid, reservation, now)
+            left -= 1
+            if not left:
+                break
+        return plan
 
     def time_slice(self, thread: SimThread, now: int) -> int:
         reservation = self._reservations.get(thread.tid)

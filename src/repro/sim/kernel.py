@@ -20,11 +20,15 @@ The paper's prototype is single-CPU; ``Kernel(scheduler, n_cpus=N)``
 generalises it to a homogeneous SMP.  The simulation stays a
 deterministic discrete-event system by executing *dispatch rounds*:
 
-1. At round start (virtual time ``t0``) all due events fire, then the
-   scheduler's placement policy maps runnable threads to CPUs and each
-   CPU picks at most one thread (:meth:`Scheduler.pick_next_cpu`,
-   in CPU-index order — a thread claimed by a lower-numbered CPU is
-   invisible to higher ones).
+1. At round start (virtual time ``t0``) all due events fire, then
+   :meth:`Scheduler.place_threads` maps the runnable threads to CPUs
+   (one heaviest-first order, handed to the placement policy) and each
+   online CPU picks at most one thread (:meth:`Scheduler.pick_next_cpu`,
+   in CPU-index order).  The kernel claims each pick (marks it
+   RUNNING) before the next CPU asks, so a thread claimed by a
+   lower-numbered CPU is invisible to higher ones.  A scheduler may
+   answer the whole round at its first call, as the reservation
+   scheduler does, provided its answers equal these claims.
 2. Every picked thread runs a slice *in parallel over the same wall
    window* ``[t0, h)``, where ``h`` is capped by the slice lengths, the
    next pending event and the end of the run.  Internally the CPUs'

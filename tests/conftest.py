@@ -50,6 +50,12 @@ def small_system():
     )
 
 
+def heaviest_first(threads, weight=lambda thread: 1.0):
+    """The order a scheduler hands ``PlacementPolicy.assign``:
+    ``(-weight, tid, thread)`` for each thread, ascending."""
+    return sorted((-weight(t), t.tid, t) for t in threads)
+
+
 def spin_body(burst_us: int = 1_000):
     """A body factory: burn CPU forever in ``burst_us`` chunks."""
 

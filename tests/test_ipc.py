@@ -128,10 +128,16 @@ class TestSymbioticRegistry:
             registry.register(SimThread("b"), BoundedBuffer("q", 200), Role.CONSUMER)
 
     def test_channels_lists_registered(self):
+        # A registered channel is listed in its thread's linkages (what
+        # the controller's monitors read) and holds on to its name.
         registry = SymbioticRegistry()
+        thread = SimThread("t")
         queue = BoundedBuffer("q", 100)
-        registry.register(SimThread("t"), queue, Role.CONSUMER)
-        assert registry.channels() == [queue]
+        registry.register(thread, queue, Role.CONSUMER)
+        assert [l.channel for l in registry.linkages_for(thread)] == [queue]
+        registry.register(SimThread("u"), queue, Role.PRODUCER)
+        with pytest.raises(ChannelError):
+            registry.register(SimThread("v"), BoundedBuffer("q", 100), Role.CONSUMER)
 
     def test_linkage_pressure_sign(self):
         registry = SymbioticRegistry()

@@ -38,15 +38,17 @@ from repro.sched.placement import (
     LeastLoadedPlacement,
     NumaPackPlacement,
     PinnedPlacement,
-    PipelineAffinityPlacement,
+    PlacementPolicy,
 )
 from repro.sched.rbs import ReservationScheduler
+from repro.sched.round_robin import RoundRobinScheduler
 from repro.sim.kernel import Kernel
 from repro.sim.requests import Compute, Sleep
-from repro.sim.thread import SimThread
+from repro.sim.thread import SimThread, ThreadState
 from repro.sim.topology import CpuTopology
 from repro.system import build_real_rate_system
 
+from tests.conftest import heaviest_first
 from tests.test_properties_churn import (
     DURATION_US,
     assert_no_lost_no_double,
@@ -208,9 +210,6 @@ _PLACEMENT_POLICIES = {
     "pinned": lambda: PinnedPlacement(),
     "cache_warm": lambda: CacheWarmPlacement(_PLACEMENT_TOPO),
     "numa_pack": lambda: NumaPackPlacement(_PLACEMENT_TOPO),
-    "pipeline": lambda: PipelineAffinityPlacement(
-        _PLACEMENT_TOPO, pairs=[("t0", "t1"), ("t2", "t3")]
-    ),
 }
 
 
@@ -249,7 +248,9 @@ def test_no_policy_ever_places_on_an_offline_cpu(
         threads.append(thread)
     online_tuple = tuple(sorted(online))
     mapping = policy.assign(
-        threads, 8, lambda t: weights[int(t.name[1:])], online=online_tuple
+        heaviest_first(threads, lambda t: weights[int(t.name[1:])]),
+        8,
+        online=online_tuple,
     )
     assert set(mapping) == {t.tid for t in threads}
     for thread in threads:
@@ -267,6 +268,127 @@ def test_no_policy_ever_places_on_an_offline_cpu(
                 f"{policy_name} broke the pin/fallback contract for "
                 f"{thread.name}: pin {thread.affinity} -> {cpu}"
             )
+
+
+class _PlacementKernel:
+    """Just enough kernel for ``place_threads``: 8 CPUs, some online."""
+
+    n_cpus = 8
+    now = 0
+    dispatch_interval_us = 1_000
+
+    def __init__(self, online: tuple[int, ...]) -> None:
+        self.online = online
+
+    @property
+    def offline_cpu_count(self) -> int:
+        return self.n_cpus - len(self.online)
+
+    @property
+    def online_cpu_count(self) -> int:
+        return len(self.online)
+
+    def online_cpu_indices(self) -> tuple[int, ...]:
+        return self.online
+
+
+class _RecordingPlacement(PlacementPolicy):
+    """Hands ``assign`` on to ``inner``, keeping every order it got."""
+
+    def __init__(self, inner: PlacementPolicy) -> None:
+        self.inner = inner
+        self.orders: list = []
+
+    def assign(self, order, n_cpus, online=None):
+        self.orders.append(list(order))
+        return self.inner.assign(order, n_cpus, online)
+
+
+@pytest.mark.parametrize("policy_name", sorted(_PLACEMENT_POLICIES))
+@settings(max_examples=30, deadline=None)
+@given(
+    scheduler_name=st.sampled_from(["rbs", "round_robin"]),
+    online=st.sets(
+        st.integers(min_value=0, max_value=7), min_size=1, max_size=8
+    ),
+    pins=st.lists(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+        min_size=8, max_size=8,
+    ),
+    last_cpus=st.lists(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+        min_size=8, max_size=8,
+    ),
+    ppts=st.lists(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=400)),
+        min_size=8, max_size=8,
+    ),
+    states=st.lists(
+        st.sampled_from(["ready", "running", "blocked", "stale"]),
+        min_size=8, max_size=8,
+    ),
+    registration=st.permutations(range(8)),
+    rewake=st.permutations(range(8)),
+)
+def test_placement_depends_only_on_the_runnable_set(
+    policy_name, scheduler_name, online, pins, last_cpus, ppts, states,
+    registration, rewake,
+):
+    """``place_threads`` hands the policy the heaviest-first order of
+    the runnable set, and the mapping is the same whatever order the
+    threads were registered and woken in.  ``stale`` threads are
+    blocked but still in the ready hints; reservations weigh their
+    proportion (RBS) and everything else weighs 1."""
+    threads = [SimThread(f"g{i % 3}.{i}") for i in range(8)]
+    for thread, pin, last in zip(threads, pins, last_cpus):
+        thread.affinity = pin  # direct set: offline pins allowed here
+        thread.last_cpu = last
+    online_tuple = tuple(sorted(online))
+    mappings = []
+    for shuffled in (False, True):
+        scheduler = (
+            ReservationScheduler() if scheduler_name == "rbs"
+            else RoundRobinScheduler()
+        )
+        policy = _RecordingPlacement(_PLACEMENT_POLICIES[policy_name]())
+        scheduler.placement = policy
+        scheduler.attach(_PlacementKernel(online_tuple))
+        for index in registration if shuffled else range(8):
+            thread = threads[index]
+            thread.sched_data.clear()
+            thread.state = ThreadState.READY
+            scheduler.add_thread(thread)
+        if scheduler_name == "rbs":
+            for thread, ppt in zip(threads, ppts):
+                if ppt is not None:
+                    scheduler.set_reservation(thread, ppt, 10_000, now=0)
+        if shuffled:
+            # Block and wake every thread in another order: the ready
+            # hints now hold them in that order.
+            for index in rewake:
+                scheduler.on_block(threads[index], 0)
+                scheduler.on_ready(threads[index], 0)
+        for thread, state in zip(threads, states):
+            if state == "running":
+                thread.state = ThreadState.RUNNING
+            elif state == "blocked":
+                thread.state = ThreadState.BLOCKED
+                scheduler.on_block(thread, 0)
+            elif state == "stale":
+                thread.state = ThreadState.BLOCKED
+        mapping = scheduler.place_threads(0)
+        runnable = scheduler.runnable_threads()
+        assert {t.tid for t in runnable} == {
+            t.tid for t in threads if t.state.is_runnable
+        }
+        assert policy.orders == [
+            sorted(
+                (-scheduler.placement_weight(t), t.tid, t) for t in runnable
+            )
+        ]
+        assert set(mapping) == {t.tid for t in runnable}
+        mappings.append(mapping)
+    assert mappings[0] == mappings[1]
 
 
 @pytest.mark.parametrize("policy_name", ["cache_warm", "numa_pack"])

@@ -10,6 +10,11 @@ and wake-ups, dispatch rounds with charges, on 1 and 4 CPUs — and every
 pick, every charge outcome and the final deadline-miss counts must
 match.
 
+On several CPUs the optimized scheduler plans a whole round at its
+first ``pick_next_cpu``; the oracle inherits the base class's
+``pick_next_cpu``, which asks its own ``pick_next(now, cpu)`` once per
+CPU, so every SMP round compares the plan against per-CPU scans.
+
 The one intentional representation difference: the optimized scheduler
 rolls period windows *lazily* (a window advances when its thread is
 next examined, not at every pick), so interim ``period_start`` /
@@ -170,19 +175,23 @@ class ReferenceReservationScheduler(Scheduler):
 
 @dataclass
 class _FakeKernel:
-    """Just enough kernel for a detached scheduler: time and CPU count."""
+    """Just enough kernel for a detached scheduler: time and CPUs."""
 
     now: int = 0
     n_cpus: int = 1
     dispatch_interval_us: int = 1_000
-    offline_cpu_count: int = 0
+    offline: frozenset = frozenset()
+
+    @property
+    def offline_cpu_count(self) -> int:
+        return len(self.offline)
 
     @property
     def online_cpu_count(self) -> int:
-        return self.n_cpus - self.offline_cpu_count
+        return self.n_cpus - len(self.offline)
 
     def online_cpu_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.n_cpus))
+        return tuple(i for i in range(self.n_cpus) if i not in self.offline)
 
 
 class DualHarness:
@@ -256,6 +265,40 @@ class DualHarness:
         self.opt.on_ready(a, self.now)
         self.ref.on_ready(b, self.now)
 
+    def pin(self, index: int, cpu: Optional[int]) -> None:
+        """Pin (or unpin) one logical thread; an offline CPU is refused,
+        as ``SimThread.pin_to`` refuses it on a live kernel."""
+        if cpu is not None and cpu in self.opt_kernel.offline:
+            return
+        for scheduler, thread in (
+            (self.opt, self.opt_threads[index]),
+            (self.ref, self.ref_threads[index]),
+        ):
+            thread.pin_to(cpu)
+            scheduler.note_affinity_change(thread)
+
+    def fail(self, cpu: int) -> None:
+        """Take ``cpu`` offline and drain its pins to the lowest online
+        CPU, as ``Kernel.fail_cpu`` does (the last CPU never fails)."""
+        offline = self.opt_kernel.offline | {cpu}
+        if cpu in self.opt_kernel.offline or len(offline) == self.n_cpus:
+            return
+        for kernel in (self.opt_kernel, self.ref_kernel):
+            kernel.offline = offline
+        target = self.opt_kernel.online_cpu_indices()[0]
+        for index, thread in enumerate(self.opt_threads):
+            if thread.affinity == cpu:
+                self.pin(index, target)
+        self.opt.note_capacity_change()
+        self.ref.note_capacity_change()
+
+    def recover(self, cpu: int) -> None:
+        offline = self.opt_kernel.offline - {cpu}
+        for kernel in (self.opt_kernel, self.ref_kernel):
+            kernel.offline = offline
+        self.opt.note_capacity_change()
+        self.ref.note_capacity_change()
+
     def refresh(self, skip_us: int) -> None:
         """The kernel's idle path: jump the clock, refresh, compare.
 
@@ -278,8 +321,14 @@ class DualHarness:
         )
         assert self.opt.next_wakeup(self.now) == self.ref.next_wakeup(self.now)
 
-    def dispatch_round(self, consumed_us: int) -> None:
-        """One pick/charge round, mirroring the kernel's structure."""
+    def dispatch_round(
+        self, consumed_us: int, late_wakes: tuple[int, ...] = ()
+    ) -> None:
+        """One pick/charge round, mirroring the kernel's structure.
+
+        ``late_wakes`` wakes those threads after placement and before
+        the picks (SMP only): placed nowhere, each may run on any CPU.
+        """
         self._sync_clocks()
         if self.n_cpus == 1:
             a = self.opt.pick_next(self.now)
@@ -293,8 +342,10 @@ class DualHarness:
         else:
             self.opt.place_threads(self.now)
             self.ref.place_threads(self.now)
+            for index in late_wakes:
+                self.wake(index)
             pairs = []
-            for cpu in range(self.n_cpus):
+            for cpu in self.opt_kernel.online_cpu_indices():
                 a = self.opt.pick_next_cpu(cpu, self.now)
                 b = self.ref.pick_next_cpu(cpu, self.now)
                 assert (a.name if a else None) == (b.name if b else None), (
@@ -420,6 +471,183 @@ def test_optimized_matches_reference(n_cpus, case):
         rounds += 1
     assert rounds >= 5
     harness.check_final()
+
+
+# -- SMP rounds: the plan against per-CPU scans ------------------------
+#
+# Four CPUs, with what the plain workload above leaves out: pins
+# (including re-pins and unpins), CPUs failing and recovering, threads
+# woken after placement, and best-effort threads picking up the CPUs
+# the reservations leave idle.
+
+
+def _smp_operations(n_threads: int):
+    index = st.integers(min_value=0, max_value=n_threads - 1)
+    cpu = st.integers(min_value=0, max_value=3)
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("reserve"),
+                index,
+                st.integers(min_value=0, max_value=400),
+                st.sampled_from([2_000, 5_000, 10_000, 30_000]),
+            ),
+            st.tuples(st.just("clear"), index),
+            st.tuples(st.just("block"), index),
+            st.tuples(st.just("wake"), index),
+            st.tuples(st.just("pin"), index, st.one_of(st.none(), cpu)),
+            st.tuples(st.just("fail"), cpu),
+            st.tuples(st.just("recover"), cpu),
+            st.tuples(
+                st.just("round"),
+                st.integers(min_value=0, max_value=3_000),
+                st.lists(index, max_size=2),
+            ),
+            st.tuples(
+                st.just("refresh"),
+                st.integers(min_value=0, max_value=40_000),
+            ),
+        ),
+        min_size=10,
+        max_size=60,
+    )
+
+
+smp_workload = st.integers(min_value=2, max_value=9).flatmap(
+    lambda n: st.tuples(st.just(n), _smp_operations(n))
+)
+
+
+@given(case=smp_workload)
+@settings(max_examples=200, deadline=None)
+def test_smp_rounds_match_reference(case):
+    """Every CPU's pick in every round matches the per-CPU scan."""
+    n_threads, operations = case
+    harness = DualHarness(n_threads, n_cpus=4)
+    for op in operations:
+        kind = op[0]
+        if kind == "reserve":
+            harness.set_reservation(op[1], op[2], op[3])
+        elif kind == "clear":
+            harness.clear_reservation(op[1])
+        elif kind == "block":
+            harness.block(op[1])
+        elif kind == "wake":
+            harness.wake(op[1])
+        elif kind == "pin":
+            harness.pin(op[1], op[2])
+        elif kind == "fail":
+            harness.fail(op[1])
+        elif kind == "recover":
+            harness.recover(op[1])
+        elif kind == "refresh":
+            harness.refresh(op[1])
+        else:
+            harness.dispatch_round(op[1], tuple(op[2]))
+    for _ in range(5):
+        harness.dispatch_round(1_000)
+    harness.check_final()
+
+
+def test_smp_pinned_reservations():
+    """Reservations pinned to one CPU queue there in rate-monotonic
+    order, while unpinned ones spread over the rest."""
+    harness = DualHarness(n_threads=7, n_cpus=4)
+    for index, period in enumerate((2_000, 5_000, 10_000)):
+        harness.set_reservation(index, 300, period)
+        harness.pin(index, 1)
+    for index in range(3, 7):
+        harness.set_reservation(index, 200, 5_000 + 1_000 * index)
+    harness.pin(3, 3)
+    harness.dispatch_round(1_000)
+    # CPU 1 runs its shortest pinned period, and CPU 3 its pinned t3,
+    # which beats every thread placed beside it there.
+    assert harness.picks[1] == "t0"
+    assert harness.picks[3] == "t3"
+    for _ in range(12):
+        harness.dispatch_round(700)
+    assert harness.picks[-4:] != [None] * 4
+    harness.pin(1, None)
+    harness.pin(4, 1)
+    _settle(harness)
+
+
+def test_smp_best_effort_fills_idle_cpus():
+    """CPUs without an eligible reservation run the best-effort threads
+    placed on them, round-robin in CPU order; a best-effort thread woken
+    after placement may run on any such CPU."""
+    harness = DualHarness(n_threads=8, n_cpus=4)
+    harness.set_reservation(0, 200, 5_000)  # 1 ms budget
+    harness.set_reservation(1, 100, 10_000)  # 1 ms budget
+    harness.block(2)
+    # Heavy reservations take CPUs 0 and 1; the best-effort threads
+    # (weight 1) are all placed on CPUs 2 and 3.
+    harness.dispatch_round(1_000)
+    assert harness.picks[:2] == ["t0", "t1"]
+    assert set(harness.picks[2:4]) <= {"t3", "t4", "t5", "t6", "t7"}
+    # Both budgets are spent.  The late t2 is placed nowhere, so CPU 0
+    # takes it; CPU 1 has nothing placed on it that may run.
+    harness.dispatch_round(1_000, late_wakes=(2,))
+    assert harness.picks[4:6] == ["t2", None]
+    assert set(harness.picks[6:8]) <= {"t3", "t4", "t5", "t6", "t7"}
+    for _ in range(6):
+        harness.dispatch_round(1_000)
+    _settle(harness)
+
+
+def test_smp_reservation_woken_after_placement():
+    """A reservation that wakes between placement and the picks is
+    placed nowhere, so the lowest CPU claims it, ahead of the
+    best-effort thread placed there."""
+    harness = DualHarness(n_threads=2, n_cpus=4)
+    harness.set_reservation(0, 300, 10_000)
+    harness.block(0)
+    harness.dispatch_round(1_000, late_wakes=(0,))
+    assert harness.picks == ["t0", None, None, None]
+    _settle(harness)
+
+
+def test_smp_failed_cpu():
+    """A failed CPU picks nothing, its pinned reservation drains to the
+    lowest online CPU, and both come back after recovery."""
+    harness = DualHarness(n_threads=6, n_cpus=4)
+    for index in range(5):
+        harness.set_reservation(index, 250, 4_000 + 2_000 * index)
+    harness.pin(3, 2)
+    harness.dispatch_round(800)
+    harness.fail(2)
+    assert harness.opt_threads[3].affinity == 0
+    harness.dispatch_round(800)
+    assert len(harness.picks) == 4 + 3
+    harness.fail(0)
+    for _ in range(4):
+        harness.dispatch_round(800, late_wakes=(5,))
+    harness.recover(2)
+    harness.recover(0)
+    _settle(harness)
+
+
+def test_smp_replenishment_and_owed_mark_due_at_round_instant():
+    """One round realises, at its own instant, both a replenishment
+    that falls due exactly then and an owed mark left by the previous
+    round's charge."""
+    harness = DualHarness(n_threads=3, n_cpus=4)
+    harness.set_reservation(0, 100, 2_000)  # 200 us budget, window ends at 2 ms
+    harness.set_reservation(1, 150, 10_000)  # 1.5 ms budget
+    harness.dispatch_round(1_000)  # t0 exhausted (owes a mark), t1 not
+    harness.dispatch_round(1_000)  # t0's mark realised; t1 exhausted at 2 ms
+    opt = harness.opt
+    t0, t1 = (thread.tid for thread in harness.opt_threads[:2])
+    assert harness.now == 2_000
+    assert opt._replenish.peek() == (2_000, t0)
+    assert t1 in opt._owed
+    harness.dispatch_round(1_000)
+    # t1's mark was realised; t0 ran again and owes a new one.
+    assert opt._owed == {t0: None}
+    assert opt.reservation(harness.opt_threads[1]).wanted_more
+    assert "t0" in harness.picks[-4:]  # replenished and picked at once
+    assert opt.deadline_misses() == harness.ref.deadline_misses() == 1
+    _settle(harness)
 
 
 @pytest.mark.parametrize("wake_before_end", [False, True])
@@ -682,7 +910,9 @@ def test_resize_of_removed_thread_raises_not_registered(n_cpus):
 _KERNEL_PERIODS_US = (2_000, 5_000, 10_000, 30_000)
 
 
-def _run_real_kernel(scheduler, seed: int, n_cpus: int):
+def _run_real_kernel(scheduler, seed: int, n_cpus: int, smp_extras: bool = False):
+    """``smp_extras`` (4 CPUs) pins two threads, leaves three
+    best-effort, and fails CPU 2 for part of the run."""
     from repro.sim.kernel import Kernel
     from repro.sim.requests import Compute, Sleep
 
@@ -699,6 +929,7 @@ def _run_real_kernel(scheduler, seed: int, n_cpus: int):
         return run
 
     n_threads = 3 * n_cpus + 2
+    n_best_effort = 3 if smp_extras else 1
     setup = random.Random(seed)
     threads = []
     for index in range(n_threads):
@@ -706,7 +937,9 @@ def _run_real_kernel(scheduler, seed: int, n_cpus: int):
             f"t{index}", body(index), policy=SchedulingPolicy.BEST_EFFORT
         )
         threads.append(thread)
-        if index < n_threads - 1:  # one best-effort thread
+        if smp_extras and index < 2:
+            thread.pin_to(2 + index)
+        if index < n_threads - n_best_effort:
             scheduler.set_reservation(
                 thread,
                 setup.randint(20, 400),
@@ -717,7 +950,7 @@ def _run_real_kernel(scheduler, seed: int, n_cpus: int):
 
     def controller_tick(now: int) -> None:
         kernel.steal_cpu(actuate.randint(0, 1_500))
-        thread = threads[actuate.randrange(n_threads - 1)]
+        thread = threads[actuate.randrange(n_threads - n_best_effort)]
         reservation = scheduler.reservation(thread)
         period = (
             reservation.period_us
@@ -730,7 +963,11 @@ def _run_real_kernel(scheduler, seed: int, n_cpus: int):
 
     kernel.add_periodic(2_300, controller_tick, start_us=1_300)
     misses = []
-    for _ in range(8):
+    for chunk in range(8):
+        if smp_extras and chunk == 2:
+            kernel.fail_cpu(2)
+        if smp_extras and chunk == 5:
+            kernel.recover_cpu(2)
         kernel.run_for(25_000)
         misses.append(scheduler.deadline_misses())
     return kernel.dispatch_log, misses
@@ -747,3 +984,17 @@ def test_real_kernel_matches_reference(n_cpus, seed):
     assert log == ref_log
     assert misses == ref_misses
     assert misses[-1] > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_real_kernel_smp_rounds_match_reference(seed):
+    """Pins, several best-effort threads and a CPU that fails and
+    recovers: dispatch logs and misses still match on 4 CPUs."""
+    log, misses = _run_real_kernel(ReservationScheduler(), seed, 4, True)
+    ref_log, ref_misses = _run_real_kernel(
+        ReferenceReservationScheduler(), seed, 4, True
+    )
+    assert log == ref_log
+    assert misses == ref_misses
+    assert misses[-1] > 0
+    assert {entry[1] for entry in log} == {0, 1, 2, 3}

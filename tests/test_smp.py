@@ -14,7 +14,7 @@ from repro.sim.thread import SimThread
 from repro.system import build_real_rate_system
 from repro.workloads.webfarm import WebFarm
 
-from tests.conftest import finite_body, spin_body
+from tests.conftest import finite_body, heaviest_first, spin_body
 
 
 def make_kernel(n_cpus, scheduler=None):
@@ -96,7 +96,7 @@ class TestPlacement:
 
     def test_least_loaded_balances_equal_weights(self):
         threads = self._threads(4)
-        mapping = LeastLoadedPlacement().assign(threads, 2, lambda t: 1.0)
+        mapping = LeastLoadedPlacement().assign(heaviest_first(threads), 2)
         per_cpu = [sum(1 for c in mapping.values() if c == i) for i in range(2)]
         assert per_cpu == [2, 2]
 
@@ -105,7 +105,7 @@ class TestPlacement:
         weights = {threads[0].tid: 900.0, threads[1].tid: 500.0,
                    threads[2].tid: 400.0}
         mapping = LeastLoadedPlacement().assign(
-            threads, 2, lambda t: weights[t.tid]
+            heaviest_first(threads, lambda t: weights[t.tid]), 2
         )
         # Heaviest goes alone; the two lighter ones share the other CPU.
         assert mapping[threads[0].tid] != mapping[threads[1].tid]
@@ -114,13 +114,13 @@ class TestPlacement:
     def test_least_loaded_honours_affinity(self):
         threads = self._threads(3)
         threads[0].pin_to(1)
-        mapping = LeastLoadedPlacement().assign(threads, 2, lambda t: 1.0)
+        mapping = LeastLoadedPlacement().assign(heaviest_first(threads), 2)
         assert mapping[threads[0].tid] == 1
 
     def test_pinned_placement_is_static(self):
         threads = self._threads(4)
         threads[2].pin_to(0)
-        mapping = PinnedPlacement().assign(threads, 2, lambda t: 1.0)
+        mapping = PinnedPlacement().assign(heaviest_first(threads), 2)
         assert mapping[threads[2].tid] == 0
         for t in (threads[0], threads[1], threads[3]):
             assert mapping[t.tid] == t.tid % 2

@@ -30,7 +30,10 @@ class TestBuildRealRateSystem:
         consumer = system.spawn_controlled("c", spin_body())
         queue = system.open_queue("q", producer, consumer, capacity_bytes=512)
         roles = {
-            l.thread.name: l.role for l in system.registry.linkages_on(queue)
+            l.thread.name: l.role
+            for thread in (producer, consumer)
+            for l in system.registry.linkages_for(thread)
+            if l.channel is queue
         }
         assert roles == {"p": Role.PRODUCER, "c": Role.CONSUMER}
         assert queue.capacity_bytes == 512

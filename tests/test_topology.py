@@ -1,7 +1,7 @@
 """CPU topology model, topology-aware placement and migration accounting.
 
 Covers the :class:`~repro.sim.topology.CpuTopology` model itself, the
-three topology-aware placement policies, the placement edge-case fixes
+two topology-aware placement policies, the placement edge-case fixes
 (empty online set, out-of-range affinity, the unified offline-pin
 fallback), migration counting and virtual-time penalty charging in the
 kernel, and the byte-identity guarantees the ``topology_placement``
@@ -10,15 +10,11 @@ experiment rides on.
 
 import pytest
 
-from repro.ipc.bounded_buffer import BoundedBuffer
-from repro.ipc.registry import SymbioticRegistry
 from repro.sched.placement import (
     CacheWarmPlacement,
     LeastLoadedPlacement,
     NumaPackPlacement,
     PinnedPlacement,
-    PipelineAffinityPlacement,
-    pipeline_pairs,
 )
 from repro.sched.rbs import ReservationScheduler
 from repro.sched.round_robin import RoundRobinScheduler
@@ -34,7 +30,7 @@ from repro.sim.topology import (
 )
 from repro.workloads.engine import dispatch_fingerprint
 
-from tests.conftest import finite_body, spin_body
+from tests.conftest import finite_body, heaviest_first, spin_body
 
 #: Placement policy factories taking the CPU count, used by the shared
 #: contract tests (every policy must obey the same offline/validation
@@ -46,7 +42,6 @@ def _all_policies(n_cpus):
         "pinned": PinnedPlacement(),
         "cache_warm": CacheWarmPlacement(topo),
         "numa_pack": NumaPackPlacement(topo),
-        "pipeline": PipelineAffinityPlacement(topo),
     }
 
 
@@ -121,7 +116,7 @@ class TestCacheWarmPlacement:
         threads = self._threads(2)
         threads[0].last_cpu = 6
         threads[1].last_cpu = 3
-        mapping = CacheWarmPlacement(topo).assign(threads, 8, lambda t: 1.0)
+        mapping = CacheWarmPlacement(topo).assign(heaviest_first(threads), 8)
         assert mapping[threads[0].tid] == 6
         assert mapping[threads[1].tid] == 3
 
@@ -131,7 +126,7 @@ class TestCacheWarmPlacement:
         threads[0].last_cpu = 6
         online = (0, 1, 2, 3, 4, 5, 7)  # 6 down; 7 is its SMT sibling
         mapping = CacheWarmPlacement(topo).assign(
-            threads, 8, lambda t: 1.0, online=online
+            heaviest_first(threads), 8, online=online
         )
         assert mapping[threads[0].tid] == 7
 
@@ -141,15 +136,15 @@ class TestCacheWarmPlacement:
         threads[0].last_cpu = 1
         online = (0, 2, 3)  # core 1 (socket 0) down entirely
         mapping = CacheWarmPlacement(topo).assign(
-            threads, 4, lambda t: 1.0, online=online
+            heaviest_first(threads), 4, online=online
         )
         assert mapping[threads[0].tid] == 0  # same socket beats 2/3
 
     def test_never_dispatched_degenerates_to_least_loaded(self):
         topo = CpuTopology.from_spec("1x4x1")
         threads = self._threads(4)
-        warm = CacheWarmPlacement(topo).assign(threads, 4, lambda t: 1.0)
-        flat = LeastLoadedPlacement().assign(threads, 4, lambda t: 1.0)
+        warm = CacheWarmPlacement(topo).assign(heaviest_first(threads), 4)
+        flat = LeastLoadedPlacement().assign(heaviest_first(threads), 4)
         assert warm == flat
 
     def test_stable_under_self_application(self):
@@ -162,15 +157,15 @@ class TestCacheWarmPlacement:
         threads = self._threads(5)
         threads[2].last_cpu = 5
         policy = CacheWarmPlacement(topo)
-        first = policy.assign(threads, 8, lambda t: 1.0)
+        first = policy.assign(heaviest_first(threads), 8)
         for thread in threads:
             thread.last_cpu = first[thread.tid]
-        assert policy.assign(threads, 8, lambda t: 1.0) == first
+        assert policy.assign(heaviest_first(threads), 8) == first
 
     def test_rejects_mismatched_topology(self):
         topo = CpuTopology.from_spec("1x2x1")
         with pytest.raises(SchedulerError):
-            CacheWarmPlacement(topo).assign(self._threads(1), 4, lambda t: 1.0)
+            CacheWarmPlacement(topo).assign(heaviest_first(self._threads(1)), 4)
 
 
 class TestNumaPackPlacement:
@@ -180,7 +175,7 @@ class TestNumaPackPlacement:
             SimThread("web.0"), SimThread("web.1"),
             SimThread("db.0"), SimThread("db.1"),
         ]
-        mapping = NumaPackPlacement(topo).assign(threads, 4, lambda t: 1.0)
+        mapping = NumaPackPlacement(topo).assign(heaviest_first(threads), 4)
         web = {topo.socket_of(mapping[t.tid]) for t in threads[:2]}
         db = {topo.socket_of(mapping[t.tid]) for t in threads[2:]}
         assert len(web) == 1 and len(db) == 1
@@ -192,7 +187,7 @@ class TestNumaPackPlacement:
         weights = {threads[0].tid: 9.0, threads[1].tid: 9.0,
                    threads[2].tid: 1.0}
         mapping = NumaPackPlacement(topo).assign(
-            threads, 4, lambda t: weights[t.tid]
+            heaviest_first(threads, lambda t: weights[t.tid]), 4
         )
         # The big group lands on socket 0 (tie broken low) on distinct
         # CPUs; tiny takes the other socket.
@@ -204,49 +199,9 @@ class TestNumaPackPlacement:
         topo = CpuTopology.from_spec("2x2x1")
         threads = [SimThread("grp.0"), SimThread("grp.1")]
         mapping = NumaPackPlacement(topo).assign(
-            threads, 4, lambda t: 1.0, online=(2, 3)
+            heaviest_first(threads), 4, online=(2, 3)
         )
         assert {mapping[t.tid] for t in threads} == {2, 3}
-
-
-class TestPipelineAffinityPlacement:
-    def test_pair_lands_on_smt_siblings(self):
-        topo = CpuTopology.from_spec("1x2x2")
-        producer = SimThread("stage.produce")
-        consumer = SimThread("stage.consume")
-        other = SimThread("noise")
-        policy = PipelineAffinityPlacement(
-            topo, pairs=[("stage.produce", "stage.consume")]
-        )
-        mapping = policy.assign([producer, consumer, other], 4, lambda t: 1.0)
-        assert topo.core_of(mapping[producer.tid]) == topo.core_of(
-            mapping[consumer.tid]
-        )
-        assert mapping[producer.tid] != mapping[consumer.tid]
-
-    def test_pair_shares_cpu_on_single_thread_core(self):
-        topo = CpuTopology.from_spec("1x2x1")
-        producer = SimThread("p")
-        consumer = SimThread("c")
-        policy = PipelineAffinityPlacement(topo, pairs=[("p", "c")])
-        mapping = policy.assign([producer, consumer], 2, lambda t: 1.0)
-        assert mapping[producer.tid] == mapping[consumer.tid]
-
-    def test_unpaired_threads_balance(self):
-        topo = CpuTopology.from_spec("1x2x1")
-        threads = [SimThread(f"solo{i}") for i in range(2)]
-        mapping = PipelineAffinityPlacement(topo).assign(
-            threads, 2, lambda t: 1.0
-        )
-        assert sorted(mapping.values()) == [0, 1]
-
-    def test_pipeline_pairs_from_registry(self):
-        registry = SymbioticRegistry()
-        queue = BoundedBuffer("frames", 4_096)
-        producer = SimThread("pipe.decode")
-        consumer = SimThread("pipe.render")
-        registry.register_pair(producer, consumer, queue)
-        assert pipeline_pairs(registry) == (("pipe.decode", "pipe.render"),)
 
 
 class TestPlacementEdgeCases:
@@ -257,7 +212,7 @@ class TestPlacementEdgeCases:
         policy = _all_policies(2)[name]
         threads = [SimThread("t")]
         with pytest.raises(SchedulerError):
-            policy.assign(threads, 2, lambda t: 1.0, online=())
+            policy.assign(heaviest_first(threads), 2, online=())
 
     @pytest.mark.parametrize("name", sorted(_all_policies(2)))
     def test_out_of_range_affinity_raises(self, name):
@@ -265,7 +220,7 @@ class TestPlacementEdgeCases:
         thread = SimThread("t")
         thread.affinity = 5  # bypass pin_to validation: corrupted state
         with pytest.raises(SchedulerError):
-            policy.assign([thread], 2, lambda t: 1.0)
+            policy.assign(heaviest_first([thread]), 2)
 
     @pytest.mark.parametrize("name", sorted(_all_policies(4)))
     def test_offline_pin_falls_back_to_lowest_online(self, name):
@@ -274,7 +229,7 @@ class TestPlacementEdgeCases:
         policy = _all_policies(4)[name]
         thread = SimThread("t")
         thread.affinity = 2
-        mapping = policy.assign([thread], 4, lambda t: 1.0, online=(1, 3))
+        mapping = policy.assign(heaviest_first([thread]), 4, online=(1, 3))
         assert mapping[thread.tid] == 1
 
     def test_fallback_matches_kernel_drain_target(self):
