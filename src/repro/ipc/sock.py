@@ -4,8 +4,7 @@ A simulated socket is a pair of kernel buffers, one per direction.  For
 the scheduling experiments only the receive direction of the server
 matters (a server is "essentially the consumer of a bounded buffer,
 where the producer may or may not be on the same machine"), so
-:class:`Socket` exposes the receive buffer as its primary channel and
-offers the send buffer for completeness.
+:class:`Socket` models only the receive buffer.
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ DEFAULT_SOCKET_CAPACITY = 32 * 1024
 
 
 class Socket(Channel):
-    """The receive side of a simulated socket.
-
-    ``peer_send_buffer`` models the opposite direction; it is created
-    lazily because most workloads only exercise one direction.
-    """
+    """The receive side of a simulated socket."""
 
     KIND = "socket"
 
@@ -29,16 +24,6 @@ class Socket(Channel):
         self, name: str, capacity_bytes: int = DEFAULT_SOCKET_CAPACITY
     ) -> None:
         super().__init__(name, capacity_bytes)
-        self._send_buffer: Channel | None = None
-
-    @property
-    def send_buffer(self) -> Channel:
-        """The send-direction buffer (created on first use)."""
-        if self._send_buffer is None:
-            self._send_buffer = Channel(
-                f"{self.name}:send", self.capacity_bytes
-            )
-        return self._send_buffer
 
 
 __all__ = ["DEFAULT_SOCKET_CAPACITY", "Socket"]

@@ -463,6 +463,13 @@ class Kernel:
         that *owns* a mutex must release it before being killed; the
         kernel cannot see ownership from the thread side, so killing an
         owner leaves the mutex held forever.
+
+        Like a natural exit, a kill drops the thread's body and
+        generator and keeps its bookkeeping (see :class:`SimThread`).
+        Dropping a suspended generator closes it: Python raises
+        ``GeneratorExit`` at the ``yield`` it waits on.  No thread body
+        in this project has a ``finally:`` or ``with`` block, so the
+        close runs no code of the body's.
         """
         if thread.tid not in self._thread_tids:
             raise SimulationError(
@@ -480,10 +487,7 @@ class Kernel:
             thread.wakeup_event = None
         blocked_on = thread.blocked_on
         thread.blocked_on = None
-        thread.state = ThreadState.EXITED
-        thread.exit_status = status
-        thread.finish_request()
-        self.scheduler.remove_thread(thread)
+        self._exit_thread(thread, status)
         if blocked_on is not None:
             self._detach_waiter(thread, blocked_on)
         return True
@@ -1223,6 +1227,10 @@ class Kernel:
         thread.exit_status = status
         thread.finish_request()
         self.scheduler.remove_thread(thread)
+        # Only a running thread needs these; the records keep the rest.
+        thread._body = None
+        thread._generator = None
+        thread._pending_send = None
 
 
 __all__ = ["DEFAULT_DISPATCH_INTERVAL_US", "Kernel"]

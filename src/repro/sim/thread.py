@@ -59,7 +59,7 @@ class SchedulingPolicy(enum.Enum):
     BEST_EFFORT = "best_effort"
 
 
-@dataclass
+@dataclass(slots=True)
 class CpuAccounting:
     """Per-thread CPU usage accounting.
 
@@ -102,7 +102,7 @@ class CpuAccounting:
         self.run_since_last_block_us = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ThreadEnv:
     """The view of the system a thread body receives.
 
@@ -146,7 +146,21 @@ class SimThread:
         Optional CPU index this thread is pinned to on a multiprocessor
         kernel.  ``None`` (the default) lets the scheduler's placement
         policy migrate the thread freely; see :meth:`pin_to`.
+
+    An exited thread keeps only its bookkeeping: ``name``, ``tid``,
+    ``state``, ``exit_status``, ``accounting``, ``sched_data`` and its
+    ``ThreadEnv`` (so :meth:`pin_to` still checks its arguments).  The
+    kernel drops its body, its generator and any pending send value
+    at exit, so a long open-system run does not hold every finished
+    job's generator frame and closure.
     """
+
+    __slots__ = (
+        "tid", "name", "policy", "priority", "nice", "tickets", "importance",
+        "_env", "affinity", "state", "accounting", "exit_status", "last_cpu",
+        "sched_data", "_body", "_generator", "_current_request",
+        "_remaining_compute_us", "_pending_send", "blocked_on", "wakeup_event",
+    )
 
     _next_tid = 1
 

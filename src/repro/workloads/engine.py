@@ -153,7 +153,7 @@ JOB_OUTCOMES = ("completed", "killed", "rejected")
 RECORD_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobRecord:
     """One job's lifetime, recorded when it leaves the system.
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ipc.bounded_buffer import BoundedBuffer, Channel
+from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.ipc.mutex import Mutex
 from repro.ipc.pipe import DEFAULT_PIPE_CAPACITY, Pipe
 from repro.ipc.registry import SymbioticRegistry
@@ -76,13 +76,6 @@ class TestChannel:
 
     def test_pipe_default_capacity(self):
         assert Pipe("p").capacity_bytes == DEFAULT_PIPE_CAPACITY
-
-    def test_socket_send_buffer_lazy(self):
-        sock = Socket("s")
-        assert sock._send_buffer is None
-        send = sock.send_buffer
-        assert isinstance(send, Channel)
-        assert sock.send_buffer is send
 
     def test_interactive_period_constant(self):
         assert INTERACTIVE_PERIOD_US == 30_000
