@@ -118,7 +118,7 @@ _READY = ThreadState.READY
 _RUNNING = ThreadState.RUNNING
 
 
-@dataclass
+@dataclass(slots=True)
 class Reservation:
     """Per-thread reservation state.
 

@@ -73,6 +73,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.clock import US_PER_SEC, SimClock
 from repro.sim.cpu import CPUModel, CPUState
+from repro.sim.dispatch_log import OUTCOME_CODE, RECORD, DispatchLog
 from repro.sim.errors import DeadlockError, SimulationError, ThreadStateError
 from repro.sim.events import EventCalendar, PeriodicEvent
 from repro.sim.requests import (
@@ -103,6 +104,8 @@ DEFAULT_DISPATCH_INTERVAL_US = 1_000
 # attribute lookup costs far more than a module global).
 _READY = ThreadState.READY
 _RUNNING = ThreadState.RUNNING
+# Likewise the dispatch log's record packer.
+_pack_record = RECORD.pack
 
 
 class _DispatchOutcome:
@@ -161,12 +164,16 @@ class Kernel:
         cost guarantees that a thread issuing only zero-cost requests
         still makes the clock advance.
     record_dispatches:
-        When ``True`` the kernel appends one
-        ``(time_us, cpu, thread_name, outcome, consumed_us)`` tuple to
-        :attr:`dispatch_log` per dispatch — the full scheduling order,
-        used by the determinism regression tests.  A dispatch that
-        charged a migration penalty appends the penalty as a sixth
-        element, making the cost part of the log's identity.
+        When ``True`` the kernel appends one packed 27-byte record per
+        dispatch to :attr:`dispatch_log` (a
+        :class:`~repro.sim.dispatch_log.DispatchLog`): start time, CPU
+        index, thread ``tid``, outcome code, consumed microseconds and
+        the migration penalty (0 when none was charged).  It is the full
+        scheduling order behind the dispatch fingerprints and the
+        determinism tests.  Iterating the log reads each record back as
+        ``(time_us, cpu, thread_name, outcome, consumed_us)``, with the
+        penalty as a sixth element for a dispatch that charged one, so
+        the cost is part of the log's identity.
     """
 
     def __init__(
@@ -252,15 +259,12 @@ class Kernel:
         #: CPU they were parked on, so recovery can restore their pins.
         self._displaced_pins: dict[int, list[tuple[SimThread, int]]] = {}
         self.stolen_controller_us = 0
-        #: Entries are ``(time, cpu, name, outcome, consumed)``; a
-        #: dispatch that charged a migration penalty appends it as a
-        #: sixth element (see the ``topology`` parameter).
-        self.dispatch_log: Optional[
-            list[
-                tuple[int, int, str, str, int]
-                | tuple[int, int, str, str, int, int]
-            ]
-        ] = ([] if record_dispatches else None)
+        #: One 27-byte record per dispatch (see ``record_dispatches``);
+        #: ``None`` when not recording.  Reads back as 5-tuples, or
+        #: 6-tuples for a dispatch that charged a migration penalty.
+        self.dispatch_log: Optional[DispatchLog] = (
+            DispatchLog(self.threads) if record_dispatches else None
+        )
         #: Local-time override used while an SMP dispatch round
         #: simulates one CPU's slice (None outside rounds).
         self._now_override: Optional[int] = None
@@ -1003,24 +1007,14 @@ class Kernel:
             scheduler.on_preempt(thread, now)
         else:
             self._finish_dispatch(thread, outcome)
-        if self.dispatch_log is not None:
-            if migration_us:
-                # The penalty shifted this (and every later) timestamp,
-                # so it must be part of the log's identity: entries for
-                # penalised dispatches grow a sixth element.  Penalty-
-                # free dispatches keep the historical 5-tuple form, so
-                # a zero-penalty run is byte-identical to a kernel that
-                # never heard of topology.
-                self.dispatch_log.append(
-                    (
-                        dispatch_start, cpu.index, thread.name, outcome,
-                        consumed, migration_us,
-                    )
-                )
-            else:
-                self.dispatch_log.append(
-                    (dispatch_start, cpu.index, thread.name, outcome, consumed)
-                )
+        log = self.dispatch_log
+        if log is not None:
+            # The penalty shifted this (and every later) timestamp, so
+            # it is part of the record; 0 reads back as a 5-tuple.
+            log.records += _pack_record(
+                dispatch_start, cpu.index, thread.tid,
+                OUTCOME_CODE[outcome], consumed, migration_us,
+            )
         return outcome
 
     def _finish_dispatch(self, thread: SimThread, outcome: str) -> None:

@@ -37,7 +37,6 @@ controller-less kernels.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
@@ -738,24 +737,15 @@ def dispatch_fingerprint(kernel: "Kernel") -> str:
     fingerprints iff their `(time, cpu, thread, outcome, consumed)`
     dispatch sequences are identical — the conformance check behind the
     golden-trace corpus and the engine-differential scenario tests.
-
-    Entries are hashed field-by-field (``|``-joined, ``;``-terminated),
-    so the historical 5-tuple entries hash to exactly the bytes they
-    always did, while a topology kernel's 6-tuple entries (migration
-    penalty appended) extend the digest rather than breaking it — a
-    zero-penalty run therefore fingerprints identically to a kernel
-    with no topology at all.
+    See :meth:`repro.sim.dispatch_log.DispatchLog.fingerprint` for the
+    hashed bytes.
     """
     log = kernel.dispatch_log
     if log is None:
         raise WorkloadError(
             "dispatch fingerprint needs Kernel(record_dispatches=True)"
         )
-    digest = hashlib.sha256()
-    for entry in log:
-        digest.update("|".join(map(str, entry)).encode())
-        digest.update(b";")
-    return digest.hexdigest()
+    return log.fingerprint()
 
 
 __all__ = [

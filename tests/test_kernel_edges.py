@@ -208,7 +208,7 @@ class TestCalendarHead:
         kernel.events.schedule(5_000, lambda: fired.append(("live", kernel.now)))
         kernel.run_for(12_000)
         assert fired == [("live", 5_000)]
-        assert kernel.dispatch_log == [
+        assert list(kernel.dispatch_log) == [
             (0, 0, "hog", "preempted", 5_000),
             (5_000, 0, "hog", "preempted", 7_000),
         ]
@@ -229,7 +229,7 @@ class TestCalendarHead:
         kernel.spawn("hog", body)
         kernel.run_for(12_000)
         assert fired == [("live", 5_000)]
-        assert kernel.dispatch_log == [
+        assert list(kernel.dispatch_log) == [
             (0, 0, "hog", "preempted", 5_000),
             (5_000, 0, "hog", "preempted", 7_000),
         ]
@@ -252,4 +252,4 @@ class TestCalendarHead:
         assert fired == [("arm", 5_000), ("kill", 5_000)]
         # Had the kill waited for the next iteration, the victim would
         # have been picked again at 5 ms.
-        assert kernel.dispatch_log == [(0, 0, "victim", "preempted", 5_000)]
+        assert list(kernel.dispatch_log) == [(0, 0, "victim", "preempted", 5_000)]

@@ -73,6 +73,14 @@ class TestReservationState:
         reservation.advance_to(10_000)
         assert reservation.deadline_misses == 1
 
+    def test_slotted(self):
+        # An exited reserved thread keeps its reservation in sched_data,
+        # so the record carries no instance dict.
+        reservation = Reservation(proportion_ppt=100, period_us=10_000)
+        assert not hasattr(reservation, "__dict__")
+        with pytest.raises(AttributeError):
+            reservation.undeclared = 1
+
 
 class TestReservationManagement:
     def test_set_reservation_creates_state(self):

@@ -970,7 +970,7 @@ def _run_real_kernel(scheduler, seed: int, n_cpus: int, smp_extras: bool = False
             kernel.recover_cpu(2)
         kernel.run_for(25_000)
         misses.append(scheduler.deadline_misses())
-    return kernel.dispatch_log, misses
+    return list(kernel.dispatch_log), misses
 
 
 @pytest.mark.parametrize("n_cpus", [1, 4])
