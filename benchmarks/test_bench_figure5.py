@@ -22,11 +22,6 @@ def test_figure5_controller_overhead(benchmark):
     assert result.metric("intercept_overhead") == pytest.approx(0.00057, rel=0.15)
     assert result.metric("overhead_at_40_processes") == pytest.approx(0.027, rel=0.1)
 
-    # The actual Python implementation is also linear in the number of
-    # controlled threads (different constant, same shape).
-    assert result.metric("measured_wall_r_squared") > 0.8
-    assert result.metric("measured_wall_us_slope_per_process") > 0.0
-
 
 @pytest.mark.benchmark(group="figure5")
 def test_figure5_overhead_grows_monotonically(benchmark):

@@ -8,10 +8,15 @@ of the step), the settling time and the overshoot, using standard
 control-engineering definitions.
 """
 
+# float-order: exact — the baseline and target averages decide the rise
+# and settling times; sums are left folds, never the builtin sum().
+
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from repro.analysis.regression import fold_mean
 
 
 @dataclass(frozen=True)
@@ -72,12 +77,12 @@ def step_response(
         raise ValueError(
             "series does not bracket the step time; cannot measure response"
         )
-    initial = sum(before) / len(before)
+    initial = fold_mean(before)
 
     if target_value is None:
         tail_start = step_time_s + 0.75 * (end_s - step_time_s)
         tail = [v for t, v in after if t >= tail_start]
-        target_value = sum(tail) / len(tail) if tail else after[-1][1]
+        target_value = fold_mean(tail) if tail else after[-1][1]
 
     step_size = target_value - initial
     if step_size == 0:

@@ -6,9 +6,14 @@ overhead curve, and rendering a series
 as a unicode sparkline for terminal output.
 """
 
+# float-order: exact — deviations and bucket means feed pinned artifact
+# metrics; sums are left folds, never the builtin sum().
+
 from __future__ import annotations
 
 from typing import Sequence
+
+from repro.analysis.regression import fold_mean, fold_sum
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -42,7 +47,7 @@ def mean_absolute_deviation(values: Sequence[float], target: float) -> float:
     """Mean |value - target| (0.0 for an empty sequence)."""
     if not values:
         return 0.0
-    return sum(abs(v - target) for v in values) / len(values)
+    return fold_sum(abs(v - target) for v in values) / len(values)
 
 
 def find_knee(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -87,7 +92,7 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
         lo = b * n // buckets
         hi = max(lo + 1, (b + 1) * n // buckets)
         chunk = values[lo:hi]
-        bucketed.append(sum(chunk) / len(chunk))
+        bucketed.append(fold_mean(chunk))
     low = min(bucketed)
     high = max(bucketed)
     if high == low:

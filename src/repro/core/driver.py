@@ -8,13 +8,14 @@ the number of controlled processes and finds it linear
 :class:`ControllerDriver` attaches a :class:`ProportionAllocator` to a
 :class:`~repro.sim.kernel.Kernel` as a periodic activity.  Each firing
 
-1. runs one allocator update (and measures its real wall-clock cost so
-   the linearity claim can also be checked against the actual Python
-   implementation),
+1. runs one allocator update,
 2. charges the modelled controller cost to the simulation as stolen CPU
    time (so experiments see the overhead the paper's users would see),
    and
 3. records per-thread allocation traces in the kernel's tracer.
+
+The driver reads no host clock: the wall cost of a tick is measured
+outside the simulation, by perfbench's ``core.allocator.update`` span.
 """
 
 # float-order: exact — the overhead remainder fold decides how many
@@ -22,7 +23,6 @@ the number of controlled processes and finds it linear
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,7 +96,6 @@ class ControllerDriver:
 
         self.invocations = 0
         self.modeled_cost_us_total = 0.0
-        self.measured_wall_ns_total = 0
         self.last_decisions: list[AllocationDecision] = []
         self._overhead_remainder = 0.0
         #: tid -> [alloc times, alloc values, pressure times, pressure
@@ -119,13 +118,8 @@ class ControllerDriver:
         self._periodic.stop()
 
     def _tick(self, now: int) -> None:
-        # repro-lint: disable=determinism -- diagnostic wall timing only; charged cost comes from the deterministic overhead_model
-        wall_start = time.perf_counter_ns()
         decisions = self.allocator.update(now)
-        wall_elapsed = time.perf_counter_ns() - wall_start  # repro-lint: disable=determinism -- same diagnostic-only measurement as above
-
         self.invocations += 1
-        self.measured_wall_ns_total += wall_elapsed
         self.last_decisions = decisions
 
         cost = self.overhead_model.cost_us(len(decisions))
@@ -190,12 +184,6 @@ class ControllerDriver:
         if self.kernel.now <= 0:
             return 0.0
         return self.modeled_cost_us_total / self.kernel.now
-
-    def measured_wall_us_per_invocation(self) -> float:
-        """Mean measured wall-clock cost of one allocator update (us)."""
-        if self.invocations == 0:
-            return 0.0
-        return self.measured_wall_ns_total / self.invocations / 1_000.0
 
 
 __all__ = [

@@ -20,10 +20,14 @@ rising/falling pulse schedule and reports:
 * the tracking error between producer and consumer progress rates.
 """
 
+# float-order: exact — the rate averages below are pinned artifact
+# metrics; sums are left folds, never the builtin sum().
+
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.regression import fold_mean, fold_sum
 from repro.analysis.response import step_response
 from repro.analysis.results import ExperimentResult
 from repro.analysis.series import mean_absolute_deviation, rate_from_cumulative
@@ -124,11 +128,11 @@ def _collect(
         if t > 2.0
     ]
     mean_rate = (
-        sum(r for t, r in zip(producer_times, producer_rates) if t > 2.0)
+        fold_sum(r for t, r in zip(producer_times, producer_rates) if t > 2.0)
         / max(1, len(mismatches))
     )
     result.metrics["mean_rate_mismatch_bytes_per_s"] = (
-        sum(mismatches) / len(mismatches) if mismatches else 0.0
+        fold_mean(mismatches) if mismatches else 0.0
     )
     result.metrics["mean_producer_rate_bytes_per_s"] = mean_rate
     result.metrics["tracking_error_fraction"] = (

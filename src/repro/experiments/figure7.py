@@ -13,10 +13,14 @@ consumer's and the hog's allocations (the "high frequency oscillation
 in allocation between the load and the consumer" the paper describes).
 """
 
+# float-order: exact — the consumer/hog correlation is a pinned artifact
+# metric; its sums are left folds, never the builtin sum().
+
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.regression import centered_moments
 from repro.analysis.results import ExperimentResult
 from repro.experiments.figure6 import _collect, _instrument, pulse_schedule
 from repro.experiments.params import stamp_reproducibility
@@ -32,14 +36,9 @@ def _correlation(xs: list[float], ys: list[float]) -> float:
     n = min(len(xs), len(ys))
     if n < 2:
         return 0.0
-    xs, ys = xs[:n], ys[:n]
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    syy = sum((y - mean_y) ** 2 for y in ys)
+    _mean_x, _mean_y, sxx, syy, sxy = centered_moments(xs[:n], ys[:n])
     if sxx == 0 or syy == 0:
         return 0.0
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     return sxy / (sxx * syy) ** 0.5
 
 

@@ -346,14 +346,6 @@ class TestControllerDriver:
         system.kernel.run_for(50_000)
         assert system.driver.invocations == invocations
 
-    def test_measured_wall_clock_positive(self):
-        system = build_real_rate_system(
-            charge_dispatch_overhead=False, charge_controller_overhead=False
-        )
-        system.spawn_controlled("hog", spin_body())
-        system.kernel.run_for(100_000)
-        assert system.driver.measured_wall_us_per_invocation() > 0
-
 
 class TestDriverTracePath:
     """The driver's allocation traces obey the TraceSeries contract:
