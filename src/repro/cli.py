@@ -311,63 +311,43 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_golden(args: argparse.Namespace) -> int:
     from repro import golden
 
-    if args.scenario is not None:
+    path = golden.DEFAULT_CORPUS_PATH
+    if args.regen:
         try:
-            scenarios = [golden.scenario_spec(args.scenario)]
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    else:
-        if args.path is not None:
+            corpus = golden.write_corpus(path)
+        except OSError as error:
             print(
-                "error: --path needs --scenario (each scenario has its own "
-                "corpus file)",
+                f"error: cannot write corpus {path!r}: {error} "
+                f"(run from the repository root)",
                 file=sys.stderr,
             )
             return 2
-        scenarios = list(golden.GOLDEN_SCENARIOS.values())
-    failures = 0
-    for spec in scenarios:
-        path = args.path if args.path is not None else spec.corpus_path
-        if args.regen:
-            try:
-                corpus = golden.write_corpus(path, spec.name)
-            except OSError as error:
-                print(
-                    f"error: cannot write corpus {path!r}: {error} "
-                    f"(run from the repository root, or pass --path)",
-                    file=sys.stderr,
-                )
-                return 2
-            print(
-                f"regenerated {path}: {len(corpus['entries'])} entries "
-                f"({len(golden.GOLDEN_SCHEDULERS)} schedulers x "
-                f"{len(golden.GOLDEN_CPU_COUNTS)} CPU counts)"
-            )
-            continue
-        try:
-            corpus = golden.load_corpus(path)
-        except (OSError, ValueError, json.JSONDecodeError) as error:
-            print(f"error: cannot load corpus {path!r}: {error}",
-                  file=sys.stderr)
-            return 2
-        mismatches = golden.verify_corpus(corpus)
-        if mismatches:
-            failures += len(mismatches)
-            for message in mismatches:
-                print(f"golden mismatch: {message}", file=sys.stderr)
-            print(
-                f"{len(mismatches)} golden-trace mismatch(es) vs {path}; "
-                f"if the behaviour change is intentional, refresh with "
-                f"`python -m repro golden --regen`",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"golden corpus ok: {len(corpus['entries'])} entries conform "
-                f"({path})"
-            )
-    return 1 if failures else 0
+        print(
+            f"regenerated {path}: {len(corpus['entries'])} experiments x "
+            f"{len(golden.POINTS)} points"
+        )
+        return 0
+    try:
+        corpus = golden.load_corpus(path)
+    except (OSError, ValueError, json.JSONDecodeError) as error:
+        print(f"error: cannot load corpus {path!r}: {error}", file=sys.stderr)
+        return 2
+    mismatches = golden.verify_corpus(corpus)
+    for message in mismatches:
+        print(f"golden mismatch: {message}", file=sys.stderr)
+    if mismatches:
+        print(
+            f"{len(mismatches)} golden mismatch(es) vs {path}; if the "
+            f"behaviour change is intentional, refresh with "
+            f"`python -m repro golden --regen`",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"golden corpus ok: {len(corpus['entries'])} experiments x "
+        f"{len(golden.POINTS)} points conform ({path})"
+    )
+    return 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -517,20 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_golden = sub.add_parser(
         "golden",
-        help="verify (or --regen) the golden-trace conformance corpora",
+        help="verify (or --regen) the behaviour corpus of every experiment",
     )
     p_golden.add_argument(
         "--regen", action="store_true",
-        help="re-run the matrix and rewrite the corpus file(s)",
-    )
-    p_golden.add_argument(
-        "--scenario", default=None,
-        help="limit to one scenario (default: all pinned scenarios)",
-    )
-    p_golden.add_argument(
-        "--path", default=None,
-        help="corpus file (requires --scenario; default: the scenario's "
-        "committed location under tests/golden/)",
+        help="re-run every experiment and rewrite tests/golden/corpus.json",
     )
     p_golden.set_defaults(handler=_cmd_golden)
 

@@ -6,10 +6,11 @@ with the :func:`repro.experiments.registry.experiment` decorator,
 producing an :class:`~repro.experiments.registry.ExperimentSpec` —
 name, description, typed parameter schema with defaults and bounds,
 and quick-mode overrides.  Importing this package registers every
-experiment (the paper reproductions and ablations plus the churn,
-fault, SLO and topology extensions); run them through
-:data:`~repro.experiments.registry.REGISTRY` (``REGISTRY.run(name,
-overrides, quick=...)``) or the ``python -m repro`` command line
+experiment (the paper reproductions and ablations, the churn, fault,
+SLO and topology extensions, and the churn and fault smoke matrices);
+run them through :data:`~repro.experiments.registry.REGISTRY`
+(``REGISTRY.run(name, overrides, quick=...)``) or the ``python -m
+repro`` command line
 (``list`` / ``describe`` / ``run`` / ``sweep``).  That is the only way
 to run one: the registry resolves the parameters, stamps the seed and
 checks the dispatch fingerprint.
@@ -59,6 +60,7 @@ from repro.experiments.registry import (
 )
 from repro.experiments.response_curve import response_curve_experiment
 from repro.experiments.slo import slo_flash_crowd_experiment
+from repro.experiments.smoke import churn_smoke_experiment, fault_smoke_experiment
 from repro.experiments.smp_scaling import smp_scaling_experiment
 from repro.experiments.taxonomy import taxonomy_experiment
 from repro.experiments.topology import topology_placement_experiment
@@ -74,9 +76,11 @@ __all__ = [
     "ablation_period_experiment",
     "ablation_pid_experiment",
     "ablation_squish_experiment",
+    "churn_smoke_experiment",
     "churn_webfarm_experiment",
     "cpu_failover_experiment",
     "experiment",
+    "fault_smoke_experiment",
     "flash_crowd_rt_experiment",
     "thundering_herd_experiment",
     "tidal_pipeline_experiment",

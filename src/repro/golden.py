@@ -1,44 +1,36 @@
-"""Golden-trace conformance corpus.
+"""Behaviour corpus: every registered experiment, pinned.
 
-A *golden trace* pins the exact dispatch behaviour of a small but
-eventful scenario for **every scheduler policy x 1 and 4 CPUs**.  Each committed corpus file holds one fingerprint per
-combination; ``tests/test_golden.py`` re-runs each combination and
-diffs the fresh fingerprint against the corpus, so any change that
-moves a single dispatch-log entry anywhere in the matrix fails loudly
-and reviewably.
+``tests/golden/corpus.json`` holds, for every experiment in
+:data:`~repro.experiments.registry.REGISTRY` at its default and at its
+quick parameters, two digests:
 
-Three scenarios are pinned (:data:`GOLDEN_SCENARIOS`):
+* ``dispatch_fingerprint`` -- the composite fingerprint the run stamps
+  (one SHA-256 of a dispatch log per kernel it built, joined with
+  ``"+"``), and
+* ``artifact_sha256`` -- the SHA-256 of the run's
+  :meth:`~repro.analysis.results.ExperimentResult.to_dict` in canonical
+  JSON (sorted keys, compact separators) without ``repro_version``.
 
-* ``churn_smoke`` (``tests/golden/churn_smoke.json``) — the open-system
-  churn scenario: arrivals, finite jobs, kills, re-pins, a rate change.
-* ``topology_placement`` (``tests/golden/topology_placement.json``) —
-  the same churn recipe on a kernel with a penalised CPU topology and
-  cache-warm placement, pinning migration-penalty charging.
-* ``fault_smoke`` (``tests/golden/fault_smoke.json``) — a fault-dense
-  scenario layered on the same churn machinery: a scheduled runaway
-  hijack (quarantined by the watchdog under the reservation scheduler),
-  a stall window, and — on the multi-CPU cells — a mid-run CPU failure
-  with recovery, exercising drain/re-place and the graceful-degradation
-  chain.
+The fingerprint pins every dispatch; the artifact digest pins every
+metric, series, note and metadata value, the float metrics a
+fingerprint cannot see included.  ``tests/test_golden.py`` re-runs one
+corpus entry per case; the CLI re-runs them all::
 
-Refreshing the corpora after an *intentional* behaviour change::
+    python -m repro golden --regen     # rewrite the corpus
+    python -m repro golden             # verify it (CI does this too)
 
-    python -m repro golden --regen     # rewrite every corpus
-    python -m repro golden             # verify all (CI does this too)
-
-The scenarios only use integer virtual time and seeded ``random``
-streams, so fingerprints are machine-independent for a given CPython
-family; if a platform's libm ever rounds an exponential draw
-differently, regenerate and commit.
+A mismatch names the experiment, the point and the first differing
+fingerprint component, so the diverging kernel of a multi-kernel
+experiment is known without a re-run by hand.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
-from repro._version import __version__
+from repro.analysis.results import ExperimentResult
 from repro.core.artifacts import write_atomic
 from repro.faults import (
     CPU_FAIL,
@@ -60,33 +52,16 @@ from repro.sched.round_robin import RoundRobinScheduler
 from repro.sim.kernel import Kernel
 from repro.sim.topology import CpuTopology
 from repro.workloads.arrivals import DeterministicArrivals, PoissonArrivals
-from repro.workloads.engine import (
-    JobTemplate,
-    PhaseScript,
-    WorkloadEngine,
-    dispatch_fingerprint,
-)
+from repro.workloads.engine import JobTemplate, PhaseScript, WorkloadEngine
 
 #: Version of the corpus file layout.
-GOLDEN_SCHEMA_VERSION = 1
+GOLDEN_SCHEMA_VERSION = 2
 
-#: The default scenario identifier (the original single-scenario corpus).
-GOLDEN_SCENARIO = "churn_smoke"
+#: Corpus location (relative to the repository root).
+DEFAULT_CORPUS_PATH = "tests/golden/corpus.json"
 
-#: Virtual duration of one golden churn run.
-GOLDEN_DURATION_US = 150_000
-
-#: Virtual duration of one golden fault run.
-GOLDEN_FAULT_DURATION_US = 150_000
-
-#: Default corpus location (relative to the repository root).
-DEFAULT_CORPUS_PATH = "tests/golden/churn_smoke.json"
-
-#: Corpus location of the fault-dense scenario.
-FAULT_CORPUS_PATH = "tests/golden/fault_smoke.json"
-
-#: Corpus location of the topology-placement scenario.
-TOPOLOGY_CORPUS_PATH = "tests/golden/topology_placement.json"
+#: The parameter points pinned per experiment.
+POINTS = ("default", "quick")
 
 #: The five dispatch policies covered by the corpus.
 GOLDEN_SCHEDULERS: dict[str, Callable[[], Scheduler]] = {
@@ -200,7 +175,7 @@ def build_topology_golden(
 
 def build_fault_golden(
     scheduler: str, n_cpus: int
-) -> tuple[Kernel, WorkloadEngine]:
+) -> tuple[Kernel, WorkloadEngine, FaultInjector]:
     """Assemble (but do not run) one golden fault-scenario kernel.
 
     Open-system churn plus a scheduled :class:`FaultPlan`: a runaway
@@ -264,108 +239,44 @@ def build_fault_golden(
         DegradationManager(kernel, sched_obj)
         Watchdog(kernel, sched_obj, period_us=10_000, miss_windows=2,
                  stall_windows=3)
-    return kernel, churn
+    return kernel, churn, injector
 
 
-@dataclass(frozen=True)
-class GoldenScenario:
-    """One pinned scenario: its builder, duration and corpus home."""
-
-    name: str
-    builder: Callable[[str, int], tuple[Kernel, WorkloadEngine]]
-    duration_us: int
-    corpus_path: str
-    description: str
+def artifact_sha256(result: ExperimentResult) -> str:
+    """SHA-256 of ``result.to_dict()`` in canonical JSON, less the
+    package version (a release bump is not a behaviour change)."""
+    payload = result.to_dict()
+    del payload["repro_version"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-#: Every pinned scenario, in corpus order.
-GOLDEN_SCENARIOS: dict[str, GoldenScenario] = {
-    "churn_smoke": GoldenScenario(
-        name="churn_smoke",
-        builder=build_golden,
-        duration_us=GOLDEN_DURATION_US,
-        corpus_path=DEFAULT_CORPUS_PATH,
-        description="open-system churn: arrivals, kills, re-pins, re-rates",
-    ),
-    "fault_smoke": GoldenScenario(
-        name="fault_smoke",
-        builder=build_fault_golden,
-        duration_us=GOLDEN_FAULT_DURATION_US,
-        corpus_path=FAULT_CORPUS_PATH,
-        description=(
-            "fault-dense churn: runaway quarantine, stall window, "
-            "mid-run CPU failure and recovery"
-        ),
-    ),
-    "topology_placement": GoldenScenario(
-        name="topology_placement",
-        builder=build_topology_golden,
-        duration_us=GOLDEN_DURATION_US,
-        corpus_path=TOPOLOGY_CORPUS_PATH,
-        description=(
-            "churn on a sockets/SMT topology kernel: migration "
-            "penalties charged, cache-warm placement"
-        ),
-    ),
-}
+def run_entry(name: str, point: str) -> dict[str, str]:
+    """Run one experiment at one point; returns its corpus entry."""
+    from repro.experiments import REGISTRY
 
-
-def scenario_spec(scenario: str) -> GoldenScenario:
-    """Resolve a scenario name, raising ``ValueError`` when unknown."""
-    spec = GOLDEN_SCENARIOS.get(scenario)
-    if spec is None:
-        raise ValueError(
-            f"unknown golden scenario {scenario!r}; "
-            f"known: {sorted(GOLDEN_SCENARIOS)}"
-        )
-    return spec
-
-
-def entry_key(scheduler: str, n_cpus: int) -> str:
-    """Corpus key for one matrix cell."""
-    return f"{scheduler}/cpu{n_cpus}"
-
-
-def iter_matrix() -> Iterator[tuple[str, int]]:
-    """All (scheduler, n_cpus) combinations in corpus order."""
-    for scheduler in GOLDEN_SCHEDULERS:
-        for n_cpus in GOLDEN_CPU_COUNTS:
-            yield scheduler, n_cpus
-
-
-def run_golden(
-    scheduler: str, n_cpus: int, scenario: str = GOLDEN_SCENARIO,
-) -> dict:
-    """Run one matrix cell of ``scenario``; returns its corpus entry."""
-    spec = scenario_spec(scenario)
-    kernel, churn = spec.builder(scheduler, n_cpus)
-    kernel.run_for(spec.duration_us)
+    result = REGISTRY.run(name, quick=point == "quick")
     return {
-        "dispatch_sha256": dispatch_fingerprint(kernel),
-        "dispatches": kernel.dispatch_count,
-        "spawned": churn.spawned_total(),
-        "completed": churn.completed_total(),
-        "killed": churn.killed_total(),
+        "dispatch_fingerprint": result.metadata["dispatch_fingerprint"],
+        "artifact_sha256": artifact_sha256(result),
     }
 
 
-def compute_corpus(scenario: str = GOLDEN_SCENARIO) -> dict:
-    """Run the full matrix of ``scenario``; returns the corpus structure."""
-    spec = scenario_spec(scenario)
+def compute_corpus() -> dict:
+    """Run every registered experiment at every point."""
+    from repro.experiments import REGISTRY
+
     return {
         "schema_version": GOLDEN_SCHEMA_VERSION,
         "kind": "golden_corpus",
-        "scenario": spec.name,
-        "duration_us": spec.duration_us,
-        "repro_version": __version__,
         "entries": {
-            entry_key(*cell): run_golden(*cell, scenario=spec.name)
-            for cell in iter_matrix()
+            name: {point: run_entry(name, point) for point in POINTS}
+            for name in REGISTRY.names()
         },
     }
 
 
-def load_corpus(path: str) -> dict:
+def load_corpus(path: str = DEFAULT_CORPUS_PATH) -> dict:
     """Load and structurally validate a committed corpus file."""
     with open(path) as handle:
         corpus = json.load(handle)
@@ -379,72 +290,77 @@ def load_corpus(path: str) -> dict:
     return corpus
 
 
-def write_corpus(path: str, scenario: str = GOLDEN_SCENARIO) -> dict:
-    """Regenerate the corpus of ``scenario`` and write it to ``path``."""
-    corpus = compute_corpus(scenario)
+def write_corpus(path: str = DEFAULT_CORPUS_PATH) -> dict:
+    """Regenerate the corpus and write it to ``path``."""
+    corpus = compute_corpus()
     write_atomic(path, json.dumps(corpus, indent=2, sort_keys=True) + "\n")
     return corpus
 
 
-def verify_cell(corpus: dict, scheduler: str, n_cpus: int) -> Optional[str]:
-    """Diff one fresh cell against the corpus; ``None`` when it conforms."""
-    scenario = corpus.get("scenario", GOLDEN_SCENARIO)
-    key = entry_key(scheduler, n_cpus)
-    expected = corpus.get("entries", {}).get(key)
+def _divergence(expected: dict, fresh: dict) -> str:
+    """Where a fresh entry first departs from the pinned one."""
+    old = expected.get("dispatch_fingerprint", "").split("+")
+    new = fresh["dispatch_fingerprint"].split("+")
+    if old == new:
+        return "artifact digest differs (dispatch fingerprint matches)"
+    index = next(
+        (i for i, (a, b) in enumerate(zip(old, new)) if a != b),
+        min(len(old), len(new)),
+    )
+    detail = f"dispatch fingerprint component {index} differs"
+    if len(old) != len(new):
+        detail += f" ({len(old)} components pinned, {len(new)} now)"
+    return detail
+
+
+def verify_entry(corpus: dict, name: str, point: str) -> Optional[str]:
+    """Re-run one entry against the corpus; ``None`` when it conforms."""
+    expected = corpus.get("entries", {}).get(name, {}).get(point)
     if expected is None:
-        return f"{key}: missing from corpus (run `python -m repro golden --regen`)"
-    fresh = run_golden(scheduler, n_cpus, scenario)
-    if fresh != expected:
-        detail = ", ".join(
-            f"{field}: {expected.get(field)!r} -> {fresh.get(field)!r}"
-            for field in sorted(set(expected) | set(fresh))
-            if expected.get(field) != fresh.get(field)
+        return (
+            f"{name} [{point}]: missing from corpus "
+            "(run `python -m repro golden --regen`)"
         )
-        return f"{key}: diverged ({detail})"
-    return None
+    fresh = run_entry(name, point)
+    if fresh == expected:
+        return None
+    return f"{name} [{point}]: diverged, {_divergence(expected, fresh)}"
 
 
 def verify_corpus(corpus: dict) -> list[str]:
-    """Re-run the whole matrix; returns mismatch messages (empty = ok)."""
-    scenario = corpus.get("scenario", GOLDEN_SCENARIO)
-    if scenario not in GOLDEN_SCENARIOS:
-        return [
-            f"{scenario}: unknown golden scenario "
-            f"(known: {sorted(GOLDEN_SCENARIOS)})"
-        ]
-    mismatches = []
-    for cell in iter_matrix():
-        message = verify_cell(corpus, *cell)
-        if message is not None:
-            mismatches.append(message)
-    known = {entry_key(*cell) for cell in iter_matrix()}
-    for key in sorted(set(corpus.get("entries", {})) - known):
-        mismatches.append(f"{key}: corpus entry has no matching matrix cell")
-    return mismatches
+    """Re-run every registered experiment at every point; returns the
+    mismatch messages (empty = the corpus conforms)."""
+    from repro.experiments import REGISTRY
+
+    messages = []
+    for name in REGISTRY.names():
+        for point in POINTS:
+            message = verify_entry(corpus, name, point)
+            if message is not None:
+                messages.append(message)
+    for name, points in sorted(corpus.get("entries", {}).items()):
+        if name not in REGISTRY:
+            messages.append(f"{name}: corpus entry names no registered experiment")
+            continue
+        for point in sorted(set(points) - set(POINTS)):
+            messages.append(f"{name} [{point}]: corpus entry names no known point")
+    return messages
 
 
 __all__ = [
     "DEFAULT_CORPUS_PATH",
-    "FAULT_CORPUS_PATH",
     "GOLDEN_CPU_COUNTS",
-    "GOLDEN_DURATION_US",
-    "GOLDEN_FAULT_DURATION_US",
-    "GOLDEN_SCENARIO",
-    "GOLDEN_SCENARIOS",
     "GOLDEN_SCHEDULERS",
     "GOLDEN_SCHEMA_VERSION",
-    "GoldenScenario",
-    "TOPOLOGY_CORPUS_PATH",
+    "POINTS",
+    "artifact_sha256",
     "build_fault_golden",
     "build_golden",
     "build_topology_golden",
     "compute_corpus",
-    "entry_key",
-    "iter_matrix",
     "load_corpus",
-    "run_golden",
-    "scenario_spec",
-    "verify_cell",
+    "run_entry",
     "verify_corpus",
+    "verify_entry",
     "write_corpus",
 ]

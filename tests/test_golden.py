@@ -1,11 +1,11 @@
-"""Golden-trace conformance: fresh runs must match the committed corpora.
+"""Behaviour conformance: fresh runs must match the committed corpus.
 
-Each corpus (``tests/golden/churn_smoke.json``,
-``tests/golden/fault_smoke.json``, ``tests/golden/topology_placement.json``)
-pins the full dispatch behaviour of one golden scenario for every
-scheduler policy x 1 and 4 CPUs.  A failure here means scheduling
-behaviour changed: if intentional, refresh the corpora with
-``python -m repro golden --regen`` and commit the diff.
+``tests/golden/corpus.json`` pins every registered experiment at its
+default and quick parameters: the composite dispatch fingerprint and
+the SHA-256 of the canonical artifact.  One case re-runs one corpus
+entry.  A failure here means behaviour changed: if intentional,
+refresh the corpus with ``python -m repro golden --regen`` and commit
+the diff.
 """
 
 from __future__ import annotations
@@ -16,132 +16,129 @@ from pathlib import Path
 import pytest
 
 from repro import golden
+from repro.experiments import REGISTRY
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
-SCENARIOS = sorted(golden.GOLDEN_SCENARIOS)
+CORPUS_PATH = Path(__file__).parent / "golden" / "corpus.json"
+CORPUS = golden.load_corpus(str(CORPUS_PATH))
+ENTRIES = [
+    (name, point)
+    for name, points in sorted(CORPUS["entries"].items())
+    for point in sorted(points)
+]
 
 
-@pytest.fixture(scope="module")
-def corpora() -> dict:
-    return {
-        name: golden.load_corpus(
-            str(GOLDEN_DIR / Path(spec.corpus_path).name)
-        )
-        for name, spec in golden.GOLDEN_SCENARIOS.items()
+@pytest.mark.parametrize(
+    "name,point", ENTRIES, ids=[f"{name}-{point}" for name, point in ENTRIES]
+)
+def test_golden_traces_conform(name, point):
+    message = golden.verify_entry(CORPUS, name, point)
+    assert message is None, (
+        f"behaviour divergence (intentional? run "
+        f"`python -m repro golden --regen`): {message}"
+    )
+
+
+def test_corpus_is_committed_and_complete():
+    """Every registered experiment has a default and a quick entry, and
+    no entry names an experiment or point that does not exist."""
+    assert {name: sorted(points) for name, points in CORPUS["entries"].items()} == {
+        name: sorted(golden.POINTS) for name in REGISTRY.names()
     }
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_corpus_is_committed_and_complete(corpora, scenario):
-    corpus = corpora[scenario]
-    spec = golden.scenario_spec(scenario)
-    assert corpus["scenario"] == scenario
-    assert corpus["duration_us"] == spec.duration_us
-    expected_keys = {golden.entry_key(*cell) for cell in golden.iter_matrix()}
-    assert set(corpus["entries"]) == expected_keys
-    # 5 schedulers x 2 CPU counts.
-    assert len(corpus["entries"]) == 10
+@pytest.fixture(scope="module")
+def churn_metrics() -> dict:
+    return REGISTRY.run("churn_smoke").metrics
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("scheduler", sorted(golden.GOLDEN_SCHEDULERS))
-def test_golden_traces_conform(corpora, scenario, scheduler):
-    """Every n_cpus cell of one scheduler matches the corpus."""
-    corpus = corpora[scenario]
-    mismatches = []
-    for n_cpus in golden.GOLDEN_CPU_COUNTS:
-        message = golden.verify_cell(corpus, scheduler, n_cpus)
-        if message is not None:
-            mismatches.append(message)
-    assert not mismatches, (
-        f"golden-trace divergence in {scenario} (intentional? run "
-        "`python -m repro golden --regen`):\n" + "\n".join(mismatches)
-    )
+@pytest.fixture(scope="module")
+def fault_metrics() -> dict:
+    return REGISTRY.run("fault_smoke").metrics
 
 
-def test_corpus_cells_exercise_churn(corpora):
-    """Every churn cell spawns, completes and kills jobs — a corpus cell
-    that stopped churning would silently weaken the conformance check."""
-    for key, entry in corpora["churn_smoke"]["entries"].items():
-        assert entry["spawned"] > 0, key
-        assert entry["completed"] > 0, key
-        assert entry["killed"] > 0, key
-        assert entry["dispatches"] > 0, key
+def _cells(metrics: dict) -> dict[str, dict[str, float]]:
+    """``{cell: {count: value}}`` from ``<cell>.<count>`` metric names."""
+    cells: dict[str, dict[str, float]] = {}
+    for key, value in metrics.items():
+        cell, count = key.rsplit(".", 1)
+        cells.setdefault(cell, {})[count] = value
+    return cells
 
 
-def test_fault_corpus_cells_stay_busy(corpora):
-    """Every fault cell keeps spawning and completing work around the
-    injected faults (the hijacked victims themselves never complete)."""
-    for key, entry in corpora["fault_smoke"]["entries"].items():
-        assert entry["spawned"] > 0, key
-        assert entry["completed"] > 0, key
-        assert entry["dispatches"] > 0, key
+def test_corpus_cells_exercise_churn(churn_metrics):
+    """Every churn_smoke cell spawns, completes and kills jobs: a cell
+    that stopped churning would silently weaken the pinned fingerprint."""
+    cells = _cells(churn_metrics)
+    assert len(cells) == 15
+    for key, counts in cells.items():
+        assert counts["spawned"] > 0, key
+        assert counts["completed"] > 0, key
+        assert counts["killed"] > 0, key
+        assert counts["dispatches"] > 0, key
 
 
-def test_fault_scenario_exercises_faults():
-    """The builder attaches a live injector whose plan covers a runaway,
-    a stall and (multi-CPU) a fail/recover pair — guard against the
-    scenario silently degenerating into plain churn."""
-    from repro.faults import CPU_FAIL, RUNAWAY_START, STALL_START
-
-    kernel, _churn = golden.build_fault_golden("rbs", 4)
-    labels = [
-        event.label
-        for event in kernel.events.pending()
-        if event.label.startswith("fault:")
-    ]
-    assert f"fault:{RUNAWAY_START}" in labels
-    assert f"fault:{STALL_START}" in labels
-    assert f"fault:{CPU_FAIL}" in labels
-    # The single-CPU variant must not try to fail its only CPU.
-    kernel1, _ = golden.build_fault_golden("rbs", 1)
-    labels1 = [
-        event.label
-        for event in kernel1.events.pending()
-        if event.label.startswith("fault:")
-    ]
-    assert f"fault:{CPU_FAIL}" not in labels1
-    assert f"fault:{RUNAWAY_START}" in labels1
+def test_fault_corpus_cells_stay_busy(fault_metrics):
+    """Every fault_smoke cell keeps spawning and completing work around
+    the injected faults (the hijacked victims themselves never complete)."""
+    cells = _cells(fault_metrics)
+    assert len(cells) == 10
+    for key, counts in cells.items():
+        assert counts["spawned"] > 0, key
+        assert counts["completed"] > 0, key
+        assert counts["dispatches"] > 0, key
 
 
-def test_verify_reports_divergence(monkeypatch, corpora):
-    """A corrupted corpus entry is reported, not silently accepted.
+def test_fault_scenario_exercises_faults(fault_metrics):
+    """The runaway and the stall, each with its restore, actuate in every
+    cell, and the CPU failure and recovery only on 4 CPUs (the last CPU
+    cannot fail): guard against the recipe degenerating into churn."""
+    for key, counts in _cells(fault_metrics).items():
+        assert counts["faults_hit"] == (6 if key.endswith("/cpu4") else 4), key
 
-    ``run_golden`` is stubbed to echo the committed entries so this
-    exercises only the diff/reporting logic, not 10 more simulations.
+
+def test_verify_reports_divergence(monkeypatch):
+    """Corrupted, bogus and missing entries are reported, not accepted.
+
+    ``run_entry`` is stubbed to echo the committed entries, so this
+    exercises only the diff and reporting logic, not 46 more runs.
     """
-    corpus = corpora["churn_smoke"]
-    broken = json.loads(json.dumps(corpus))
-    key = golden.entry_key("rbs", 1)
-    broken["entries"][key]["dispatch_sha256"] = "0" * 64
-    broken["entries"]["bogus/cpu9"] = {"dispatch_sha256": "x"}
     monkeypatch.setattr(
-        golden,
-        "run_golden",
-        lambda scheduler, n_cpus, scenario=golden.GOLDEN_SCENARIO: dict(
-            corpus["entries"][golden.entry_key(scheduler, n_cpus)]
-        ),
+        golden, "run_entry",
+        lambda name, point: dict(CORPUS["entries"][name][point]),
     )
-    messages = golden.verify_corpus(broken)
-    assert any(key in message and "diverged" in message for message in messages)
-    assert any("bogus" in message for message in messages)
-    # A missing cell is reported too.
-    del broken["entries"][key]
-    assert any(
-        "missing" in message for message in golden.verify_corpus(broken)
-    )
-    # An unknown scenario short-circuits instead of crashing.
-    broken["scenario"] = "not_a_scenario"
+    broken = json.loads(json.dumps(CORPUS))
+    entry = broken["entries"]["churn_smoke"]["default"]
+    components = entry["dispatch_fingerprint"].split("+")
+    components[3] = "0" * 64
+    entry["dispatch_fingerprint"] = "+".join(components)
+    broken["entries"]["figure8"]["quick"]["artifact_sha256"] = "0" * 64
+    broken["entries"]["bogus"] = {"default": {}}
+    broken["entries"]["figure6"]["huge"] = {}
     messages = golden.verify_corpus(broken)
     assert messages == [
-        "not_a_scenario: unknown golden scenario "
-        f"(known: {sorted(golden.GOLDEN_SCENARIOS)})"
+        "churn_smoke [default]: diverged, dispatch fingerprint component 3 differs",
+        "figure8 [quick]: diverged, artifact digest differs "
+        "(dispatch fingerprint matches)",
+        "bogus: corpus entry names no registered experiment",
+        "figure6 [huge]: corpus entry names no known point",
     ]
+    # A pinned fingerprint with a different number of components.
+    entry["dispatch_fingerprint"] = "+".join(components[:3])
+    assert golden.verify_entry(broken, "churn_smoke", "default") == (
+        "churn_smoke [default]: diverged, dispatch fingerprint component 3 "
+        "differs (3 components pinned, 15 now)"
+    )
+    # A missing entry is reported too.
+    del broken["entries"]["figure8"]["quick"]
+    assert golden.verify_entry(broken, "figure8", "quick") == (
+        "figure8 [quick]: missing from corpus "
+        "(run `python -m repro golden --regen`)"
+    )
 
 
 def test_load_corpus_rejects_wrong_kind(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"kind": "bench", "schema_version": 1}))
+    path.write_text(json.dumps({"kind": "bench", "schema_version": 2}))
     with pytest.raises(ValueError, match="not a golden corpus"):
         golden.load_corpus(str(path))
     path.write_text(
@@ -151,20 +148,18 @@ def test_load_corpus_rejects_wrong_kind(tmp_path):
         golden.load_corpus(str(path))
 
 
-def test_unknown_scenario_rejected():
-    with pytest.raises(ValueError, match="unknown golden scenario"):
-        golden.scenario_spec("nope")
-    with pytest.raises(ValueError, match="unknown golden scenario"):
-        golden.run_golden("rbs", 1, scenario="nope")
+def test_write_corpus_roundtrip(monkeypatch, tmp_path):
+    """``--regen`` writes the committed file byte for byte.
 
-
-def test_write_corpus_roundtrip(tmp_path, corpora):
-    """``--regen`` output round-trips and matches the committed corpus
-    (the full matrix was already re-simulated by the conform tests, so
-    equality against the committed entries is the cheap way to assert
-    it)."""
+    ``run_entry`` echoes the committed entries (the conform cases above
+    already re-ran every experiment), so this pins the file layout:
+    the entry order, the key order and the indentation.
+    """
+    monkeypatch.setattr(
+        golden, "run_entry",
+        lambda name, point: dict(CORPUS["entries"][name][point]),
+    )
     path = tmp_path / "fresh.json"
     written = golden.write_corpus(str(path))
-    loaded = golden.load_corpus(str(path))
-    assert loaded == written
-    assert written["entries"] == corpora["churn_smoke"]["entries"]
+    assert golden.load_corpus(str(path)) == written == CORPUS
+    assert path.read_text() == CORPUS_PATH.read_text()

@@ -22,8 +22,10 @@ ALL_EXPERIMENTS = (
     "ablation_period",
     "ablation_pid",
     "ablation_squish",
+    "churn_smoke",
     "churn_webfarm",
     "cpu_failover",
+    "fault_smoke",
     "figure5",
     "figure6",
     "figure7",
@@ -66,7 +68,7 @@ def _stub(name="stub", params=(), quick=None, registry=None,
 
 
 class TestRegistryContents:
-    def test_exactly_the_21_experiments_registered(self):
+    def test_exactly_the_23_experiments_registered(self):
         assert REGISTRY.names() == sorted(ALL_EXPERIMENTS)
 
     def test_every_spec_declares_a_seed_parameter(self):
