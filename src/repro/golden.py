@@ -4,10 +4,10 @@
 :data:`~repro.experiments.registry.REGISTRY` at its default and at its
 quick parameters, two digests:
 
-* ``dispatch_fingerprint`` -- the composite fingerprint the run stamps
+* ``dispatch_fingerprint`` — the composite fingerprint the run stamps
   (one SHA-256 of a dispatch log per kernel it built, joined with
   ``"+"``), and
-* ``artifact_sha256`` -- the SHA-256 of the run's
+* ``artifact_sha256`` — the SHA-256 of the run's
   :meth:`~repro.analysis.results.ExperimentResult.to_dict` in canonical
   JSON (sorted keys, compact separators) without ``repro_version``.
 
@@ -28,31 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.analysis.results import ExperimentResult
 from repro.core.artifacts import write_atomic
-from repro.faults import (
-    CPU_FAIL,
-    RUNAWAY_START,
-    STALL_START,
-    DegradationManager,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-)
-from repro.monitor.watchdog import Watchdog
-from repro.sched.base import Scheduler
-from repro.sched.goodness import LinuxGoodnessScheduler
-from repro.sched.placement import CacheWarmPlacement
-from repro.sched.lottery import LotteryScheduler
-from repro.sched.priority import FixedPriorityScheduler
-from repro.sched.rbs import ReservationScheduler
-from repro.sched.round_robin import RoundRobinScheduler
-from repro.sim.kernel import Kernel
-from repro.sim.topology import CpuTopology
-from repro.workloads.arrivals import DeterministicArrivals, PoissonArrivals
-from repro.workloads.engine import JobTemplate, PhaseScript, WorkloadEngine
+from repro.experiments import REGISTRY
 
 #: Version of the corpus file layout.
 GOLDEN_SCHEMA_VERSION = 2
@@ -62,184 +42,6 @@ DEFAULT_CORPUS_PATH = "tests/golden/corpus.json"
 
 #: The parameter points pinned per experiment.
 POINTS = ("default", "quick")
-
-#: The five dispatch policies covered by the corpus.
-GOLDEN_SCHEDULERS: dict[str, Callable[[], Scheduler]] = {
-    "rbs": ReservationScheduler,
-    "round_robin": RoundRobinScheduler,
-    "priority": FixedPriorityScheduler,
-    "lottery": lambda: LotteryScheduler(seed=7),
-    "goodness": LinuxGoodnessScheduler,
-}
-
-#: CPU counts in the matrix.
-GOLDEN_CPU_COUNTS = (1, 4)
-
-
-def _scheduler_factory(scheduler: str) -> Callable[[], Scheduler]:
-    factory = GOLDEN_SCHEDULERS.get(scheduler)
-    if factory is None:
-        raise ValueError(
-            f"unknown golden scheduler {scheduler!r}; "
-            f"known: {sorted(GOLDEN_SCHEDULERS)}"
-        )
-    return factory
-
-
-def _attach_churn_recipe(kernel: Kernel, n_cpus: int) -> WorkloadEngine:
-    """Attach the shared churn-smoke recipe to an assembled kernel.
-
-    Used verbatim by ``churn_smoke`` and, on a topology-enabled kernel,
-    by ``topology_placement`` — one recipe, so the two scenarios differ
-    only in the kernel (and placement policy) under test.
-    """
-    churn = WorkloadEngine(kernel)
-    short = JobTemplate(
-        "short", total_cpu_us=3_000, burst_us=900, think_us=1_500,
-        priority=2, nice=0, tickets=150,
-    )
-    staged = JobTemplate(
-        "staged", total_cpu_us=4_000, burst_us=700, io_latency_us=2_000,
-        priority=1, nice=5, tickets=60,
-        reservation=(150, 10_000),
-        pin=lambda index: index % n_cpus,
-    )
-    hogs = JobTemplate(
-        # Long-lived on every CPU count, so the scripted kill below
-        # always finds a live victim (pinning the kill path in every
-        # corpus cell).
-        "hog", total_cpu_us=60_000, burst_us=2_500,
-        priority=1, nice=-3, tickets=40,
-    )
-    s_short = churn.add_stream("short", PoissonArrivals(180.0, seed=5), short)
-    s_staged = churn.add_stream("staged", DeterministicArrivals(13_000), staged)
-    s_hogs = churn.add_stream(
-        "hog", DeterministicArrivals(27_000), hogs, max_arrivals=4
-    )
-    script = PhaseScript()
-    script.set_rate(40_000, s_short.arrivals, 60.0)
-    script.kill(60_000, s_short, count=2)
-    script.repin(80_000, s_staged, n_cpus - 1)
-    script.retime(100_000, short, total_cpu_us=1_500)
-    script.kill(120_000, s_hogs, count=1)
-    churn.start(script)
-    return churn
-
-
-def build_golden(scheduler: str, n_cpus: int) -> tuple[Kernel, WorkloadEngine]:
-    """Assemble (but do not run) one golden churn-scenario kernel.
-
-    The scenario is deliberately churn-dense for its 150 ms: a Poisson
-    stream of short think-y jobs, a deterministic stream of I/O-staged
-    jobs with per-index pins and (under the reservation scheduler) a
-    hard reservation, and a phase script that re-rates the Poisson
-    stream, kills jobs mid-run, re-pins the I/O stream and retimes the
-    short jobs' demand.  Thread parameters (priority, nice, tickets)
-    are varied so every baseline policy has something to order by.
-    """
-    factory = _scheduler_factory(scheduler)
-    kernel = Kernel(factory(), n_cpus=n_cpus, record_dispatches=True)
-    return kernel, _attach_churn_recipe(kernel, n_cpus)
-
-
-def build_topology_golden(
-    scheduler: str, n_cpus: int
-) -> tuple[Kernel, WorkloadEngine]:
-    """Assemble one golden cell of the topology-placement scenario.
-
-    The identical churn recipe as ``churn_smoke``, but on a kernel
-    built with a penalised :class:`CpuTopology` (``2x1x2`` — two
-    sockets of one two-way-SMT core — on the 4-CPU cells, trivial
-    ``1x1x1`` on the 1-CPU cells) and the cache-warm placement policy,
-    pinning migration-penalty charging and topology-aware placement
-    across every scheduler x CPU-count combination.
-    """
-    factory = _scheduler_factory(scheduler)
-    if n_cpus == 1:
-        topology = CpuTopology.from_spec("1x1x1")
-    else:
-        topology = CpuTopology(
-            sockets=2,
-            cores_per_socket=n_cpus // 4 or 1,
-            threads_per_core=2,
-            smt_migration_us=25,
-            core_migration_us=80,
-            socket_migration_us=200,
-        )
-    sched_obj = factory()
-    sched_obj.placement = CacheWarmPlacement(topology)
-    kernel = Kernel(sched_obj, n_cpus=n_cpus, topology=topology,
-                    record_dispatches=True)
-    return kernel, _attach_churn_recipe(kernel, n_cpus)
-
-
-def build_fault_golden(
-    scheduler: str, n_cpus: int
-) -> tuple[Kernel, WorkloadEngine, FaultInjector]:
-    """Assemble (but do not run) one golden fault-scenario kernel.
-
-    Open-system churn plus a scheduled :class:`FaultPlan`: a runaway
-    hijack on a long-lived reserved job at 30 ms (restored at 70 ms), a
-    stall window on a second reserved job at 85 ms, and — multi-CPU
-    cells only, since the last CPU cannot fail — a CPU failure at 50 ms
-    with recovery at 100 ms.  Under the reservation scheduler the
-    4-CPU cells oversubscribe the post-failure capacity so the
-    degradation chain (squish, then restore on recovery) actuates, and
-    a fast watchdog quarantines and later re-promotes the runaway.  The
-    baseline schedulers run the identical fault plan without the
-    reservation-side machinery.
-    """
-    factory = _scheduler_factory(scheduler)
-    kernel = Kernel(factory(), n_cpus=n_cpus, record_dispatches=True)
-    churn = WorkloadEngine(kernel)
-    # Reservations sized so the 4-CPU cells exceed the 3-CPU budget
-    # after the failure (4 x 900 + 150 = 3750 > 3000) while the 1-CPU
-    # cells stay admissible (2 x 220 + 150 = 590 <= 1000).
-    rt_ppt = 220 if n_cpus == 1 else 900
-    rt_count = 2 if n_cpus == 1 else 4
-    rt = JobTemplate(
-        "rt", total_cpu_us=400_000, burst_us=800, think_us=1_200,
-        priority=3, nice=-2, tickets=120,
-        reservation=(rt_ppt, 10_000),
-    )
-    victim = JobTemplate(
-        # Long-lived so the runaway hijack and the post-restore tail
-        # both land on a live thread in every cell.
-        "victim", total_cpu_us=400_000, burst_us=900, think_us=1_500,
-        priority=2, nice=0, tickets=90,
-        reservation=(150, 10_000),
-    )
-    filler = JobTemplate(
-        # Top priority/nice so the strict-priority baselines still
-        # complete fillers around the saturating long-lived jobs (the
-        # fillers think between short bursts, so they never starve the
-        # reserved threads either).
-        "filler", total_cpu_us=2_500, burst_us=600, think_us=1_000,
-        priority=4, nice=-4, tickets=50,
-    )
-    churn.add_stream(
-        "rt", DeterministicArrivals(4_000), rt, max_arrivals=rt_count
-    )
-    churn.add_stream(
-        "victim", DeterministicArrivals(6_000), victim, max_arrivals=1
-    )
-    churn.add_stream("filler", PoissonArrivals(120.0, seed=11), filler)
-    churn.start()
-    events = [
-        FaultEvent(30_000, RUNAWAY_START, thread="victim.0",
-                   duration_us=40_000),
-        FaultEvent(85_000, STALL_START, thread="rt.0", duration_us=25_000),
-    ]
-    if n_cpus > 1:
-        events.append(FaultEvent(50_000, CPU_FAIL, cpu=1, duration_us=50_000))
-    injector = FaultInjector(kernel, FaultPlan(events=tuple(events), seed=97))
-    injector.install()
-    sched_obj = kernel.scheduler
-    if isinstance(sched_obj, ReservationScheduler):
-        DegradationManager(kernel, sched_obj)
-        Watchdog(kernel, sched_obj, period_us=10_000, miss_windows=2,
-                 stall_windows=3)
-    return kernel, churn, injector
 
 
 def artifact_sha256(result: ExperimentResult) -> str:
@@ -253,8 +55,6 @@ def artifact_sha256(result: ExperimentResult) -> str:
 
 def run_entry(name: str, point: str) -> dict[str, str]:
     """Run one experiment at one point; returns its corpus entry."""
-    from repro.experiments import REGISTRY
-
     result = REGISTRY.run(name, quick=point == "quick")
     return {
         "dispatch_fingerprint": result.metadata["dispatch_fingerprint"],
@@ -264,8 +64,6 @@ def run_entry(name: str, point: str) -> dict[str, str]:
 
 def compute_corpus() -> dict:
     """Run every registered experiment at every point."""
-    from repro.experiments import REGISTRY
-
     return {
         "schema_version": GOLDEN_SCHEMA_VERSION,
         "kind": "golden_corpus",
@@ -330,8 +128,6 @@ def verify_entry(corpus: dict, name: str, point: str) -> Optional[str]:
 def verify_corpus(corpus: dict) -> list[str]:
     """Re-run every registered experiment at every point; returns the
     mismatch messages (empty = the corpus conforms)."""
-    from repro.experiments import REGISTRY
-
     messages = []
     for name in REGISTRY.names():
         for point in POINTS:
@@ -349,14 +145,9 @@ def verify_corpus(corpus: dict) -> list[str]:
 
 __all__ = [
     "DEFAULT_CORPUS_PATH",
-    "GOLDEN_CPU_COUNTS",
-    "GOLDEN_SCHEDULERS",
     "GOLDEN_SCHEMA_VERSION",
     "POINTS",
     "artifact_sha256",
-    "build_fault_golden",
-    "build_golden",
-    "build_topology_golden",
     "compute_corpus",
     "load_corpus",
     "run_entry",

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.golden import GOLDEN_SCHEDULERS
+from repro.experiments.smoke import GOLDEN_SCHEDULERS
 from repro.sched.rbs import ReservationScheduler
 from repro.sim.kernel import Kernel
 from repro.workloads.arrivals import (
