@@ -28,6 +28,16 @@ class TestRoundRobin:
         for share in shares:
             assert share == pytest.approx(0.25, abs=0.02)
 
+    def test_every_spinner_gets_cpu_on_smp(self):
+        """Each CPU cycles its own candidates: with 6 spinners on 4 CPUs
+        a cursor shared by all CPUs moved 4 steps a round, so the CPUs
+        holding two candidates picked the same one every round."""
+        kernel = Kernel(RoundRobinScheduler(), n_cpus=4)
+        threads = [kernel.spawn(f"t{i}", spin_body()) for i in range(6)]
+        kernel.run_for(300_000)
+        shares = [t.accounting.total_us for t in threads]
+        assert min(shares) > 100_000, shares
+
     def test_idle_with_no_threads(self):
         kernel = make_kernel(RoundRobinScheduler())
         kernel.run_for(10_000)
