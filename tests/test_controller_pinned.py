@@ -1,9 +1,10 @@
 """Pinned end-to-end behaviour of the feedback controller.
 
-The golden corpora never build a :class:`ProportionAllocator`, and the
-determinism tests only compare two runs of the same code with each
-other.  This file pins what the controller *decides* to literal
-digests, so any change to the tick — the Figure 4 law, the reclaim
+The behaviour corpus pins the experiments that run the controller by
+their artifacts, and the determinism tests only compare two runs of
+the same code with each other.  This file pins what the controller
+*decides*, branch by branch, to literal digests, so any change to the
+tick — the Figure 4 law, the reclaim
 rule, the period heuristic, the squish or the quality-exception check —
 that moves a single allocation, pressure sample or dispatch fails here.
 
