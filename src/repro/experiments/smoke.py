@@ -67,6 +67,11 @@ GOLDEN_CPU_COUNTS = (1, 4)
 #: Virtual duration of one matrix cell.
 SMOKE_DURATION_US = 150_000
 
+_NOTE = (
+    "smoke matrix: no paper claim; the composite fingerprint pins each "
+    "cell's full dispatch log (one component per cell, in run order)."
+)
+
 
 def _build_churn(
     scheduler: str, n_cpus: int, *, topology: bool = False
@@ -231,10 +236,7 @@ def churn_smoke_experiment(*, seed: Optional[int] = None) -> ExperimentResult:
         _run_cell(result, f"{scheduler}/cpu4/topology", kernel, churn)
         kernels.append(kernel)
     stamp_reproducibility(result, *kernels)
-    result.notes.append(
-        "smoke matrix: no paper claim; the composite fingerprint pins each "
-        "cell's full dispatch log (one component per cell, in run order)."
-    )
+    result.notes.append(_NOTE)
     return result
 
 
@@ -259,10 +261,7 @@ def fault_smoke_experiment(*, seed: Optional[int] = None) -> ExperimentResult:
             result.metrics[f"{key}.faults_hit"] = float(injector.hits())
             kernels.append(kernel)
     stamp_reproducibility(result, *kernels)
-    result.notes.append(
-        "smoke matrix: no paper claim; the composite fingerprint pins each "
-        "cell's full dispatch log (one component per cell, in run order)."
-    )
+    result.notes.append(_NOTE)
     return result
 
 

@@ -62,18 +62,6 @@ def run_entry(name: str, point: str) -> dict[str, str]:
     }
 
 
-def compute_corpus() -> dict:
-    """Run every registered experiment at every point."""
-    return {
-        "schema_version": GOLDEN_SCHEMA_VERSION,
-        "kind": "golden_corpus",
-        "entries": {
-            name: {point: run_entry(name, point) for point in POINTS}
-            for name in REGISTRY.names()
-        },
-    }
-
-
 def load_corpus(path: str = DEFAULT_CORPUS_PATH) -> dict:
     """Load and structurally validate a committed corpus file."""
     with open(path) as handle:
@@ -89,8 +77,16 @@ def load_corpus(path: str = DEFAULT_CORPUS_PATH) -> dict:
 
 
 def write_corpus(path: str = DEFAULT_CORPUS_PATH) -> dict:
-    """Regenerate the corpus and write it to ``path``."""
-    corpus = compute_corpus()
+    """Run every registered experiment at every point and write the
+    corpus to ``path``."""
+    corpus = {
+        "schema_version": GOLDEN_SCHEMA_VERSION,
+        "kind": "golden_corpus",
+        "entries": {
+            name: {point: run_entry(name, point) for point in POINTS}
+            for name in REGISTRY.names()
+        },
+    }
     write_atomic(path, json.dumps(corpus, indent=2, sort_keys=True) + "\n")
     return corpus
 
@@ -148,7 +144,6 @@ __all__ = [
     "GOLDEN_SCHEMA_VERSION",
     "POINTS",
     "artifact_sha256",
-    "compute_corpus",
     "load_corpus",
     "run_entry",
     "verify_corpus",
