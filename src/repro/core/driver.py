@@ -23,6 +23,7 @@ outside the simulation, by perfbench's ``core.allocator.update`` span.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,7 +105,7 @@ class ControllerDriver:
         self._trace_columns: dict[int, list] = {}
         #: "alloc:total" columns, created on first use so a driver that
         #: never ticks leaves no empty series behind.
-        self._total_columns: Optional[tuple[list[int], list[float]]] = None
+        self._total_columns: Optional[tuple[array[int], array[float]]] = None
         # The tick is a periodic entry in the kernel's unified event
         # calendar, so the idle fast-forward sees the next sample as an
         # ordinary transition instead of being polled for it.
@@ -132,9 +133,11 @@ class ControllerDriver:
                 self.kernel.steal_cpu(whole, reason="controller")
 
         if self.trace_allocations:
-            # Samples go straight onto each series' columns, normalised
-            # as TraceSeries.append does.  One earlier than its series'
-            # last sample goes through Tracer.record, which raises.
+            # Samples go straight onto each series' typed columns: the
+            # int64 time column takes ``int(now)`` and the double value
+            # column converts an int grant itself.  A sample earlier than
+            # its series' last one goes through Tracer.record, which
+            # raises.
             tracer = self.kernel.tracer
             cache = self._trace_columns
             time_us = int(now)
@@ -156,7 +159,7 @@ class ControllerDriver:
                 if times and now < times[-1]:
                     tracer.record(f"alloc:{thread.name}", now, granted)
                 times.append(time_us)
-                entry[1].append(float(granted))
+                entry[1].append(granted)
                 pressure = decision.cumulative_pressure
                 if pressure is not None:
                     if entry[2] is None:
@@ -165,7 +168,7 @@ class ControllerDriver:
                     if times and now < times[-1]:
                         tracer.record(f"pressure:{thread.name}", now, pressure)
                     times.append(time_us)
-                    entry[3].append(float(pressure))
+                    entry[3].append(pressure)
             # Aggregate grant, for eyeballing total load against the
             # kernel's capacity of n_cpus * PROPORTION_SCALE.
             if self._total_columns is None:
@@ -174,7 +177,7 @@ class ControllerDriver:
             if times and now < times[-1]:
                 tracer.record("alloc:total", now, total_granted)
             times.append(time_us)
-            values.append(float(total_granted))
+            values.append(total_granted)
 
     # ------------------------------------------------------------------
     # overhead reporting (Figure 5)

@@ -10,8 +10,9 @@ simulation run; the analysis package turns them into the figures.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from bisect import bisect_left
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple
 
 from repro.sim.clock import to_seconds
 from repro.sim.events import EventQueue, PeriodicEvent
@@ -20,8 +21,8 @@ from repro.sim.events import EventQueue, PeriodicEvent
 class TracePoint(NamedTuple):
     """A single sample: virtual time (us) and a float value.
 
-    A named tuple because controller tracing appends one per decision
-    per tick — creation cost is on the hot path.
+    Readers (iteration, indexing, :meth:`TraceSeries.window`) build one
+    per sample on access; appending builds none.
     """
 
     time_us: int
@@ -36,16 +37,17 @@ class TracePoint(NamedTuple):
 class TraceSeries:
     """An append-only, time-ordered series of samples.
 
-    Samples are stored as two parallel lists (times and values) and
-    materialised into :class:`TracePoint` tuples on access: controller
-    tracing appends one sample per decision per tick, so the append
-    path must be two list appends, not a namedtuple construction.
+    Samples are stored unboxed in two typed columns, an ``array("q")``
+    of int64 times and an ``array("d")`` of doubles: controller tracing
+    appends one sample per decision per tick, and a column holds one in
+    16 bytes where two lists and a boxed float took about 40.  Readers
+    return plain Python ints and floats.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._times: list[int] = []
-        self._values: list[float] = []
+        self._times: array[int] = array("q")
+        self._values: array[float] = array("d")
 
     def __len__(self) -> int:
         return len(self._times)
@@ -54,33 +56,28 @@ class TraceSeries:
         return map(TracePoint, self._times, self._values)
 
     def __getitem__(self, index: int) -> TracePoint:
-        if isinstance(index, slice):
-            return [
-                TracePoint(t, v)
-                for t, v in zip(self._times[index], self._values[index])
-            ]
         return TracePoint(self._times[index], self._values[index])
 
     def append(self, time_us: int, value: float) -> None:
-        """Append a sample; time must be non-decreasing."""
+        """Append a sample; time must be non-decreasing and fit int64."""
         times = self._times
         if times and time_us < times[-1]:
             raise ValueError(
                 f"series {self.name!r}: sample at {time_us}us is earlier than "
                 f"previous sample at {times[-1]}us"
             )
+        # Convert the value first: a value that cannot be stored must
+        # not leave its time behind, and an out-of-range time raises
+        # OverflowError before anything is stored.
+        value = float(value)
         times.append(int(time_us))
-        self._values.append(float(value))
+        self._values.append(value)
 
-    def columns(self) -> tuple[list[int], list[float]]:
-        """The live time and value lists, for a bulk appender that keeps
-        :meth:`append`'s rules itself (non-decreasing ``int`` times,
-        ``float`` values)."""
+    def columns(self) -> tuple[array[int], array[float]]:
+        """The live time and value columns, for a bulk appender that
+        keeps :meth:`append`'s ordering rule itself (the columns store
+        an ``int`` time and convert an ``int`` value to ``float``)."""
         return self._times, self._values
-
-    def times(self) -> list[int]:
-        """All sample times in microseconds."""
-        return list(self._times)
 
     def times_s(self) -> list[float]:
         """All sample times in seconds."""
@@ -90,12 +87,6 @@ class TraceSeries:
         """All sample values."""
         return list(self._values)
 
-    def last(self) -> Optional[TracePoint]:
-        """The most recent sample, or ``None`` if empty."""
-        if not self._times:
-            return None
-        return TracePoint(self._times[-1], self._values[-1])
-
     def window(self, start_us: int, end_us: int) -> list[TracePoint]:
         """Samples with ``start_us <= time < end_us``."""
         times = self._times
@@ -103,12 +94,6 @@ class TraceSeries:
         hi = bisect_left(times, end_us)
         values = self._values
         return [TracePoint(times[i], values[i]) for i in range(lo, hi)]
-
-    def mean(self) -> float:
-        """Arithmetic mean of the values (0.0 for an empty series)."""
-        if not self._values:
-            return 0.0
-        return sum(self._values) / len(self._values)
 
 
 class Tracer:

@@ -191,7 +191,7 @@ class SLOController:
             self.spec.proportion_ppt = new_ppt
             self.adjustments.append((now, observed, new_ppt))
         if self._trace:
-            self._ppt_series.append(now, float(new_ppt))
+            self._ppt_series.append(now, new_ppt)
             self._tail_series.append(now, observed)
 
 

@@ -1,10 +1,16 @@
 """Unit tests for the CPU model and the tracer."""
 
+import gc
+import tracemalloc
+from array import array
+
 import pytest
 
 from repro.sim.cpu import CPUModel
 from repro.sim.events import EventQueue
 from repro.sim.trace import TracePoint, TraceSeries, Tracer
+from repro.system import build_real_rate_system
+from repro.workloads.cpu_hog import CpuHog
 
 
 class TestCPUModel:
@@ -49,34 +55,98 @@ class TestTraceSeries:
         series.append(0, 1.0)
         series.append(1_000, 2.0)
         assert series.values() == [1.0, 2.0]
-        assert series.times() == [0, 1_000]
         assert series.times_s() == [0.0, 0.001]
+        assert list(series) == [TracePoint(0, 1.0), TracePoint(1_000, 2.0)]
+        assert series[-1] == TracePoint(1_000, 2.0)
+        assert len(series) == 2
 
     def test_out_of_order_append_rejected(self):
         series = TraceSeries("s")
         series.append(1_000, 1.0)
         with pytest.raises(ValueError):
             series.append(500, 2.0)
+        assert series.values() == [1.0]
 
     def test_window_selects_half_open_interval(self):
         series = TraceSeries("s")
         for t in range(0, 5_000, 1_000):
             series.append(t, float(t))
         window = series.window(1_000, 3_000)
-        assert [p.time_us for p in window] == [1_000, 2_000]
+        assert window == [TracePoint(1_000, 1_000.0), TracePoint(2_000, 2_000.0)]
 
-    def test_mean(self):
+    def test_columns_are_typed_arrays(self):
         series = TraceSeries("s")
-        series.append(0, 1.0)
-        series.append(1, 3.0)
-        assert series.mean() == 2.0
-        assert TraceSeries("empty").mean() == 0.0
-
-    def test_last(self):
-        series = TraceSeries("s")
-        assert series.last() is None
         series.append(5, 7.0)
-        assert series.last() == TracePoint(5, 7.0)
+        times, values = series.columns()
+        assert isinstance(times, array) and times.typecode == "q"
+        assert isinstance(values, array) and values.typecode == "d"
+
+    def test_int_value_reads_back_as_float(self):
+        series = TraceSeries("s")
+        series.append(0, 3)
+        # The bulk path appends ints straight onto the value column.
+        series.columns()[1].append(4)
+        series.columns()[0].append(1)
+        assert series.values() == [3.0, 4.0]
+        assert all(type(v) is float for v in series.values())
+        assert all(type(p.time_us) is int and type(p.value) is float for p in series)
+
+    @pytest.mark.parametrize("time_us", [2**63, -(2**63) - 1])
+    def test_time_outside_int64_raises(self, time_us):
+        series = TraceSeries("s")
+        with pytest.raises(OverflowError):
+            series.append(time_us, 1.0)
+        assert len(series) == 0 and series.values() == []
+
+    def test_unconvertible_value_stores_nothing(self):
+        series = TraceSeries("s")
+        with pytest.raises(TypeError):
+            series.append(0, object())
+        assert len(series) == 0 and series.times_s() == []
+
+
+class TestTraceMemory:
+    """The controller's traces hold each sample unboxed.
+
+    Two samples per controlled thread per tick is the largest record a
+    controller run keeps.  A typed column pair holds a sample in 16
+    bytes (plus the column's over-allocation); two lists and a boxed
+    value held about 40.
+    """
+
+    MAX_BYTES_PER_SAMPLE = 24
+
+    @staticmethod
+    def _held_bytes(trace: bool) -> tuple[int, int]:
+        """Traced bytes still held after 300 controller ticks over 3
+        hogs, and the number of trace samples recorded."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            system = build_real_rate_system()
+            system.driver.trace_allocations = trace
+            for i in range(3):
+                CpuHog.attach(
+                    system, name=f"hog{i}", burst_us=3_000, importance=1.0 + i
+                )
+            system.kernel.run_for(300 * system.driver.period_us)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tracer = system.kernel.tracer
+        return held, sum(len(tracer.series(name)) for name in tracer.names())
+
+    def test_controller_trace_bytes_per_sample(self):
+        untraced, no_samples = self._held_bytes(trace=False)
+        traced, samples = self._held_bytes(trace=True)
+        assert no_samples == 0
+        # alloc and pressure per hog per tick, plus alloc:total.
+        assert samples == 300 * (2 * 3 + 1)
+        per_sample = (traced - untraced) / samples
+        assert per_sample <= self.MAX_BYTES_PER_SAMPLE, (
+            f"{per_sample:.1f} bytes per trace sample"
+        )
 
 
 class TestTracer:
