@@ -268,6 +268,9 @@ class Scheduler(ABC):
         )
         #: tid -> CPU assignment computed by the latest placement round.
         self._placement_map: dict[int, int] = {}
+        #: CPU (``None`` on the uniprocessor path) -> its rotation
+        #: cursor (see :meth:`rotate`).
+        self._cursors: dict[Optional[int], int] = {}
 
     # ------------------------------------------------------------------
     # wiring
@@ -422,6 +425,18 @@ class Scheduler(ABC):
             for t in self._run_queue.ready_in_order()
             if t.state is ready and self.eligible_on(t, cpu)
         ]
+
+    def rotate(self, candidates: list[SimThread], cpu: Optional[int]) -> SimThread:
+        """The next of ``candidates`` in ``cpu``'s own round-robin.
+
+        Each CPU keeps its own cursor.  A cursor shared by all CPUs
+        would move ``n_cpus`` steps a round, so a CPU whose candidate
+        count divides ``n_cpus`` would pick the same index every round
+        and starve the rest.
+        """
+        cursor = self._cursors.get(cpu, 0) + 1
+        self._cursors[cpu] = cursor
+        return candidates[cursor % len(candidates)]
 
     # ------------------------------------------------------------------
     # policy hooks (subclasses override what they need)

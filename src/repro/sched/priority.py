@@ -31,7 +31,7 @@ class FixedPriorityScheduler(Scheduler):
 
     Higher ``SimThread.priority`` values win.  Threads of equal
     priority share the CPU round-robin, one dispatch interval at a
-    time.
+    time, in each CPU's own rotation.
     """
 
     SCHED_KEY = "fixed_priority"
@@ -39,7 +39,6 @@ class FixedPriorityScheduler(Scheduler):
     def __init__(self, *, priority_inheritance: bool = False) -> None:
         super().__init__()
         self.priority_inheritance = priority_inheritance
-        self._cursor = 0
         #: Original priorities of threads currently boosted by inheritance.
         self._base_priority: dict[int, int] = {}
 
@@ -109,8 +108,7 @@ class FixedPriorityScheduler(Scheduler):
                 cohort = [thread]
             elif priority == top:
                 cohort.append(thread)
-        self._cursor += 1
-        return cohort[self._cursor % len(cohort)]
+        return self.rotate(cohort, cpu)
 
 
 __all__ = ["FixedPriorityScheduler"]

@@ -66,9 +66,10 @@ between examinations (``tests/test_sched_rbs_differential.py`` pins
 down exactly this contract against the scan implementation).
 
 Best-effort threads keep the historical cursor-based round-robin over
-the registration-ordered candidate list (the cursor arithmetic depends
-on the candidate count per pick, so any reordering — e.g. a plain FIFO
-— would change dispatch traces).
+the registration-ordered candidate list, one cursor per CPU
+(:meth:`Scheduler.rotate`; the cursor arithmetic depends on the
+candidate count per pick, so any reordering — e.g. a plain FIFO —
+would change dispatch traces).
 
 SMP rounds
 ~~~~~~~~~~
@@ -91,9 +92,9 @@ previous round's plan and the round's first
   on k or already claimed by a lower CPU.
 
 Later calls in the round read the plan.  A CPU the plan leaves empty
-falls back to the best-effort round-robin, per CPU and in CPU order,
-so the cursor advances exactly as before.  Best-effort threads never
-hold a reservation, so these picks cannot change the plan.
+falls back to that CPU's best-effort round-robin, exactly as the scan
+did.  Best-effort threads never hold a reservation, so these picks
+cannot change the plan.
 """
 
 from __future__ import annotations
@@ -228,7 +229,6 @@ class ReservationScheduler(Scheduler):
         super().__init__()
         self.enforce_within_slice = enforce_within_slice
         self._best_effort_slice_us = best_effort_slice_us
-        self._best_effort_cursor = 0
         #: tid -> live reservation (mirror of ``sched_data[SCHED_KEY]``).
         self._reservations: dict[int, Reservation] = {}
         #: Runnable, unexhausted reservations in rate-monotonic order.
@@ -712,8 +712,7 @@ class ReservationScheduler(Scheduler):
             ]
             if candidates:
                 # Round-robin over best-effort threads for basic fairness.
-                self._best_effort_cursor += 1
-                return candidates[self._best_effort_cursor % len(candidates)]
+                return self.rotate(candidates, None)
         return None
 
     def pick_next_cpu(self, cpu: int, now: int) -> Optional[SimThread]:
@@ -733,8 +732,7 @@ class ReservationScheduler(Scheduler):
                 if t.state is _READY and self.eligible_on(t, cpu)
             ]
             if candidates:
-                self._best_effort_cursor += 1
-                return candidates[self._best_effort_cursor % len(candidates)]
+                return self.rotate(candidates, cpu)
         return None
 
     def _plan_round(self, now: int) -> list[Optional[SimThread]]:

@@ -48,16 +48,13 @@ class ReferenceReservationScheduler(Scheduler):
     """The pre-optimization scan-based dispatcher, kept as an oracle.
 
     This is the seed implementation verbatim (modulo the base class's
-    list membership becoming :meth:`Scheduler.threads`): every pick
+    list membership becoming :meth:`Scheduler.threads`, and best-effort
+    threads taking each CPU's own :meth:`Scheduler.rotate`): every pick
     rebuilds the eligible list, advances every candidate's period
     window and re-sorts; the aggregate queries scan every thread.
     """
 
     SCHED_KEY = "rbs_ref"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._best_effort_cursor = 0
 
     def reservation(self, thread: SimThread) -> Optional[Reservation]:
         return thread.sched_data.get(self.SCHED_KEY)
@@ -156,8 +153,7 @@ class ReferenceReservationScheduler(Scheduler):
         best_effort = self._runnable_best_effort(cpu)
         if not best_effort:
             return None
-        self._best_effort_cursor += 1
-        return best_effort[self._best_effort_cursor % len(best_effort)]
+        return self.rotate(best_effort, cpu)
 
     def next_wakeup(self, now: int) -> Optional[int]:
         earliest: Optional[int] = None
