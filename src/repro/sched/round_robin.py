@@ -7,9 +7,8 @@ starvation-comparison benchmarks.
 Thread membership and the runnable candidate list come from the shared
 run-queue layer in :mod:`repro.sched.base` (O(1) add/remove, candidates
 built from ready hints instead of scanning every registered thread).
-Each CPU cycles through its own candidates (:meth:`Scheduler.rotate`);
-the uniprocessor path (``cpu=None``) keeps the single cursor it always
-had.
+Each CPU cycles through its own candidates (:meth:`Scheduler.rotate`;
+the uniprocessor path rotates under ``cpu=None``).
 """
 
 from __future__ import annotations
