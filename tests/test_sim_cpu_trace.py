@@ -84,9 +84,11 @@ class TestTraceSeries:
     def test_int_value_reads_back_as_float(self):
         series = TraceSeries("s")
         series.append(0, 3)
-        # The bulk path appends ints straight onto the value column.
-        series.columns()[1].append(4)
-        series.columns()[0].append(1)
+        # The driver's bulk path appends int grants straight onto the
+        # value column.
+        times, values = series.columns()
+        times.append(1)
+        values.append(4)
         assert series.values() == [3.0, 4.0]
         assert all(type(v) is float for v in series.values())
         assert all(type(p.time_us) is int and type(p.value) is float for p in series)
