@@ -1,9 +1,12 @@
-"""The kernel's dispatch log, packed one fixed-width record per dispatch.
+"""The kernel's dispatch log, packed records kept in compressed chunks.
 
 ``Kernel(record_dispatches=True)`` records the full scheduling order:
-every dispatch appends one :data:`RECORD` to :attr:`DispatchLog.records`
-(a ``bytearray``), so a long run keeps no Python object per dispatch.
-A record holds
+every dispatch appends one :data:`RECORD` to :attr:`DispatchLog.records`,
+a ``bytearray`` tail of at most :data:`FOLD_RECORDS` records.  When the
+tail is full the kernel calls :meth:`DispatchLog.fold`, which moves it
+into :attr:`DispatchLog.chunks` as one ``zlib`` stream at level
+:data:`FOLD_LEVEL`.  A long run so keeps no Python object per dispatch,
+and a fifth to a third of the raw record bytes.  A record holds
 
 ========  =======  ==================================================
 field     format   meaning
@@ -20,21 +23,23 @@ Standard sizes with no padding make a record 27 bytes, and ``struct``
 raises :class:`struct.error` for a value its field cannot hold instead
 of wrapping it.
 
-Reading is the only place tuples appear.  Iterating the log yields the
-historical entries ``(start, cpu, thread_name, outcome, consumed)``,
-with the penalty as a sixth element only when one was charged, so a
-zero-penalty run reads exactly like a kernel without a topology.  Names
-are resolved from ``tid`` through the kernel's thread list, which keeps
-every exited thread.  :meth:`DispatchLog.fingerprint` hashes those
-entries ``|``-joined and ``;``-terminated, the bytes every committed
-digest was taken over.
+Reading is the only place tuples appear, one chunk at a time.
+Iterating the log yields the historical entries ``(start, cpu,
+thread_name, outcome, consumed)``, with the penalty as a sixth element
+only when one was charged, so a zero-penalty run reads exactly like a
+kernel without a topology.  Names are resolved from ``tid`` through the
+kernel's thread list, which keeps every exited thread.
+:meth:`DispatchLog.fingerprint` hashes those entries ``|``-joined and
+``;``-terminated, the bytes every committed digest was taken over.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import zlib
 from collections.abc import Iterator, Sequence
+from itertools import chain
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,6 +47,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: One dispatch: start, cpu, tid, outcome code, consumed, penalty.
 RECORD = struct.Struct("<qHIBqI")
+
+#: Records the live tail holds before :meth:`DispatchLog.fold`
+#: compresses it into a chunk, and that tail's size in bytes.
+FOLD_RECORDS = 4096
+FOLD_BYTES = FOLD_RECORDS * RECORD.size
+
+#: ``zlib`` level of a folded chunk: the fastest, which already stores
+#: a record in 4-8 bytes on the benchmark workloads.
+FOLD_LEVEL = 1
 
 #: Outcome names by code; the kernel's dispatch outcomes.
 OUTCOMES = ("preempted", "blocked", "sleeping", "yielded", "exited")
@@ -51,45 +65,76 @@ DispatchEntry = Union[
     tuple[int, int, str, str, int], tuple[int, int, str, str, int, int]
 ]
 
+#: An entry's hashed text by its length: its fields ``|``-joined and
+#: ``;``-terminated (``%d`` prints an int exactly as ``str`` does).
+_TEXT = {5: "%d|%d|%s|%s|%d;", 6: "%d|%d|%s|%s|%d|%d;"}
+
 
 class DispatchLog:
     """Packed dispatch records plus the thread list that names them.
 
-    The kernel appends with ``records += RECORD.pack(...)``; readers use
-    ``len()``, iteration or :meth:`fingerprint`.
+    The kernel appends with ``records += RECORD.pack(...)`` and calls
+    :meth:`fold` once ``records`` holds :data:`FOLD_BYTES`, so every
+    chunk holds :data:`FOLD_RECORDS` records; readers use ``len()``,
+    iteration or :meth:`fingerprint`.
     """
 
-    __slots__ = ("records", "_threads")
+    __slots__ = ("records", "chunks", "_threads")
 
     def __init__(self, threads: Sequence[SimThread]) -> None:
+        #: Packed records not yet folded, oldest first.
         self.records = bytearray()
+        #: Earlier records, ``zlib``-compressed, oldest chunk first.
+        self.chunks: list[bytes] = []
         self._threads = threads
 
     def __len__(self) -> int:
-        return len(self.records) // RECORD.size
+        return FOLD_RECORDS * len(self.chunks) + len(self.records) // RECORD.size
+
+    def fold(self) -> None:
+        """Compress the full tail into a new chunk and start an empty one."""
+        self.chunks.append(zlib.compress(self.records, FOLD_LEVEL))
+        self.records = bytearray()
+
+    def _decoded(self) -> Iterator[list[DispatchEntry]]:
+        """The entries recorded so far, one list per chunk and one for
+        the tail.
+
+        The chunk list and the tail are copied at the first ``next()``,
+        so the kernel may keep appending and folding while a reader is
+        suspended; the reader sees the records present at that call.
+        """
+        names = {thread.tid: thread.name for thread in self._threads}
+        chunks = map(zlib.decompress, self.chunks[:])
+        for chunk in chain(chunks, [bytes(self.records)]):
+            yield [
+                (start, cpu, names[tid], OUTCOMES[code], consumed, penalty)
+                if penalty
+                else (start, cpu, names[tid], OUTCOMES[code], consumed)
+                for start, cpu, tid, code, consumed, penalty
+                in RECORD.iter_unpack(chunk)
+            ]
 
     def __iter__(self) -> Iterator[DispatchEntry]:
-        names = {thread.tid: thread.name for thread in self._threads}
-        records = self.records
-        unpack_from = RECORD.unpack_from
-        # unpack_from holds no buffer export between entries, so the
-        # kernel may keep appending while a reader is suspended.
-        for offset in range(0, len(records), RECORD.size):
-            start, cpu, tid, code, consumed, penalty = unpack_from(
-                records, offset
-            )
-            if penalty:
-                yield (start, cpu, names[tid], OUTCOMES[code], consumed, penalty)
-            else:
-                yield (start, cpu, names[tid], OUTCOMES[code], consumed)
+        for entries in self._decoded():
+            yield from entries
 
     def fingerprint(self) -> str:
         """SHA-256 over the entries, ``|``-joined and ``;``-terminated."""
         digest = hashlib.sha256()
-        for entry in self:
-            digest.update("|".join(map(str, entry)).encode())
-            digest.update(b";")
+        for entries in self._decoded():
+            text = "".join([_TEXT[len(entry)] % entry for entry in entries])
+            digest.update(text.encode())
         return digest.hexdigest()
 
 
-__all__ = ["OUTCOMES", "OUTCOME_CODE", "RECORD", "DispatchEntry", "DispatchLog"]
+__all__ = [
+    "FOLD_BYTES",
+    "FOLD_LEVEL",
+    "FOLD_RECORDS",
+    "OUTCOMES",
+    "OUTCOME_CODE",
+    "RECORD",
+    "DispatchEntry",
+    "DispatchLog",
+]

@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.clock import US_PER_SEC, SimClock
 from repro.sim.cpu import CPUModel, CPUState
-from repro.sim.dispatch_log import OUTCOME_CODE, RECORD, DispatchLog
+from repro.sim.dispatch_log import FOLD_BYTES, OUTCOME_CODE, RECORD, DispatchLog
 from repro.sim.errors import DeadlockError, SimulationError, ThreadStateError
 from repro.sim.events import EventCalendar, PeriodicEvent
 from repro.sim.requests import (
@@ -168,7 +168,9 @@ class Kernel:
         dispatch to :attr:`dispatch_log` (a
         :class:`~repro.sim.dispatch_log.DispatchLog`): start time, CPU
         index, thread ``tid``, outcome code, consumed microseconds and
-        the migration penalty (0 when none was charged).  It is the full
+        the migration penalty (0 when none was charged).  Every
+        :data:`~repro.sim.dispatch_log.FOLD_RECORDS` records the log
+        compresses its tail into one ``zlib`` chunk.  It is the full
         scheduling order behind the dispatch fingerprints and the
         determinism tests.  Iterating the log reads each record back as
         ``(time_us, cpu, thread_name, outcome, consumed_us)``, with the
@@ -259,9 +261,10 @@ class Kernel:
         #: CPU they were parked on, so recovery can restore their pins.
         self._displaced_pins: dict[int, list[tuple[SimThread, int]]] = {}
         self.stolen_controller_us = 0
-        #: One 27-byte record per dispatch (see ``record_dispatches``);
-        #: ``None`` when not recording.  Reads back as 5-tuples, or
-        #: 6-tuples for a dispatch that charged a migration penalty.
+        #: One 27-byte record per dispatch, in compressed chunks behind
+        #: a raw tail (see ``record_dispatches``); ``None`` when not
+        #: recording.  Reads back as 5-tuples, or 6-tuples for a
+        #: dispatch that charged a migration penalty.
         self.dispatch_log: Optional[DispatchLog] = (
             DispatchLog(self.threads) if record_dispatches else None
         )
@@ -1011,10 +1014,13 @@ class Kernel:
         if log is not None:
             # The penalty shifted this (and every later) timestamp, so
             # it is part of the record; 0 reads back as a 5-tuple.
-            log.records += _pack_record(
+            records = log.records
+            records += _pack_record(
                 dispatch_start, cpu.index, thread.tid,
                 OUTCOME_CODE[outcome], consumed, migration_us,
             )
+            if len(records) >= FOLD_BYTES:
+                log.fold()
         return outcome
 
     def _finish_dispatch(self, thread: SimThread, outcome: str) -> None:

@@ -1,6 +1,7 @@
 """The packed dispatch log reads back exactly the historical entries.
 
-The kernel keeps one fixed-width record per dispatch (see
+The kernel keeps one fixed-width record per dispatch, folded into
+compressed chunks every few thousand records (see
 :mod:`repro.sim.dispatch_log`).  The oracle here is the log as it used
 to be kept: a plain list of ``(time, cpu, name, outcome, consumed)``
 tuples, with the migration penalty as a sixth element when one was
@@ -19,7 +20,7 @@ import hashlib
 from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.sched.rbs import ReservationScheduler
 from repro.sched.round_robin import RoundRobinScheduler
-from repro.sim.dispatch_log import OUTCOMES, RECORD
+from repro.sim.dispatch_log import OUTCOMES
 from repro.sim.kernel import Kernel, _DispatchOutcome
 from repro.sim.requests import Compute, Sleep, Yield
 from repro.sim.thread import ThreadState
@@ -181,24 +182,52 @@ def test_every_kernel_outcome_has_a_code():
     assert outcomes == set(OUTCOMES)
 
 
-def test_storage_is_packed_bytes_with_no_object_per_dispatch():
+def hog_kernel() -> Kernel:
+    """Four round-robin spinners: one dispatch per millisecond."""
     kernel = Kernel(
         RoundRobinScheduler(), charge_dispatch_overhead=False,
         syscall_cost_us=0, record_dispatches=True,
     )
     for i in range(4):
         kernel.spawn(f"hog{i}", spin_body(500))
+    return kernel
+
+
+def test_suspended_reader_sees_its_prefix_across_a_fold():
+    kernel = hog_kernel()
+    entries = record_oracle(kernel)
+    kernel.run_for(5_000_000)
+    log = kernel.dispatch_log
+    reader = iter(log)
+    first = next(reader)
+    seen, folds = len(log), len(log.chunks)
+    assert folds >= 1 and len(log.records)
+    # The kernel appends to the tail and folds it while the reader is
+    # suspended; the reader still reads exactly what it started with.
+    kernel.run_for(5_000_000)
+    assert len(log.chunks) > folds
+    assert [first, *reader] == entries[:seen]
+    assert len(entries) == len(log) > seen
+    assert_matches_oracle(kernel, entries)
+
+
+def test_storage_is_packed_bytes_with_no_object_per_dispatch():
+    kernel = hog_kernel()
     kernel.run_for(50_000)
     log = kernel.dispatch_log
     gc.collect()
     dispatches = len(log)
     tracked = len(gc.get_objects())
-    kernel.run_for(2_000_000)
+    kernel.run_for(20_000_000)
     gc.collect()
     grown = len(gc.get_objects()) - tracked
     added = len(log) - dispatches
-    assert added >= 2_000
+    assert added >= 20_000
     assert grown < 100
-    assert RECORD.size <= 48
-    assert len(log.records) == len(log) * RECORD.size
+    assert len(log) == kernel.dispatch_count
+    # Folded chunks plus the raw tail: about 8.4 bytes a dispatch here,
+    # where keeping every record raw would take RECORD.size (27).
+    stored = len(log.records) + sum(map(len, log.chunks))
+    assert len(log.chunks) >= 4
+    assert stored <= 12 * len(log)
     assert not gc.is_tracked(log.records)
