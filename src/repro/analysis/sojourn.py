@@ -27,11 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
-#: Wire-format version of :meth:`SojournStats.to_dict` and
-#: :meth:`ResponseCurvePoint.to_dict`; bump when their field sets
-#: change (enforced by the wire-format lint check).
-SOJOURN_SCHEMA_VERSION = 1
-
 #: The percentiles every SLO table reports, in order.
 SLO_PERCENTILES = (50.0, 95.0, 99.0, 99.9)
 
@@ -94,23 +89,6 @@ class SojournStats:
             "p999_us": self.p999_us,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SojournStats":
-        """Rebuild from the :meth:`to_dict` form (artifact round-trip)."""
-        return cls(
-            tag=str(payload["tag"]),
-            completed=int(payload["completed"]),
-            killed=int(payload["killed"]),
-            rejected=int(payload["rejected"]),
-            mean_us=payload.get("mean_us"),
-            min_us=payload.get("min_us"),
-            max_us=payload.get("max_us"),
-            p50_us=payload.get("p50_us"),
-            p95_us=payload.get("p95_us"),
-            p99_us=payload.get("p99_us"),
-            p999_us=payload.get("p999_us"),
-        )
-
 
 def sojourn_stats(
     records: Sequence[Mapping[str, Any]], tag: str = "all"
@@ -170,14 +148,6 @@ class ResponseCurvePoint:
 
     def to_dict(self) -> dict[str, Any]:
         return {"offered_per_s": self.offered_per_s, **self.stats.to_dict()}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ResponseCurvePoint":
-        """Rebuild from the flattened :meth:`to_dict` form."""
-        return cls(
-            offered_per_s=float(payload["offered_per_s"]),
-            stats=SojournStats.from_dict(payload),
-        )
 
 
 def response_curve_series(

@@ -8,7 +8,7 @@ class FaultError(Exception):
 
 
 class FaultPlanError(FaultError):
-    """A fault plan (or its wire form) is malformed."""
+    """A fault plan is malformed."""
 
 
 class FaultInjectionError(FaultError):

@@ -8,16 +8,15 @@ no injection; :class:`~repro.faults.injector.FaultInjector` turns a
 plan into :class:`~repro.sim.events.EventCalendar` entries, which fire
 at exact virtual times, so every fault is reproducible bit for bit.
 
-The wire forms (:meth:`FaultEvent.to_dict` / :meth:`FaultPlan.to_dict`)
-are versioned by :data:`FAULT_PLAN_SCHEMA_VERSION` and round-trip
-exactly, so fault scenarios can live in JSON next to the golden-trace
-corpus and in experiment result payloads.
+The wire form (:meth:`FaultPlan.to_dict`) is stamped with
+:data:`FAULT_PLAN_SCHEMA_VERSION` and written into experiment result
+payloads, where the behaviour corpus pins it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional
 
 from repro.faults.errors import FaultPlanError
 
@@ -165,24 +164,6 @@ class FaultEvent:
             payload["magnitude"] = self.magnitude
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultEvent":
-        """Rebuild an event from :meth:`to_dict` output."""
-        try:
-            at_us = int(payload["at_us"])
-            kind = str(payload["kind"])
-        except KeyError as missing:
-            raise FaultPlanError(f"fault event is missing {missing}") from None
-        duration = payload.get("duration_us")
-        return cls(
-            at_us=at_us,
-            kind=kind,
-            cpu=None if payload.get("cpu") is None else int(payload["cpu"]),
-            thread=payload.get("thread"),
-            duration_us=None if duration is None else int(duration),
-            magnitude=float(payload.get("magnitude", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -223,23 +204,6 @@ class FaultPlan:
             "seed": self.seed,
             "events": [event.to_dict() for event in self.events],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output (version-checked)."""
-        version = payload.get("schema_version")
-        if version != FAULT_PLAN_SCHEMA_VERSION:
-            raise FaultPlanError(
-                f"unsupported fault plan schema version {version!r}; this "
-                f"build reads version {FAULT_PLAN_SCHEMA_VERSION}"
-            )
-        raw_events = payload.get("events", [])
-        if not isinstance(raw_events, Sequence) or isinstance(raw_events, (str, bytes)):
-            raise FaultPlanError("fault plan 'events' must be a list")
-        return cls(
-            events=tuple(FaultEvent.from_dict(entry) for entry in raw_events),
-            seed=int(payload.get("seed", 0)),
-        )
 
 
 __all__ = [

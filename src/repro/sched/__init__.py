@@ -29,7 +29,6 @@ from repro.sched.placement import (
     CacheWarmPlacement,
     LeastLoadedPlacement,
     NumaPackPlacement,
-    PinnedPlacement,
     PlacementPolicy,
 )
 from repro.sched.priority import FixedPriorityScheduler
@@ -44,7 +43,6 @@ __all__ = [
     "LinuxGoodnessScheduler",
     "LotteryScheduler",
     "NumaPackPlacement",
-    "PinnedPlacement",
     "PlacementPolicy",
     "Reservation",
     "ReservationScheduler",

@@ -14,7 +14,7 @@ in one heaviest-first order, ``(-weight, tid, thread)`` ascending
 (:meth:`~repro.sched.base.Scheduler.placement_order`), built once per
 round.  A policy walks that order; none weighs or sorts threads itself.
 
-Flat policies (no topology model):
+The flat policy (no topology model):
 
 * :class:`LeastLoadedPlacement` (the default) — greedy weighted
   bin-packing: threads are assigned, heaviest first, to the CPU with
@@ -23,9 +23,6 @@ Flat policies (no topology model):
   proportion, so reservations spread across CPUs and per-CPU reserved
   capacity stays balanced; other schedulers weigh every thread
   equally).
-* :class:`PinnedPlacement` — fully static: a thread runs on its
-  explicit affinity if set, otherwise on ``tid % n_cpus``.  Useful for
-  experiments that need placement taken out of the picture.
 
 Topology-aware policies (take a
 :class:`~repro.sim.topology.CpuTopology`, modelled on ceph-aprg's
@@ -201,41 +198,6 @@ class LeastLoadedPlacement(PlacementPolicy):
         return mapping
 
 
-class PinnedPlacement(PlacementPolicy):
-    """Static placement: explicit affinity, else ``tid % n_cpus``."""
-
-    def assign(
-        self,
-        order: PlacementOrder,
-        n_cpus: int,
-        online: "Optional[tuple[int, ...]]" = None,
-    ) -> dict[int, int]:
-        mapping: dict[int, int] = {}
-        if online is None:
-            for _, tid, thread in order:
-                if thread.affinity is not None:
-                    mapping[tid] = self._checked_affinity(thread, n_cpus)
-                else:
-                    mapping[tid] = tid % n_cpus
-            return mapping
-        candidates = self._candidates(n_cpus, online)
-        online_set = frozenset(candidates)
-        for _, tid, thread in order:
-            if thread.affinity is not None:
-                cpu = self._checked_affinity(thread, n_cpus)
-                if cpu not in online_set:
-                    # Unified offline-pin fallback (was
-                    # ``online[cpu % len(online)]``, which disagreed
-                    # with every other policy and the kernel's drain).
-                    cpu = candidates[0]
-            else:
-                # The static default restricted to online CPUs: still a
-                # pure function of the tid, never of round state.
-                cpu = candidates[tid % len(candidates)]
-            mapping[tid] = cpu
-        return mapping
-
-
 class _TopologyPlacement(PlacementPolicy):
     """Shared plumbing of the topology-aware policies."""
 
@@ -379,7 +341,6 @@ __all__ = [
     "CacheWarmPlacement",
     "LeastLoadedPlacement",
     "NumaPackPlacement",
-    "PinnedPlacement",
     "PlacementOrder",
     "PlacementPolicy",
 ]

@@ -1,13 +1,14 @@
 """Project-specific static analysis (``python -m repro lint``).
 
-Four AST checkers prove the contracts the dynamic suites can only
+Three AST checkers prove the contracts the dynamic suites can only
 sample: hot-path determinism (:mod:`.determinism`), exact float
-evaluation order in annotated controller modules (:mod:`.floatorder`),
-versioned wire formats (:mod:`.wire`) and crash-safe artifact writes
-(:mod:`.atomicwrite`).  The experiment reproducibility contract is not
-a lint check: :class:`repro.experiments.registry.ExperimentSpec`
-enforces it at registration and run time.  :mod:`.core` is the framework (findings,
-suppressions, runner), :mod:`.baseline` the grandfathered-debt ledger,
+evaluation order in annotated controller modules (:mod:`.floatorder`)
+and crash-safe artifact writes (:mod:`.atomicwrite`).  Two contracts
+are not lint checks: :class:`repro.experiments.registry.ExperimentSpec`
+enforces reproducibility at registration and run time, and the
+behaviour corpus (:mod:`repro.golden`) pins every experiment's
+artifact, so a changed ``to_dict`` field set fails ``repro golden``.
+:mod:`.core` is the framework (findings, suppressions, runner),
 :mod:`.cli` the entry point.
 """
 

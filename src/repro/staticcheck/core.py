@@ -3,11 +3,10 @@
 The simulator rests on contracts that ordinary linters cannot see: hot
 paths must stay deterministic (no wall-clock reads, no unseeded
 randomness, no set-order-dependent iteration), controller arithmetic
-must preserve exact float evaluation order, wire formats must version
-their schema, and artifacts must be written atomically.  This
-package is the static analogue of the dynamic differential suites: an
-AST pass that proves (or flags) those contracts at review time instead
-of via 200-example hypothesis hunts.
+must preserve exact float evaluation order, and artifacts must be
+written atomically.  This package is the static analogue of the
+dynamic differential suites: an AST pass that proves (or flags) those
+contracts at review time instead of via 200-example hypothesis hunts.
 
 Architecture
 ------------
@@ -17,8 +16,8 @@ Architecture
 * :class:`Project` — every module under the scan roots, so checkers
   can resolve cross-module structure (the scheduler class hierarchy).
 * :class:`Checker` — a named pass producing :class:`Finding`\\ s; the
-  framework applies suppressions and the committed baseline, and the
-  CLI (``python -m repro lint``) renders text or ``--json``.
+  framework applies suppressions, and the CLI (``python -m repro
+  lint``) renders text or ``--json``.
 
 Suppressions are deliberately expensive: every ``disable`` must carry
 a justification after ``--`` (enforced by the always-on
@@ -29,14 +28,13 @@ themselves findings, so dead waivers cannot accumulate.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 #: Wire format of ``repro lint --json`` output.
-LINT_SCHEMA_VERSION = 1
+LINT_SCHEMA_VERSION = 2
 
 #: The suppression comment grammar::
 #:
@@ -70,23 +68,11 @@ class Finding:
     def sort_key(self) -> tuple[str, int, str, str]:
         return (self.path, self.line, self.check, self.message)
 
-    def baseline_key(self) -> str:
-        """Stable identity for baseline matching.
-
-        Deliberately excludes the line number so grandfathered findings
-        survive unrelated edits above them; includes the symbol and
-        message so a *new* violation of the same check in the same file
-        is never absorbed by an old waiver.
-        """
-        text = f"{self.check}|{self.path}|{self.symbol}|{self.message}"
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
     def render(self) -> str:
         where = f"{self.path}:{self.line}"
         symbol = f" [{self.symbol}]" if self.symbol else ""
         return f"{where}: {self.check}{symbol}: {self.message}"
 
-    # repro-lint: disable=wire-format -- one-way diagnostic output for --json; findings are never deserialised
     def to_dict(self) -> dict:
         return {
             "check": self.check,
@@ -94,7 +80,6 @@ class Finding:
             "line": self.line,
             "symbol": self.symbol,
             "message": self.message,
-            "key": self.baseline_key(),
         }
 
 
@@ -199,7 +184,7 @@ class Checker:
 
     Subclasses set :attr:`name`/:attr:`description` and implement
     :meth:`check`, returning raw findings; the framework owns
-    suppression and baseline handling.
+    suppression handling.
     """
 
     name = "base"
@@ -215,7 +200,6 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     checks_run: list[str] = field(default_factory=list)
     files_scanned: int = 0
 
@@ -223,7 +207,6 @@ class LintResult:
     def clean(self) -> bool:
         return not self.findings
 
-    # repro-lint: disable=wire-format -- one-way diagnostic output for --json; reports are never deserialised
     def to_dict(self) -> dict:
         counts: dict[str, int] = {}
         for finding in self.findings:
@@ -234,7 +217,6 @@ class LintResult:
             "files_scanned": self.files_scanned,
             "findings": [f.to_dict() for f in sorted(self.findings, key=Finding.sort_key)],
             "suppressed": len(self.suppressed),
-            "baselined": len(self.baselined),
             "counts": dict(sorted(counts.items())),
         }
 
@@ -284,18 +266,8 @@ def _suppression_findings(
     return findings
 
 
-def run_checks(
-    project: Project,
-    checkers: Sequence[Checker],
-    *,
-    baseline_keys: Optional[dict[str, int]] = None,
-) -> LintResult:
-    """Run ``checkers`` over ``project`` and fold in suppressions/baseline.
-
-    ``baseline_keys`` maps :meth:`Finding.baseline_key` to the number of
-    grandfathered occurrences; matching findings are recorded but not
-    counted against the run.
-    """
+def run_checks(project: Project, checkers: Sequence[Checker]) -> LintResult:
+    """Run ``checkers`` over ``project`` and fold in the suppressions."""
     result = LintResult(checks_run=[c.name for c in checkers])
     result.files_scanned = len(project.modules)
 
@@ -315,7 +287,6 @@ def run_checks(
         raw.extend(checker.check(project))
 
     modules_by_path = {m.rel_path: m for m in project.modules}
-    remaining_baseline = dict(baseline_keys or {})
     for finding in sorted(raw, key=Finding.sort_key):
         module = modules_by_path.get(finding.path)
         if module is not None and finding.check != SUPPRESSION_CHECK:
@@ -324,11 +295,6 @@ def run_checks(
                 suppression.used = True
                 result.suppressed.append(finding)
                 continue
-        key = finding.baseline_key()
-        if remaining_baseline.get(key, 0) > 0:
-            remaining_baseline[key] -= 1
-            result.baselined.append(finding)
-            continue
         result.findings.append(finding)
 
     # The meta-check runs after suppression matching so "unused" is

@@ -147,10 +147,6 @@ class JobTemplate:
 #: The three ways a job leaves the bookkeeping.
 JOB_OUTCOMES = ("completed", "killed", "rejected")
 
-#: Wire-format version of :meth:`JobRecord.to_dict`; bump when its
-#: field set changes (enforced by the wire-format lint check).
-RECORD_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True, slots=True)
 class JobRecord:
@@ -188,21 +184,6 @@ class JobRecord:
             "outcome": self.outcome,
             "sojourn_us": self.sojourn_us,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JobRecord":
-        """Rebuild from the :meth:`to_dict` form.
-
-        The derived ``sojourn_us`` key is recomputed, not read back.
-        """
-        return cls(
-            stream=str(payload["stream"]),
-            index=int(payload["index"]),
-            tag=str(payload["tag"]),
-            spawn_us=int(payload["spawn_us"]),
-            end_us=int(payload["end_us"]),
-            outcome=str(payload["outcome"]),
-        )
 
 
 @dataclass

@@ -37,7 +37,6 @@ from repro.sched.placement import (
     CacheWarmPlacement,
     LeastLoadedPlacement,
     NumaPackPlacement,
-    PinnedPlacement,
     PlacementPolicy,
 )
 from repro.sched.rbs import ReservationScheduler
@@ -207,7 +206,6 @@ def test_sensor_faults_conserve(sensors):
 _PLACEMENT_TOPO = CpuTopology.from_spec("2x2x2")
 _PLACEMENT_POLICIES = {
     "least_loaded": lambda: LeastLoadedPlacement(),
-    "pinned": lambda: PinnedPlacement(),
     "cache_warm": lambda: CacheWarmPlacement(_PLACEMENT_TOPO),
     "numa_pack": lambda: NumaPackPlacement(_PLACEMENT_TOPO),
 }

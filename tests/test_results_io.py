@@ -43,6 +43,12 @@ class TestRoundTrip:
         data = full_result().to_dict()
         assert data["schema_version"] == RESULT_SCHEMA_VERSION
         assert data["repro_version"] == __version__
+        # The journal re-reads this form: bump RESULT_SCHEMA_VERSION when these key sets change.
+        assert set(data) == {
+            "experiment_id", "metadata", "metrics", "notes", "paper_values",
+            "repro_version", "schema_version", "series", "title",
+        }
+        assert set(data["series"]["curve"]) == {"times", "values"}
 
     def test_to_json_is_deterministic(self):
         result = full_result()

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import PROPORTION_SCALE
 from repro.core.errors import AdmissionError
 from repro.core.taxonomy import ThreadSpec
-from repro.sched.placement import LeastLoadedPlacement, PinnedPlacement
+from repro.sched.placement import LeastLoadedPlacement
 from repro.sched.rbs import ReservationScheduler
 from repro.sched.round_robin import RoundRobinScheduler
 from repro.sim.errors import SimulationError
@@ -116,14 +116,6 @@ class TestPlacement:
         threads[0].pin_to(1)
         mapping = LeastLoadedPlacement().assign(heaviest_first(threads), 2)
         assert mapping[threads[0].tid] == 1
-
-    def test_pinned_placement_is_static(self):
-        threads = self._threads(4)
-        threads[2].pin_to(0)
-        mapping = PinnedPlacement().assign(heaviest_first(threads), 2)
-        assert mapping[threads[2].tid] == 0
-        for t in (threads[0], threads[1], threads[3]):
-            assert mapping[t.tid] == t.tid % 2
 
     def test_rbs_placement_weight_uses_reservation(self):
         scheduler = ReservationScheduler()

@@ -8,14 +8,12 @@ stay clean (no false positives on the approved idioms).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.staticcheck.atomicwrite import AtomicWriteChecker
 from repro.staticcheck.core import Project
 from repro.staticcheck.determinism import DeterminismChecker
 from repro.staticcheck.floatorder import FloatOrderChecker
-from repro.staticcheck.wire import WireFormatChecker, build_snapshot
 
 FIXTURES = Path(__file__).parent / "staticcheck_fixtures"
 REPO_ROOT = Path(__file__).parent.parent
@@ -59,98 +57,6 @@ def test_float_order_checker_flags_annotated_module():
 def test_float_order_checker_ignores_unannotated_module():
     findings = FloatOrderChecker().check(fixture_project("floatorder_clean.py"))
     assert findings == []
-
-
-# ----------------------------------------------------------------------
-# wire-format
-# ----------------------------------------------------------------------
-def test_wire_checker_requires_from_dict(tmp_path):
-    checker = WireFormatChecker(tmp_path / "no_snapshot.json")
-    findings = checker.check(fixture_project("wire_bad.py"))
-    assert any("no matching from_dict" in f.message for f in findings)
-
-
-def test_wire_checker_requires_version_const(tmp_path):
-    checker = WireFormatChecker(tmp_path / "no_snapshot.json")
-    findings = checker.check(fixture_project("wire_unversioned.py"))
-    assert any("*_SCHEMA_VERSION" in f.message for f in findings)
-
-
-def test_wire_checker_detects_field_drift_without_version_bump(tmp_path):
-    source = (FIXTURES / "wire_bad.py").read_text(encoding="utf-8")
-    module = tmp_path / "record.py"
-    module.write_text(source)
-    snapshot_path = tmp_path / "snapshot.json"
-    snapshot_path.write_text(
-        json.dumps(build_snapshot(Project([module]))), encoding="utf-8"
-    )
-    checker = WireFormatChecker(snapshot_path)
-
-    # unchanged: the only finding is the missing from_dict
-    findings = checker.check(Project([module]))
-    assert not any("fields changed" in f.message for f in findings)
-
-    # grow the payload without bumping the version -> drift finding
-    module.write_text(
-        source.replace('"value": self.value', '"value": self.value, "extra": 1')
-    )
-    findings = checker.check(Project([module]))
-    drift = [f for f in findings if "fields changed" in f.message]
-    assert len(drift) == 1
-    assert "added extra" in drift[0].message
-    assert "RECORD_SCHEMA_VERSION" in drift[0].message
-
-    # bump the version too -> becomes a "refresh the snapshot" reminder
-    module.write_text(
-        source.replace('"value": self.value', '"value": self.value, "extra": 1')
-        .replace("RECORD_SCHEMA_VERSION = 1", "RECORD_SCHEMA_VERSION = 2")
-    )
-    findings = checker.check(Project([module]))
-    assert not any("fields changed" in f.message for f in findings)
-    assert any("drifted from the committed wire snapshot" in f.message
-               for f in findings)
-
-
-def test_wire_checker_reports_snapshot_entries_whose_class_is_gone(tmp_path):
-    source = (FIXTURES / "wire_bad.py").read_text(encoding="utf-8")
-    package = tmp_path / "pkg"
-    package.mkdir()
-    (package / "record.py").write_text(source)
-    (tmp_path / "outside.py").write_text(source)
-    snapshot = build_snapshot(Project([tmp_path], display_root=tmp_path))
-    entry = snapshot["classes"]["pkg/record.py::WriteOnlyRecord"]
-    snapshot["classes"]["pkg/record.py::Vanished"] = entry
-    snapshot["classes"]["pkg/gone.py::WriteOnlyRecord"] = entry
-    snapshot["classes"]["gone.py::WriteOnlyRecord"] = entry
-    snapshot_path = tmp_path / "snapshot.json"
-    snapshot_path.write_text(json.dumps(snapshot), encoding="utf-8")
-    checker = WireFormatChecker(snapshot_path)
-
-    def ghosts(*roots: Path) -> set[tuple[str, str]]:
-        findings = checker.check(Project(roots, display_root=tmp_path))
-        return {
-            (f.path, f.symbol) for f in findings
-            if "no longer defines it" in f.message
-        }
-
-    # a class gone from a scanned file, and a file gone from a scanned dir
-    assert ghosts(package) == {
-        ("pkg/record.py", "Vanished"),
-        ("pkg/gone.py", "WriteOnlyRecord"),
-    }
-    # a subset scan leaves entries outside it alone
-    assert ghosts(package / "record.py") == {("pkg/record.py", "Vanished")}
-    assert ghosts(tmp_path / "outside.py") == set()
-
-
-def test_shipped_wire_snapshot_matches_tree():
-    """The committed wire_snapshot.json must equal what the tree builds
-    — otherwise someone changed a to_dict without refreshing it."""
-    from repro.staticcheck.cli import PACKAGE_ROOT
-    from repro.staticcheck.wire import DEFAULT_SNAPSHOT_PATH, load_snapshot
-
-    project = Project([PACKAGE_ROOT], display_root=REPO_ROOT)
-    assert build_snapshot(project) == load_snapshot(DEFAULT_SNAPSHOT_PATH)
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,6 @@ FIXTURES = Path(__file__).parent / "staticcheck_fixtures"
 BAD_FIXTURES = (
     "determinism_bad.py",
     "floatorder_bad.py",
-    "wire_bad.py",
-    "wire_unversioned.py",
     "suppress_mixed.py",
 )
 
@@ -37,7 +35,7 @@ def test_lint_subcommand_wired_into_repro_cli():
 
 @pytest.mark.parametrize("fixture", BAD_FIXTURES)
 def test_each_seeded_violation_fails_the_gate(fixture):
-    assert lint_main([str(FIXTURES / fixture), "--no-baseline"]) == 1
+    assert lint_main([str(FIXTURES / fixture)]) == 1
 
 
 def test_unknown_check_is_usage_error(capsys):
@@ -50,13 +48,12 @@ def test_missing_path_is_usage_error(capsys):
     assert "no such path" in capsys.readouterr().err
 
 
-def test_list_checks_names_all_four(capsys):
+def test_list_checks_names_all_three(capsys):
     assert lint_main(["--list-checks"]) == 0
     out = capsys.readouterr().out
     for name in (
         "determinism",
         "float-order",
-        "wire-format",
         "atomic-write",
     ):
         assert name in out
@@ -65,17 +62,15 @@ def test_list_checks_names_all_four(capsys):
 def test_check_filter_runs_only_named_checker():
     # floatorder_bad trips float-order but not determinism
     target = str(FIXTURES / "floatorder_bad.py")
-    assert lint_main([target, "--no-baseline", "--check", "determinism"]) == 0
-    assert lint_main([target, "--no-baseline", "--check", "float-order"]) == 1
+    assert lint_main([target, "--check", "determinism"]) == 0
+    assert lint_main([target, "--check", "float-order"]) == 1
 
 
 def test_json_report_to_stdout(capsys):
-    code = lint_main(
-        [str(FIXTURES / "determinism_bad.py"), "--no-baseline", "--json"]
-    )
+    code = lint_main([str(FIXTURES / "determinism_bad.py"), "--json"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["counts"]["determinism"] >= 4
     paths = {f["path"] for f in report["findings"]}
     assert paths == {"tests/staticcheck_fixtures/determinism_bad.py"}
@@ -83,26 +78,7 @@ def test_json_report_to_stdout(capsys):
 
 def test_json_report_to_file(tmp_path):
     out = tmp_path / "report.json"
-    code = lint_main(
-        [
-            str(FIXTURES / "floatorder_bad.py"),
-            "--no-baseline",
-            "--json",
-            str(out),
-        ]
-    )
+    code = lint_main([str(FIXTURES / "floatorder_bad.py"), "--json", str(out)])
     assert code == 1
     report = json.loads(out.read_text())
     assert report["counts"] == {"float-order": 3}
-
-
-def test_write_baseline_then_clean(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    target = str(FIXTURES / "determinism_bad.py")
-    assert lint_main(
-        [target, "--baseline", str(baseline), "--write-baseline"]
-    ) == 0
-    assert baseline.exists()
-    assert lint_main([target, "--baseline", str(baseline)]) == 0
-    # the waiver never hides *new* findings: without it the gate fails
-    assert lint_main([target, "--no-baseline"]) == 1

@@ -1,9 +1,8 @@
-"""Framework behaviour of ``repro lint``: suppressions, baseline, JSON.
+"""Framework behaviour of ``repro lint``: suppressions and JSON.
 
 The checkers themselves are covered by ``test_staticcheck_checkers``;
 here we pin the machinery that decides what a finding *becomes* —
-suppressed, baselined, or reported — and the stability of the wire
-forms (``--json`` schema, baseline keys).
+suppressed or reported — and the ``--json`` schema.
 """
 
 from __future__ import annotations
@@ -12,16 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.staticcheck.baseline import (
-    BASELINE_SCHEMA_VERSION,
-    build_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.staticcheck.core import (
     LINT_SCHEMA_VERSION,
     SUPPRESSION_CHECK,
-    Finding,
     ModuleSource,
     Project,
     run_checks,
@@ -124,68 +116,6 @@ def test_unused_suppression_not_flagged_when_its_check_did_not_run():
 
 
 # ----------------------------------------------------------------------
-# baseline round-trip
-# ----------------------------------------------------------------------
-def test_baseline_round_trip_grandfathers_existing_findings(tmp_path):
-    project = fixture_project("determinism_bad.py")
-    first = run_checks(project, [DeterminismChecker()])
-    assert first.findings
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.findings)
-    keys = load_baseline(baseline_path)
-    assert sum(keys.values()) == len(first.findings)
-
-    second = run_checks(
-        project, [DeterminismChecker()], baseline_keys=keys
-    )
-    assert second.findings == []
-    assert len(second.baselined) == len(first.findings)
-
-
-def test_baseline_does_not_absorb_new_findings(tmp_path):
-    project = fixture_project("determinism_bad.py")
-    first = run_checks(project, [DeterminismChecker()])
-    keys = load_baseline_from(first.findings[:-1], tmp_path)
-    second = run_checks(project, [DeterminismChecker()], baseline_keys=keys)
-    assert len(second.findings) == 1
-    assert second.findings[0].baseline_key() == first.findings[-1].baseline_key()
-
-
-def load_baseline_from(findings, tmp_path):
-    path = tmp_path / "partial.json"
-    write_baseline(path, findings)
-    return load_baseline(path)
-
-
-def test_baseline_key_ignores_line_but_not_message():
-    a = Finding(check="c", path="p.py", line=10, message="m", symbol="s")
-    b = Finding(check="c", path="p.py", line=99, message="m", symbol="s")
-    c = Finding(check="c", path="p.py", line=10, message="other", symbol="s")
-    assert a.baseline_key() == b.baseline_key()
-    assert a.baseline_key() != c.baseline_key()
-
-
-def test_baseline_schema_version_mismatch_rejected(tmp_path):
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [])
-    text = path.read_text().replace(
-        f'"schema_version": {BASELINE_SCHEMA_VERSION}', '"schema_version": 999'
-    )
-    path.write_text(text)
-    with pytest.raises(ValueError):
-        load_baseline(path)
-
-
-def test_build_baseline_counts_duplicate_keys():
-    finding = Finding(check="c", path="p.py", line=1, message="m")
-    payload = build_baseline([finding, finding])
-    entry = payload["entries"][finding.baseline_key()]
-    assert entry["count"] == 2
-    assert entry["message"] == "m"
-
-
-# ----------------------------------------------------------------------
 # --json wire form
 # ----------------------------------------------------------------------
 def test_json_report_schema():
@@ -196,10 +126,9 @@ def test_json_report_schema():
     assert report["checks"] == ["determinism"]
     assert report["files_scanned"] == 1
     assert report["suppressed"] == 0
-    assert report["baselined"] == 0
     assert report["counts"]["determinism"] == len(result.findings)
     for entry in report["findings"]:
-        assert set(entry) == {"check", "path", "line", "symbol", "message", "key"}
+        assert set(entry) == {"check", "path", "line", "symbol", "message"}
         assert entry["path"].startswith("tests/staticcheck_fixtures/")
 
 

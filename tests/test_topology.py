@@ -14,7 +14,6 @@ from repro.sched.placement import (
     CacheWarmPlacement,
     LeastLoadedPlacement,
     NumaPackPlacement,
-    PinnedPlacement,
 )
 from repro.sched.rbs import ReservationScheduler
 from repro.sched.round_robin import RoundRobinScheduler
@@ -39,7 +38,6 @@ def _all_policies(n_cpus):
     topo = CpuTopology.from_spec(f"1x{n_cpus}x1")
     return {
         "least_loaded": LeastLoadedPlacement(),
-        "pinned": PinnedPlacement(),
         "cache_warm": CacheWarmPlacement(topo),
         "numa_pack": NumaPackPlacement(topo),
     }
