@@ -5,14 +5,14 @@ One surface over every registered experiment::
     python -m repro list                 # enumerate experiments
     python -m repro describe smp_scaling # schema: params, bounds, quick
     python -m repro run figure6 --quick --json figure6.json
-    python -m repro run smp_scaling --cpus 4 --seed 7 --param duration_s=1.5
+    python -m repro run smp_scaling --param n_cpus=4 --param seed=7
     python -m repro sweep smp_scaling --param n_cpus=1,2,4 --jobs 3 \
         --json sweep.json
 
 ``run`` executes one experiment (``--param k=v`` overrides one
-parameter; ``--cpus`` / ``--seed`` are shorthands for the ``n_cpus`` /
-``seed`` parameters; ``--quick`` applies the experiment's quick-mode
-overrides) and prints the paper-vs-measured summary.  ``sweep``
+parameter, and is the one way to set any parameter; ``--quick``
+applies the experiment's quick-mode overrides) and prints the
+paper-vs-measured summary.  ``sweep``
 expands cartesian parameter grids (values comma-separated, ``":"``
 separating elements of a list-valued point), fans the points out over
 ``--jobs`` worker processes and merges everything into a single
@@ -30,11 +30,12 @@ one::
     # ^C ... then later:
     python -m repro sweep --resume f8.partial.jsonl --json f8.json
 
-Failing points are retried with capped, deterministically jittered
-exponential backoff (``--max-retries``, ``--backoff``,
-``--backoff-cap``); points that keep failing become explicit FAILED
-rows in the artifact and the command exits non-zero.  Interrupted
-runs exit 130 and print the resume command.
+The journal sits beside the ``--json`` artifact (``f8.json`` →
+``f8.partial.jsonl``) and is deleted once every point succeeds.  A
+failing point is re-queued at once, up to two retries; a point that
+keeps failing becomes an explicit FAILED row in the artifact and the
+command exits 1.  Interrupted runs exit 130 and print the resume
+command.
 
 ``report`` renders a result or sweep JSON artifact as a markdown
 report — metrics, per-tag exact-rank sojourn percentiles, the
@@ -63,7 +64,6 @@ from repro.analysis.report import (
 from repro.core.artifacts import write_atomic
 from repro.experiments.registry import (
     REGISTRY,
-    ExperimentSpec,
     ParameterError,
     UnknownExperimentError,
 )
@@ -74,7 +74,6 @@ from repro.orchestration import (
     JournalError,
     OrchestrationError,
     OrchestrationInterrupted,
-    RetryPolicy,
     orchestrate_sweep,
 )
 
@@ -97,30 +96,6 @@ def _parse_param_flags(flags: Sequence[str]) -> dict[str, str]:
     return overrides
 
 
-def _apply_shorthands(
-    spec: ExperimentSpec,
-    overrides: dict[str, str],
-    cpus: Optional[int],
-    seed: Optional[int],
-) -> dict[str, str]:
-    """Fold ``--cpus`` / ``--seed`` into the override map."""
-    if cpus is not None:
-        if "n_cpus" not in {p.name for p in spec.params}:
-            raise ParameterError(
-                f"experiment {spec.name!r} has no n_cpus parameter; "
-                f"--cpus does not apply"
-            )
-        overrides.setdefault("n_cpus", str(cpus))
-    if seed is not None:
-        if "seed" not in {p.name for p in spec.params}:
-            raise ParameterError(
-                f"experiment {spec.name!r} has no seed parameter; "
-                f"--seed does not apply"
-            )
-        overrides.setdefault("seed", str(seed))
-    return overrides
-
-
 def _write_artifact(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text + "\n")
@@ -129,8 +104,8 @@ def _write_artifact(text: str, path: str) -> None:
         print(f"wrote {path}")
 
 
-def _default_journal_path(json_path: Optional[str], experiment: str) -> str:
-    """Where the sweep journal lives when --journal is not given.
+def _journal_path(json_path: Optional[str], experiment: str) -> str:
+    """Where a fresh sweep's journal lives.
 
     Sits next to the artifact it is building (``f8.json`` →
     ``f8.partial.jsonl``); falls back to the experiment name when the
@@ -182,10 +157,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = REGISTRY.get(args.experiment)
-    overrides = _apply_shorthands(
-        spec, _parse_param_flags(args.param), args.cpus, args.seed
-    )
-    result = spec.run(overrides, quick=args.quick)
+    result = spec.run(_parse_param_flags(args.param), quick=args.quick)
     if args.json != "-":
         print(result.summary())
     if args.json is not None:
@@ -194,31 +166,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_resume_hint(
-    interrupt: OrchestrationInterrupted, command: str, json_flag: Optional[str]
+    interrupt: OrchestrationInterrupted, json_flag: Optional[str]
 ) -> None:
     print(f"interrupted: {interrupt}", file=sys.stderr)
     suffix = f" --json {json_flag}" if json_flag is not None else ""
     print(
-        f"resume with: python -m repro {command} --resume "
+        f"resume with: python -m repro sweep --resume "
         f"{interrupt.journal_path}{suffix}",
         file=sys.stderr,
     )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    policy = RetryPolicy(
-        max_retries=args.max_retries,
-        backoff_base_s=args.backoff,
-        backoff_cap_s=args.backoff_cap,
-        seed=args.retry_seed,
-        timeout_s=args.timeout,
-    )
-    chaos = None
-    if args.chaos is not None:
-        chaos = ChaosPlan.parse(
-            args.chaos, seed=args.chaos_seed, hang_s=args.chaos_hang
-        )
-
+    chaos = ChaosPlan.parse(args.chaos) if args.chaos is not None else None
     verbose = args.json != "-"
 
     def notify(message: str) -> None:
@@ -226,10 +186,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(message, file=sys.stderr)
 
     if args.resume is not None:
-        if args.experiment is not None or args.param:
+        if args.experiment is not None or args.param or args.quick:
             raise ParameterError(
-                "--resume takes the experiment and grid from the journal "
-                "header; drop the positional experiment and --param flags"
+                "--resume takes the experiment, grid and --quick from the "
+                "journal header; drop the positional experiment, --param "
+                "and --quick flags"
             )
         journal_path = args.resume
         name = None
@@ -240,17 +201,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "sweep needs an experiment (or --resume JOURNAL)"
             )
         spec = REGISTRY.get(args.experiment)
-        grid = _apply_shorthands(
-            spec, _parse_param_flags(args.param), None, args.seed
-        )
+        grid = _parse_param_flags(args.param)
         if not grid:
             raise ParameterError(
                 "sweep needs at least one --param name=v1,v2,... axis"
             )
         name = spec.name
-        journal_path = args.journal or _default_journal_path(
-            args.json, spec.name
-        )
+        journal_path = _journal_path(args.json, spec.name)
 
     try:
         report = orchestrate_sweep(
@@ -261,12 +218,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             quick=args.quick,
             resume=args.resume is not None,
             retry_failed=args.retry_failed,
-            policy=policy,
+            timeout_s=args.timeout,
             chaos=chaos,
             on_event=notify,
         )
     except OrchestrationInterrupted as interrupt:
-        _print_resume_hint(interrupt, "sweep", args.json)
+        _print_resume_hint(interrupt, args.json)
         return EXIT_INTERRUPTED
 
     artifact = report.artifact
@@ -300,11 +257,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if not args.keep_journal:
-        try:
-            os.unlink(report.journal_path)
-        except OSError:
-            pass
+    try:
+        os.unlink(report.journal_path)
+    except OSError:
+        pass
     return 0
 
 
@@ -406,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         p.add_argument(
-            "--seed", type=int, help="shorthand for --param seed=S"
-        )
-        p.add_argument(
             "--quick", action="store_true",
             help="apply the experiment's quick-mode parameter overrides",
         )
@@ -419,9 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment")
     add_run_flags(p_run, sweep=False)
-    p_run.add_argument(
-        "--cpus", type=int, help="shorthand for --param n_cpus=N"
-    )
     p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser(
@@ -431,13 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes (default 1)",
-    )
-    p_sweep.add_argument(
-        "--journal", metavar="PATH",
-        help=(
-            "crash-safety journal path (default: the --json path with a "
-            ".partial.jsonl suffix, else EXPERIMENT.partial.jsonl)"
-        ),
     )
     p_sweep.add_argument(
         "--resume", metavar="JOURNAL",
@@ -456,42 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
         "point retried (default: no timeout)",
     )
     p_sweep.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="retries per failing point before it becomes a FAILED row "
-        "(default 2)",
-    )
-    p_sweep.add_argument(
-        "--backoff", type=float, default=0.1, metavar="SECONDS",
-        help="base retry backoff; doubles per failure (default 0.1)",
-    )
-    p_sweep.add_argument(
-        "--backoff-cap", type=float, default=5.0, metavar="SECONDS",
-        help="backoff ceiling (default 5.0)",
-    )
-    p_sweep.add_argument(
-        "--retry-seed", type=int, default=0, metavar="S",
-        help="seed for the deterministic backoff jitter (default 0)",
-    )
-    p_sweep.add_argument(
-        "--keep-journal", action="store_true",
-        help="keep the journal after a fully successful sweep "
-        "(default: delete it; it is always kept on failure/interrupt)",
-    )
-    p_sweep.add_argument(
         "--chaos", metavar="SPEC",
         help=(
-            "inject seeded faults for testing: comma-separated mode=index "
+            "inject faults for testing: comma-separated mode=index "
             "terms, ':' separating indices — e.g. 'kill=1:3,hang=5,abort=4' "
             "(modes: kill, hang, raise, corrupt, nondet, abort)"
         ),
-    )
-    p_sweep.add_argument(
-        "--chaos-seed", type=int, default=0, metavar="S",
-        help="seed for chaos payload perturbation (default 0)",
-    )
-    p_sweep.add_argument(
-        "--chaos-hang", type=float, default=30.0, metavar="SECONDS",
-        help="how long the 'hang' chaos mode stalls a worker (default 30)",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 

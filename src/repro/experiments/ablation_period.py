@@ -54,8 +54,8 @@ def _low_rate_params() -> PulseParameters:
 )
 def ablation_period_experiment(
     *,
-    sim_seconds: float = 10.0,
-    seed: Optional[int] = None,
+    sim_seconds: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Exercise period adaptation and enforcement-granularity effects."""
     # --- Part 1: period adaptation on a low-rate consumer -------------

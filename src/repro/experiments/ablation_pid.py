@@ -107,9 +107,9 @@ def _evaluate(
 )
 def ablation_pid_experiment(
     *,
-    labels: Sequence[str] = DEFAULT_GAIN_LABELS,
-    sim_seconds: float = 8.0,
-    seed: Optional[int] = None,
+    labels: Sequence[str],
+    sim_seconds: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Sweep the chosen default PID gain settings on the pulse workload."""
     by_label = {setting[0]: setting for setting in DEFAULT_GAIN_SETTINGS}

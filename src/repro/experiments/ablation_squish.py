@@ -84,9 +84,9 @@ def _run_with_policy(
 )
 def ablation_squish_experiment(
     *,
-    importances: Sequence[float] = DEFAULT_IMPORTANCES,
-    sim_seconds: float = 8.0,
-    seed: Optional[int] = None,
+    importances: Sequence[float],
+    sim_seconds: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Compare fair-share and weighted-fair-share squishing."""
     result = ExperimentResult(

@@ -118,14 +118,14 @@ def _churn_metrics(
 )
 def churn_webfarm_experiment(
     *,
-    n_cpus: int = 4,
-    n_servers: int = 2,
-    requests_per_second: float = 150.0,
-    jobs_per_second: float = 60.0,
-    job_cpu_us: int = 5_000,
-    think_us: int = 800,
-    duration_s: float = 2.0,
-    seed: Optional[int] = 17,
+    n_cpus: int,
+    n_servers: int,
+    requests_per_second: float,
+    jobs_per_second: float,
+    job_cpu_us: int,
+    think_us: int,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """A web farm keeps serving while batch jobs churn around it.
 
@@ -197,14 +197,14 @@ def churn_webfarm_experiment(
 )
 def tidal_pipeline_experiment(
     *,
-    n_cpus: int = 1,
-    low_rps: float = 40.0,
-    high_rps: float = 160.0,
-    phase_s: float = 0.5,
-    job_cpu_us: int = 3_000,
-    io_latency_us: int = 1_200,
-    duration_s: float = 2.0,
-    seed: Optional[int] = 23,
+    n_cpus: int,
+    low_rps: float,
+    high_rps: float,
+    phase_s: float,
+    job_cpu_us: int,
+    io_latency_us: int,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Arrival rate rises and falls like a tide while jobs flow through.
 
@@ -279,13 +279,13 @@ def tidal_pipeline_experiment(
 )
 def thundering_herd_experiment(
     *,
-    n_cpus: int = 2,
-    herd_size: int = 40,
-    n_waves: int = 4,
-    wave_interval_s: float = 0.5,
-    job_cpu_us: int = 3_000,
-    duration_s: float = 2.2,
-    seed: Optional[int] = None,
+    n_cpus: int,
+    herd_size: int,
+    n_waves: int,
+    wave_interval_s: float,
+    job_cpu_us: int,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Every wave drops ``herd_size`` jobs on the system at one instant.
 
@@ -404,15 +404,15 @@ def build_flash_crowd_workload(
 )
 def flash_crowd_rt_experiment(
     *,
-    n_cpus: int = 1,
-    base_rps: float = 30.0,
-    flash_rps: float = 300.0,
-    flash_start_s: float = 0.6,
-    flash_end_s: float = 1.2,
-    rt_ppt: int = 80,
-    job_cpu_us: int = 4_000,
-    duration_s: float = 2.0,
-    seed: Optional[int] = 29,
+    n_cpus: int,
+    base_rps: float,
+    flash_rps: float,
+    flash_start_s: float,
+    flash_end_s: float,
+    rt_ppt: int,
+    job_cpu_us: int,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """A flash crowd of real-time jobs hits per-arrival admission.
 
@@ -492,10 +492,10 @@ DEFAULT_TRACE = _default_trace()
 )
 def trace_replay_experiment(
     *,
-    trace_file: str = "",
-    n_cpus: int = 1,
-    duration_s: float = 1.0,
-    seed: Optional[int] = None,
+    trace_file: str,
+    n_cpus: int,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Drive the system with a recorded arrival trace.
 

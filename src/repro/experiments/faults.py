@@ -83,15 +83,15 @@ def _paced_worker(compute_us: int, sleep_us: int):
 )
 def cpu_failover_experiment(
     *,
-    n_cpus: int = 4,
-    fail_cpu: int = 1,
-    fail_at_s: float = 0.25,
-    outage_s: float = 0.35,
-    n_reserved: int = 6,
-    rt_ppt: int = 550,
-    n_best_effort: int = 2,
-    duration_s: float = 1.0,
-    seed: Optional[int] = 17,
+    n_cpus: int,
+    fail_cpu: int,
+    fail_at_s: float,
+    outage_s: float,
+    n_reserved: int,
+    rt_ppt: int,
+    n_best_effort: int,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Does the system degrade gracefully when a CPU dies under load?
 
@@ -240,13 +240,13 @@ def _run_runaway_pass(
 )
 def runaway_quarantine_experiment(
     *,
-    n_cpus: int = 1,
-    n_reserved: int = 4,
-    rt_ppt: int = 220,
-    runaway_at_s: float = 0.1,
-    runaway_for_s: float = 0.4,
-    duration_s: float = 0.8,
-    seed: Optional[int] = 23,
+    n_cpus: int,
+    n_reserved: int,
+    rt_ppt: int,
+    runaway_at_s: float,
+    runaway_for_s: float,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """What does quarantine buy the well-behaved reservations?
 
@@ -386,13 +386,13 @@ def _run_pipeline_pass(
 )
 def sensor_dropout_experiment(
     *,
-    dropout_at_s: float = 0.3,
-    dropout_for_s: float = 0.3,
-    corrupt_at_s: float = 0.9,
-    corrupt_for_s: float = 0.3,
-    corrupt_magnitude: float = 1.5,
-    duration_s: float = 1.5,
-    seed: Optional[int] = 31,
+    dropout_at_s: float,
+    dropout_for_s: float,
+    corrupt_at_s: float,
+    corrupt_for_s: float,
+    corrupt_magnitude: float,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """How much does the pipeline lose when the decoder's sensor lies?
 

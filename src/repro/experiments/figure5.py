@@ -73,10 +73,10 @@ def _dummy_body(env):
 )
 def figure5_experiment(
     *,
-    process_counts: Sequence[int] = DEFAULT_PROCESS_COUNTS,
-    controller_period_us: int = 10_000,
-    sim_seconds: float = 2.0,
-    seed: Optional[int] = None,
+    process_counts: Sequence[int],
+    controller_period_us: int,
+    sim_seconds: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Reproduce Figure 5: controller overhead vs. controlled processes."""
     counts: list[float] = []

@@ -180,10 +180,10 @@ def _collect(
 )
 def figure6_experiment(
     *,
-    small_schedule: bool = False,
-    extra_seconds: float = 1.0,
-    n_cpus: int = 1,
-    seed: Optional[int] = None,
+    small_schedule: bool,
+    extra_seconds: float,
+    n_cpus: int,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Reproduce Figure 6: the pulse pipeline on an otherwise idle system."""
     params = PulseParameters()

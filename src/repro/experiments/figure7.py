@@ -66,11 +66,11 @@ def _correlation(xs: list[float], ys: list[float]) -> float:
 )
 def figure7_experiment(
     *,
-    small_schedule: bool = False,
-    hog_importance: float = 1.0,
-    extra_seconds: float = 1.0,
-    n_cpus: int = 1,
-    seed: Optional[int] = None,
+    small_schedule: bool,
+    hog_importance: float,
+    extra_seconds: float,
+    n_cpus: int,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Reproduce Figure 7: the pulse pipeline with a competing CPU hog."""
     params = PulseParameters()

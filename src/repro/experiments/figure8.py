@@ -102,11 +102,11 @@ def _available_fraction(
 )
 def figure8_experiment(
     *,
-    frequencies_hz: Sequence[float] = DEFAULT_FREQUENCIES_HZ,
-    sim_seconds: float = 2.0,
-    dispatch_cost_us: float = CALIBRATED_BASE_COST_US,
-    dispatch_cost_quadratic_us: float = CALIBRATED_QUADRATIC_COST_US,
-    seed: Optional[int] = None,
+    frequencies_hz: Sequence[float],
+    sim_seconds: float,
+    dispatch_cost_us: float,
+    dispatch_cost_quadratic_us: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Reproduce Figure 8: available CPU vs. dispatcher frequency."""
     if BASELINE_FREQUENCY_HZ not in frequencies_hz:

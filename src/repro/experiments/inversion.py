@@ -67,8 +67,8 @@ def _run_real_rate(sim_seconds: float) -> tuple[InversionScenario, Kernel]:
 )
 def inversion_experiment(
     *,
-    sim_seconds: float = 10.0,
-    seed: Optional[int] = None,
+    sim_seconds: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Compare the inversion scenario across the three schedulers."""
     no_pi, kernel_a = _run_priority(sim_seconds, inheritance=False)

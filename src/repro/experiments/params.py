@@ -7,8 +7,9 @@ other.  :class:`~repro.experiments.registry.ExperimentSpec` enforces
 both: registration fails without a ``seed`` parameter, and a run fails
 without a fingerprint.  The spec stamps the seed itself; this module's
 :func:`stamp_reproducibility` is the one place the fingerprint is
-written.  Declaring the parameter once keeps its help text and default
-identical across the registry.
+written.  :data:`SEED_PARAM` is the shared ``seed`` declaration of the
+two smoke matrices; every other experiment declares its own ``seed``
+with its own default and help text.
 """
 
 from __future__ import annotations

@@ -13,12 +13,15 @@ decorator::
         ),
         quick={"sim_seconds": 0.4},
     )
-    def figure8_experiment(*, sim_seconds=2.0, seed=None):
+    def figure8_experiment(*, sim_seconds, seed):
         ...
 
 The decorator builds an :class:`ExperimentSpec` — name, description,
 tags, a typed parameter schema with defaults/bounds and quick-mode
 overrides — and registers it in the module-level :data:`REGISTRY`.
+The function's keywords carry no defaults: each :class:`Param` is the
+one place its default lives, and :meth:`ExperimentSpec.run` passes
+every value.
 :meth:`ExperimentSpec.run` is the one way to run an experiment:
 the ``python -m repro`` CLI, the sweep runner, the benchmarks, the
 examples and the tests all go through it.

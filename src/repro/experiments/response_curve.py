@@ -120,12 +120,12 @@ def _run_level(
 )
 def response_curve_experiment(
     *,
-    rates: Sequence[float] = DEFAULT_RATES,
-    workload: str = "batch",
-    n_cpus: int = 1,
-    job_cpu_us: int = 3_000,
-    duration_s: float = 1.5,
-    seed: Optional[int] = 41,
+    rates: Sequence[float],
+    workload: str,
+    n_cpus: int,
+    job_cpu_us: int,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Sweep the arrival rate; report percentile latency vs offered load.
 

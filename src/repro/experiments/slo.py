@@ -104,17 +104,17 @@ def _run_pass(
 )
 def slo_flash_crowd_experiment(
     *,
-    n_cpus: int = 1,
-    base_rps: float = 30.0,
-    flash_rps: float = 300.0,
-    flash_start_s: float = 0.6,
-    flash_end_s: float = 1.2,
-    rt_ppt: int = 80,
-    job_cpu_us: int = 4_000,
-    target_p99_ms: float = 40.0,
-    slo_period_ms: float = 50.0,
-    duration_s: float = 2.0,
-    seed: Optional[int] = 29,
+    n_cpus: int,
+    base_rps: float,
+    flash_rps: float,
+    flash_start_s: float,
+    flash_end_s: float,
+    rt_ppt: int,
+    job_cpu_us: int,
+    target_p99_ms: float,
+    slo_period_ms: float,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Does chasing p99 beat chasing progress pressure on the flash crowd?
 

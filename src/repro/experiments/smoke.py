@@ -219,7 +219,7 @@ def _run_cell(
     tags=("smoke", "churn", "smp", "topology"),
     params=(SEED_PARAM,),
 )
-def churn_smoke_experiment(*, seed: Optional[int] = None) -> ExperimentResult:
+def churn_smoke_experiment(*, seed: Optional[int]) -> ExperimentResult:
     """Pin the churn recipe's dispatches under every scheduler."""
     result = ExperimentResult(
         experiment_id="churn_smoke",
@@ -246,7 +246,7 @@ def churn_smoke_experiment(*, seed: Optional[int] = None) -> ExperimentResult:
     tags=("smoke", "faults", "smp"),
     params=(SEED_PARAM,),
 )
-def fault_smoke_experiment(*, seed: Optional[int] = None) -> ExperimentResult:
+def fault_smoke_experiment(*, seed: Optional[int]) -> ExperimentResult:
     """Pin the fault recipe's dispatches under every scheduler."""
     result = ExperimentResult(
         experiment_id="fault_smoke",

@@ -69,13 +69,13 @@ DEFAULT_CPU_COUNTS = (1, 2, 4, 8)
 )
 def smp_scaling_experiment(
     *,
-    n_cpus: Sequence[int] = DEFAULT_CPU_COUNTS,
-    n_servers: int = 8,
-    requests_per_second: float = 150.0,
-    service_cpu_us: int = 1_500,
-    duration_s: float = 3.0,
-    pin: bool = False,
-    seed: Optional[int] = None,
+    n_cpus: Sequence[int],
+    n_servers: int,
+    requests_per_second: float,
+    service_cpu_us: int,
+    duration_s: float,
+    pin: bool,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Sweep the web farm over kernels with increasing CPU counts."""
     offered_rps = n_servers * float(requests_per_second)

@@ -58,9 +58,9 @@ def _aperiodic_body(env):
 )
 def taxonomy_experiment(
     *,
-    sim_seconds: float = 10.0,
-    n_cpus: int = 1,
-    seed: Optional[int] = None,
+    sim_seconds: float,
+    n_cpus: int,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Run one thread of each Figure 2 class and report the outcome."""
     system = build_real_rate_system(n_cpus=n_cpus, record_dispatches=True)

@@ -151,17 +151,17 @@ def _run_pass(
 )
 def topology_placement_experiment(
     *,
-    topology: str = "2x2x2",
-    smt_migration_us: int = 25,
-    core_migration_us: int = 80,
-    socket_migration_us: int = 200,
-    placement: str = "cache_warm",
-    n_groups: int = 2,
-    group_size: int = 3,
-    rt_ppt: int = 180,
-    n_best_effort: int = 2,
-    duration_s: float = 1.0,
-    seed: Optional[int] = 41,
+    topology: str,
+    smt_migration_us: int,
+    core_migration_us: int,
+    socket_migration_us: int,
+    placement: str,
+    n_groups: int,
+    group_size: int,
+    rt_ppt: int,
+    n_best_effort: int,
+    duration_s: float,
+    seed: Optional[int],
 ) -> ExperimentResult:
     """Does topology awareness cut migration cost without hurting deadlines?
 

@@ -7,14 +7,13 @@ emitting a subtly different artifact on the second try.
 
 * :mod:`~repro.orchestration.journal` — the append-only, fsync'd
   ``*.partial.jsonl`` run journal and its torn-tail-tolerant loader;
-* :mod:`~repro.orchestration.retry` — the failure taxonomy (crash,
-  timeout, corrupted-result, fingerprint-mismatch-on-retry) and the
-  capped, deterministically jittered backoff policy;
 * :mod:`~repro.orchestration.worker` — the subprocess task loop;
 * :mod:`~repro.orchestration.runner` — the coordinator:
   :func:`~repro.orchestration.runner.orchestrate_sweep` (journaled,
-  resumable, byte-identical sweeps);
-* :mod:`~repro.orchestration.chaos` — seeded fault injection that
+  resumable, byte-identical sweeps), the failure taxonomy (crash,
+  timeout, corrupted-result, fingerprint-mismatch-on-retry) and the
+  immediate re-queue of a failed point;
+* :mod:`~repro.orchestration.chaos` — deterministic fault injection that
   proves all of the above end-to-end.
 """
 
@@ -28,16 +27,11 @@ from repro.orchestration.journal import (
     load_journal,
     result_fingerprint,
 )
-from repro.orchestration.retry import (
+from repro.orchestration.runner import (
     CORRUPTED_RESULT,
     CRASH,
-    FAILURE_KINDS,
     FINGERPRINT_MISMATCH,
-    RetryPolicy,
-    TERMINAL_KINDS,
     TIMEOUT,
-)
-from repro.orchestration.runner import (
     OrchestrationError,
     OrchestrationInterrupted,
     PointOutcome,
@@ -50,7 +44,6 @@ __all__ = [
     "CRASH",
     "ChaosError",
     "ChaosPlan",
-    "FAILURE_KINDS",
     "FINGERPRINT_MISMATCH",
     "JOURNAL_KIND",
     "JOURNAL_SCHEMA_VERSION",
@@ -60,9 +53,7 @@ __all__ = [
     "OrchestrationError",
     "OrchestrationInterrupted",
     "PointOutcome",
-    "RetryPolicy",
     "SweepReport",
-    "TERMINAL_KINDS",
     "TIMEOUT",
     "load_journal",
     "orchestrate_sweep",

@@ -1,4 +1,4 @@
-"""Seeded fault injection for the orchestration runner.
+"""Deterministic fault injection for the orchestration runner.
 
 The crash-safety contract ("an interrupted sweep resumes to a
 byte-identical artifact") is only as good as the failures it has been
@@ -11,19 +11,19 @@ Worker-side modes (triggered on a point's first ``trigger_attempts``
 attempts, so retries succeed and recovery is observable):
 
 * ``kill``   — the worker SIGKILLs itself before running the point
-  (exercises the :data:`~repro.orchestration.retry.CRASH` path);
-* ``hang``   — the worker sleeps ``hang_s`` before running
+  (exercises the :data:`~repro.orchestration.runner.CRASH` path);
+* ``hang``   — the worker sleeps :data:`HANG_S` before running
   (exercises the per-point ``--timeout`` kill);
 * ``raise``  — the point raises :class:`ChaosError` in the worker
   (the in-process crash flavour);
 * ``corrupt``— the result payload is returned with its
   ``experiment_id`` stripped, so schema validation rejects it but the
   dispatch fingerprint still matches the clean retry
-  (:data:`~repro.orchestration.retry.CORRUPTED_RESULT`, recoverable);
+  (:data:`~repro.orchestration.runner.CORRUPTED_RESULT`, recoverable);
 * ``nondet`` — like ``corrupt``, but the metrics are also perturbed,
   so the clean retry's fingerprint disagrees with the corrupted
   attempt's — the terminal
-  :data:`~repro.orchestration.retry.FINGERPRINT_MISMATCH`.
+  :data:`~repro.orchestration.runner.FINGERPRINT_MISMATCH`.
 
 Coordinator-side mode: ``abort=N`` stops the coordinator after ``N``
 newly journaled points, simulating a mid-sweep crash of the
@@ -49,6 +49,10 @@ from typing import Mapping, Optional, Union
 #: Worker-side injection modes.
 WORKER_MODES = ("kill", "hang", "raise", "corrupt", "nondet")
 
+#: How long the ``hang`` mode stalls a worker: far past any per-point
+#: timeout a test sets, so only the coordinator's kill ends it.
+HANG_S = 30.0
+
 _PathLike = Union[str, "os.PathLike[str]"]
 
 
@@ -63,18 +67,9 @@ class ChaosPlan:
     modes: Mapping[int, str] = field(default_factory=dict)
     abort_after: Optional[int] = None
     trigger_attempts: int = 1
-    hang_s: float = 30.0
-    seed: int = 0
 
     @classmethod
-    def parse(
-        cls,
-        spec: str,
-        *,
-        seed: int = 0,
-        hang_s: float = 30.0,
-        trigger_attempts: int = 1,
-    ) -> "ChaosPlan":
+    def parse(cls, spec: str, *, trigger_attempts: int = 1) -> "ChaosPlan":
         """Parse a ``--chaos`` spec string (see module docstring)."""
         modes: dict[int, str] = {}
         abort_after: Optional[int] = None
@@ -109,8 +104,6 @@ class ChaosPlan:
             modes=modes,
             abort_after=abort_after,
             trigger_attempts=trigger_attempts,
-            hang_s=hang_s,
-            seed=seed,
         )
 
     # ------------------------------------------------------------------
@@ -128,7 +121,7 @@ class ChaosPlan:
         elif mode == "hang":
             # Stall the worker; the coordinator's per-point timeout is
             # what ends this (time.sleep never touches simulated state).
-            time.sleep(self.hang_s)
+            time.sleep(HANG_S)
         elif mode == "raise":
             raise ChaosError(
                 f"injected failure at point {index} (attempt {attempt})"
@@ -144,7 +137,7 @@ class ChaosPlan:
             payload.pop("experiment_id", None)
         if mode == "nondet":
             metrics = dict(payload.get("metrics") or {})
-            metrics["__chaos_nondet__"] = float(self.seed + attempt)
+            metrics["__chaos_nondet__"] = float(attempt)
             payload["metrics"] = metrics
         return payload
 
@@ -175,6 +168,7 @@ def tear_journal_tail(path: _PathLike, *, keep_fraction: float = 0.5) -> int:
 __all__ = [
     "ChaosError",
     "ChaosPlan",
+    "HANG_S",
     "WORKER_MODES",
     "tear_journal_tail",
 ]

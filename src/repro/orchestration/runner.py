@@ -17,12 +17,21 @@ Timeout enforcement and chaos testing both require SIGKILLing an
 individual worker, and a kill mid-``queue.put`` can corrupt a shared
 queue for every sibling; a private pipe confines the damage to the one
 worker, whose pipe simply reads EOF.  Unexpected worker deaths are
-absorbed by respawning up to ``policy.max_worker_restarts`` times,
-after which the pool gracefully degrades to fewer workers (never below
-one) instead of thrashing on a poisoned host.
+absorbed by respawning up to :data:`MAX_WORKER_RESTARTS` times, after
+which the pool gracefully degrades to fewer workers (never below one)
+instead of thrashing on a poisoned host.
 
-Wall-clock time appears in this module only to pace retries and detect
-timeouts of the *harness*; it never feeds simulated state, charged
+Every way a grid point can fail has a name (:data:`CRASH`,
+:data:`TIMEOUT`, :data:`CORRUPTED_RESULT`, :data:`FINGERPRINT_MISMATCH`).
+A failed point is re-queued at once, up to :data:`MAX_RETRIES` times,
+then becomes a FAILED row.  A fingerprint mismatch ends the point at
+once: the point is nondeterministic, and no number of retries can tell
+which answer is right.  Points are local, deterministic simulations
+that contend for no shared resource, so there is nothing to wait out
+between attempts.
+
+Wall-clock time appears in this module only to enforce the per-point
+timeout of the *harness*; it never feeds simulated state, charged
 costs, or artifact content.
 """
 
@@ -44,14 +53,27 @@ from repro.orchestration.journal import (
     JournalError,
     result_fingerprint,
 )
-from repro.orchestration.retry import (
-    CORRUPTED_RESULT,
-    CRASH,
-    FINGERPRINT_MISMATCH,
-    TIMEOUT,
-    RetryPolicy,
-)
 from repro.orchestration.worker import worker_main
+
+#: Worker process death or in-worker exception.
+CRASH = "crash"
+
+#: Per-point deadline exceeded; the coordinator killed the worker.
+TIMEOUT = "timeout"
+
+#: The returned payload failed result-schema validation; the fingerprint
+#: it claimed is kept to cross-check the retry.
+CORRUPTED_RESULT = "corrupted-result"
+
+#: A retry's valid result disagrees with an earlier attempt (terminal).
+FINGERPRINT_MISMATCH = "fingerprint-mismatch-on-retry"
+
+#: Attempts beyond the first before a failing point becomes a FAILED row.
+MAX_RETRIES = 2
+
+#: Unexpected worker deaths absorbed by respawning before the pool
+#: degrades to fewer workers.
+MAX_WORKER_RESTARTS = 3
 
 #: Ceiling on one blocking wait, so the loop re-checks deadlines and
 #: stays responsive even if an event source misbehaves.
@@ -87,7 +109,7 @@ class _AbortInjected(Exception):
 
 
 def _now_s() -> float:
-    # repro-lint: disable=determinism -- harness scheduling only (retry pacing, timeout deadlines); never feeds simulated state or artifacts
+    # repro-lint: disable=determinism -- harness timeout deadlines only; never feeds simulated state or artifacts
     return time.monotonic()
 
 
@@ -128,7 +150,6 @@ class _Task:
     key: str
     params: dict[str, Any]
     attempt: int
-    not_before: float = 0.0
     deadline: Optional[float] = None
 
 
@@ -178,7 +199,7 @@ class _PoolRunner:
     quick: bool
     tasks: list[_Task]
     jobs: int
-    policy: RetryPolicy
+    timeout_s: Optional[float]
     chaos: Optional[ChaosPlan]
     journal: Journal
     already_done: int
@@ -192,9 +213,9 @@ class _PoolRunner:
     deaths: int = 0
 
     def run(self) -> dict[int, PointOutcome]:
-        self.ready = sorted(self.tasks, key=lambda t: t.index)
+        self.ready = list(self.tasks)
         ctx = multiprocessing.get_context()
-        n_workers = max(1, min(self.jobs, len(self.tasks)))
+        n_workers = min(self.jobs, len(self.tasks))
         self.workers = [_Worker(ctx, self.chaos) for _ in range(n_workers)]
         try:
             self._loop()
@@ -216,14 +237,10 @@ class _PoolRunner:
         while self.ready or any(w.busy for w in self.workers):
             now = _now_s()
             self._dispatch(now)
-            timeout = self._wait_timeout(now)
-            busy = [w for w in self.workers if w.busy]
+            busy = {w.conn: w for w in self.workers if w.busy}
             if busy:
-                by_conn = {w.conn: w for w in busy}
-                for conn in mp_connection.wait(list(by_conn), timeout):
-                    self._drain(by_conn[conn])
-            elif timeout > 0:
-                time.sleep(timeout)
+                for conn in mp_connection.wait(list(busy), self._wait_timeout(now)):
+                    self._drain(busy[conn])
             self._reap_timeouts(_now_s())
 
     def _dispatch(self, now: float) -> None:
@@ -233,11 +250,9 @@ class _PoolRunner:
             if not worker.process.is_alive():
                 self._worker_died(worker)
                 continue
-            if self.ready[0].not_before > now:
-                break  # earliest retry still backing off
             task = self.ready.pop(0)
-            if self.policy.timeout_s is not None:
-                task.deadline = now + self.policy.timeout_s
+            if self.timeout_s is not None:
+                task.deadline = now + self.timeout_s
             try:
                 worker.send_task(task, self.name, self.quick)
             except (BrokenPipeError, OSError):
@@ -250,10 +265,6 @@ class _PoolRunner:
         for worker in self.workers:
             if worker.task is not None and worker.task.deadline is not None:
                 candidates.append(worker.task.deadline - now)
-        if self.ready:
-            idle = any(not w.busy for w in self.workers)
-            if idle or not any(w.busy for w in self.workers):
-                candidates.append(self.ready[0].not_before - now)
         return max(min(candidates), 0.0)
 
     # ------------------------------------------------------------------
@@ -320,21 +331,15 @@ class _PoolRunner:
     def _fail(self, task: _Task, kind: str, detail: str) -> None:
         self.failures[task.key] = self.failures.get(task.key, 0) + 1
         n = self.failures[task.key]
-        if self.policy.should_retry(kind, n):
-            delay = self.policy.backoff_s(task.key, n)
+        if kind != FINGERPRINT_MISMATCH and n <= MAX_RETRIES:
             self.on_event(
                 f"point {task.index} {kind} on attempt {task.attempt}; "
-                f"retry {n}/{self.policy.max_retries} in {delay:.2f}s"
+                f"retry {n}/{MAX_RETRIES}"
             )
-            retry = _Task(
-                index=task.index,
-                key=task.key,
-                params=task.params,
-                attempt=n + 1,
-                not_before=_now_s() + delay,
+            self.ready.append(
+                _Task(index=task.index, key=task.key, params=task.params,
+                      attempt=n + 1)
             )
-            self.ready.append(retry)
-            self.ready.sort(key=lambda t: (t.not_before, t.index))
             return
         error = {"kind": kind, "detail": detail, "attempts": n}
         self.outcomes[task.index] = PointOutcome(
@@ -375,7 +380,7 @@ class _PoolRunner:
             self._fail(
                 task,
                 TIMEOUT,
-                f"no result within {self.policy.timeout_s}s; worker killed",
+                f"no result within {self.timeout_s}s; worker killed",
             )
 
     def _worker_died(self, worker: _Worker) -> None:
@@ -393,21 +398,21 @@ class _PoolRunner:
 
         A deliberate kill (timeout enforcement) always respawns —
         the host is healthy, the *point* misbehaved.  Unexpected
-        deaths respawn only within ``max_worker_restarts``; beyond
+        deaths respawn only within :data:`MAX_WORKER_RESTARTS`; beyond
         that the pool degrades, but never below one worker (the
         dead worker's task is about to be re-queued and someone must
         still run it — per-point retry limits bound the damage).
         """
         if worker in self.workers:
             self.workers.remove(worker)
-        within_budget = deliberate or self.deaths <= self.policy.max_worker_restarts
+        within_budget = deliberate or self.deaths <= MAX_WORKER_RESTARTS
         if within_budget or not self.workers:
             ctx = multiprocessing.get_context()
             self.workers.append(_Worker(ctx, self.chaos))
         else:
             self.on_event(
                 f"worker died unexpectedly {self.deaths} times "
-                f"(> max_worker_restarts={self.policy.max_worker_restarts}); "
+                f"(> MAX_WORKER_RESTARTS={MAX_WORKER_RESTARTS}); "
                 f"degrading pool to {len(self.workers)} worker(s)"
             )
 
@@ -432,7 +437,7 @@ def orchestrate_sweep(
     quick: bool = False,
     resume: bool = False,
     retry_failed: bool = False,
-    policy: Optional[RetryPolicy] = None,
+    timeout_s: Optional[float] = None,
     chaos: Optional[ChaosPlan] = None,
     on_event: Optional[Callable[[str], None]] = None,
 ) -> SweepReport:
@@ -441,14 +446,20 @@ def orchestrate_sweep(
     Fresh runs need ``name`` and ``grid`` and refuse to overwrite an
     existing journal.  With ``resume=True`` the experiment, grid and
     quick flag are taken from the journal header — resume may change
-    *how* the remaining points run (jobs, timeouts, retry budget), but
-    never *what* runs.  ``retry_failed`` re-runs points recorded as
-    FAILED; everything else in the journal is skipped.
+    *how* the remaining points run (``jobs``, ``timeout_s``), but never
+    *what* runs.  ``retry_failed`` re-runs points recorded as FAILED;
+    everything else in the journal is skipped.  ``timeout_s`` of
+    ``None`` disables the per-point deadline.
 
     Raises :class:`OrchestrationInterrupted` on SIGINT or an injected
     abort, with the journal intact and flushed.
     """
-    policy = policy or RetryPolicy()
+    if jobs < 1:
+        raise OrchestrationError(f"jobs must be at least 1, got {jobs}")
+    if timeout_s is not None and timeout_s <= 0:
+        raise OrchestrationError(
+            f"timeout must be a positive number of seconds, got {timeout_s}"
+        )
     notify = on_event or (lambda message: None)
     done: dict[str, JournalEntry] = {}
     journal: Optional[Journal] = None
@@ -510,7 +521,7 @@ def orchestrate_sweep(
             quick=quick,
             tasks=pending,
             jobs=jobs,
-            policy=policy,
+            timeout_s=timeout_s,
             chaos=chaos,
             journal=journal,
             already_done=resumed,
@@ -545,9 +556,15 @@ def orchestrate_sweep(
 
 
 __all__ = [
+    "CORRUPTED_RESULT",
+    "CRASH",
+    "FINGERPRINT_MISMATCH",
+    "MAX_RETRIES",
+    "MAX_WORKER_RESTARTS",
     "OrchestrationError",
     "OrchestrationInterrupted",
     "PointOutcome",
     "SweepReport",
+    "TIMEOUT",
     "orchestrate_sweep",
 ]

@@ -47,7 +47,7 @@ class TestRun:
     def test_run_quick_with_json_artifact(self, tmp_path, capsys):
         out_path = tmp_path / "figure8.json"
         code = main([
-            "run", "figure8", "--quick", "--seed", "1",
+            "run", "figure8", "--quick", "--param", "seed=1",
             "--param", "sim_seconds=0.2", "--json", str(out_path),
         ])
         assert code == 0
@@ -83,8 +83,8 @@ class TestRun:
         assert main(["run", "figure8", "--param", "sim_seconds"]) == 2
         assert "name=value" in capsys.readouterr().err
 
-    def test_cpus_shorthand_requires_n_cpus_param(self, capsys):
-        assert main(["run", "figure8", "--cpus", "2"]) == 2
+    def test_n_cpus_on_a_uniprocessor_experiment_is_an_error(self, capsys):
+        assert main(["run", "figure8", "--param", "n_cpus=2"]) == 2
         assert "n_cpus" in capsys.readouterr().err
 
     def test_unknown_experiment(self, capsys):

@@ -14,10 +14,8 @@ import pytest
 import repro.experiments  # noqa: F401 — importing populates the registry
 from repro.experiments.sweep import run_sweep, sweep_to_json
 from repro.orchestration import (
-    CORRUPTED_RESULT,
     CRASH,
     FINGERPRINT_MISMATCH,
-    TIMEOUT,
     ChaosError,
     ChaosPlan,
     JOURNAL_KIND,
@@ -25,19 +23,17 @@ from repro.orchestration import (
     Journal,
     JournalEntry,
     JournalError,
+    OrchestrationError,
     OrchestrationInterrupted,
-    RetryPolicy,
     load_journal,
     orchestrate_sweep,
     result_fingerprint,
     tear_journal_tail,
 )
+from repro.orchestration.runner import MAX_RETRIES, MAX_WORKER_RESTARTS
 
 #: One small, fast grid reused across the end-to-end tests (~8 ms/point).
 GRID = {"sim_seconds": "0.1", "seed": "0,1,2,3"}
-
-#: A retry policy with near-zero backoff so tests never sleep long.
-FAST_RETRY = RetryPolicy(max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.02)
 
 
 def serial_reference() -> str:
@@ -170,48 +166,6 @@ class TestResultFingerprint:
 
 
 # ----------------------------------------------------------------------
-# retry policy
-# ----------------------------------------------------------------------
-class TestRetryPolicy:
-    def test_backoff_doubles_and_caps(self):
-        policy = RetryPolicy(
-            max_retries=10, backoff_base_s=0.1, backoff_cap_s=0.5, jitter=0.0
-        )
-        delays = [policy.backoff_s("k", n) for n in range(1, 6)]
-        assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
-
-    def test_backoff_is_deterministic_across_instances(self):
-        a = RetryPolicy(seed=7)
-        b = RetryPolicy(seed=7)
-        assert [a.backoff_s("k", n) for n in (1, 2, 3)] == [
-            b.backoff_s("k", n) for n in (1, 2, 3)
-        ]
-        assert a.backoff_s("k", 1) != RetryPolicy(seed=8).backoff_s("k", 1)
-
-    def test_jitter_stays_under_the_cap(self):
-        policy = RetryPolicy(
-            max_retries=20, backoff_base_s=1.0, backoff_cap_s=2.0, jitter=0.5
-        )
-        for n in range(1, 20):
-            assert 0.0 < policy.backoff_s("k", n) <= 2.0
-
-    def test_terminal_kinds_never_retry(self):
-        policy = RetryPolicy(max_retries=5)
-        assert policy.should_retry(CRASH, 1)
-        assert policy.should_retry(TIMEOUT, 5)
-        assert not policy.should_retry(CRASH, 6)
-        assert not policy.should_retry(FINGERPRINT_MISMATCH, 1)
-
-    def test_rejects_nonsense_configuration(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base_s=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_s=0.0)
-
-
-# ----------------------------------------------------------------------
 # chaos plan
 # ----------------------------------------------------------------------
 class TestChaosPlan:
@@ -262,7 +216,6 @@ class TestOrchestrateSweep:
         report = orchestrate_sweep(
             "figure8", GRID, quick=True, jobs=2,
             journal_path=str(tmp_path / "run.partial.jsonl"),
-            policy=FAST_RETRY,
             chaos=ChaosPlan.parse("kill=1,raise=2,corrupt=3"),
         )
         assert report.failed == []
@@ -302,12 +255,14 @@ class TestOrchestrateSweep:
         report = orchestrate_sweep(
             "figure8", GRID, quick=True,
             journal_path=str(tmp_path / "run.partial.jsonl"),
-            policy=FAST_RETRY,
             chaos=ChaosPlan.parse("nondet=0"),
         )
         assert [o.index for o in report.failed] == [0]
         error = report.failed[0].error
         assert error["kind"] == FINGERPRINT_MISMATCH
+        # Terminal: the corrupted first attempt and the mismatching
+        # second end the point, with retries to spare.
+        assert error["attempts"] == 2
         point = report.artifact["points"][0]
         assert point["result"] is None
         assert point["error"]["kind"] == FINGERPRINT_MISMATCH
@@ -319,20 +274,18 @@ class TestOrchestrateSweep:
         report = orchestrate_sweep(
             "figure8", GRID, quick=True,
             journal_path=str(tmp_path / "run.partial.jsonl"),
-            policy=FAST_RETRY,
             chaos=ChaosPlan(modes={0: "raise"}, trigger_attempts=99),
         )
         assert [o.index for o in report.failed] == [0]
         error = report.failed[0].error
         assert error["kind"] == CRASH
-        assert error["attempts"] == FAST_RETRY.max_retries + 1
+        assert error["attempts"] == MAX_RETRIES + 1
 
     def test_retry_failed_reruns_failed_rows(self, tmp_path):
         journal_path = str(tmp_path / "run.partial.jsonl")
         orchestrate_sweep(
             "figure8", GRID, quick=True,
             journal_path=journal_path,
-            policy=FAST_RETRY,
             chaos=ChaosPlan(modes={0: "raise"}, trigger_attempts=99),
         )
         # without --retry-failed the FAILED row is kept as-is
@@ -350,11 +303,8 @@ class TestOrchestrateSweep:
         report = orchestrate_sweep(
             "figure8", GRID, quick=True,
             journal_path=str(tmp_path / "run.partial.jsonl"),
-            policy=RetryPolicy(
-                max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.02,
-                timeout_s=1.0,
-            ),
-            chaos=ChaosPlan.parse("hang=1", hang_s=30.0),
+            timeout_s=1.0,
+            chaos=ChaosPlan.parse("hang=1"),
         )
         assert report.failed == []
         timed_out = [o for o in report.outcomes if o.index == 1]
@@ -362,15 +312,13 @@ class TestOrchestrateSweep:
         assert sweep_to_json(report.artifact) == serial_reference()
 
     def test_pool_degrades_but_finishes_after_repeated_deaths(self, tmp_path):
+        # Four kills, one past the respawn budget of three.
+        assert MAX_WORKER_RESTARTS == 3
         events = []
         report = orchestrate_sweep(
             "figure8", GRID, quick=True, jobs=2,
             journal_path=str(tmp_path / "run.partial.jsonl"),
-            policy=RetryPolicy(
-                max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.02,
-                max_worker_restarts=0,
-            ),
-            chaos=ChaosPlan.parse("kill=0:1:2"),
+            chaos=ChaosPlan.parse("kill=0:1:2:3"),
             on_event=events.append,
         )
         assert report.failed == []
@@ -386,3 +334,18 @@ class TestOrchestrateSweep:
             orchestrate_sweep(
                 "figure8", GRID, quick=True, journal_path=journal_path
             )
+
+    def test_rejects_nonsense_configuration(self, tmp_path):
+        journal_path = tmp_path / "run.partial.jsonl"
+        with pytest.raises(OrchestrationError, match="jobs"):
+            orchestrate_sweep(
+                "figure8", GRID, quick=True, jobs=0,
+                journal_path=str(journal_path),
+            )
+        for timeout_s in (0.0, -1.0):
+            with pytest.raises(OrchestrationError, match="timeout"):
+                orchestrate_sweep(
+                    "figure8", GRID, quick=True, timeout_s=timeout_s,
+                    journal_path=str(journal_path),
+                )
+        assert not journal_path.exists()

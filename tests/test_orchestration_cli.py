@@ -41,14 +41,6 @@ class TestSweepCli:
         assert out.read_text() == fast_reference()
         assert not (tmp_path / "f8.partial.jsonl").exists()
 
-    def test_keep_journal_flag(self, tmp_path, capsys):
-        out = tmp_path / "f8.json"
-        code = main(
-            ["sweep", "figure8", *FAST, "--json", str(out), "--keep-journal"]
-        )
-        assert code == 0
-        assert (tmp_path / "f8.partial.jsonl").exists()
-
     def test_resume_forbids_experiment_and_params(self, tmp_path, capsys):
         code = main(
             ["sweep", "figure8", "--resume", str(tmp_path / "j.partial.jsonl")]
@@ -56,10 +48,48 @@ class TestSweepCli:
         assert code == 2
         assert "journal header" in capsys.readouterr().err
 
+    def test_resume_forbids_quick(self, tmp_path, capsys):
+        # --quick is pinned by the journal header like the grid; taking
+        # it on resume would write an artifact the header contradicts.
+        out = tmp_path / "f8.json"
+        journal = tmp_path / "f8.partial.jsonl"
+        args = ["sweep", "figure8", *FAST, "--json", str(out)]
+        assert main([*args, "--chaos", "abort=2"]) == EXIT_INTERRUPTED
+        capsys.readouterr()
+        code = main(
+            ["sweep", "--resume", str(journal), "--quick", "--json", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--quick" in err
+        assert journal.exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, word",
+        [("--timeout", "0", "timeout"), ("--timeout", "-1", "timeout"),
+         ("--jobs", "0", "jobs")],
+        ids=["timeout-zero", "timeout-negative", "jobs-zero"],
+    )
+    def test_bad_pool_settings_are_usage_errors(
+        self, tmp_path, capsys, flag, value, word
+    ):
+        out = tmp_path / "f8.json"
+        code = main(
+            ["sweep", "figure8", *FAST, "--json", str(out), flag, value]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert word in lines[0]
+        assert captured.out == ""
+        assert not (tmp_path / "f8.partial.jsonl").exists()
+
     def test_existing_journal_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "f8.json"
-        args = ["sweep", "figure8", *FAST, "--json", str(out), "--keep-journal"]
-        assert main(args) == 0
+        args = ["sweep", "figure8", *FAST, "--json", str(out)]
+        assert main([*args, "--chaos", "abort=2"]) == EXIT_INTERRUPTED
         assert main(args) == 2
         assert "--resume" in capsys.readouterr().err
 
@@ -85,7 +115,6 @@ class TestSweepCli:
         code = main([
             "sweep", "figure8", *FAST, "--json", str(out),
             "--chaos", "nondet=0",
-            "--backoff", "0.01", "--backoff-cap", "0.02",
         ])
         assert code == 1
         captured = capsys.readouterr()

@@ -100,10 +100,18 @@ class TestRegistryContents:
             _stub("dup", registry=registry)
 
     def test_experiment_keywords_are_exactly_the_schema(self):
-        # No keyword escapes the schema: the registry is the only way in.
+        # No keyword escapes the schema: the registry is the only way in,
+        # and the Param is the one place a default lives.
         for spec in REGISTRY:
-            keywords = set(inspect.signature(spec.func).parameters)
-            assert keywords == {p.name for p in spec.params}, spec.name
+            parameters = inspect.signature(spec.func).parameters
+            assert set(parameters) == {p.name for p in spec.params}, spec.name
+            for name, parameter in parameters.items():
+                assert parameter.kind is inspect.Parameter.KEYWORD_ONLY, (
+                    spec.name, name,
+                )
+                assert parameter.default is inspect.Parameter.empty, (
+                    spec.name, name,
+                )
 
     def test_attached_spec_matches_lookup(self):
         from repro.experiments.figure8 import figure8_experiment
