@@ -83,6 +83,15 @@ _MAX_WAIT_S = 1.0
 _STOP_GRACE_S = 2.0
 
 
+def should_retry(kind: str, failures: int) -> bool:
+    """Whether a point that has failed ``failures`` times is re-queued.
+
+    A fingerprint mismatch is terminal: the point is nondeterministic,
+    and another attempt cannot say which result is right.
+    """
+    return kind != FINGERPRINT_MISMATCH and failures <= MAX_RETRIES
+
+
 class OrchestrationError(Exception):
     """The run could not be orchestrated (setup/configuration errors)."""
 
@@ -331,7 +340,7 @@ class _PoolRunner:
     def _fail(self, task: _Task, kind: str, detail: str) -> None:
         self.failures[task.key] = self.failures.get(task.key, 0) + 1
         n = self.failures[task.key]
-        if kind != FINGERPRINT_MISMATCH and n <= MAX_RETRIES:
+        if should_retry(kind, n):
             self.on_event(
                 f"point {task.index} {kind} on attempt {task.attempt}; "
                 f"retry {n}/{MAX_RETRIES}"

@@ -30,7 +30,12 @@ from repro.orchestration import (
     result_fingerprint,
     tear_journal_tail,
 )
-from repro.orchestration.runner import MAX_RETRIES, MAX_WORKER_RESTARTS
+from repro.orchestration.runner import (
+    MAX_RETRIES,
+    MAX_WORKER_RESTARTS,
+    TIMEOUT,
+    should_retry,
+)
 
 #: One small, fast grid reused across the end-to-end tests (~8 ms/point).
 GRID = {"sim_seconds": "0.1", "seed": "0,1,2,3"}
@@ -198,6 +203,17 @@ class TestChaosPlan:
         assert result_fingerprint(corrupt) == result_fingerprint(payload)
         # nondet perturbs the metrics -> retry mismatch is detectable
         assert result_fingerprint(nondet) != result_fingerprint(payload)
+
+
+# ----------------------------------------------------------------------
+# retry decision
+# ----------------------------------------------------------------------
+class TestRetryPolicy:
+    def test_terminal_kinds_never_retry(self):
+        assert should_retry(CRASH, 1)
+        assert should_retry(TIMEOUT, MAX_RETRIES)
+        assert not should_retry(CRASH, MAX_RETRIES + 1)
+        assert not should_retry(FINGERPRINT_MISMATCH, 1)
 
 
 # ----------------------------------------------------------------------
