@@ -196,6 +196,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         name = None
         grid: Optional[dict[str, str]] = None
     else:
+        if args.retry_failed:
+            raise ParameterError(
+                "--retry-failed re-runs the FAILED points of a journal; "
+                "use it with --resume JOURNAL"
+            )
         if args.experiment is None:
             raise ParameterError(
                 "sweep needs an experiment (or --resume JOURNAL)"

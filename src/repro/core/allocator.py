@@ -43,7 +43,7 @@ from repro.core.errors import AdmissionError, ControllerError, QualityException
 from repro.core.overload import (
     SquishPolicy,
     WeightedFairShareSquish,
-    check_admission_smp,
+    check_admission,
 )
 from repro.core.period import PeriodEstimator
 from repro.core.taxonomy import ThreadClass, ThreadSpec, classify
@@ -162,7 +162,7 @@ class ProportionAllocator:
         admission control and are actuated immediately, because a
         reservation must hold from the moment it is accepted, not from
         the next controller tick.  On a multiprocessor admission is a
-        partitioned-schedulability test (:func:`check_admission_smp`):
+        partitioned-schedulability test (:func:`check_admission`):
         the placement policy's greedy packing of all live real-time
         reservations — pinned ones on their CPU — must still fit the
         request under some CPU's admission threshold.
@@ -171,7 +171,7 @@ class ProportionAllocator:
             raise ControllerError(f"thread {thread.name!r} is already controlled")
         spec = spec if spec is not None else ThreadSpec()
         if spec.specifies_proportion:
-            check_admission_smp(
+            check_admission(
                 self.config,
                 self._real_time_reservations(),
                 spec.proportion_ppt,
@@ -219,7 +219,7 @@ class ProportionAllocator:
         real-time reservations.
         """
         try:
-            check_admission_smp(
+            check_admission(
                 self.config,
                 self._real_time_reservations(),
                 proportion_ppt,

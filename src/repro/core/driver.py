@@ -130,7 +130,7 @@ class ControllerDriver:
             whole = int(self._overhead_remainder)
             if whole > 0:
                 self._overhead_remainder -= whole
-                self.kernel.steal_cpu(whole, reason="controller")
+                self.kernel.steal_cpu(whole)
 
         if self.trace_allocations:
             # Samples go straight onto each series' typed columns: the

@@ -5,8 +5,9 @@ of available CPU, the controller must somehow reduce the allocations to
 the threads."  Two mechanisms, as in the paper:
 
 * **Admission control** for real-time reservations: a new request is
-  rejected if it would push the real-time total over the admission
-  threshold (:func:`check_admission`).
+  rejected if it would push the real-time total of its CPU (on one
+  CPU, the whole real-time total) over the admission threshold
+  (:func:`check_admission`).
 * **Squishing** for real-rate and miscellaneous threads: their proposed
   allocations are scaled down so that, together with the protected
   real-time reservations, the total fits under the overload threshold.
@@ -134,26 +135,6 @@ class WeightedFairShareSquish(SquishPolicy):
 
 def check_admission(
     config: ControllerConfig,
-    existing_real_time_ppt: int,
-    requested_ppt: int,
-    thread_name: str,
-) -> None:
-    """Admission control for a new real-time reservation (one CPU).
-
-    Raises :class:`AdmissionError` if accepting the request would push
-    the total of real-time reservations above the admission threshold.
-    """
-    available = config.admission_threshold_ppt - existing_real_time_ppt
-    if requested_ppt > available:
-        raise AdmissionError(
-            requested_ppt=requested_ppt,
-            available_ppt=max(0, available),
-            thread_name=thread_name,
-        )
-
-
-def check_admission_smp(
-    config: ControllerConfig,
     existing: Iterable[tuple[int, Optional[int]]],
     requested_ppt: int,
     requested_affinity: Optional[int],
@@ -173,8 +154,9 @@ def check_admission_smp(
     admits the request only if it still fits under the per-CPU
     admission threshold on some (or, when pinned, its) CPU.  This is a
     sufficient test: the schedule it certifies is the one the
-    least-loaded placement actually produces.  With ``n_cpus=1`` it
-    reduces exactly to :func:`check_admission`.
+    least-loaded placement actually produces.  With ``n_cpus=1`` it is
+    the plain sum test: the existing reservations plus the request
+    must fit under the threshold.
     """
     bins = [0] * n_cpus
     items = sorted(existing, key=lambda item: -item[0])
@@ -202,5 +184,4 @@ __all__ = [
     "SquishPolicy",
     "WeightedFairShareSquish",
     "check_admission",
-    "check_admission_smp",
 ]

@@ -42,6 +42,10 @@ def expand_grid(
     parameter uses ``":"`` inside one value: ``n_cpus=1:2:4,8`` is two
     points) — or an already-typed sequence of sweep values.
 
+    A value repeated on one axis (after parsing, so ``seed=0,00`` is
+    a repeat) raises :class:`ParameterError`: it would run the same
+    point twice under one point key.
+
     Points are emitted in deterministic order: the last-listed axis
     varies fastest, like nested loops in the order the axes were given.
     """
@@ -59,6 +63,13 @@ def expand_grid(
             axes[name] = [param.parse(value) for value in raw]
         else:
             axes[name] = [param.parse(raw)]
+        values = axes[name]
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ParameterError(
+                f"parameter {name!r}: {repeated[0]!r} repeated in sweep "
+                f"axis {tuple(values)}"
+            )
 
     points: list[dict[str, Any]] = [{}]
     for name, values in axes.items():

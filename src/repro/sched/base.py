@@ -463,9 +463,6 @@ class Scheduler(ABC):
         """Hook: a thread's slice ended (overrides must call super)."""
         self._run_queue.note_ready(thread)
 
-    def on_dispatch(self, thread: SimThread, now: int) -> None:
-        """Hook: a thread was just selected to run."""
-
     def note_affinity_change(self, thread: SimThread) -> None:
         """Hook: ``thread``'s CPU affinity changed (a live re-pin).
 

@@ -30,21 +30,24 @@ deterministic discrete-event system by executing *dispatch rounds*:
    answer the whole round at its first call, as the reservation
    scheduler does, provided its answers equal these claims.
 2. Every picked thread runs a slice *in parallel over the same wall
-   window* ``[t0, h)``, where ``h`` is capped by the slice lengths, the
-   next pending event and the end of the run.  Internally the CPUs'
-   slices are simulated one CPU at a time with a per-CPU local clock
-   that starts at ``t0``; ``Kernel.now`` reads that local clock while a
-   slice executes, so sleeps, I/O completions and IPC commits performed
-   mid-slice are stamped with the correct intra-window time.
+   window* ``[t0, h)``, where ``h`` is capped by the slice lengths and
+   one cap shared by the round: the next pending event or the end of
+   the run, whichever is first.  Internally the CPUs' slices are
+   simulated one CPU at a time on the *slice clock*, a per-CPU local
+   clock that starts at ``t0``; ``Kernel.now`` reads the slice clock
+   while a slice executes, so sleeps, I/O completions and IPC commits
+   performed mid-slice are stamped with the correct intra-window time.
 3. The global clock then advances to the latest local end time.  A CPU
    whose thread blocked early idles until the round ends — exactly the
    timer-quantised re-dispatch latency of the paper's prototype, now
    per CPU — and wake-ups produced mid-round become visible to the
    other CPUs at the next round boundary.
 
-With ``n_cpus=1`` (the default) the kernel runs the original
-uniprocessor loop unchanged — same operation order, same arithmetic —
-so every seed experiment and figure reproduction is bit-identical.
+With ``n_cpus=1`` (the default) the kernel runs a uniprocessor loop:
+one :meth:`Scheduler.pick_next` per dispatch and no placement.  Its
+slices run exactly like one CPU of a round: the loop computes the same
+cap, starts the slice clock at the current time and moves the global
+clock to the slice's end afterwards.
 Accounting totals (``idle_us``, ``stolen_dispatch_us``,
 ``dispatch_count``) aggregate the per-CPU :class:`CPUState` records and
 are expressed in CPU-microseconds, so the conservation identity
@@ -55,16 +58,17 @@ time); :meth:`Kernel.conservation_gap_us` checks it.
 
 Dispatch loop
 -------------
-There is one loop, quantum-sliced like the paper's dispatcher: every
+Both loops are quantum-sliced like the paper's dispatcher: every
 dispatch (or SMP round) fires the due events — polling the calendar
 only when its head is due — asks the scheduler for a pick (on SMP after
 a fresh placement round) and runs the picked thread for at most one
-slice, capped by the next pending event.  The per-dispatch overhead and
-any migration penalty are charged inline in that step.  When nothing
-is runnable the clock jumps straight to the next transition the
-:class:`~repro.sim.events.EventCalendar` knows about — a timer,
-controller tick, workload arrival, sleep/I/O wake-up or a scheduler
-wake-up such as a reservation replenishment.
+slice through :meth:`Kernel._dispatch`, the one slice path, capped by
+the next pending event.  The per-dispatch overhead (fixed when the
+kernel is built) and any migration penalty are charged inline in that
+step.  When nothing is runnable the clock jumps straight to the next
+transition the :class:`~repro.sim.events.EventCalendar` knows about — a
+timer, controller tick, workload arrival, sleep/I/O wake-up or a
+scheduler wake-up such as a reservation replenishment.
 """
 
 from __future__ import annotations
@@ -121,6 +125,10 @@ class _DispatchOutcome:
 class Kernel:
     """A simulated system with one or more CPUs.
 
+    The kernel owns its clock, its event calendar and one
+    :class:`~repro.sim.trace.Tracer` (``kernel.tracer``) that the
+    controller and the experiments record into.
+
     Parameters
     ----------
     scheduler:
@@ -145,12 +153,12 @@ class Kernel:
         every multiprocessor kernel regardless.
     cpu:
         CPU cost model; controls the per-dispatch overhead charged as
-        stolen time (shared by all CPUs — homogeneous SMP).
+        stolen time (shared by all CPUs — homogeneous SMP).  The cost
+        is computed once, here, from the model and the dispatch
+        interval; neither can change afterwards.
     dispatch_interval_us:
         The timer interval bounding how long a thread may run before
         the dispatcher is re-entered.
-    tracer:
-        Optional shared tracer; one is created if not supplied.
     charge_dispatch_overhead:
         When ``False`` the per-dispatch CPU cost is not charged, which
         makes the controller-dynamics experiments (Figures 6 and 7)
@@ -186,7 +194,6 @@ class Kernel:
         topology: Optional[CpuTopology] = None,
         cpu: Optional[CPUModel] = None,
         dispatch_interval_us: int = DEFAULT_DISPATCH_INTERVAL_US,
-        tracer: Optional[Tracer] = None,
         charge_dispatch_overhead: bool = True,
         deadlock_detection: bool = True,
         syscall_cost_us: int = 1,
@@ -212,12 +219,19 @@ class Kernel:
         #: scheduler's replenishment times merged in lazily (the
         #: scheduler source is registered in ``attach`` below).
         self.events = EventCalendar()
-        self.cpu = cpu if cpu is not None else CPUModel()
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         self.scheduler = scheduler
         self.n_cpus = int(n_cpus)
         self.dispatch_interval_us = int(dispatch_interval_us)
-        self.charge_dispatch_overhead = charge_dispatch_overhead
+        #: Per-dispatch overhead in (fractional) microseconds; each
+        #: CPU's accumulator charges its whole part as stolen time.
+        self._dispatch_cost_us = (
+            (cpu if cpu is not None else CPUModel()).effective_dispatch_cost_us(
+                US_PER_SEC / self.dispatch_interval_us
+            )
+            if charge_dispatch_overhead
+            else 0.0
+        )
         self.deadlock_detection = deadlock_detection
         if syscall_cost_us < 0:
             raise ValueError(
@@ -268,18 +282,12 @@ class Kernel:
         self.dispatch_log: Optional[DispatchLog] = (
             DispatchLog(self.threads) if record_dispatches else None
         )
-        #: Local-time override used while an SMP dispatch round
-        #: simulates one CPU's slice (None outside rounds).
+        #: The slice clock: the running CPU's local time while a slice
+        #: executes (None between slices).
         self._now_override: Optional[int] = None
         self._finished = False
-        #: Cached per-dispatch overhead; revalidated against the CPU
-        #: model's cost parameters and the dispatch interval, so both
-        #: reassigning ``kernel.cpu`` and mutating the model in place
-        #: invalidate it.
-        self._dispatch_cost_sig: Optional[tuple[int, float, float]] = None
-        self._dispatch_cost_us = 0.0
         #: Request type -> bound handler; replaces the isinstance chain
-        #: on the hot path.  Subtypes are resolved once and memoised.
+        #: on the hot path.
         self._request_handlers: dict[type, Callable[[SimThread, Request], str]] = {
             Put: self._handle_put,
             Get: self._handle_get,
@@ -297,15 +305,6 @@ class Kernel:
         # answers "when can the dispatch decision next change?" for the
         # idle fast-forward.
         self.events.add_source(scheduler.next_wakeup)
-        # Skip the per-dispatch on_dispatch call for policies that keep
-        # the base class's no-op hook (resolved once at attach time).
-        from repro.sched.base import Scheduler as _SchedulerBase
-
-        self._on_dispatch: Optional[Callable[[SimThread, int], None]] = (
-            None
-            if type(scheduler).on_dispatch is _SchedulerBase.on_dispatch
-            else scheduler.on_dispatch
-        )
 
     # ------------------------------------------------------------------
     # basic properties
@@ -314,8 +313,8 @@ class Kernel:
     def now(self) -> int:
         """Current virtual time in microseconds.
 
-        While an SMP dispatch round executes one CPU's slice this reads
-        that CPU's local clock, so everything a running thread does is
+        While a slice executes this reads the slice clock (the running
+        CPU's local time), so everything a running thread does is
         stamped with the correct intra-window time.
         """
         if self._now_override is not None:
@@ -652,7 +651,7 @@ class Kernel:
         return PeriodicEvent(self.events, period_us, callback, start=start_us,
                              label=label)
 
-    def steal_cpu(self, us: int, *, reason: str = "controller") -> None:
+    def steal_cpu(self, us: int) -> None:
         """Consume ``us`` of CPU time that is charged to no thread.
 
         Used by the controller driver to model the controller's own CPU
@@ -670,13 +669,7 @@ class Kernel:
             self.clock.advance_by(us)
         else:
             self._now_override += us
-        if reason == "dispatch":
-            # The stealing CPU is the lowest-numbered *online* one (CPU
-            # 0 unless it has failed).
-            self._online_states[0].stolen_dispatch_us += us
-            self._stolen_dispatch_us_total += us
-        else:
-            self.stolen_controller_us += us
+        self.stolen_controller_us += us
         if self.n_cpus > 1 and self._now_override is None:
             online = self._online_states
             for cpu in online[1:]:
@@ -708,13 +701,16 @@ class Kernel:
         clock = self.clock
         heap = self.events._heap
         if self.n_cpus == 1:
-            # Uniprocessor fast path: the paper's original loop,
-            # bit-identical to the seed reproduction.  Outside SMP
-            # rounds ``self.now`` is exactly ``clock._now``; reading the
-            # clock directly skips the property dispatch per iteration.
+            # Uniprocessor fast path: one pick per dispatch and no
+            # placement.  The slice runs on the slice clock, capped at
+            # the next pending event, exactly like one CPU of an SMP
+            # round.  Between slices ``self.now`` is exactly
+            # ``clock._now``; reading the clock directly skips the
+            # property dispatch per iteration.
             cpu0 = self.cpu_states[0]
             scheduler = self.scheduler
             dispatch = self._dispatch
+            next_time = self.events.next_time
             while clock._now < t_end:
                 now = clock._now
                 if heap and heap[0].time <= now:
@@ -727,7 +723,13 @@ class Kernel:
                     if not self._advance_idle(t_end):
                         break
                     continue
-                dispatch(cpu0, thread, t_end)
+                cap = next_time()
+                if cap is None or cap > t_end:
+                    cap = t_end
+                self._now_override = now
+                dispatch(cpu0, thread, cap)
+                clock._now = self._now_override
+                self._now_override = None
         else:
             while clock._now < t_end:
                 if heap and heap[0].time <= clock._now:
@@ -821,7 +823,7 @@ class Kernel:
         window_end = t0
         for cpu, thread in picks:
             self._now_override = t0
-            self._dispatch(cpu, thread, t_end, window_cap=window_cap)
+            self._dispatch(cpu, thread, window_cap)
             end = self._now_override
             ends.append(end)
             if end > window_end:
@@ -854,46 +856,31 @@ class Kernel:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        cpu: CPUState,
-        thread: SimThread,
-        t_end: int,
-        window_cap: Optional[int] = None,
-    ) -> str:
-        """Run one dispatch of ``thread`` on ``cpu``; returns the outcome.
+    def _dispatch(self, cpu: CPUState, thread: SimThread, cap: int) -> str:
+        """Run one slice of ``thread`` on ``cpu``; returns the outcome.
 
-        ``now`` mirrors self.now locally: only time charges advance the
-        clock inside a slice (request handlers set states and schedule
-        events but never tick), so the mirror stays exact.  The mirror
-        is written back to the live clock before every request handler
-        (handlers timestamp IPC commits and wake-ups with ``self.now``)
-        and naturally at every charge.
+        The caller starts the slice clock (``_now_override``) at the
+        slice's start and reads the slice's end back from it.  The
+        slice ends by ``cap`` (the next pending event, or the end of
+        the run), or earlier when the scheduler's time slice runs out.
+
+        ``now`` mirrors the slice clock locally: only time charges
+        advance it inside a slice (request handlers set states and
+        schedule events but never tick), so the mirror stays exact.
+        It is written back before every request handler (handlers
+        timestamp IPC commits and wake-ups with ``self.now``) and
+        naturally at every charge.
         """
-        override = self._now_override is not None
-        clock = self.clock
-        now = self._now_override if override else clock._now
+        now = self._now_override
+        assert now is not None, "a slice runs only on the slice clock"
         dispatch_start = now
         cpu.dispatches += 1
         self._dispatch_count_total += 1
 
         # Per-dispatch overhead, stolen time (charged to no thread).
-        # The effective cost is a pure function of the dispatch
-        # interval and the CPU model's cost parameters, so it is cached
-        # and recomputed only when that signature changes (covers both
-        # swapping ``kernel.cpu`` and mutating its fields in place).
-        if self.charge_dispatch_overhead:
-            model = self.cpu
-            interval = self.dispatch_interval_us
-            signature = (
-                interval, model.dispatch_cost_us, model.dispatch_cost_quadratic_us
-            )
-            if signature != self._dispatch_cost_sig:
-                self._dispatch_cost_us = model.effective_dispatch_cost_us(
-                    US_PER_SEC / interval
-                )
-                self._dispatch_cost_sig = signature
-            accumulator = cpu.overhead_accumulator + self._dispatch_cost_us
+        cost = self._dispatch_cost_us
+        if cost:
+            accumulator = cpu.overhead_accumulator + cost
             whole = int(accumulator)
             if whole > 0:
                 accumulator -= whole
@@ -921,35 +908,20 @@ class Kernel:
                         self._migration_us_total += migration_us
             thread.last_cpu = index
         if now != dispatch_start:
-            if override:
-                self._now_override = now
-            else:
-                clock._now = now
+            self._now_override = now
 
         scheduler = self.scheduler
         accounting = thread.accounting
         thread.state = _RUNNING
         accounting.dispatches += 1
         accounting.last_run_started = now
-        on_dispatch = self._on_dispatch
-        if on_dispatch is not None:
-            on_dispatch(thread, now)
 
         slice_us = scheduler.time_slice(thread, now)
         if slice_us <= 0:
             slice_us = self.dispatch_interval_us
         horizon = now + slice_us
-        if t_end < horizon:
-            horizon = t_end
-        if window_cap is not None:
-            # SMP round: the shared window cap already folds in the next
-            # pending event (computed once at round start, for symmetry).
-            if window_cap < horizon:
-                horizon = window_cap
-        else:
-            next_event = self.events.next_time()
-            if next_event is not None and next_event < horizon:
-                horizon = next_event
+        if cap < horizon:
+            horizon = cap
 
         consumed = 0
         syscall_cost = self.syscall_cost_us
@@ -970,10 +942,7 @@ class Kernel:
                     thread._remaining_compute_us = remaining - step
                     now += step
                     consumed += step
-                    if override:
-                        self._now_override = now
-                    else:
-                        clock._now = now
+                    self._now_override = now
                 if thread._remaining_compute_us == 0:
                     thread._current_request = None
                 continue
@@ -986,10 +955,7 @@ class Kernel:
                     step = syscall_cost
                 now += step
                 consumed += step
-                if override:
-                    self._now_override = now
-                else:
-                    clock._now = now
+                self._now_override = now
                 if step < syscall_cost:
                     # Not enough slice left to pay for the syscall; the
                     # request stays pending for the next dispatch.
@@ -1024,27 +990,20 @@ class Kernel:
         return outcome
 
     def _finish_dispatch(self, thread: SimThread, outcome: str) -> None:
+        """The non-preempted outcomes (``_dispatch`` inlines that one)."""
         acct = thread.accounting
         if outcome == _DispatchOutcome.EXITED:
-            return
-        if outcome == _DispatchOutcome.BLOCKED:
-            acct.note_block()
-            self.scheduler.on_block(thread, self.now)
-            return
-        if outcome == _DispatchOutcome.SLEEPING:
-            acct.sleeps += 1
-            acct.note_block()
-            self.scheduler.on_block(thread, self.now)
             return
         if outcome == _DispatchOutcome.YIELDED:
             acct.voluntary_switches += 1
             thread.state = _READY
             self.scheduler.on_yield(thread, self.now)
             return
-        # preempted: ran out of slice or an event is due
-        acct.preemptions += 1
-        thread.state = _READY
-        self.scheduler.on_preempt(thread, self.now)
+        # blocked or sleeping
+        if outcome == _DispatchOutcome.SLEEPING:
+            acct.sleeps += 1
+        acct.note_block()
+        self.scheduler.on_block(thread, self.now)
 
     def _next_request(self, thread: SimThread) -> Optional[Request]:
         send_value = thread._pending_send
@@ -1061,25 +1020,10 @@ class Kernel:
     def _handle_request(self, thread: SimThread, request: Request) -> str:
         handler = self._request_handlers.get(type(request))
         if handler is None:
-            handler = self._resolve_handler(thread, request)
+            raise ThreadStateError(
+                f"{thread.name}: unsupported request type {type(request).__name__}"
+            )
         return handler(thread, request)
-
-    def _resolve_handler(
-        self, thread: SimThread, request: Request
-    ) -> Callable[[SimThread, Request], str]:
-        """Slow path: map a request *subtype* to its handler and memoise.
-
-        Walks the registered base types in the same order as the
-        historical isinstance chain, so a request inheriting from two
-        of them resolves identically.
-        """
-        for base_type, handler in list(self._request_handlers.items()):
-            if isinstance(request, base_type):
-                self._request_handlers[type(request)] = handler
-                return handler
-        raise ThreadStateError(
-            f"{thread.name}: unsupported request type {type(request).__name__}"
-        )
 
     def _handle_yield(self, thread: SimThread, request: Yield) -> str:
         thread.finish_request()

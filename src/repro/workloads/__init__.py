@@ -19,16 +19,15 @@ discusses:
   inversion scenario from Section 2;
 * :mod:`repro.workloads.arrivals` / :mod:`repro.workloads.engine` — the
   open-system workload engine: arrival processes (Poisson,
-  deterministic, MMPP-style bursty, trace replay) inject finite-demand
-  jobs into a running kernel, and phase scripts retime/retarget live
-  threads (the churn scenarios and the golden-trace corpus).
+  deterministic, trace replay) inject finite-demand jobs into a running
+  kernel, and phase scripts retime/retarget live threads (the churn
+  scenarios and the golden-trace corpus).
 """
 
 from repro.workloads.arrivals import (
     ArrivalError,
     ArrivalProcess,
     DeterministicArrivals,
-    MMPPArrivals,
     PoissonArrivals,
     TraceArrivals,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "JobRecord",
     "JobStream",
     "JobTemplate",
-    "MMPPArrivals",
     "PhaseScript",
     "PoissonArrivals",
     "TraceArrivals",

@@ -19,16 +19,13 @@ their rate may be changed while the simulation runs (a
 :class:`~repro.workloads.engine.PhaseScript` action calls
 :meth:`ArrivalProcess.set_rate`), and the change applies from the next
 inter-arrival gap onward — the gap already scheduled on the calendar
-is not retimed, exactly like a real traffic source.  MMPP and trace
-replay have no single adjustable rate; their :meth:`set_rate` raises.
+is not retimed, exactly like a real traffic source.  Trace replay has
+no single adjustable rate; its :meth:`set_rate` raises.
 
-Four shapes are provided:
+Three shapes are provided:
 
 * :class:`DeterministicArrivals` — fixed inter-arrival interval;
 * :class:`PoissonArrivals` — seeded exponential inter-arrivals;
-* :class:`MMPPArrivals` — MMPP-style bursty traffic: a deterministic
-  cycle of phases, each with an exponentially-distributed dwell time
-  and its own Poisson arrival rate (a rate of 0 models silence);
 * :class:`TraceArrivals` — replay of an explicit time list or a trace
   file (one arrival per line: ``offset_us [tag]``, ``#`` comments).
 """
@@ -37,7 +34,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 #: Microseconds per second (inter-arrival conversion).
 _US_PER_SEC = 1_000_000.0
@@ -130,68 +127,6 @@ class PoissonArrivals(ArrivalProcess):
             yield max(1, int(round(gap_us)))
 
 
-class MMPPArrivals(ArrivalProcess):
-    """MMPP-style bursty arrivals.
-
-    A modulating chain cycles deterministically through *phases*, each
-    a ``(rate_per_s, mean_dwell_us)`` pair: the process dwells in a
-    phase for an exponentially-distributed time (mean ``mean_dwell_us``)
-    emitting Poisson arrivals at the phase's rate, then moves to the
-    next phase.  A phase rate of ``0`` emits nothing (an off period),
-    which with a two-phase ``[(high, b), (0, i)]`` cycle gives the
-    classic interrupted-Poisson burst shape.
-
-    Because the exponential is memoryless, an arrival draw that crosses
-    the phase boundary is discarded and redrawn from the boundary at
-    the new phase's rate — the textbook MMPP sampling construction.
-    """
-
-    def __init__(
-        self,
-        phases: Sequence[tuple[float, int]],
-        seed: int,
-    ) -> None:
-        if not phases:
-            raise ArrivalError("MMPP needs at least one phase")
-        checked: list[tuple[float, int]] = []
-        for rate, dwell in phases:
-            if rate < 0:
-                raise ArrivalError(f"phase rate cannot be negative, got {rate}")
-            if dwell <= 0:
-                raise ArrivalError(
-                    f"phase mean dwell must be positive, got {dwell}"
-                )
-            checked.append((float(rate), int(dwell)))
-        if all(rate == 0 for rate, _ in checked):
-            raise ArrivalError("MMPP needs at least one phase with a rate > 0")
-        self.phases = checked
-        self._rng = random.Random(seed)
-
-    def gaps(self) -> Iterator[int]:
-        rng = self._rng
-        phases = self.phases
-        n = len(phases)
-        index = 0
-        clock = 0.0
-        phase_end = rng.expovariate(1.0) * phases[0][1]
-        last_arrival = 0.0
-        while True:
-            while True:
-                rate = phases[index][0]
-                if rate > 0:
-                    draw = clock + rng.expovariate(1.0) * _US_PER_SEC / rate
-                    if draw <= phase_end:
-                        clock = draw
-                        break
-                # No arrival before the phase ends: jump to the boundary
-                # and enter the next phase.
-                clock = phase_end
-                index = (index + 1) % n
-                phase_end = clock + rng.expovariate(1.0) * phases[index][1]
-            yield max(1, int(round(clock - last_arrival)))
-            last_arrival = clock
-
-
 class TraceArrivals(ArrivalProcess):
     """Replay an explicit arrival trace.
 
@@ -274,7 +209,6 @@ __all__ = [
     "ArrivalError",
     "ArrivalProcess",
     "DeterministicArrivals",
-    "MMPPArrivals",
     "PoissonArrivals",
     "TraceArrivals",
 ]

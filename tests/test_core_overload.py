@@ -99,19 +99,16 @@ class TestWeightedFairShareSquish:
 class TestAdmissionControl:
     def test_accepts_within_threshold(self):
         config = ControllerConfig(admission_threshold_ppt=800)
-        check_admission(config, existing_real_time_ppt=300, requested_ppt=400,
-                        thread_name="rt")
+        check_admission(config, [(300, None)], 400, None, "rt", n_cpus=1)
 
     def test_rejects_over_threshold(self):
         config = ControllerConfig(admission_threshold_ppt=800)
         with pytest.raises(AdmissionError) as excinfo:
-            check_admission(config, existing_real_time_ppt=700, requested_ppt=200,
-                            thread_name="rt")
+            check_admission(config, [(700, None)], 200, None, "rt", n_cpus=1)
         assert excinfo.value.requested_ppt == 200
         assert excinfo.value.available_ppt == 100
         assert "rt" in str(excinfo.value)
 
     def test_exact_fit_accepted(self):
         config = ControllerConfig(admission_threshold_ppt=800)
-        check_admission(config, existing_real_time_ppt=600, requested_ppt=200,
-                        thread_name="rt")
+        check_admission(config, [(600, None)], 200, None, "rt", n_cpus=1)

@@ -35,11 +35,11 @@ def record_oracle(kernel: Kernel) -> list[tuple]:
     entries: list[tuple] = []
     dispatch = kernel._dispatch
 
-    def recording_dispatch(cpu, thread, t_end, window_cap=None):
+    def recording_dispatch(cpu, thread, cap):
         start = kernel.now
         used = thread.accounting.total_us
         penalty = cpu.migration_us
-        outcome = dispatch(cpu, thread, t_end, window_cap=window_cap)
+        outcome = dispatch(cpu, thread, cap)
         entry = (
             start, cpu.index, thread.name, outcome,
             thread.accounting.total_us - used,

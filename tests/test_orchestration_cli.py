@@ -86,6 +86,27 @@ class TestSweepCli:
         assert captured.out == ""
         assert not (tmp_path / "f8.partial.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "extra, word",
+        [(["--retry-failed"], "--resume"),
+         (["--param", "seed=0,0"], "repeated")],
+        ids=["retry-failed-without-resume", "repeated-axis-value"],
+    )
+    def test_sweep_usage_errors_print_one_line(
+        self, tmp_path, capsys, extra, word
+    ):
+        out = tmp_path / "f8.json"
+        code = main(["sweep", "figure8", "--quick", "--param", "sim_seconds=0.1",
+                     *extra, "--json", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert word in lines[0]
+        assert captured.out == ""
+        assert not out.exists()
+        assert not (tmp_path / "f8.partial.jsonl").exists()
+
     def test_existing_journal_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "f8.json"
         args = ["sweep", "figure8", *FAST, "--json", str(out)]

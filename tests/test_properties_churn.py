@@ -25,7 +25,6 @@ from repro.sched.rbs import ReservationScheduler
 from repro.sim.kernel import Kernel
 from repro.workloads.arrivals import (
     DeterministicArrivals,
-    MMPPArrivals,
     PoissonArrivals,
     TraceArrivals,
 )
@@ -36,7 +35,7 @@ DURATION_US = 90_000
 #: One arrival stream: (shape, rate knob, template knobs, reservation).
 stream_specs = st.lists(
     st.tuples(
-        st.sampled_from(["poisson", "deterministic", "mmpp", "herd"]),
+        st.sampled_from(["poisson", "deterministic", "herd"]),
         st.integers(min_value=60, max_value=400),      # arrivals per second
         st.integers(min_value=200, max_value=6_000),   # total_cpu_us
         st.integers(min_value=100, max_value=2_000),   # burst_us
@@ -92,10 +91,6 @@ def build_churn(scheduler, n_cpus, specs, actions):
             arrivals = PoissonArrivals(float(rate), seed=100 + i)
         elif shape == "deterministic":
             arrivals = DeterministicArrivals(max(1, 1_000_000 // rate))
-        elif shape == "mmpp":
-            arrivals = MMPPArrivals(
-                [(float(rate) * 3, 8_000), (0.0, 12_000)], seed=200 + i
-            )
         else:  # herd: three waves of simultaneous arrivals
             wave = max(2, rate // 50)
             arrivals = TraceArrivals.from_times(

@@ -126,10 +126,10 @@ def test_kernel_invariants_over_random_workloads(n_cpus, entries):
     clock_samples = []
     original_dispatch = Kernel._dispatch
 
-    def checked_dispatch(self, cpu, thread, t_end, window_cap=None):
+    def checked_dispatch(self, cpu, thread, cap):
         dispatched_states.append(thread.state)
         clock_samples.append(self.clock.now)
-        return original_dispatch(self, cpu, thread, t_end, window_cap)
+        return original_dispatch(self, cpu, thread, cap)
 
     Kernel._dispatch = checked_dispatch
     try:

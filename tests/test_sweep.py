@@ -46,6 +46,19 @@ class TestExpandGrid:
         with pytest.raises(ParameterError):
             expand_grid(spec, {"bogus": "1"})
 
+    @pytest.mark.parametrize(
+        "name, axis, grid",
+        [("figure8", "seed", {"seed": "0,1,0"}),
+         ("figure8", "seed", {"seed": "0,00"}),
+         ("figure8", "sim_seconds", {"sim_seconds": [0.1, 0.10]}),
+         ("smp_scaling", "n_cpus", {"n_cpus": "1:2,4,1:2"})],
+        ids=["int", "same-after-parsing", "typed-float", "list-valued"],
+    )
+    def test_repeated_axis_value_rejected(self, name, axis, grid):
+        # A repeated value would run one point twice under one point key.
+        with pytest.raises(ParameterError, match=f"{axis}.*repeated"):
+            expand_grid(REGISTRY.get(name), grid)
+
     def test_typed_sequences_accepted(self):
         spec = REGISTRY.get("figure8")
         _, points = expand_grid(spec, {"sim_seconds": [0.1, 0.2]})

@@ -25,7 +25,6 @@ from repro.system import build_real_rate_system
 from repro.workloads.arrivals import (
     ArrivalError,
     DeterministicArrivals,
-    MMPPArrivals,
     PoissonArrivals,
     TraceArrivals,
 )
@@ -68,23 +67,6 @@ class TestArrivalProcesses:
         assert a == b
         assert a != c
         assert all(t2 > t1 for t1, t2 in zip(a, a[1:]))
-
-    def test_mmpp_bursts_and_silence(self):
-        # High-rate bursts separated by zero-rate silences: gaps inside
-        # a burst are small, gaps across a silence are large.
-        arrivals = MMPPArrivals([(2_000.0, 5_000), (0.0, 50_000)], seed=3)
-        times = take_times(arrivals, 200)
-        gaps = [t2 - t1 for t1, t2 in zip(times, times[1:])]
-        assert min(gaps) < 2_000
-        assert max(gaps) > 20_000
-
-    def test_mmpp_validation(self):
-        with pytest.raises(ArrivalError, match="at least one phase"):
-            MMPPArrivals([], seed=1)
-        with pytest.raises(ArrivalError, match="rate > 0"):
-            MMPPArrivals([(0.0, 1_000)], seed=1)
-        with pytest.raises(ArrivalError, match="dwell"):
-            MMPPArrivals([(10.0, 0)], seed=1)
 
     def test_rate_validation(self):
         with pytest.raises(ArrivalError):
