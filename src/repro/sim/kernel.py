@@ -223,12 +223,11 @@ class Kernel:
         self.scheduler = scheduler
         self.n_cpus = int(n_cpus)
         self.dispatch_interval_us = int(dispatch_interval_us)
+        model = cpu if cpu is not None else CPUModel()
         #: Per-dispatch overhead in (fractional) microseconds; each
         #: CPU's accumulator charges its whole part as stolen time.
         self._dispatch_cost_us = (
-            (cpu if cpu is not None else CPUModel()).effective_dispatch_cost_us(
-                US_PER_SEC / self.dispatch_interval_us
-            )
+            model.effective_dispatch_cost_us(US_PER_SEC / self.dispatch_interval_us)
             if charge_dispatch_overhead
             else 0.0
         )
