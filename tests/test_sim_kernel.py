@@ -320,6 +320,22 @@ class TestOverheadAccounting:
         kernel.run_for(1_000)
         assert thread.accounting.total_us == 3 * 2  # put + exit
 
+    @staticmethod
+    def replay_overhead(kernel: Kernel, cost_at) -> tuple:
+        # Replay each CPU's fractional accumulator over the dispatch
+        # log, charging ``cost_at(start)`` per dispatch; returns the
+        # stolen microseconds and the accumulators left over.
+        accumulators = [0.0] * kernel.n_cpus
+        stolen = 0
+        for entry in kernel.dispatch_log:
+            start, cpu = entry[0], entry[1]
+            accumulators[cpu] += cost_at(start)
+            whole = int(accumulators[cpu])
+            if whole > 0:
+                accumulators[cpu] -= whole
+                stolen += whole
+        return stolen, accumulators
+
     @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize(
         "interval, cost, quadratic",
@@ -344,16 +360,47 @@ class TestOverheadAccounting:
 
         f_khz = (1_000_000 / interval) / 1_000.0
         per_dispatch = cost + quadratic * f_khz * f_khz
-        accumulators = [0.0] * n_cpus
-        stolen = 0
-        for entry in kernel.dispatch_log:
-            cpu = entry[1]
-            accumulators[cpu] += per_dispatch
-            whole = int(accumulators[cpu])
-            if whole > 0:
-                accumulators[cpu] -= whole
-                stolen += whole
+        stolen, accumulators = self.replay_overhead(kernel, lambda _: per_dispatch)
         assert stolen > 0
+        assert kernel.stolen_dispatch_us == stolen
+        assert [c.overhead_accumulator for c in kernel.cpu_states] == accumulators
+        assert kernel.conservation_gap_us() == 0
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_overhead_follows_cost_changes_mid_run(self, n_cpus):
+        # Each dispatch charges the per-dispatch cost current when it
+        # starts, carrying every CPU's fraction across the change: a
+        # cost replaced mid-run takes effect at the next dispatch.
+        kernel = Kernel(
+            RoundRobinScheduler(), n_cpus=n_cpus, charge_dispatch_overhead=True,
+            syscall_cost_us=0, record_dispatches=True,
+        )
+        for i in range(n_cpus + 1):
+            kernel.spawn(f"hog{i}", spin_body(700))
+
+        quadratic = CPUModel(dispatch_cost_us=3.3, dispatch_cost_quadratic_us=0.7)
+        # (segment start, per-dispatch cost from then on)
+        segments = [
+            (0, CPUModel().effective_dispatch_cost_us(1_000)),
+            (10_000, CPUModel(dispatch_cost_us=20.25).effective_dispatch_cost_us(1_000)),
+            (20_000, quadratic.effective_dispatch_cost_us(1_000)),
+            (30_000, quadratic.effective_dispatch_cost_us(2_500)),
+        ]
+        for start, cost in segments[1:]:
+            kernel.events.schedule(
+                start, lambda cost=cost: setattr(kernel, "_dispatch_cost_us", cost)
+            )
+        kernel.run_for(40_000)
+
+        seen = set()
+
+        def cost_at(start: int) -> float:
+            index = max(i for i, seg in enumerate(segments) if seg[0] <= start)
+            seen.add(index)
+            return segments[index][1]
+
+        stolen, accumulators = self.replay_overhead(kernel, cost_at)
+        assert seen == {0, 1, 2, 3}
         assert kernel.stolen_dispatch_us == stolen
         assert [c.overhead_accumulator for c in kernel.cpu_states] == accumulators
         assert kernel.conservation_gap_us() == 0
