@@ -173,7 +173,7 @@ class DegradationManager:
         best_effort = sorted(
             (
                 thread
-                for thread in self.kernel.live_threads()
+                for thread in self.kernel.threads
                 if is_best_effort(thread)
             ),
             key=lambda thread: -thread.tid,

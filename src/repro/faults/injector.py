@@ -259,7 +259,7 @@ class FaultInjector:
     def _resolve(self, name: Optional[str]) -> "Optional[SimThread]":
         """First live thread with ``name``, in creation order."""
         for thread in self.kernel.threads:
-            if thread.name == name and thread.state.is_live:
+            if thread.name == name:
                 return thread
         return None
 

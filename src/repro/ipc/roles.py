@@ -23,10 +23,5 @@ class Role(enum.Enum):
         """The R factor of Figure 3: -1 for producers, +1 for consumers."""
         return -1 if self is Role.PRODUCER else 1
 
-    @property
-    def opposite(self) -> "Role":
-        """The other end of the channel."""
-        return Role.CONSUMER if self is Role.PRODUCER else Role.PRODUCER
-
 
 __all__ = ["Role"]

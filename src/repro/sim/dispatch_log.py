@@ -28,7 +28,8 @@ Iterating the log yields the historical entries ``(start, cpu,
 thread_name, outcome, consumed)``, with the penalty as a sixth element
 only when one was charged, so a zero-penalty run reads exactly like a
 kernel without a topology.  Names are resolved from ``tid`` through the
-kernel's thread list, which keeps every exited thread.
+kernel's name table (:attr:`Kernel.thread_names`), which keeps the name
+of every thread ever added, long after the thread itself has retired.
 :meth:`DispatchLog.fingerprint` hashes those entries ``|``-joined and
 ``;``-terminated, the bytes every committed digest was taken over.
 """
@@ -38,12 +39,9 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping
 from itertools import chain
-from typing import TYPE_CHECKING, Union
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.thread import SimThread
+from typing import Union
 
 #: One dispatch: start, cpu, tid, outcome code, consumed, penalty.
 RECORD = struct.Struct("<qHIBqI")
@@ -71,7 +69,7 @@ _TEXT = {5: "%d|%d|%s|%s|%d;", 6: "%d|%d|%s|%s|%d|%d;"}
 
 
 class DispatchLog:
-    """Packed dispatch records plus the thread list that names them.
+    """Packed dispatch records plus the name table that names them.
 
     The kernel appends with ``records += RECORD.pack(...)`` and calls
     :meth:`fold` once ``records`` holds :data:`FOLD_BYTES`, so every
@@ -79,14 +77,15 @@ class DispatchLog:
     iteration or :meth:`fingerprint`.
     """
 
-    __slots__ = ("records", "chunks", "_threads")
+    __slots__ = ("records", "chunks", "_names")
 
-    def __init__(self, threads: Sequence[SimThread]) -> None:
+    def __init__(self, names: Mapping[int, str]) -> None:
         #: Packed records not yet folded, oldest first.
         self.records = bytearray()
         #: Earlier records, ``zlib``-compressed, oldest chunk first.
         self.chunks: list[bytes] = []
-        self._threads = threads
+        #: tid -> thread name, for every tid a record may hold.
+        self._names = names
 
     def __len__(self) -> int:
         return FOLD_RECORDS * len(self.chunks) + len(self.records) // RECORD.size
@@ -104,7 +103,7 @@ class DispatchLog:
         so the kernel may keep appending and folding while a reader is
         suspended; the reader sees the records present at that call.
         """
-        names = {thread.tid: thread.name for thread in self._threads}
+        names = self._names
         chunks = map(zlib.decompress, self.chunks[:])
         for chunk in chain(chunks, [bytes(self.records)]):
             yield [

@@ -97,6 +97,8 @@ from repro.sim.topology import CpuTopology
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import ValuesView
+
     from repro.ipc.bounded_buffer import Channel
     from repro.ipc.mutex import Mutex
     from repro.sched.base import Scheduler
@@ -238,9 +240,15 @@ class Kernel:
             )
         self.syscall_cost_us = int(syscall_cost_us)
 
-        self.threads: list[SimThread] = []
-        #: Mirror of ``threads`` for O(1) duplicate detection.
-        self._thread_tids: set[int] = set()
+        #: Live threads by tid, in the order they were added.  An
+        #: exited thread retires: it leaves this table and its CPU time
+        #: moves into ``_retired_cpu_us`` (see :meth:`_retire`).
+        self._live: dict[int, SimThread] = {}
+        #: CPU time charged to threads that have retired.
+        self._retired_cpu_us = 0
+        #: tid -> name of every thread ever added, live or retired; the
+        #: dispatch log names its records through it.
+        self.thread_names: dict[int, str] = {}
         #: Per-CPU run state; aggregates are exposed as properties.
         self.cpu_states: list[CPUState] = [CPUState(i) for i in range(self.n_cpus)]
         #: Online/offline partitions of ``cpu_states`` (index order),
@@ -279,7 +287,7 @@ class Kernel:
         #: recording.  Reads back as 5-tuples, or 6-tuples for a
         #: dispatch that charged a migration penalty.
         self.dispatch_log: Optional[DispatchLog] = (
-            DispatchLog(self.threads) if record_dispatches else None
+            DispatchLog(self.thread_names) if record_dispatches else None
         )
         #: The slice clock: the running CPU's local time while a slice
         #: executes (None between slices).
@@ -401,9 +409,17 @@ class Kernel:
         """Total CPU-time capacity elapsed so far: ``n_cpus * now``."""
         return self.n_cpus * self.clock.now
 
+    @property
+    def threads(self) -> ValuesView[SimThread]:
+        """The live threads, in the order they were added (a read-only
+        view; an exited thread leaves it, see :meth:`_retire`)."""
+        return self._live.values()
+
     def total_thread_cpu_us(self) -> int:
-        """Sum of CPU time charged to all threads."""
-        return sum(t.accounting.total_us for t in self.threads)
+        """Sum of CPU time charged to all threads, retired ones included."""
+        return self._retired_cpu_us + sum(
+            t.accounting.total_us for t in self._live.values()
+        )
 
     def conservation_gap_us(self) -> int:
         """Capacity not accounted for: ``n_cpus * now`` minus thread CPU,
@@ -414,16 +430,12 @@ class Kernel:
             + self.offline_us
         )
 
-    def live_threads(self) -> list[SimThread]:
-        """Threads that have not exited."""
-        return [t for t in self.threads if t.state.is_live]
-
     # ------------------------------------------------------------------
     # thread management
     # ------------------------------------------------------------------
     def add_thread(self, thread: SimThread) -> SimThread:
         """Register ``thread`` with the kernel and the scheduler."""
-        if thread.tid in self._thread_tids:
+        if thread.state is not ThreadState.NEW:
             raise SimulationError(f"thread {thread.name!r} already added")
         if thread.affinity is not None and thread.affinity >= self.n_cpus:
             raise SimulationError(
@@ -437,8 +449,8 @@ class Kernel:
             )
         env = ThreadEnv(kernel=self, thread=thread)
         thread.bind(env)
-        self.threads.append(thread)
-        self._thread_tids.add(thread.tid)
+        self._live[thread.tid] = thread
+        self.thread_names[thread.tid] = thread.name
         self.scheduler.add_thread(thread)
         self.scheduler.on_ready(thread, self.now)
         return thread
@@ -470,13 +482,14 @@ class Kernel:
         owner leaves the mutex held forever.
 
         Like a natural exit, a kill drops the thread's body and
-        generator and keeps its bookkeeping (see :class:`SimThread`).
+        generator and retires the thread (see :meth:`_retire`).
         Dropping a suspended generator closes it: Python raises
         ``GeneratorExit`` at the ``yield`` it waits on.  No thread body
         in this project has a ``finally:`` or ``with`` block, so the
         close runs no code of the body's.
         """
-        if thread.tid not in self._thread_tids:
+        env = thread._env
+        if env is None or env.kernel is not self:
             raise SimulationError(
                 f"thread {thread.name!r} is not part of this kernel"
             )
@@ -493,6 +506,7 @@ class Kernel:
         blocked_on = thread.blocked_on
         thread.blocked_on = None
         self._exit_thread(thread, status)
+        self._retire(thread)
         if blocked_on is not None:
             self._detach_waiter(thread, blocked_on)
         return True
@@ -590,8 +604,8 @@ class Kernel:
         target = self._online_states[0].index
         drained: list[SimThread] = []
         displaced: list[tuple[SimThread, int]] = []
-        for thread in self.threads:
-            if thread.state.is_live and thread.affinity == index:
+        for thread in self._live.values():
+            if thread.affinity == index:
                 thread.pin_to(target)
                 displaced.append((thread, target))
                 drained.append(thread)
@@ -659,17 +673,20 @@ class Kernel:
         and — because stealing advances the shared clock — stalls the
         other CPUs for the same interval; their share is accounted as
         idle time so the conservation identity keeps holding.
+
+        Stealing happens between slices (its callers are calendar
+        events); a call from inside a slice raises
+        :class:`SimulationError`.
         """
         if us < 0:
             raise ValueError(f"cannot steal negative CPU time {us}")
+        if self._now_override is not None:
+            raise SimulationError("cannot steal CPU time from inside a slice")
         if us == 0:
             return
-        if self._now_override is None:
-            self.clock.advance_by(us)
-        else:
-            self._now_override += us
+        self.clock.advance_by(us)
         self.stolen_controller_us += us
-        if self.n_cpus > 1 and self._now_override is None:
+        if self.n_cpus > 1:
             online = self._online_states
             for cpu in online[1:]:
                 cpu.idle_us += us
@@ -759,7 +776,7 @@ class Kernel:
         transition = self.events.next_transition(self.now)
         if transition is None:
             blocked = [
-                t for t in self.live_threads() if t.state == ThreadState.BLOCKED
+                t for t in self._live.values() if t.state == ThreadState.BLOCKED
             ]
             if blocked and self.deadlock_detection:
                 names = ", ".join(t.name for t in blocked)
@@ -992,6 +1009,8 @@ class Kernel:
         """The non-preempted outcomes (``_dispatch`` inlines that one)."""
         acct = thread.accounting
         if outcome == _DispatchOutcome.EXITED:
+            # Retired only now: the slice's CPU was charged just before.
+            self._retire(thread)
             return
         if outcome == _DispatchOutcome.YIELDED:
             acct.voluntary_switches += 1
@@ -1174,6 +1193,16 @@ class Kernel:
         thread._body = None
         thread._generator = None
         thread._pending_send = None
+
+    def _retire(self, thread: SimThread) -> None:
+        """Drop an exited thread from the live table, keeping its CPU.
+
+        Called once the thread's last slice is charged: at the end of
+        the exiting dispatch, or by :meth:`kill_thread`.  Only its name
+        stays, in :attr:`thread_names`.
+        """
+        del self._live[thread.tid]
+        self._retired_cpu_us += thread.accounting.total_us
 
 
 __all__ = ["DEFAULT_DISPATCH_INTERVAL_US", "Kernel"]

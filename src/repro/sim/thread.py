@@ -147,12 +147,14 @@ class SimThread:
         kernel.  ``None`` (the default) lets the scheduler's placement
         policy migrate the thread freely; see :meth:`pin_to`.
 
-    An exited thread keeps only its bookkeeping: ``name``, ``tid``,
+    At exit the kernel drops the thread's body, its generator and any
+    pending send value, and retires the thread: it leaves
+    ``kernel.threads`` and its CPU time moves into the kernel's running
+    total, so a long open-system run holds no finished job.  Only its
+    name stays with the kernel (``kernel.thread_names``).  Whoever
+    still holds the object sees its bookkeeping: ``name``, ``tid``,
     ``state``, ``exit_status``, ``accounting``, ``sched_data`` and its
-    ``ThreadEnv`` (so :meth:`pin_to` still checks its arguments).  The
-    kernel drops its body, its generator and any pending send value
-    at exit, so a long open-system run does not hold every finished
-    job's generator frame and closure.
+    ``ThreadEnv`` (so :meth:`pin_to` still checks its arguments).
     """
 
     __slots__ = (
@@ -160,6 +162,7 @@ class SimThread:
         "_env", "affinity", "state", "accounting", "exit_status", "last_cpu",
         "sched_data", "_body", "_generator", "_current_request",
         "_remaining_compute_us", "_pending_send", "blocked_on", "wakeup_event",
+        "__weakref__",
     )
 
     _next_tid = 1

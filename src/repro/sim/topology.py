@@ -176,11 +176,6 @@ class CpuTopology:
         self._check(cpu)
         return self._socket_of[cpu]
 
-    def core_of(self, cpu: int) -> int:
-        """Global physical-core id of ``cpu`` (unique across sockets)."""
-        self._check(cpu)
-        return self._core_of[cpu]
-
     def siblings(self, cpu: int) -> tuple[int, ...]:
         """All hardware threads of ``cpu``'s physical core, itself included."""
         self._check(cpu)

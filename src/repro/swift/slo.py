@@ -156,14 +156,9 @@ class SLOController:
 
         ``None`` until the stream has at least one completion.
         """
-        window: list[int] = []
-        needed = self.policy.window
-        for record in reversed(self.stream.records):
-            if record.outcome != "completed":
-                continue
-            window.append(record.sojourn_us)
-            if len(window) >= needed:
-                break
+        window = self.stream.records.latest_completed_sojourns_us(
+            self.policy.window
+        )
         if not window:
             return None
         window.sort()

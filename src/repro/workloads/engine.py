@@ -37,6 +37,8 @@ controller-less kernels.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
@@ -146,6 +148,8 @@ class JobTemplate:
 
 #: The three ways a job leaves the bookkeeping.
 JOB_OUTCOMES = ("completed", "killed", "rejected")
+_OUTCOME_CODE = {name: code for code, name in enumerate(JOB_OUTCOMES)}
+_COMPLETED = _OUTCOME_CODE["completed"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,6 +190,77 @@ class JobRecord:
         }
 
 
+class JobRecords:
+    """One stream's job records, in departure order, as typed columns.
+
+    An open-system run records one job per arrival, so the records are
+    stored unboxed: ``array("q")`` columns for the job index, spawn and
+    end times, an ``array("B")`` of :data:`JOB_OUTCOMES` codes and an
+    ``array("I")`` of codes into the stream's tag table.  Readers
+    (iteration, indexing) build one :class:`JobRecord` per record on
+    access; appending builds none.
+    """
+
+    __slots__ = ("stream", "_index", "_tag", "_spawn", "_end", "_outcome",
+                 "_tags", "_tag_code")
+
+    def __init__(self, stream: str) -> None:
+        self.stream = stream
+        self._index: array[int] = array("q")
+        self._tag: array[int] = array("I")
+        self._spawn: array[int] = array("q")
+        self._end: array[int] = array("q")
+        self._outcome: array[int] = array("B")
+        #: Tag by code, and code by tag.
+        self._tags: list[str] = []
+        self._tag_code: dict[str, int] = {}
+
+    def append(self, index: int, tag: str, spawn_us: int, end_us: int,
+               outcome: str) -> None:
+        """Record one departed job."""
+        code = self._tag_code.get(tag)
+        if code is None:
+            code = self._tag_code[tag] = len(self._tags)
+            self._tags.append(tag)
+        self._index.append(index)
+        self._tag.append(code)
+        self._spawn.append(spawn_us)
+        self._end.append(end_us)
+        self._outcome.append(_OUTCOME_CODE[outcome])
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, i: int) -> JobRecord:
+        return JobRecord(
+            self.stream, self._index[i], self._tags[self._tag[i]],
+            self._spawn[i], self._end[i], JOB_OUTCOMES[self._outcome[i]],
+        )
+
+    def __iter__(self) -> Iterator[JobRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+    def completed_sojourns_us(self) -> list[int]:
+        """Sojourn times of completed jobs, in completion order."""
+        return [
+            end - spawn
+            for spawn, end, outcome in zip(self._spawn, self._end, self._outcome)
+            if outcome == _COMPLETED
+        ]
+
+    def latest_completed_sojourns_us(self, count: int) -> list[int]:
+        """The sojourns of the last ``count`` completed jobs (fewer if
+        fewer completed), newest first."""
+        window: list[int] = []
+        spawn, end, outcome = self._spawn, self._end, self._outcome
+        for i in range(len(outcome) - 1, -1, -1):
+            if outcome[i] == _COMPLETED:
+                window.append(end[i] - spawn[i])
+                if len(window) >= count:
+                    break
+        return window
+
+
 @dataclass
 class JobStream:
     """One arrival process feeding one (or a tag map of) template(s).
@@ -193,10 +268,11 @@ class JobStream:
     Bookkeeping is in job counts: ``spawned`` (threads created),
     ``rejected`` (arrivals denied admission — no thread was created),
     ``completed`` (ran their full demand and exited), ``killed``
-    (forced out by a phase script).  ``records`` holds one
-    :class:`JobRecord` per job that left the system (completed, killed
-    or rejected), in departure order — the raw material for per-tag
-    sojourn percentiles and response curves.
+    (forced out by a phase script).  ``records`` holds one record per
+    job that left the system (completed, killed or rejected), in
+    departure order, as :class:`JobRecords` columns that read back as
+    :class:`JobRecord` s — the raw material for per-tag sojourn
+    percentiles and response curves.
     """
 
     name: str
@@ -210,12 +286,15 @@ class JobStream:
     rejected: int = 0
     completed: int = 0
     killed: int = 0
-    records: list[JobRecord] = field(default_factory=list)
+    records: JobRecords = field(init=False)
     #: Job index -> live thread, in spawn order.
     live: dict[int, SimThread] = field(default_factory=dict)
     #: Job index -> (tag, spawn time) for live jobs, finalized into a
-    #: :class:`JobRecord` when the job leaves.
+    #: record when the job leaves.
     inflight: dict[int, tuple[str, int]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.records = JobRecords(self.name)
 
     def arrivals_seen(self) -> int:
         """Arrivals processed so far (spawned + rejected)."""
@@ -235,7 +314,7 @@ class JobStream:
 
     def completed_sojourns_us(self) -> list[int]:
         """Sojourn times of completed jobs, in completion order."""
-        return [r.sojourn_us for r in self.records if r.outcome == "completed"]
+        return self.records.completed_sojourns_us()
 
     def mean_sojourn_us(self) -> float:
         """Mean completed-job sojourn time.
@@ -251,16 +330,7 @@ class JobStream:
 
     def _finish(self, index: int, tag: str, spawn_us: int, end_us: int,
                 outcome: str) -> None:
-        self.records.append(
-            JobRecord(
-                stream=self.name,
-                index=index,
-                tag=tag,
-                spawn_us=spawn_us,
-                end_us=end_us,
-                outcome=outcome,
-            )
-        )
+        self.records.append(index, tag, spawn_us, end_us, outcome)
 
 
 class WorkloadEngine:
@@ -732,6 +802,7 @@ def dispatch_fingerprint(kernel: "Kernel") -> str:
 __all__ = [
     "JOB_OUTCOMES",
     "JobRecord",
+    "JobRecords",
     "JobStream",
     "JobTemplate",
     "PhaseScript",

@@ -99,3 +99,21 @@ def consumer_body(queue, block_bytes: int, compute_us: int):
             yield Compute(compute_us)
 
     return body
+
+
+def record_added_threads(kernel: Kernel) -> list[SimThread]:
+    """Every thread added to ``kernel`` from now on, in order.
+
+    The kernel's thread table keeps live threads only; a test that
+    reads an exited thread's state or accounting keeps it through
+    this list.
+    """
+    added: list[SimThread] = []
+    add_thread = kernel.add_thread
+
+    def recording_add_thread(thread: SimThread) -> SimThread:
+        added.append(thread)
+        return add_thread(thread)
+
+    kernel.add_thread = recording_add_thread
+    return added

@@ -20,6 +20,7 @@ from repro.sim.clock import seconds
 from repro.system import build_real_rate_system
 from repro.workloads.pulse import PulseParameters, PulsePipeline, PulseSchedule
 from repro.workloads.webfarm import WebFarm
+from tests.conftest import record_added_threads
 
 #: Virtual duration of the proxy scenario (keeps the test fast).
 DURATION_S = 0.8
@@ -28,6 +29,7 @@ DURATION_S = 0.8
 def run_proxy_scenario(n_cpus: int):
     """One deterministic run; returns (fingerprint, dispatch log, accounting)."""
     system = build_real_rate_system(n_cpus=n_cpus, record_dispatches=True)
+    added = record_added_threads(system.kernel)
     params = PulseParameters()
     schedule = PulseSchedule.paper_figure6(params.base_rate_bytes_per_cpu_us)
     pipeline = PulsePipeline.attach(system, schedule=schedule, params=params)
@@ -52,7 +54,7 @@ def run_proxy_scenario(n_cpus: int):
             t.accounting.sleeps,
             t.state.value,
         )
-        for t in kernel.threads
+        for t in added
     }
     totals = (
         kernel.now,

@@ -27,7 +27,13 @@ from repro.sim.thread import ThreadState
 from repro.sim.topology import CpuTopology
 from repro.workloads.arrivals import DeterministicArrivals, PoissonArrivals
 from repro.workloads.engine import JobTemplate, WorkloadEngine, dispatch_fingerprint
-from tests.conftest import consumer_body, finite_body, producer_body, spin_body
+from tests.conftest import (
+    consumer_body,
+    finite_body,
+    producer_body,
+    record_added_threads,
+    spin_body,
+)
 
 
 def record_oracle(kernel: Kernel) -> list[tuple]:
@@ -161,6 +167,7 @@ def test_churn_run_names_exited_threads():
         ),
     )
     entries = record_oracle(kernel)
+    added = record_added_threads(kernel)
     engine.start()
     kernel.run_for(150_000)
     assert engine.kill(misc, 3) == 3
@@ -168,9 +175,10 @@ def test_churn_run_names_exited_threads():
     assert kernel.kill_thread(live[-1])
     kernel.run_for(50_000)
 
-    exited = {t.name for t in kernel.threads if t.state is ThreadState.EXITED}
-    assert {t.exit_status for t in kernel.threads if t.name in exited} >= {0, -9}
+    exited = {t.name for t in added if t.state is ThreadState.EXITED}
+    assert {t.exit_status for t in added if t.name in exited} >= {0, -9}
     assert exited & {entry[2] for entry in entries}
+    assert set(kernel.thread_names.values()) == {t.name for t in added}
     assert_matches_oracle(kernel, entries)
 
 

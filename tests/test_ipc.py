@@ -18,10 +18,6 @@ class TestRoles:
         assert Role.PRODUCER.sign == -1
         assert Role.CONSUMER.sign == 1
 
-    def test_opposite(self):
-        assert Role.PRODUCER.opposite is Role.CONSUMER
-        assert Role.CONSUMER.opposite is Role.PRODUCER
-
 
 class TestChannel:
     def test_initial_state(self):

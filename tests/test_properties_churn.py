@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.experiments.smoke import GOLDEN_SCHEDULERS
 from repro.sched.rbs import ReservationScheduler
 from repro.sim.kernel import Kernel
+from repro.sim.thread import ThreadState
 from repro.workloads.arrivals import (
     DeterministicArrivals,
     PoissonArrivals,
@@ -120,11 +121,14 @@ def build_churn(scheduler, n_cpus, specs, actions):
 
 def assert_no_lost_no_double(kernel, churn):
     # Stream bookkeeping adds up and every non-rejected arrival exists
-    # exactly once in the kernel.
-    by_name = {}
+    # exactly once in the kernel's name table (which outlives exits);
+    # the kernel's thread table holds live threads only.
+    by_name = set()
+    for name in kernel.thread_names.values():
+        assert name not in by_name, f"duplicate thread {name}"
+        by_name.add(name)
     for thread in kernel.threads:
-        assert thread.name not in by_name, f"duplicate thread {thread.name}"
-        by_name[thread.name] = thread
+        assert thread.state is not ThreadState.EXITED, thread
     for stream in churn.streams:
         assert stream.spawned == (
             stream.completed + stream.killed + len(stream.live)

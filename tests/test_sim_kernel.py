@@ -6,7 +6,7 @@ from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.ipc.mutex import Mutex
 from repro.sched.round_robin import RoundRobinScheduler
 from repro.sim.cpu import CPUModel
-from repro.sim.errors import DeadlockError
+from repro.sim.errors import DeadlockError, SimulationError
 from repro.sim.kernel import Kernel
 from repro.sim.requests import (
     AcquireMutex,
@@ -305,6 +305,18 @@ class TestOverheadAccounting:
         kernel.steal_cpu(500)
         assert kernel.now == 500
         assert kernel.stolen_controller_us == 500
+
+    def test_steal_cpu_inside_a_slice_raises(self):
+        def thief(env):
+            yield Compute(100)
+            env.kernel.steal_cpu(10)
+            yield Compute(100)
+
+        kernel = make_kernel()
+        kernel.spawn("thief", thief)
+        with pytest.raises(SimulationError, match="inside a slice"):
+            kernel.run_for(1_000)
+        assert kernel.stolen_controller_us == 0
 
     def test_syscall_cost_charged(self):
         queue = BoundedBuffer("q", 10_000)

@@ -1,20 +1,28 @@
 """What an exited thread keeps, and what it lets go.
 
-An exited :class:`SimThread` stays in ``kernel.threads`` for its
-records (name, tid, state, exit status, CPU accounting), but the kernel
-drops its body and generator at exit, so a long open-system run does
-not hold every finished job's generator frame.  The per-thread records
-are slotted, so none of them carries an instance ``__dict__``.
+An exited :class:`SimThread` retires: it leaves ``kernel.threads``,
+which holds live threads only, and its CPU time moves into the running
+total behind ``kernel.total_thread_cpu_us()``, so the conservation
+identity keeps holding.  The kernel keeps only its name, in
+``kernel.thread_names``.  The thread object itself keeps its records
+(name, tid, state, exit status, CPU accounting) for whoever still holds
+it, but the kernel drops its body and generator at exit, so once its
+last holder lets go nothing of a finished job stays behind.  The
+per-thread records are slotted, so none of them carries an instance
+``__dict__``.
 """
 
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import weakref
 
 import pytest
 
+from repro.sched.round_robin import RoundRobinScheduler
+from repro.sim.errors import SimulationError
 from repro.sim.kernel import Kernel
 from repro.sim.requests import Compute, Sleep
 from repro.sim.thread import SimThread, ThreadEnv, ThreadState
@@ -40,7 +48,8 @@ class TestExitReleasesGenerator:
         assert thread.state is ThreadState.EXITED
         assert thread.exit_status == 0
         assert thread.accounting.total_us == 3_000
-        assert thread in rr_kernel.threads
+        assert thread not in rr_kernel.threads
+        assert rr_kernel.thread_names[thread.tid] == "worker"
 
     def test_kill(self, rr_kernel):
         thread = rr_kernel.spawn("sleeper", sleeper_body)
@@ -53,7 +62,8 @@ class TestExitReleasesGenerator:
         assert thread.state is ThreadState.EXITED
         assert thread.exit_status == -15
         assert thread.accounting.total_us == 100
-        assert thread in rr_kernel.threads
+        assert thread not in rr_kernel.threads
+        assert rr_kernel.thread_names[thread.tid] == "sleeper"
         rr_kernel.run_for(100_000)
         assert thread.accounting.total_us == 100
 
@@ -63,6 +73,72 @@ class TestExitReleasesGenerator:
         assert thread.state is ThreadState.EXITED
         with pytest.raises(ValueError, match="only 1 CPU"):
             thread.pin_to(3)
+
+
+class TestRetirement:
+    def test_exited_thread_is_freed_once_its_holder_lets_go(self, rr_kernel):
+        worker = rr_kernel.spawn("worker", finite_body(2_000))
+        sleeper = rr_kernel.spawn("sleeper", sleeper_body)
+        rr_kernel.run_for(5_000)
+        assert rr_kernel.kill_thread(sleeper)
+        # Run past the killed sleeper's cancelled wake-up, which the
+        # calendar drops only when it reaches the head.
+        rr_kernel.run_for(100_000)
+        refs = [weakref.ref(worker), weakref.ref(sleeper)]
+        assert worker.state is sleeper.state is ThreadState.EXITED
+        del worker, sleeper
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert list(rr_kernel.threads) == []
+        assert sorted(rr_kernel.thread_names.values()) == ["sleeper", "worker"]
+
+    def test_conservation_after_an_exit_whose_last_slice_ran(self):
+        kernel = Kernel(
+            RoundRobinScheduler(), charge_dispatch_overhead=False,
+            syscall_cost_us=0, record_dispatches=True,
+        )
+        # 2,500 us in 1,000 us bursts: the last burst (500 us) and the
+        # exit share one slice.
+        thread = kernel.spawn("worker", finite_body(2_500))
+        kernel.spawn("spinner", finite_body(20_000))
+        kernel.run_for(10_000)
+        assert thread.state is ThreadState.EXITED
+        exits = [e for e in kernel.dispatch_log if e[2] == "worker"][-1:]
+        assert exits and exits[0][3] == "exited" and exits[0][4] == 500
+        assert kernel.conservation_gap_us() == 0
+        assert kernel.total_thread_cpu_us() == kernel.now
+        kernel.run_for(30_000)
+        assert kernel.conservation_gap_us() == 0
+        assert kernel.total_thread_cpu_us() == 22_500
+
+    def test_conservation_after_a_kill(self, rr_kernel):
+        thread = rr_kernel.spawn("sleeper", sleeper_body)
+        rr_kernel.spawn("worker", finite_body(5_000))
+        rr_kernel.run_for(3_000)
+        assert rr_kernel.kill_thread(thread)
+        assert rr_kernel.conservation_gap_us() == 0
+        rr_kernel.run_for(100_000)
+        assert rr_kernel.conservation_gap_us() == 0
+        assert rr_kernel.total_thread_cpu_us() == 5_100
+
+    def test_a_thread_is_added_once(self, rr_kernel):
+        thread = rr_kernel.spawn("worker", finite_body(1_000))
+        with pytest.raises(SimulationError, match="already added"):
+            rr_kernel.add_thread(thread)
+        rr_kernel.run_for(5_000)
+        assert thread.state is ThreadState.EXITED
+        with pytest.raises(SimulationError, match="already added"):
+            rr_kernel.add_thread(thread)
+        other = Kernel(RoundRobinScheduler())
+        with pytest.raises(SimulationError, match="already added"):
+            other.add_thread(thread)
+
+    def test_kill_refuses_another_kernels_thread(self, rr_kernel):
+        other = Kernel(RoundRobinScheduler())
+        thread = other.spawn("elsewhere", sleeper_body)
+        with pytest.raises(SimulationError, match="not part of this kernel"):
+            rr_kernel.kill_thread(thread)
+        assert thread.state is ThreadState.READY
 
 
 def test_churn_run_keeps_no_exited_generator(rbs_kernel: Kernel):
@@ -80,13 +156,15 @@ def test_churn_run_keeps_no_exited_generator(rbs_kernel: Kernel):
             reservation=(50, 10_000),
         ),
     )
-    generators: dict[int, weakref.ref] = {}
+    added: list[SimThread] = []
+    generators: list[weakref.ref] = []
     add_thread = rbs_kernel.add_thread
 
     def recording_add_thread(thread: SimThread) -> SimThread:
-        added = add_thread(thread)
-        generators[thread.tid] = weakref.ref(thread._generator)
-        return added
+        add_thread(thread)
+        added.append(thread)
+        generators.append(weakref.ref(thread._generator))
+        return thread
 
     rbs_kernel.add_thread = recording_add_thread
     engine.start()
@@ -95,13 +173,20 @@ def test_churn_run_keeps_no_exited_generator(rbs_kernel: Kernel):
     rbs_kernel.run_for(50_000)
 
     spawned = sum(stream.spawned for stream in engine.streams)
-    assert len(rbs_kernel.threads) == len(generators) == spawned
-    exited = [t for t in rbs_kernel.threads if t.state is ThreadState.EXITED]
-    assert misc.completed > 0 and misc.live
-    for thread in rbs_kernel.threads:
-        alive = generators[thread.tid]() is not None
+    assert len(added) == len(generators) == len(rbs_kernel.thread_names) == spawned
+    exited = [t for t in added if t.state is ThreadState.EXITED]
+    live = [t for t in added if t.state is not ThreadState.EXITED]
+    assert misc.completed > 0 and misc.live and exited
+    assert list(rbs_kernel.threads) == live
+    assert {t.name for t in added} == set(rbs_kernel.thread_names.values())
+    for thread, generator in zip(added, generators):
+        alive = generator() is not None
         assert alive == (thread.state is not ThreadState.EXITED), thread
     assert sum(t.accounting.total_us for t in exited) > 0
+    assert rbs_kernel.total_thread_cpu_us() == sum(
+        t.accounting.total_us for t in added
+    )
+    assert rbs_kernel.conservation_gap_us() == 0
 
 
 def test_per_thread_records_have_no_instance_dict(rr_kernel):

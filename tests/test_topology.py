@@ -58,8 +58,10 @@ class TestCpuTopology:
         topo = CpuTopology(sockets=2, cores_per_socket=2, threads_per_core=2)
         assert topo.n_cpus == 8
         assert [topo.socket_of(i) for i in range(8)] == [0] * 4 + [1] * 4
-        # Global core ids: CPUs 0,1 share core 0; 2,3 core 1; etc.
-        assert [topo.core_of(i) for i in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
+        # Physical cores: CPUs 0,1 share one; 2,3 the next; etc.
+        assert [topo.siblings(i) for i in range(8)] == [
+            (0, 1), (0, 1), (2, 3), (2, 3), (4, 5), (4, 5), (6, 7), (6, 7),
+        ]
         assert topo.siblings(0) == (0, 1)
         assert topo.siblings(5) == (4, 5)
 

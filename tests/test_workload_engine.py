@@ -29,6 +29,8 @@ from repro.workloads.arrivals import (
     TraceArrivals,
 )
 from repro.workloads.engine import (
+    JobRecord,
+    JobRecords,
     JobTemplate,
     PhaseScript,
     WorkloadEngine,
@@ -149,6 +151,37 @@ class TestJobTemplate:
         assert JobTemplate("t", pin=lambda i: i % 3).resolve_pin(5) == 2
 
 
+class TestJobRecords:
+    ROWS = [
+        (0, "a", 100, 400, "completed"),
+        (2, "b", 150, 150, "rejected"),
+        (1, "a", 120, 900, "killed"),
+        (3, "b", 200, 260, "completed"),
+        (4, "a", 300, 1_000, "completed"),
+    ]
+
+    def _records(self):
+        records = JobRecords("s")
+        for row in self.ROWS:
+            records.append(*row)
+        return records
+
+    def test_reads_back_the_records_appended(self):
+        records = self._records()
+        expected = [JobRecord("s", *row) for row in self.ROWS]
+        assert len(records) == 5
+        assert list(records) == expected
+        assert records[-1] == expected[-1]
+        assert records[1].to_dict()["sojourn_us"] == 0
+
+    def test_completed_sojourns(self):
+        records = self._records()
+        assert records.completed_sojourns_us() == [300, 60, 700]
+        assert records.latest_completed_sojourns_us(2) == [700, 60]
+        assert records.latest_completed_sojourns_us(9) == [700, 60, 300]
+        assert JobRecords("s").latest_completed_sojourns_us(3) == []
+
+
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
@@ -182,7 +215,7 @@ class TestWorkloadEngine:
             assert record.end_us >= record.spawn_us
             assert record.sojourn_us == record.end_us - record.spawn_us
         # Completed jobs really exited and their names are unique.
-        names = [t.name for t in kernel.threads]
+        names = list(kernel.thread_names.values())
         assert len(names) == len(set(names))
 
     def test_kill_records_every_victim(self):
@@ -328,7 +361,7 @@ class TestWorkloadEngine:
         engine.start()
         kernel.run_for(30_000)
         assert stream.spawned == 3
-        names = {t.name for t in kernel.threads}
+        names = set(kernel.thread_names.values())
         assert names == {"mix.0", "mix.1", "mix.2"}
 
     def test_unknown_trace_tag_raises(self):
