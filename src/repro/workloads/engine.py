@@ -271,7 +271,7 @@ class JobStream:
     (forced out by a phase script).  ``records`` holds one record per
     job that left the system (completed, killed or rejected), in
     departure order, as :class:`JobRecords` columns that read back as
-    :class:`JobRecord` s — the raw material for per-tag sojourn
+    :class:`JobRecord` objects — the raw material for per-tag sojourn
     percentiles and response curves.
     """
 
@@ -327,10 +327,6 @@ class JobStream:
         if not sojourns:
             return float("nan")
         return sum(sojourns) / len(sojourns)
-
-    def _finish(self, index: int, tag: str, spawn_us: int, end_us: int,
-                outcome: str) -> None:
-        self.records.append(index, tag, spawn_us, end_us, outcome)
 
 
 class WorkloadEngine:
@@ -480,7 +476,7 @@ class WorkloadEngine:
             # the system (no thread is created, no tid is consumed by
             # the scheduler).
             stream.rejected += 1
-            stream._finish(index, record_tag, now, now, "rejected")
+            stream.records.append(index, record_tag, now, now, "rejected")
             return None
         # Jobs with neither a controller spec nor a direct reservation
         # are best-effort: under a bare reservation scheduler the
@@ -544,7 +540,7 @@ class WorkloadEngine:
             stream.completed += 1
             stream.live.pop(index, None)
             tag, spawn_us = stream.inflight.pop(index)
-            stream._finish(index, tag, spawn_us, env.now, "completed")
+            stream.records.append(index, tag, spawn_us, env.now, "completed")
 
         return body
 
@@ -590,7 +586,7 @@ class WorkloadEngine:
             stream.killed += 1
             stream.live.pop(index, None)
             tag, spawn_us = stream.inflight.pop(index)
-            stream._finish(index, tag, spawn_us, now, "killed")
+            stream.records.append(index, tag, spawn_us, now, "killed")
         return killed
 
     def repin(self, stream: JobStream, cpu: Optional[int],

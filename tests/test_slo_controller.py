@@ -20,7 +20,7 @@ def _stream(records_us, *, outcome="completed"):
         arrivals=DeterministicArrivals(1_000),
     )
     for i, sojourn in enumerate(records_us):
-        stream._finish(i, "j", 0, sojourn, outcome)
+        stream.records.append(i, "j", 0, sojourn, outcome)
     return stream
 
 
@@ -81,8 +81,8 @@ class TestSLOController:
         kernel = Kernel(ReservationScheduler())
         spec = ThreadSpec(proportion_ppt=50, period_us=10_000)
         stream = _stream([100, 200])
-        stream._finish(9, "j", 0, 9_999, "killed")
-        stream._finish(10, "j", 0, 0, "rejected")
+        stream.records.append(9, "j", 0, 9_999, "killed")
+        stream.records.append(10, "j", 0, 0, "rejected")
         controller = SLOController(kernel, stream, spec, policy)
         assert controller.observed_tail_us() == 200.0
 
