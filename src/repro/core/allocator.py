@@ -307,9 +307,8 @@ class ProportionAllocator:
         step, the reclaim rule with its two EMAs, the integral
         wind-down and the clamps — picks the period, and files the
         desired proportion into the overload partitions.  Overload
-        resolution then works from those partitions, and a second loop
-        actuates the grants, one ``scheduler.set_reservation`` call per
-        thread.
+        resolution then works from those partitions, and one
+        ``scheduler.actuate`` call applies every grant.
         """
         self._drop_exited()
 
@@ -581,14 +580,17 @@ class ProportionAllocator:
                 misc_decisions, misc_desired, misc_importance, misc_available, now
             )
 
-        # ``decisions`` is index-aligned with ``states``, so actuation
-        # needs no dict lookup per thread.
-        scheduler = self.scheduler
-        for state, decision in zip(states, decisions):
-            scheduler.set_reservation(
-                state.thread, decision.granted_ppt, decision.period_us, now=now
-            )
-            state.current_ppt = decision.granted_ppt
+        # One scheduler call actuates the whole tick; its lists are
+        # index-aligned because ``decisions`` is with ``states``.
+        grants = [decision.granted_ppt for decision in decisions]
+        self.scheduler.actuate(
+            [state.thread for state in states],
+            grants,
+            [decision.period_us for decision in decisions],
+            now,
+        )
+        for state, granted in zip(states, grants):
+            state.current_ppt = granted
         return decisions
 
     def _squish(

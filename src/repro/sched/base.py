@@ -130,11 +130,26 @@ class LazyMinHeap:
             len(heap) > self._COMPACT_FLOOR
             and len(heap) > self._COMPACT_RATIO * len(self.live)
         ):
-            # Rebuild from the live entries only.  Pop order is a total
-            # order over the entry tuples (tids are unique), so the
-            # internal arrangement cannot affect any pick sequence.
-            self._heap = list(self.live.values())
-            heapq.heapify(self._heap)
+            self.rebuild()
+
+    def stage(self, tid: int, entry: tuple) -> None:
+        """Make ``entry`` ``tid``'s live entry without pushing it.
+
+        The backing heap lacks a staged entry until :meth:`rebuild`, so
+        ``peek`` and ``pop`` must not run in between: a batch of re-keys
+        stages each one and rebuilds once at the end.
+        """
+        self.live[tid] = entry
+
+    def rebuild(self) -> None:
+        """Rebuild the backing heap from the live entries only.
+
+        Pop order is a total order over the entry tuples (tids are
+        unique), so the internal arrangement cannot affect any pick
+        sequence.
+        """
+        self._heap = list(self.live.values())
+        heapq.heapify(self._heap)
 
     def discard(self, tid: int) -> None:
         """Invalidate ``tid``'s live entry (no-op if absent)."""

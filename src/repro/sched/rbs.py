@@ -95,10 +95,27 @@ Later calls in the round read the plan.  A CPU the plan leaves empty
 falls back to that CPU's best-effort round-robin, exactly as the scan
 did.  Best-effort threads never hold a reservation, so these picks
 cannot change the plan.
+
+Batched actuation
+~~~~~~~~~~~~~~~~~
+The controller re-sizes every reservation it manages once per tick,
+through :meth:`ReservationScheduler.actuate`.  Most of those re-sizes
+change only the proportion of a thread that sits on the ready heap and
+stays eligible, which changes only its heap key.  One
+``set_reservation`` pushes the new key and leaves the old entry behind
+as garbage.  A batch instead *stages* each new key (it replaces the
+thread's live entry without touching the backing heap) and rebuilds the
+heap from the live entries once at the end, in a ``finally`` so that an
+error partway through the batch cannot leave a live key the heap lacks.
+Nothing reads the ready heap during a batch.  Every other effect of a
+re-size (throttling, a return to the ready heap, a period change's
+re-route, owed marks and strays, the reserved total) happens in batch
+order, exactly as the same ``set_reservation`` calls would make it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -290,9 +307,9 @@ class ReservationScheduler(Scheduler):
                 )
         proportion_ppt = int(proportion_ppt)
         period_us = int(period_us)
+        if now is None:
+            now = self.kernel.now if self.kernel is not None else 0
         if current is None:
-            if now is None:
-                now = self.kernel.now if self.kernel is not None else 0
             reservation = Reservation(
                 proportion_ppt=proportion_ppt,
                 period_us=period_us,
@@ -303,13 +320,73 @@ class ReservationScheduler(Scheduler):
             self._best_effort.pop(tid, None)
             self._track_reservation(thread, reservation)
             return reservation
+        if self._resize(thread, current, proportion_ppt, period_us, now):
+            self._rm_heap.push(tid, (period_us, -proportion_ppt, tid))
+        return current
+
+    def actuate(
+        self,
+        threads: Sequence[SimThread],
+        proportions_ppt: Sequence[int],
+        periods_us: Sequence[int],
+        now: int,
+    ) -> None:
+        """Apply one controller tick's grants, index-aligned per thread.
+
+        The effect is that of one ``set_reservation(threads[i],
+        proportions_ppt[i], periods_us[i], now=now)`` call per thread,
+        in order, and an error stops the batch where that call would
+        have raised.  The grants and periods must be ints, as the
+        controller's are: unlike ``set_reservation``, a re-size does not
+        coerce them.  A ready thread that stays eligible is only
+        re-keyed, so the ready heap is rebuilt once at the end instead
+        of taking one push per thread (see "Batched actuation").
+        """
+        reservations = self._reservations
+        rm_heap = self._rm_heap
+        stage = rm_heap.stage
+        resize = self._resize
+        try:
+            for thread, proportion_ppt, period_us in zip(
+                threads, proportions_ppt, periods_us
+            ):
+                tid = thread.tid
+                # A tracked reservation is the thread's ``sched_data``
+                # one (``_reservations`` mirrors it), the one that
+                # set_reservation would re-size.
+                current = reservations.get(tid)
+                if current is None:
+                    # Untracked: the registration probe and the creation
+                    # path are set_reservation's.
+                    self.set_reservation(thread, proportion_ppt, period_us, now=now)
+                elif resize(thread, current, proportion_ppt, period_us, now):
+                    stage(tid, (period_us, -proportion_ppt, tid))
+        finally:
+            # Also after an error: every staged key must reach the heap.
+            rm_heap.rebuild()
+
+    def _resize(
+        self,
+        thread: SimThread,
+        current: Reservation,
+        proportion_ppt: int,
+        period_us: int,
+        now: int,
+    ) -> bool:
+        """Re-size ``thread``'s tracked reservation ``current`` in place.
+
+        Returns ``True`` when the thread stays on the ready heap under
+        the new ``(period_us, -proportion_ppt, tid)`` key, which the
+        caller writes (a push, or a stage in a batch); every other heap
+        move is made here.
+        """
         if (
             proportion_ppt == current.proportion_ppt
             and period_us == current.period_us
         ):
             # The controller re-actuating unchanged values is the common
             # case; nothing about eligibility or ordering moved.
-            return current
+            return False
         # Same bounds (and error messages) as Reservation.__post_init__,
         # without building a throwaway instance on the actuation path.
         if not 0 <= proportion_ppt <= PROPORTION_SCALE:
@@ -323,9 +400,8 @@ class ReservationScheduler(Scheduler):
             )
         self._reserved_ppt_total += proportion_ppt - current.proportion_ppt
         current.proportion_ppt = proportion_ppt
+        tid = thread.tid
         if period_us != current.period_us:
-            if now is None:
-                now = self.kernel.now if self.kernel is not None else 0
             current.period_us = period_us
             current.period_start = now
             current.used_in_period_us = 0
@@ -333,24 +409,23 @@ class ReservationScheduler(Scheduler):
             # re-keys a replenishment entry from the old window's end).
             if thread.state.is_runnable:
                 self._route(tid, current)
-        else:
-            # Proportion only, the common controller actuation.  A
-            # ready thread that stays eligible only changes its heap
-            # key, and a throttled one that stays exhausted keeps its
-            # entry (``period_end`` did not move).  A flipped exhaustion
-            # is re-routed.  A blocked thread is on neither heap;
-            # ``on_ready`` routes it when it wakes.
-            exhausted = current.used_in_period_us >= (
-                period_us * proportion_ppt // PROPORTION_SCALE
-            )
-            if tid in self._rm_heap.live:
-                if exhausted:
-                    self._throttle(tid, current)
-                else:
-                    self._rm_heap.push(tid, (period_us, -proportion_ppt, tid))
-            elif not exhausted and tid in self._replenish.live:
-                self._make_ready(tid, current)
-        return current
+            return False
+        # Proportion only, the common controller actuation.  A ready
+        # thread that stays eligible only changes its heap key, and a
+        # throttled one that stays exhausted keeps its entry
+        # (``period_end`` did not move).  A flipped exhaustion is
+        # re-routed.  A blocked thread is on neither heap; ``on_ready``
+        # routes it when it wakes.
+        exhausted = current.used_in_period_us >= (
+            period_us * proportion_ppt // PROPORTION_SCALE
+        )
+        if tid in self._rm_heap.live:
+            if not exhausted:
+                return True
+            self._throttle(tid, current)
+        elif not exhausted and tid in self._replenish.live:
+            self._make_ready(tid, current)
+        return False
 
     def clear_reservation(self, thread: SimThread) -> None:
         """Demote ``thread`` to best-effort scheduling."""

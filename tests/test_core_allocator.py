@@ -15,6 +15,7 @@ from repro.ipc.roles import Role
 from repro.sched.rbs import ReservationScheduler
 from repro.sim.kernel import Kernel
 from repro.sim.requests import Compute, Get
+from repro.sim.thread import SchedulingPolicy
 from repro.sim.trace import Tracer
 from repro.system import build_real_rate_system
 
@@ -135,6 +136,47 @@ class TestRegistration:
         kernel.run_for(10_000)            # thread runs its 100 us and exits
         allocator.update(now=kernel.now)
         assert thread not in allocator.controlled_threads()
+
+
+class TestActuation:
+    def test_one_actuate_call_per_tick(self, monkeypatch):
+        """A tick actuates every grant in one ``actuate`` call; only a
+        thread without a reservation (a best-effort spawn) goes through
+        ``set_reservation``, once, to create one."""
+        kernel, scheduler, _, allocator = make_setup()
+        rt = kernel.spawn("rt", spin_body())
+        allocator.register(rt, ThreadSpec(proportion_ppt=200, period_us=10_000))
+        best_effort = kernel.spawn(
+            "be", spin_body(), policy=SchedulingPolicy.BEST_EFFORT
+        )
+        hogs = [best_effort] + [kernel.spawn(f"hog{i}", spin_body()) for i in range(3)]
+        for thread in hogs:
+            allocator.register(thread)
+        actuations = []
+        resized = []
+        actuate = scheduler.actuate
+        set_reservation = scheduler.set_reservation
+
+        def spy_actuate(threads, *args):
+            actuations.append(list(threads))
+            return actuate(threads, *args)
+
+        def spy_set_reservation(thread, *args, **kwargs):
+            resized.append(thread)
+            return set_reservation(thread, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "actuate", spy_actuate)
+        monkeypatch.setattr(scheduler, "set_reservation", spy_set_reservation)
+        for tick in range(1, 4):
+            decisions = allocator.update(now=tick * 10_000)
+            assert actuations == [[rt, *hogs]]
+            # Only the first tick meets a thread with no reservation.
+            assert resized == ([best_effort] if tick == 1 else [])
+            assert [
+                scheduler.reservation(d.thread).proportion_ppt for d in decisions
+            ] == [d.granted_ppt for d in decisions]
+            actuations.clear()
+            resized.clear()
 
 
 class TestDecisions:

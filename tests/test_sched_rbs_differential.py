@@ -5,10 +5,11 @@ run queues, pick-time reclassification, running aggregates) must make
 exactly the decisions of the historical O(n) scan-and-sort
 implementation.  :class:`ReferenceReservationScheduler` below *is* that
 implementation, kept verbatim as a test fixture; hypothesis drives both
-through identical randomized workloads — reservation changes, blocks
-and wake-ups, dispatch rounds with charges, on 1 and 4 CPUs — and every
-pick, every charge outcome and the final deadline-miss counts must
-match.
+through identical randomized workloads — reservation changes (one at a
+time, and in controller-tick batches that the optimized side takes in
+one ``actuate`` call), blocks and wake-ups, dispatch rounds with
+charges, on 1 and 4 CPUs — and every pick, every charge outcome and the
+final deadline-miss counts must match.
 
 On several CPUs the optimized scheduler plans a whole round at its
 first ``pick_next_cpu``; the oracle inherits the base class's
@@ -239,6 +240,46 @@ class DualHarness:
             self.ref_threads[index], ppt, period_us, now=self.now
         )
 
+    def actuate(self, grants: list[tuple[int, int, Optional[int]]]) -> None:
+        """One batched re-size of ``(index, ppt, period)`` grants.
+
+        The optimized side takes a single ``actuate`` call; the oracle
+        takes one ``set_reservation`` per grant, in turn.  A ``None``
+        period keeps the thread's period from before the batch (the
+        controller's common proportion-only re-size).  Both sides must
+        raise the same error, or neither.
+        """
+        self._sync_clocks()
+        periods = []
+        for index, _, period in grants:
+            if period is None:
+                current = self.opt.reservation(self.opt_threads[index])
+                period = DEFAULT_PERIOD_US if current is None else current.period_us
+            periods.append(period)
+        opt_error = ref_error = None
+        try:
+            self.opt.actuate(
+                [self.opt_threads[index] for index, _, _ in grants],
+                [ppt for _, ppt, _ in grants],
+                periods,
+                self.now,
+            )
+        except SchedulerError as exc:
+            opt_error = str(exc)
+        try:
+            for (index, ppt, _), period in zip(grants, periods):
+                self.ref.set_reservation(
+                    self.ref_threads[index], ppt, period, now=self.now
+                )
+        except SchedulerError as exc:
+            ref_error = str(exc)
+        assert opt_error == ref_error, f"batch errors diverged at t={self.now}"
+        # next_wakeup is not compared: as after set_reservation, a
+        # lazily rolled window's replenishment entry may trail the
+        # scan's until the next pick or refresh.
+        assert self.opt.total_reserved_ppt() == self.ref.total_reserved_ppt()
+        assert self.opt.deadline_misses() == self.ref.deadline_misses()
+
     def clear_reservation(self, index: int) -> None:
         self.opt.clear_reservation(self.opt_threads[index])
         self.ref.clear_reservation(self.ref_threads[index])
@@ -405,6 +446,24 @@ class DualHarness:
 
 
 # -- strategies --------------------------------------------------------
+def _batch(index):
+    """A controller tick's batched re-size: ``(index, ppt, period)``
+    grants, where a ``None`` period keeps the current one and a ppt of
+    -1 is out of range, so the batch raises where it reaches it."""
+    return st.tuples(
+        st.just("batch"),
+        st.lists(
+            st.tuples(
+                index,
+                st.integers(min_value=-1, max_value=400),
+                st.sampled_from([None, 2_000, 5_000, 10_000, 30_000]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+
+
 def _operations(n_threads: int):
     index = st.integers(min_value=0, max_value=n_threads - 1)
     return st.lists(
@@ -415,6 +474,7 @@ def _operations(n_threads: int):
                 st.integers(min_value=0, max_value=400),       # ppt
                 st.sampled_from([2_000, 5_000, 10_000, 30_000]),  # period
             ),
+            _batch(index),
             st.tuples(st.just("clear"), index),
             st.tuples(st.just("block"), index),
             st.tuples(st.just("wake"), index),
@@ -449,6 +509,8 @@ def test_optimized_matches_reference(n_cpus, case):
         kind = op[0]
         if kind == "reserve":
             harness.set_reservation(op[1], op[2], op[3])
+        elif kind == "batch":
+            harness.actuate(op[1])
         elif kind == "clear":
             harness.clear_reservation(op[1])
         elif kind == "block":
@@ -488,6 +550,7 @@ def _smp_operations(n_threads: int):
                 st.integers(min_value=0, max_value=400),
                 st.sampled_from([2_000, 5_000, 10_000, 30_000]),
             ),
+            _batch(index),
             st.tuples(st.just("clear"), index),
             st.tuples(st.just("block"), index),
             st.tuples(st.just("wake"), index),
@@ -524,6 +587,8 @@ def test_smp_rounds_match_reference(case):
         kind = op[0]
         if kind == "reserve":
             harness.set_reservation(op[1], op[2], op[3])
+        elif kind == "batch":
+            harness.actuate(op[1])
         elif kind == "clear":
             harness.clear_reservation(op[1])
         elif kind == "block":
@@ -893,6 +958,68 @@ def test_resize_of_removed_thread_raises_not_registered(n_cpus):
     assert messages[0] == messages[1] == (
         "thread 't0' is not registered with this scheduler"
     )
+
+
+# -- batched re-sizes ------------------------------------------------------
+#
+# ``actuate`` stages each ready thread's new key and rebuilds the ready
+# heap once, so the heap's own pops are checked here, not only the
+# picks (which may read the sorted live set).
+
+
+def _ready_reservations(n_threads: int) -> tuple[ReservationScheduler, list[SimThread]]:
+    scheduler = ReservationScheduler()
+    scheduler.attach(_FakeKernel())
+    threads = []
+    for index in range(n_threads):
+        thread = SimThread(f"t{index}", policy=SchedulingPolicy.BEST_EFFORT)
+        thread.state = ThreadState.READY
+        scheduler.add_thread(thread)
+        scheduler.on_ready(thread, 0)
+        scheduler.set_reservation(thread, 100 + 10 * index, 10_000, now=0)
+        threads.append(thread)
+    return scheduler, threads
+
+
+def _drain(heap) -> list[tuple]:
+    popped = []
+    entry = heap.pop()
+    while entry is not None:
+        popped.append(entry)
+        entry = heap.pop()
+    return popped
+
+
+def test_actuate_rekeys_ready_heap_in_pop_order():
+    """After a batch that re-keys every ready thread, the heap pops in
+    the new rate-monotonic order."""
+    scheduler, threads = _ready_reservations(6)
+    before = [entry[-1] for entry in scheduler._rm_heap.live_sorted()]
+    scheduler.actuate(
+        threads, [400 - 10 * index for index in range(6)], [10_000] * 6, 0
+    )
+    expected = scheduler._rm_heap.live_sorted()
+    assert [entry[-1] for entry in expected] == before[::-1]
+    assert _drain(scheduler._rm_heap) == expected
+
+
+def test_actuate_error_partway_keeps_every_entry_reachable():
+    """A batch that raises at its third grant keeps the first two, and
+    every ready thread stays reachable through peek and pop."""
+    scheduler, threads = _ready_reservations(5)
+    with pytest.raises(SchedulerError, match=r"got 1001$"):
+        scheduler.actuate(
+            threads, [500, 450, 1_001, 50, 40], [10_000] * 5, 0
+        )
+    assert [scheduler.reservation(t).proportion_ppt for t in threads] == [
+        500, 450, 120, 130, 140
+    ]
+    assert scheduler.total_reserved_ppt() == 500 + 450 + 120 + 130 + 140
+    heap = scheduler._rm_heap
+    expected = heap.live_sorted()
+    assert len(expected) == 5
+    assert heap.peek() == expected[0]
+    assert _drain(heap) == expected
 
 
 # -- real kernels --------------------------------------------------------
