@@ -29,9 +29,16 @@ thread_name, outcome, consumed)``, with the penalty as a sixth element
 only when one was charged, so a zero-penalty run reads exactly like a
 kernel without a topology.  Names are resolved from ``tid`` through the
 kernel's name table (:attr:`Kernel.thread_names`), which keeps the name
-of every thread ever added, long after the thread itself has retired.
+of every thread ever added, long after the thread itself has retired;
+each chunk looks up its own distinct tids once.
 :meth:`DispatchLog.fingerprint` hashes those entries ``|``-joined and
 ``;``-terminated, the bytes every committed digest was taken over.
+
+The name table is a :class:`NameTable`, packed the same way: the names'
+UTF-8 bytes in one ``bytearray``, and two ``array`` columns, the tids
+ascending and each name's end offset in that blob.  A thread costs its
+name's bytes plus 8 bytes of columns, and no Python object; a lookup
+bisects the tid column and decodes one slice.
 """
 
 from __future__ import annotations
@@ -39,8 +46,11 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
+from array import array
+from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from itertools import chain
+from operator import itemgetter
 from typing import Union
 
 #: One dispatch: start, cpu, tid, outcome code, consumed, penalty.
@@ -66,6 +76,66 @@ DispatchEntry = Union[
 #: An entry's hashed text by its length: its fields ``|``-joined and
 #: ``;``-terminated (``%d`` prints an int exactly as ``str`` does).
 _TEXT = {5: "%d|%d|%s|%s|%d;", 6: "%d|%d|%s|%s|%d|%d;"}
+
+#: A record's tid, from its unpacked tuple.
+_TID = itemgetter(2)
+
+
+class NameTable(Mapping[int, str]):
+    """tid -> name of every thread a kernel ever added, in packed columns.
+
+    :meth:`add`, called by ``Kernel.add_thread``, is the only writer;
+    everyone else reads the table as a ``Mapping``.  Tids usually arrive in increasing order and are
+    appended.  A thread built before one already added (tids come from
+    one process-wide counter) is spliced in at its sorted place, which
+    shifts the names and end offsets after it: time linear in the
+    table, where an append takes constant time.
+    """
+
+    __slots__ = ("_tids", "_ends", "_blob")
+
+    def __init__(self) -> None:
+        #: Every tid added, ascending (``I``: the width of a record's
+        #: tid field).
+        self._tids = array("I")
+        #: Offset in ``_blob`` just past each tid's name, in tid order.
+        self._ends = array("I")
+        #: The names, UTF-8 encoded and concatenated in tid order.
+        self._blob = bytearray()
+
+    def add(self, tid: int, name: str) -> None:
+        """Name ``tid``; a tid already named raises ``ValueError`` and
+        leaves the table as it was."""
+        data = name.encode()
+        tids, blob = self._tids, self._blob
+        if not tids or tid > tids[-1]:
+            tids.append(tid)
+            blob += data
+            self._ends.append(len(blob))
+            return
+        at = bisect_left(tids, tid)
+        if tids[at] == tid:
+            raise ValueError(f"tid {tid} is already named {self[tid]!r}")
+        ends = self._ends
+        start = ends[at - 1] if at else 0
+        blob[start:start] = data
+        ends[at:] = array("I", map(len(data).__add__, ends[at:]))
+        tids.insert(at, tid)
+        ends.insert(at, start + len(data))
+
+    def __getitem__(self, tid: int) -> str:
+        tids = self._tids
+        at = bisect_left(tids, tid)
+        if at == len(tids) or tids[at] != tid:
+            raise KeyError(tid)
+        ends = self._ends
+        return self._blob[ends[at - 1] if at else 0:ends[at]].decode()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._tids)
+
+    def __len__(self) -> int:
+        return len(self._tids)
 
 
 class DispatchLog:
@@ -103,15 +173,16 @@ class DispatchLog:
         so the kernel may keep appending and folding while a reader is
         suspended; the reader sees the records present at that call.
         """
-        names = self._names
+        table = self._names
         chunks = map(zlib.decompress, self.chunks[:])
         for chunk in chain(chunks, [bytes(self.records)]):
+            rows = list(RECORD.iter_unpack(chunk))
+            names = {tid: table[tid] for tid in dict.fromkeys(map(_TID, rows))}
             yield [
                 (start, cpu, names[tid], OUTCOMES[code], consumed, penalty)
                 if penalty
                 else (start, cpu, names[tid], OUTCOMES[code], consumed)
-                for start, cpu, tid, code, consumed, penalty
-                in RECORD.iter_unpack(chunk)
+                for start, cpu, tid, code, consumed, penalty in rows
             ]
 
     def __iter__(self) -> Iterator[DispatchEntry]:
@@ -136,4 +207,5 @@ __all__ = [
     "RECORD",
     "DispatchEntry",
     "DispatchLog",
+    "NameTable",
 ]

@@ -77,7 +77,13 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.clock import US_PER_SEC, SimClock
 from repro.sim.cpu import CPUModel, CPUState
-from repro.sim.dispatch_log import FOLD_BYTES, OUTCOME_CODE, RECORD, DispatchLog
+from repro.sim.dispatch_log import (
+    FOLD_BYTES,
+    OUTCOME_CODE,
+    RECORD,
+    DispatchLog,
+    NameTable,
+)
 from repro.sim.errors import DeadlockError, SimulationError, ThreadStateError
 from repro.sim.events import EventCalendar, PeriodicEvent
 from repro.sim.requests import (
@@ -247,8 +253,10 @@ class Kernel:
         #: CPU time charged to threads that have retired.
         self._retired_cpu_us = 0
         #: tid -> name of every thread ever added, live or retired; the
-        #: dispatch log names its records through it.
-        self.thread_names: dict[int, str] = {}
+        #: dispatch log names its records through it.  A read-only
+        #: mapping over packed columns (a UTF-8 name blob, tids and end
+        #: offsets), so a retired thread leaves no Python object here.
+        self.thread_names = NameTable()
         #: Per-CPU run state; aggregates are exposed as properties.
         self.cpu_states: list[CPUState] = [CPUState(i) for i in range(self.n_cpus)]
         #: Online/offline partitions of ``cpu_states`` (index order),
@@ -447,10 +455,13 @@ class Kernel:
                 f"thread {thread.name!r} is pinned to CPU {thread.affinity}, "
                 "which is offline (failed)"
             )
+        try:
+            self.thread_names.add(thread.tid, thread.name)
+        except ValueError as exc:  # a copy's tid, or a name UTF-8 cannot encode
+            raise SimulationError(f"thread {thread.name!r}: {exc}") from None
         env = ThreadEnv(kernel=self, thread=thread)
         thread.bind(env)
         self._live[thread.tid] = thread
-        self.thread_names[thread.tid] = thread.name
         self.scheduler.add_thread(thread)
         self.scheduler.on_ready(thread, self.now)
         return thread

@@ -151,7 +151,8 @@ class SimThread:
     pending send value, and retires the thread: it leaves
     ``kernel.threads`` and its CPU time moves into the kernel's running
     total, so a long open-system run holds no finished job.  Only its
-    name stays with the kernel (``kernel.thread_names``).  Whoever
+    name stays with the kernel (``kernel.thread_names``), as UTF-8
+    bytes and a tid in packed columns, not as Python objects.  Whoever
     still holds the object sees its bookkeeping: ``name``, ``tid``,
     ``state``, ``exit_status``, ``accounting``, ``sched_data`` and its
     ``ThreadEnv`` (so :meth:`pin_to` still checks its arguments).

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, settings
 
 from repro.core.config import ControllerConfig
 from repro.ipc.bounded_buffer import BoundedBuffer
@@ -13,6 +14,14 @@ from repro.sim.kernel import Kernel
 from repro.sim.requests import Compute, Exit, Get, Put, Sleep, Yield
 from repro.sim.thread import SimThread
 from repro.system import build_real_rate_system
+
+#: ``--hypothesis-profile=no-shrink`` finds a failing example and stops
+#: there, without shrinking it.  The CI gate self-tests run their
+#: mutants under it: they need only the first failure, and shrinking a
+#: failing differential property takes minutes.
+settings.register_profile(
+    "no-shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate]
+)
 
 
 @pytest.fixture

@@ -14,16 +14,21 @@ Every committed fingerprint was taken over these bytes.
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
+import sys
+
+import pytest
 
 from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.sched.rbs import ReservationScheduler
 from repro.sched.round_robin import RoundRobinScheduler
 from repro.sim.dispatch_log import OUTCOMES
+from repro.sim.errors import SimulationError
 from repro.sim.kernel import Kernel, _DispatchOutcome
 from repro.sim.requests import Compute, Sleep, Yield
-from repro.sim.thread import ThreadState
+from repro.sim.thread import SimThread, ThreadState
 from repro.sim.topology import CpuTopology
 from repro.workloads.arrivals import DeterministicArrivals, PoissonArrivals
 from repro.workloads.engine import JobTemplate, WorkloadEngine, dispatch_fingerprint
@@ -239,3 +244,76 @@ def test_storage_is_packed_bytes_with_no_object_per_dispatch():
     assert len(log.chunks) >= 4
     assert stored <= 12 * len(log)
     assert not gc.is_tracked(log.records)
+
+
+def quiet_kernel() -> Kernel:
+    """A round-robin kernel that records dispatches, with no overheads."""
+    return Kernel(
+        RoundRobinScheduler(), charge_dispatch_overhead=False,
+        syscall_cost_us=0, record_dispatches=True,
+    )
+
+
+def test_name_table_is_packed_bytes_with_no_object_per_thread():
+    kernel = quiet_kernel()
+    table = kernel.thread_names
+    columns = (table._tids, table._ends, table._blob)
+
+    def churn(first: int, count: int) -> None:
+        for i in range(first, first + count):
+            kernel.spawn(f"job-{i}", finite_body(200, 100))
+        kernel.run_for(300 * count)
+
+    churn(0, 100)
+    gc.collect()
+    tracked = len(gc.get_objects())
+    stored = sum(map(sys.getsizeof, columns))
+    churn(100, 4_000)
+    assert not kernel.threads and len(table) == 4_100
+    gc.collect()
+    # Names, tids and offsets live in three buffers: no Python object
+    # per retired thread.
+    assert len(gc.get_objects()) - tracked < 100
+    # A name's UTF-8 bytes plus 4-byte tid and end columns, with the
+    # buffers' spare capacity: at most 16 bytes over the name itself.
+    grown = sum(map(sys.getsizeof, columns)) - stored
+    name_bytes = sum(len(f"job-{i}".encode()) for i in range(100, 4_100))
+    assert grown <= name_bytes + 16 * 4_000
+    assert table[7 + min(table)] == "job-7"
+
+
+def test_name_table_edge_cases():
+    # Built before the kernel's other threads, so its tid is the
+    # smallest, but added last: it is spliced in ahead of their names.
+    early = SimThread("früh-线程", spin_body(300))
+    twin = copy.copy(early)
+    kernel, other = quiet_kernel(), quiet_kernel()
+    entries = record_oracle(kernel)
+    unnamed = kernel.spawn("", spin_body(300))
+    later = kernel.spawn("later", spin_body(300))
+    elsewhere = other.spawn("elsewhere", spin_body(300))
+    kernel.add_thread(early)
+    kernel.run_for(20_000)
+    other.run_for(5_000)
+
+    names = kernel.thread_names
+    assert list(names) == [early.tid, unnamed.tid, later.tid]
+    assert names[early.tid] == "früh-线程"
+    assert names[unnamed.tid] == ""
+    assert names[later.tid] == "later"
+    assert {entry[2] for entry in kernel.dispatch_log} == {"früh-线程", "", "later"}
+    assert_matches_oracle(kernel, entries)
+    # Each kernel keeps its own table.
+    assert dict(other.thread_names) == {elsewhere.tid: "elsewhere"}
+    assert {entry[2] for entry in other.dispatch_log} == {"elsewhere"}
+    for missing in (elsewhere.tid, later.tid + 1_000, 0):
+        with pytest.raises(KeyError):
+            names[missing]
+        assert missing not in names
+    # A copy keeps its tid, so the kernel refuses it before it touches
+    # the thread or any table.
+    with pytest.raises(SimulationError, match="früh-线程"):
+        kernel.add_thread(twin)
+    assert twin.state is ThreadState.NEW
+    assert len(names) == 3 and names[early.tid] == "früh-线程"
+    assert set(kernel.threads) == {early, unnamed, later}

@@ -4,7 +4,9 @@ An exited :class:`SimThread` retires: it leaves ``kernel.threads``,
 which holds live threads only, and its CPU time moves into the running
 total behind ``kernel.total_thread_cpu_us()``, so the conservation
 identity keeps holding.  The kernel keeps only its name, in
-``kernel.thread_names``.  The thread object itself keeps its records
+``kernel.thread_names``, a read-only mapping over packed columns (UTF-8
+name bytes, tids and end offsets; see ``test_dispatch_log.py`` for its
+storage).  The thread object itself keeps its records
 (name, tid, state, exit status, CPU accounting) for whoever still holds
 it, but the kernel drops its body and generator at exit, so once its
 last holder lets go nothing of a finished job stays behind.  The
