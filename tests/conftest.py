@@ -16,9 +16,9 @@ from repro.sim.thread import SimThread
 from repro.system import build_real_rate_system
 
 #: ``--hypothesis-profile=no-shrink`` finds a failing example and stops
-#: there, without shrinking it.  The CI gate self-tests run their
-#: mutants under it: they need only the first failure, and shrinking a
-#: failing differential property takes minutes.
+#: there, without shrinking it.  ``python -m tests.gate_mutants`` runs
+#: its pytest gates under it: they need only the first failure, and
+#: shrinking a failing differential property takes minutes.
 settings.register_profile(
     "no-shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate]
 )
