@@ -30,6 +30,7 @@ from typing import Optional
 from repro.core.allocator import AllocationDecision, ProportionAllocator
 from repro.sim.events import PeriodicEvent
 from repro.sim.kernel import Kernel
+from repro.sim.trace import TraceSeries
 
 #: Calibration of the modelled controller cost.  With a 10 ms controller
 #: period these values reproduce the paper's measured overhead line:
@@ -99,13 +100,17 @@ class ControllerDriver:
         self.modeled_cost_us_total = 0.0
         self.last_decisions: list[AllocationDecision] = []
         self._overhead_remainder = 0.0
-        #: tid -> [alloc times, alloc values, pressure times, pressure
-        #: values] (the pressure pair ``None`` until its first sample):
-        #: series columns resolved once per thread, not once per tick.
-        self._trace_columns: dict[int, list] = {}
-        #: "alloc:total" columns, created on first use so a driver that
-        #: never ticks leaves no empty series behind.
-        self._total_columns: Optional[tuple[array[int], array[float]]] = None
+        #: The time of every traced tick, appended once per tick; every
+        #: series this driver creates reads its times from here (index
+        #: 0 is never a sample, see TraceSeries.share).
+        self._tick_times: array[int] = array("q", [0])
+        #: tid -> [alloc series, pressure series] (the pressure series
+        #: ``None`` until its first sample): resolved once per thread,
+        #: not once per tick.
+        self._trace_series: dict[int, list] = {}
+        #: "alloc:total", created on first use so a driver that never
+        #: ticks leaves no empty series behind.
+        self._total_series: Optional[TraceSeries] = None
         # The tick is a periodic entry in the kernel's unified event
         # calendar, so the idle fast-forward sees the next sample as an
         # ordinary transition instead of being polled for it.
@@ -133,51 +138,63 @@ class ControllerDriver:
                 self.kernel.steal_cpu(whole)
 
         if self.trace_allocations:
-            # Samples go straight onto each series' typed columns: the
-            # int64 time column takes ``int(now)`` and the double value
-            # column converts an int grant itself.  A sample earlier than
-            # its series' last one goes through Tracer.record, which
-            # raises.
-            tracer = self.kernel.tracer
-            cache = self._trace_columns
-            time_us = int(now)
+            # The tick's time is stored once, in the tick-time column.
+            # A series on that column with a sample for every tick since
+            # its first and none yet for this one takes just the value
+            # (the double column converts an int grant itself).  Any
+            # other sample (a missed tick, two threads with one name, a
+            # series someone else appended to) goes through
+            # TraceSeries.append, which moves the series onto its own
+            # copy of its times and raises on a sample earlier than its
+            # last.
+            ticks = self._tick_times
+            ticks.append(int(now))
+            tick = len(ticks) - 1
+            cache = self._trace_series
             total_granted = 0
             for decision in decisions:
                 thread = decision.thread
                 entry = cache.get(thread.tid)
                 if entry is None:
                     # The pressure series stays uncreated until the
-                    # first real sample, exactly as when it was created
-                    # through Tracer.record — threads that never report
-                    # a pressure must not leave an empty series behind.
-                    entry = cache[thread.tid] = [
-                        *tracer.series(f"alloc:{thread.name}").columns(), None, None
-                    ]
+                    # first real sample: threads that never report a
+                    # pressure must not leave an empty series behind.
+                    entry = cache[thread.tid] = [self._series(f"alloc:{thread.name}"), None]
                 granted = decision.granted_ppt
                 total_granted += granted
-                times = entry[0]
-                if times and now < times[-1]:
-                    tracer.record(f"alloc:{thread.name}", now, granted)
-                times.append(time_us)
-                entry[1].append(granted)
+                series = entry[0]
+                values = series._values
+                if series._times is ticks and series._first + len(values) == tick:
+                    values.append(granted)
+                else:
+                    series.append(now, granted)
                 pressure = decision.cumulative_pressure
                 if pressure is not None:
-                    if entry[2] is None:
-                        entry[2:] = tracer.series(f"pressure:{thread.name}").columns()
-                    times = entry[2]
-                    if times and now < times[-1]:
-                        tracer.record(f"pressure:{thread.name}", now, pressure)
-                    times.append(time_us)
-                    entry[3].append(pressure)
+                    series = entry[1]
+                    if series is None:
+                        series = entry[1] = self._series(f"pressure:{thread.name}")
+                    values = series._values
+                    if series._times is ticks and series._first + len(values) == tick:
+                        values.append(pressure)
+                    else:
+                        series.append(now, pressure)
             # Aggregate grant, for eyeballing total load against the
             # kernel's capacity of n_cpus * PROPORTION_SCALE.
-            if self._total_columns is None:
-                self._total_columns = tracer.series("alloc:total").columns()
-            times, values = self._total_columns
-            if times and now < times[-1]:
-                tracer.record("alloc:total", now, total_granted)
-            times.append(time_us)
-            values.append(total_granted)
+            series = self._total_series
+            if series is None:
+                series = self._total_series = self._series("alloc:total")
+            values = series._values
+            if series._times is ticks and series._first + len(values) == tick:
+                values.append(total_granted)
+            else:
+                series.append(now, total_granted)
+
+    def _series(self, name: str) -> TraceSeries:
+        """The tracer's series ``name``, sharing the tick-time column
+        from this tick on if it is new."""
+        series = self.kernel.tracer.series(name)
+        series.share(self._tick_times)
+        return series
 
     # ------------------------------------------------------------------
     # overhead reporting (Figure 5)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from bisect import bisect_left
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 from repro.sim.clock import to_seconds
@@ -37,51 +38,79 @@ class TracePoint(NamedTuple):
 class TraceSeries:
     """An append-only, time-ordered series of samples.
 
-    Samples are stored unboxed in two typed columns, an ``array("q")``
-    of int64 times and an ``array("d")`` of doubles: controller tracing
-    appends one sample per decision per tick, and a column holds one in
-    16 bytes where two lists and a boxed float took about 40.  Readers
-    return plain Python ints and floats.
+    Samples are stored unboxed in typed columns: an ``array("q")`` of
+    int64 times, the index of the series' first sample in it, and an
+    ``array("d")`` of doubles.  A series built by :meth:`append` owns
+    its time column and its first index is 0.  The controller driver
+    samples every thread once per tick, so its series read their times
+    from one tick-time column they share (see :meth:`share`) and store
+    only their values, 8 bytes a sample.  Index 0 of a shared column is
+    never a sample, so a first index of 0 always means an own column.
+    Readers return plain Python ints and floats.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._times: array[int] = array("q")
+        self._first = 0
         self._values: array[float] = array("d")
 
     def __len__(self) -> int:
-        return len(self._times)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[TracePoint]:
-        return map(TracePoint, self._times, self._values)
+        return map(TracePoint, islice(self._times, self._first, None), self._values)
 
     def __getitem__(self, index: int) -> TracePoint:
-        return TracePoint(self._times[index], self._values[index])
+        values = self._values
+        value = values[index]
+        if index < 0:
+            index += len(values)
+        return TracePoint(self._times[self._first + index], value)
 
     def append(self, time_us: int, value: float) -> None:
-        """Append a sample; time must be non-decreasing and fit int64."""
+        """Append a sample; time must be non-decreasing and fit int64.
+
+        A series on a shared column first moves onto a copy of its own
+        slice of it.
+        """
         times = self._times
-        if times and time_us < times[-1]:
+        first = self._first
+        n = len(self._values)
+        if n and time_us < times[first + n - 1]:
             raise ValueError(
                 f"series {self.name!r}: sample at {time_us}us is earlier than "
-                f"previous sample at {times[-1]}us"
+                f"previous sample at {times[first + n - 1]}us"
             )
         # Convert the value first: a value that cannot be stored must
         # not leave its time behind, and an out-of-range time raises
         # OverflowError before anything is stored.
         value = float(value)
+        if first:
+            self._times = times = times[first : first + n]
+            self._first = 0
         times.append(int(time_us))
         self._values.append(value)
 
-    def columns(self) -> tuple[array[int], array[float]]:
-        """The live time and value columns, for a bulk appender that
-        keeps :meth:`append`'s ordering rule itself (the columns store
-        an ``int`` time and convert an ``int`` value to ``float``)."""
-        return self._times, self._values
+    def share(self, times: array[int]) -> None:
+        """Read this series' times from ``times`` from its last entry
+        on, if the series is still empty.
+
+        For a bulk appender that owns ``times`` and never stores a
+        sample at its index 0.  After appending a time there, it may
+        append just the value (an ``int`` converts to ``float``) to
+        each series whose ``_times`` is ``times`` and whose ``_first``
+        plus length is the new time's index; every other sample must go
+        through :meth:`append`.
+        """
+        if not self._values and len(times) > 1:
+            self._times = times
+            self._first = len(times) - 1
 
     def times_s(self) -> list[float]:
         """All sample times in seconds."""
-        return [to_seconds(t) for t in self._times]
+        first = self._first
+        return [to_seconds(t) for t in islice(self._times, first, first + len(self._values))]
 
     def values(self) -> list[float]:
         """All sample values."""
@@ -90,10 +119,12 @@ class TraceSeries:
     def window(self, start_us: int, end_us: int) -> list[TracePoint]:
         """Samples with ``start_us <= time < end_us``."""
         times = self._times
-        lo = bisect_left(times, start_us)
-        hi = bisect_left(times, end_us)
+        first = self._first
+        last = first + len(self._values)
+        lo = bisect_left(times, start_us, first, last)
+        hi = bisect_left(times, end_us, lo, last)
         values = self._values
-        return [TracePoint(times[i], values[i]) for i in range(lo, hi)]
+        return [TracePoint(times[i], values[i - first]) for i in range(lo, hi)]
 
 
 class Tracer:

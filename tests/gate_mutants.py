@@ -51,7 +51,9 @@ FUTURE = "from __future__ import annotations\n"
 LIFECYCLE = "tests/test_thread_lifecycle.py"
 STORAGE = "tests/test_dispatch_log.py::test_storage_is_packed_bytes_with_no_object_per_dispatch"
 NAMES = "tests/test_dispatch_log.py::test_name_table_edge_cases"
+TRACE = "src/repro/sim/trace.py"
 TRACE_MEMORY = "tests/test_sim_cpu_trace.py::TestTraceMemory"
+SHARED_TRACE = "tests/test_sim_cpu_trace.py::TestSharedTickColumn"
 
 ROWS: list[Row] = [
     # A wall-clock read in the reservation scheduler's pick.
@@ -101,11 +103,18 @@ ROWS: list[Row] = [
     ], ("pytest", "tests/test_dispatch_log.py", "tests/test_golden.py"),
         "FAILED tests/test_dispatch_log.py::test_penalised_dispatches_read_back_as_six_fields"),
     # Trace samples kept in plain lists instead of typed columns.
-    ("trace-in-plain-lists", "src/repro/sim/trace.py", [
-        ('        self._times: array[int] = array("q")\n'
-         '        self._values: array[float] = array("d")\n',
-         "        self._times: list[int] = []\n        self._values: list[float] = []\n"),
+    ("trace-in-plain-lists", TRACE, [
+        ('        self._times: array[int] = array("q")\n', "        self._times: list[int] = []\n"),
+        ('        self._values: array[float] = array("d")\n', "        self._values: list[float] = []\n"),
     ], ("pytest", TRACE_MEMORY), f"FAILED {TRACE_MEMORY}::test_controller_trace_bytes_per_sample"),
+    # Every driver series stores its own copy of each tick's time.
+    ("trace-time-per-series", "src/repro/core/driver.py", [
+        ("        series.share(self._tick_times)\n", ""),
+    ], ("pytest", TRACE_MEMORY), f"FAILED {TRACE_MEMORY}::test_controller_trace_bytes_per_sample"),
+    # Indexing a series on the tick-time column ignores its first index.
+    ("trace-index-ignores-first", TRACE, [
+        ("self._times[self._first + index]", "self._times[index]"),
+    ], ("pytest", SHARED_TRACE), f"FAILED {SHARED_TRACE}::"),
     # Chunks folded at zlib level 0 keep every record's raw bytes.
     ("log-folds-raw-bytes", DISPATCH_LOG, [
         ("zlib.compress(self.records, FOLD_LEVEL)", "zlib.compress(self.records, 0)"),

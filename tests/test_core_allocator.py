@@ -449,6 +449,8 @@ class TestDriverTracePath:
         expected = Tracer()
         period = system.driver.period_us
         for tick in range(40):
+            if tick == 17:
+                system.spawn_controlled("late", spin_body(), spec=ThreadSpec(importance=2.0))
             system.kernel.run_for(period)
             assert len(ticks) == tick + 1
             now = ticks[-1]
@@ -466,4 +468,5 @@ class TestDriverTracePath:
         tracer = system.kernel.tracer
         assert sorted(tracer.names()) == sorted(expected.names())
         assert "pressure:rt" not in tracer
+        assert len(tracer.series("alloc:late")) == 40 - 17
         assert tracer.fingerprint() == expected.fingerprint()

@@ -12,6 +12,8 @@ from repro.sim.trace import TracePoint, TraceSeries, Tracer
 from repro.system import build_real_rate_system
 from repro.workloads.cpu_hog import CpuHog
 
+from tests.conftest import spin_body
+
 
 class TestCPUModel:
     def test_defaults_are_valid(self):
@@ -75,23 +77,56 @@ class TestTraceSeries:
         assert window == [TracePoint(1_000, 1_000.0), TracePoint(2_000, 2_000.0)]
 
     def test_columns_are_typed_arrays(self):
+        # Own columns from append, and a shared time column from share.
         series = TraceSeries("s")
         series.append(5, 7.0)
-        times, values = series.columns()
-        assert isinstance(times, array) and times.typecode == "q"
-        assert isinstance(values, array) and values.typecode == "d"
+        assert isinstance(series._times, array) and series._times.typecode == "q"
+        assert isinstance(series._values, array) and series._values.typecode == "d"
+        ticks = array("q", [0, 5])
+        shared = TraceSeries("t")
+        shared.share(ticks)
+        assert shared._times is ticks and shared._first == 1
+        assert isinstance(shared._values, array) and shared._values.typecode == "d"
 
     def test_int_value_reads_back_as_float(self):
-        series = TraceSeries("s")
-        series.append(0, 3)
         # The driver's bulk path appends int grants straight onto the
-        # value column.
-        times, values = series.columns()
-        times.append(1)
-        values.append(4)
-        assert series.values() == [3.0, 4.0]
+        # value column of a series that shares its tick-time column.
+        ticks = array("q", [0, 0])
+        series = TraceSeries("s")
+        series.share(ticks)
+        series._values.append(3)
+        ticks.append(1)
+        series._values.append(4)
+        series.append(2, 5)
+        assert series.values() == [3.0, 4.0, 5.0]
         assert all(type(v) is float for v in series.values())
         assert all(type(p.time_us) is int and type(p.value) is float for p in series)
+        assert list(series) == [TracePoint(0, 3.0), TracePoint(1, 4.0), TracePoint(2, 5.0)]
+
+    def test_only_an_empty_series_shares_a_column(self):
+        series = TraceSeries("s")
+        series.append(0, 1.0)
+        series.share(array("q", [0, 5]))
+        assert series._first == 0 and list(series) == [TracePoint(0, 1.0)]
+        # Index 0 of a shared column is never a sample.
+        empty = TraceSeries("t")
+        ticks = array("q", [0])
+        empty.share(ticks)
+        assert empty._times is not ticks and empty._first == 0
+
+    def test_append_moves_a_shared_series_onto_its_own_times(self):
+        ticks = array("q", [0, 10, 20])
+        series = TraceSeries("s")
+        series.share(ticks)
+        assert series._times is ticks
+        series._values.append(1.0)
+        ticks.append(30)
+        with pytest.raises(ValueError, match="previous sample at 20us"):
+            series.append(19, 2.0)
+        series.append(25, 2.0)
+        assert series._times is not ticks and series._first == 0
+        assert ticks == array("q", [0, 10, 20, 30])
+        assert list(series) == [TracePoint(20, 1.0), TracePoint(25, 2.0)]
 
     @pytest.mark.parametrize("time_us", [2**63, -(2**63) - 1])
     def test_time_outside_int64_raises(self, time_us):
@@ -108,15 +143,18 @@ class TestTraceSeries:
 
 
 class TestTraceMemory:
-    """The controller's traces hold each sample unboxed.
+    """The controller's traces hold each sample unboxed, and each tick's
+    time once.
 
     Two samples per controlled thread per tick is the largest record a
-    controller run keeps.  A typed column pair holds a sample in 16
-    bytes (plus the column's over-allocation); two lists and a boxed
-    value held about 40.
+    controller run keeps.  The driver's series share one tick-time
+    column and store only their values, 8 bytes a sample (plus the
+    column's over-allocation and one 8-byte time per tick); a typed
+    column pair per series held 16, two lists and a boxed value about
+    40.
     """
 
-    MAX_BYTES_PER_SAMPLE = 24
+    MAX_BYTES_PER_SAMPLE = 14
 
     @staticmethod
     def _held_bytes(trace: bool) -> tuple[int, int]:
@@ -149,6 +187,132 @@ class TestTraceMemory:
         assert per_sample <= self.MAX_BYTES_PER_SAMPLE, (
             f"{per_sample:.1f} bytes per trace sample"
         )
+
+    @pytest.mark.parametrize("hogs", [1, 3, 16])
+    def test_a_tick_adds_one_time_to_one_column(self, hogs):
+        system = build_real_rate_system()
+        for i in range(hogs):
+            CpuHog.attach(system, name=f"hog{i}", burst_us=3_000)
+        tracer = system.kernel.tracer
+        for tick in range(1, 6):
+            system.kernel.run_for(system.driver.period_us)
+            columns = {id(tracer.series(name)._times) for name in tracer.names()}
+            assert columns == {id(system.driver._tick_times)}
+            # Index 0 of the column is never a sample.
+            assert len(system.driver._tick_times) == 1 + tick
+        assert len(tracer.names()) == 2 * hogs + 1
+
+
+def assert_reads_alike(actual: TraceSeries, expected: TraceSeries) -> None:
+    """Every reader returns the same for ``actual`` as for ``expected``."""
+    n = len(expected)
+    assert len(actual) == n
+    assert list(actual) == list(expected)
+    assert all(type(p.time_us) is int and type(p.value) is float for p in actual)
+    assert [actual[i] for i in range(-n, n)] == [expected[i] for i in range(-n, n)]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            actual[index]
+    assert actual.times_s() == expected.times_s()
+    assert actual.values() == expected.values()
+    times = [point.time_us for point in expected]
+    bounds = sorted({-1, *times, *(t + 1 for t in times)})
+    for start in bounds:
+        for end in bounds:
+            assert actual.window(start, end) == expected.window(start, end)
+
+
+class TestSharedTickColumn:
+    """Series on the driver's tick-time column read exactly as series
+    built one sample at a time through TraceSeries.append."""
+
+    @staticmethod
+    def _system_with_shadow():
+        """A controlled system, and a Tracer that gets every tick's
+        decisions through TraceSeries.append as the driver traces them."""
+        system = build_real_rate_system(
+            charge_dispatch_overhead=False, charge_controller_overhead=False
+        )
+        shadow = Tracer()
+        update = system.allocator.update
+
+        def spy(now):
+            decisions = update(now)
+            total = 0
+            for decision in decisions:
+                name = decision.thread.name
+                shadow.series(f"alloc:{name}").append(now, decision.granted_ppt)
+                total += decision.granted_ppt
+                if decision.cumulative_pressure is not None:
+                    shadow.series(f"pressure:{name}").append(
+                        now, decision.cumulative_pressure
+                    )
+            shadow.series("alloc:total").append(now, total)
+            return decisions
+
+        system.allocator.update = spy
+        return system, shadow
+
+    @staticmethod
+    def _assert_traces_alike(system, shadow):
+        tracer = system.kernel.tracer
+        assert tracer.names() == shadow.names()
+        for name in shadow.names():
+            assert_reads_alike(tracer.series(name), shadow.series(name))
+        assert tracer.fingerprint() == shadow.fingerprint()
+
+    def test_thread_joining_after_the_first_tick(self):
+        system, shadow = self._system_with_shadow()
+        system.spawn_controlled("early", spin_body())
+        period = system.driver.period_us
+        system.kernel.run_for(3 * period)
+        ticks = system.driver._tick_times
+        joined_at = len(ticks)
+        system.spawn_controlled("late", spin_body())
+        system.kernel.run_for(4 * period)
+        late = system.kernel.tracer.series("alloc:late")
+        assert late._times is ticks and late._first == joined_at
+        self._assert_traces_alike(system, shadow)
+
+    def test_thread_missing_a_tick(self):
+        system, shadow = self._system_with_shadow()
+        system.spawn_controlled("kept", spin_body())
+        gone = system.spawn_controlled("gone", spin_body())
+        period = system.driver.period_us
+        system.kernel.run_for(3 * period)
+        system.allocator.unregister(gone)
+        system.kernel.run_for(2 * period)
+        system.allocator.register(gone)
+        system.kernel.run_for(3 * period)
+        tracer = system.kernel.tracer
+        assert tracer.series("alloc:gone")._times is not system.driver._tick_times
+        assert tracer.series("alloc:kept")._times is system.driver._tick_times
+        self._assert_traces_alike(system, shadow)
+
+    def test_two_threads_with_one_name(self):
+        system, shadow = self._system_with_shadow()
+        system.spawn_controlled("twin", spin_body())
+        system.spawn_controlled("twin", spin_body(2_000))
+        system.spawn_controlled("solo", spin_body())
+        system.kernel.run_for(5 * system.driver.period_us)
+        assert len(system.kernel.tracer.series("alloc:twin")) == 2 * 5
+        self._assert_traces_alike(system, shadow)
+
+    @pytest.mark.parametrize("name", ["alloc:hog", "pressure:hog", "alloc:total"])
+    def test_foreign_record_onto_a_shared_series(self, name):
+        system, shadow = self._system_with_shadow()
+        system.spawn_controlled("hog", spin_body())
+        system.spawn_controlled("other", spin_body())
+        period = system.driver.period_us
+        system.kernel.run_for(3 * period)
+        tracer = system.kernel.tracer
+        assert tracer.series(name)._times is system.driver._tick_times
+        for record in (tracer.record, shadow.record):
+            record(name, 2 * period + 1, -1.0)
+        system.kernel.run_for(3 * period)
+        assert tracer.series(name)._times is not system.driver._tick_times
+        assert tracer.series("alloc:other")._times is system.driver._tick_times
+        self._assert_traces_alike(system, shadow)
 
 
 class TestTracer:
