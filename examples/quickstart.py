@@ -33,8 +33,10 @@ def main() -> None:
     pipeline = PulsePipeline.attach(system, schedule=schedule,
                                     params=PulseParameters())
 
-    # Sample the queue fill level for the report.
+    # Watch the consumer's allocation and sample the queue fill level
+    # for the report.
     tracer = system.kernel.tracer
+    alloc = tracer.watch(f"alloc:{pipeline.consumer.name}")
     tracer.add_sampler(
         system.kernel.events, 100_000, "fill",
         lambda now: pipeline.queue.fill_level(),
@@ -46,7 +48,6 @@ def main() -> None:
     consumer_ppt = system.allocator.current_allocation_ppt(pipeline.consumer)
     expected = pipeline.expected_consumer_fraction(schedule.default_rate)
     fill = tracer.series("fill")
-    alloc = tracer.series(f"alloc:{pipeline.consumer.name}")
 
     print()
     print("producer reservation : "

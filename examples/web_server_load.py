@@ -47,6 +47,7 @@ def main() -> None:
     hogs = [CpuHog.attach(system, name=f"batch{i}") for i in range(2)]
 
     tracer = system.kernel.tracer
+    alloc = tracer.watch(f"alloc:{server.server.name}")
     tracer.add_sampler(
         system.kernel.events, 250_000, "backlog",
         lambda now: server.backlog_requests(),
@@ -55,7 +56,6 @@ def main() -> None:
     print("simulating 20 seconds of stepped load ...")
     system.run_for(seconds(20))
 
-    alloc = tracer.series(f"alloc:{server.server.name}")
     backlog = tracer.series("backlog")
 
     print()

@@ -142,6 +142,9 @@ class ProportionAllocator:
         self.misc_pressure_source = ConstantPressureSource(self.config.misc_pressure)
         self.quality_exceptions: list[QualityException] = []
         self._controlled: dict[int, _ControlledThread] = {}
+        #: Bumped whenever a thread joins or leaves control, so a reader
+        #: of the (reused) decisions knows when to look them up again.
+        self.membership_version = 0
 
     @property
     def capacity_cpus(self) -> int:
@@ -194,6 +197,7 @@ class ProportionAllocator:
                 initial_period_us=spec.period_us,
             )
         self._controlled[thread.tid] = state
+        self.membership_version += 1
         if spec.specifies_proportion:
             period = spec.period_us or self.config.default_period_us
             self.scheduler.set_reservation(thread, spec.proportion_ppt, period)
@@ -236,6 +240,7 @@ class ProportionAllocator:
         state = self._controlled.pop(thread.tid, None)
         if state is None:
             return
+        self.membership_version += 1
         if thread.state.is_live:
             self.scheduler.clear_reservation(thread)
 
@@ -638,6 +643,7 @@ class ProportionAllocator:
         ]
         for tid in gone:
             del self._controlled[tid]
+            self.membership_version += 1
 
     # ------------------------------------------------------------------
     # reporting helpers

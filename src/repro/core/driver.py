@@ -12,7 +12,11 @@ the number of controlled processes and finds it linear
 2. charges the modelled controller cost to the simulation as stolen CPU
    time (so experiments see the overhead the paper's users would see),
    and
-3. records per-thread allocation traces in the kernel's tracer.
+3. appends a sample to each series of its own that a reader watches in
+   the kernel's tracer (:meth:`~repro.sim.trace.Tracer.watch`):
+   ``alloc:<name>`` (a thread's grant), ``pressure:<name>`` (its
+   cumulative pressure, when it has one) and ``alloc:total`` (the sum
+   of the grants).  With nothing watched it does no trace work.
 
 The driver reads no host clock: the wall cost of a tick is measured
 outside the simulation, by perfbench's ``core.allocator.update`` span.
@@ -80,7 +84,6 @@ class ControllerDriver:
         period_us: Optional[int] = None,
         overhead_model: Optional[ControllerOverheadModel] = None,
         charge_overhead: bool = True,
-        trace_allocations: bool = True,
         start_us: int = 0,
     ) -> None:
         self.kernel = kernel
@@ -94,23 +97,26 @@ class ControllerDriver:
             overhead_model if overhead_model is not None else ControllerOverheadModel()
         )
         self.charge_overhead = charge_overhead
-        self.trace_allocations = trace_allocations
 
         self.invocations = 0
         self.modeled_cost_us_total = 0.0
         self.last_decisions: list[AllocationDecision] = []
         self._overhead_remainder = 0.0
-        #: The time of every traced tick, appended once per tick; every
-        #: series this driver creates reads its times from here (index
+        #: The time of every tick that sampled a watched series; every
+        #: series this driver samples reads its times from here (index
         #: 0 is never a sample, see TraceSeries.share).
         self._tick_times: array[int] = array("q", [0])
-        #: tid -> [alloc series, pressure series] (the pressure series
-        #: ``None`` until its first sample): resolved once per thread,
-        #: not once per tick.
-        self._trace_series: dict[int, list] = {}
-        #: "alloc:total", created on first use so a driver that never
-        #: ticks leaves no empty series behind.
+        #: (decision, alloc series, pressure series) per controlled
+        #: thread with a watched series, in decision order (a series
+        #: ``None`` when not watched), and the watched "alloc:total".
+        self._watched_threads: list[
+            tuple[AllocationDecision, Optional[TraceSeries], Optional[TraceSeries]]
+        ] = []
         self._total_series: Optional[TraceSeries] = None
+        #: (watched names, allocator membership version) the two above
+        #: were resolved at: they change only when a reader watches a
+        #: series or a thread joins or leaves control.
+        self._resolved_at = (0, -1)
         # The tick is a periodic entry in the kernel's unified event
         # calendar, so the idle fast-forward sees the next sample as an
         # ordinary transition instead of being polled for it.
@@ -137,64 +143,64 @@ class ControllerDriver:
                 self._overhead_remainder -= whole
                 self.kernel.steal_cpu(whole)
 
-        if self.trace_allocations:
-            # The tick's time is stored once, in the tick-time column.
-            # A series on that column with a sample for every tick since
-            # its first and none yet for this one takes just the value
-            # (the double column converts an int grant itself).  Any
-            # other sample (a missed tick, two threads with one name, a
-            # series someone else appended to) goes through
-            # TraceSeries.append, which moves the series onto its own
-            # copy of its times and raises on a sample earlier than its
-            # last.
-            ticks = self._tick_times
-            ticks.append(int(now))
-            tick = len(ticks) - 1
-            cache = self._trace_series
-            total_granted = 0
+        if self.kernel.tracer.watched:
+            self._trace(now, decisions)
+
+    def _trace(self, now: int, decisions: list[AllocationDecision]) -> None:
+        """Sample this tick's decisions into the watched series."""
+        watched = self.kernel.tracer.watched
+        key = (len(watched), self.allocator.membership_version)
+        if key != self._resolved_at:
+            # Decisions are reused across ticks, so the resolved list
+            # stays valid until a thread joins or leaves control.
+            self._watched_threads = []
             for decision in decisions:
-                thread = decision.thread
-                entry = cache.get(thread.tid)
-                if entry is None:
-                    # The pressure series stays uncreated until the
-                    # first real sample: threads that never report a
-                    # pressure must not leave an empty series behind.
-                    entry = cache[thread.tid] = [self._series(f"alloc:{thread.name}"), None]
-                granted = decision.granted_ppt
-                total_granted += granted
-                series = entry[0]
-                values = series._values
-                if series._times is ticks and series._first + len(values) == tick:
-                    values.append(granted)
-                else:
-                    series.append(now, granted)
-                pressure = decision.cumulative_pressure
-                if pressure is not None:
-                    series = entry[1]
-                    if series is None:
-                        series = entry[1] = self._series(f"pressure:{thread.name}")
-                    values = series._values
-                    if series._times is ticks and series._first + len(values) == tick:
-                        values.append(pressure)
-                    else:
-                        series.append(now, pressure)
+                name = decision.thread.name
+                alloc = watched.get(f"alloc:{name}")
+                pressure = watched.get(f"pressure:{name}")
+                if alloc is not None or pressure is not None:
+                    self._watched_threads.append((decision, alloc, pressure))
+            self._total_series = watched.get("alloc:total")
+            self._resolved_at = key
+        total_series = self._total_series
+        if not self._watched_threads and total_series is None:
+            return
+        # The tick's time is stored once, in the tick-time column.
+        ticks = self._tick_times
+        ticks.append(int(now))
+        tick = len(ticks) - 1
+        sample = self._sample
+        for decision, alloc, pressure in self._watched_threads:
+            if alloc is not None:
+                sample(alloc, tick, now, decision.granted_ppt)
+            if pressure is not None and decision.cumulative_pressure is not None:
+                sample(pressure, tick, now, decision.cumulative_pressure)
+        if total_series is not None:
             # Aggregate grant, for eyeballing total load against the
             # kernel's capacity of n_cpus * PROPORTION_SCALE.
-            series = self._total_series
-            if series is None:
-                series = self._total_series = self._series("alloc:total")
-            values = series._values
-            if series._times is ticks and series._first + len(values) == tick:
-                values.append(total_granted)
-            else:
-                series.append(now, total_granted)
+            total_granted = 0
+            for decision in decisions:
+                total_granted += decision.granted_ppt
+            sample(total_series, tick, now, total_granted)
 
-    def _series(self, name: str) -> TraceSeries:
-        """The tracer's series ``name``, sharing the tick-time column
-        from this tick on if it is new."""
-        series = self.kernel.tracer.series(name)
+    def _sample(self, series: TraceSeries, tick: int, now: int, value: float) -> None:
+        """Append ``value`` at tick ``tick`` (time ``now``) to ``series``.
+
+        An empty series first shares the tick-time column from this
+        tick on.  A series on the column with a sample for every tick
+        since its first and none yet for this one takes just the value
+        (the double column converts an int grant itself).  Any other
+        sample (a missed tick, two threads with one name, a series
+        someone else appended to) goes through TraceSeries.append,
+        which moves the series onto its own copy of its times and
+        raises on a sample earlier than its last.
+        """
         series.share(self._tick_times)
-        return series
+        values = series._values
+        if series._times is self._tick_times and series._first + len(values) == tick:
+            values.append(value)
+        else:
+            series.append(now, value)
 
     # ------------------------------------------------------------------
     # overhead reporting (Figure 5)

@@ -70,13 +70,13 @@ def _evaluate(
     )
     pipeline = PulsePipeline.attach(system, schedule=schedule, params=params)
     tracer = system.kernel.tracer
+    alloc = tracer.watch(f"alloc:{pipeline.consumer.name}")
     tracer.add_sampler(
         system.kernel.events, 50_000, "fill",
         lambda now: pipeline.queue.fill_level(),
     )
     system.run_for(seconds(sim_seconds))
 
-    alloc = tracer.series(f"alloc:{pipeline.consumer.name}")
     response = step_response(
         alloc.times_s(), alloc.values(), pulse_at_s, measure_window_s=2.5
     )

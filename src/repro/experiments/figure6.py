@@ -65,6 +65,7 @@ def pulse_schedule(params: PulseParameters, small: bool) -> PulseSchedule:
 
 def _instrument(system: RealRateSystem, pipeline: PulsePipeline) -> None:
     tracer = system.kernel.tracer
+    tracer.watch(f"alloc:{pipeline.consumer.name}")
     tracer.add_sampler(
         system.kernel.events, FILL_SAMPLE_PERIOD_US, "fill",
         lambda now: pipeline.queue.fill_level(),

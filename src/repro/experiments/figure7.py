@@ -79,6 +79,9 @@ def figure7_experiment(
     pipeline = PulsePipeline.attach(system, schedule=schedule, params=params)
     hog = CpuHog.attach(system, importance=hog_importance, seed=seed)
     _instrument(system, pipeline)
+    tracer = system.kernel.tracer
+    hog_alloc = tracer.watch(f"alloc:{hog.thread.name}")
+    producer_alloc = tracer.watch(f"alloc:{pipeline.producer.name}")
     system.run_for(schedule.end_us() + seconds(extra_seconds))
 
     result = ExperimentResult(
@@ -87,10 +90,7 @@ def figure7_experiment(
     )
     _collect(system, pipeline, schedule, result)
 
-    tracer = system.kernel.tracer
     consumer_alloc = tracer.series(f"alloc:{pipeline.consumer.name}")
-    hog_alloc = tracer.series(f"alloc:{hog.thread.name}")
-    producer_alloc = tracer.series(f"alloc:{pipeline.producer.name}")
     result.add_series(
         "hog_allocation_ppt", hog_alloc.times_s(), hog_alloc.values()
     )

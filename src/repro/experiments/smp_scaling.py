@@ -99,10 +99,10 @@ def smp_scaling_experiment(
             pin=pin,
             seed=seed,
         )
+        total_alloc = system.kernel.tracer.watch("alloc:total")
         system.run_for(seconds(duration_s))
 
         served_rps = farm.served_rps(system.now)
-        total_alloc = system.kernel.tracer.series("alloc:total")
         peak = max(total_alloc.values()) if len(total_alloc) else 0.0
         throughputs.append(served_rps)
         peak_granted.append(peak)

@@ -42,10 +42,11 @@ class TraceSeries:
     int64 times, the index of the series' first sample in it, and an
     ``array("d")`` of doubles.  A series built by :meth:`append` owns
     its time column and its first index is 0.  The controller driver
-    samples every thread once per tick, so its series read their times
-    from one tick-time column they share (see :meth:`share`) and store
-    only their values, 8 bytes a sample.  Index 0 of a shared column is
-    never a sample, so a first index of 0 always means an own column.
+    samples each watched series once per tick, so its series read their
+    times from one tick-time column they share (see :meth:`share`) and
+    store only their values, 8 bytes a sample.  Index 0 of a shared
+    column is never a sample, so a first index of 0 always means an own
+    column.
     Readers return plain Python ints and floats.
     """
 
@@ -128,21 +129,55 @@ class TraceSeries:
 
 
 class Tracer:
-    """Collects named :class:`TraceSeries` during a simulation."""
+    """Collects named :class:`TraceSeries` during a simulation.
+
+    A series exists once something records into it, or once a reader
+    watches it.  Producers that could sample a series on every tick
+    (the controller driver and the SLO controller) record only the
+    series a reader watches, so a run pays only for the traces
+    something reads.
+    """
 
     def __init__(self) -> None:
         self._series: dict[str, TraceSeries] = {}
+        #: name -> series for every name passed to :meth:`watch`, in
+        #: watch order.  Read-only: watch through :meth:`watch`.
+        self.watched: dict[str, TraceSeries] = {}
 
-    def series(self, name: str) -> TraceSeries:
-        """Get (creating if needed) the series called ``name``."""
+    def _get(self, name: str) -> TraceSeries:
         series = self._series.get(name)
         if series is None:
             series = self._series[name] = TraceSeries(name)
         return series
 
+    def watch(self, name: str) -> TraceSeries:
+        """Ask for the series ``name`` to be recorded, and return it.
+
+        Call before the run: a producer that records only watched
+        series starts sampling ``name`` at its next firing.
+        """
+        series = self.watched[name] = self._get(name)
+        return series
+
+    def series(self, name: str) -> TraceSeries:
+        """The series called ``name``.
+
+        Raises :class:`KeyError` if ``name`` was neither watched nor
+        recorded, so a reader that forgot to watch a series fails
+        instead of reading an empty one.
+        """
+        series = self._series.get(name)
+        if series is None:
+            raise KeyError(
+                f"no trace series {name!r}: watch it before the run "
+                f"(known series: {', '.join(map(repr, self._series)) or 'none'})"
+            )
+        return series
+
     def record(self, name: str, time_us: int, value: float) -> None:
-        """Append a sample to the series called ``name``."""
-        self.series(name).append(time_us, value)
+        """Append a sample to the series called ``name``, creating it
+        if needed."""
+        self._get(name).append(time_us, value)
 
     def names(self) -> list[str]:
         """All series names, in creation order."""
@@ -159,14 +194,16 @@ class Tracer:
         probe: Callable[[int], float],
         start_us: int = 0,
     ) -> PeriodicEvent:
-        """Sample ``probe(now)`` every ``period_us`` into series ``name``.
+        """Sample ``probe(now)`` every ``period_us`` into series ``name``,
+        which exists from this call on.
 
         Returns the underlying :class:`PeriodicEvent` so callers can
         stop the sampler.
         """
+        append = self._get(name).append
 
         def _sample(now: int) -> None:
-            self.record(name, now, probe(now))
+            append(now, probe(now))
 
         return PeriodicEvent(
             events, period_us, _sample, start=start_us, label=f"sampler:{name}"
@@ -175,7 +212,9 @@ class Tracer:
     def fingerprint(self) -> str:
         """SHA-256 digest of every series' exact samples.
 
-        Series are hashed in sorted name order and each sample by its
+        That is every series recorded into or watched (a producer that
+        records only watched series contributes nothing else).  Series
+        are hashed in sorted name order and each sample by its
         integer time and ``repr`` of its float value, so two runs have
         equal fingerprints iff their traces are byte-identical.  Used
         by the determinism regression tests.

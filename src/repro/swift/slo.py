@@ -121,7 +121,6 @@ class SLOController:
         *,
         period_us: int = 50_000,
         start_us: int = 0,
-        trace: bool = True,
     ) -> None:
         if spec.proportion_ppt is None:
             raise ValueError(
@@ -138,11 +137,6 @@ class SLOController:
         #: (virtual time, observed percentile us, actuated ppt) per
         #: tick that changed the allocation.
         self.adjustments: list[tuple[int, float, int]] = []
-        self._trace = trace
-        self._ppt_series = kernel.tracer.series("slo:ppt") if trace else None
-        self._tail_series = (
-            kernel.tracer.series("slo:tail_us") if trace else None
-        )
         self._periodic = kernel.add_periodic(
             period_us, self._tick, start_us=start_us, label="slo"
         )
@@ -185,9 +179,15 @@ class SLOController:
             # new price.
             self.spec.proportion_ppt = new_ppt
             self.adjustments.append((now, observed, new_ppt))
-        if self._trace:
-            self._ppt_series.append(now, new_ppt)
-            self._tail_series.append(now, observed)
+        # Traces, for the readers that watch them: the per-job
+        # reservation and the tail it was decided on.
+        watched = self.kernel.tracer.watched
+        series = watched.get("slo:ppt")
+        if series is not None:
+            series.append(now, new_ppt)
+        series = watched.get("slo:tail_us")
+        if series is not None:
+            series.append(now, observed)
 
 
 __all__ = ["SLOController", "SLOPolicy"]

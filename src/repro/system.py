@@ -106,6 +106,11 @@ def build_real_rate_system(
     ``n_cpus`` builds the SMP variant: the kernel dispatches one thread
     per CPU per round and the controller budgets proportions against
     ``n_cpus * PROPORTION_SCALE`` of total capacity.
+
+    The controller traces only what a reader watches: before the run,
+    ``system.kernel.tracer.watch("alloc:<name>")`` returns the series
+    the driver fills with a thread's grants (``pressure:<name>`` and
+    ``alloc:total`` likewise); an unwatched system keeps no trace.
     """
     config = config if config is not None else ControllerConfig()
     scheduler = ReservationScheduler(enforce_within_slice=enforce_within_slice)

@@ -126,3 +126,17 @@ def record_added_threads(kernel: Kernel) -> list[SimThread]:
 
     kernel.add_thread = recording_add_thread
     return added
+
+
+def watch_controller_series(system) -> None:
+    """Watch every series the controller driver can record for the
+    threads controlled so far: each one's grant, the cumulative
+    pressure of each one whose proportion the controller decides, and
+    the total grant."""
+    allocator = system.allocator
+    tracer = system.kernel.tracer
+    for thread in allocator.controlled_threads():
+        tracer.watch(f"alloc:{thread.name}")
+        if not allocator.spec_for(thread).specifies_proportion:
+            tracer.watch(f"pressure:{thread.name}")
+    tracer.watch("alloc:total")

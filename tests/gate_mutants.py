@@ -53,6 +53,7 @@ STORAGE = "tests/test_dispatch_log.py::test_storage_is_packed_bytes_with_no_obje
 NAMES = "tests/test_dispatch_log.py::test_name_table_edge_cases"
 TRACE = "src/repro/sim/trace.py"
 TRACE_MEMORY = "tests/test_sim_cpu_trace.py::TestTraceMemory"
+NOTHING_WATCHED = f"{TRACE_MEMORY}::test_nothing_watched_keeps_nothing"
 SHARED_TRACE = "tests/test_sim_cpu_trace.py::TestSharedTickColumn"
 
 ROWS: list[Row] = [
@@ -111,6 +112,14 @@ ROWS: list[Row] = [
     ("trace-time-per-series", "src/repro/core/driver.py", [
         ("        series.share(self._tick_times)\n", ""),
     ], ("pytest", TRACE_MEMORY), f"FAILED {TRACE_MEMORY}::test_controller_trace_bytes_per_sample"),
+    # The driver records every series of every thread, watched or not.
+    ("trace-records-unwatched", "src/repro/core/driver.py", [
+        ("        if self.kernel.tracer.watched:\n            self._trace(now, decisions)\n",
+         "        self._trace(now, decisions)\n"),
+        ('watched.get(f"alloc:{name}")', 'self.kernel.tracer.watch(f"alloc:{name}")'),
+        ('watched.get(f"pressure:{name}")', 'self.kernel.tracer.watch(f"pressure:{name}")'),
+        ('watched.get("alloc:total")', 'self.kernel.tracer.watch("alloc:total")'),
+    ], ("pytest", NOTHING_WATCHED), f"FAILED {NOTHING_WATCHED}"),
     # Indexing a series on the tick-time column ignores its first index.
     ("trace-index-ignores-first", TRACE, [
         ("self._times[self._first + index]", "self._times[index]"),

@@ -22,7 +22,10 @@ One scenario exercises every branch of the tick under overload:
 It runs on 1 and 4 CPUs, once with :class:`WeightedFairShareSquish`
 and once with :class:`FairShareSquish` plus ``adapt_period=True``.  On
 4 CPUs the per-CPU overload threshold is lowered so the real-rate tier
-is squished too.
+is squished too.  The run watches every series the controller driver
+can record (each thread's grant, the pressure of each thread whose
+proportion the controller decides, and the total), so the tracer
+fingerprint covers every decision.
 
 The literals were generated with the tick as it stood before the
 one-pass rewrite; they must only change with a deliberate change of
@@ -50,7 +53,13 @@ from repro.workloads.pulse import (
     RateSegment,
 )
 
-from tests.conftest import consumer_body, finite_body, producer_body, spin_body
+from tests.conftest import (
+    consumer_body,
+    finite_body,
+    producer_body,
+    spin_body,
+    watch_controller_series,
+)
 
 IMPORTANCES = (0.5, 1.0, 1.5, 3.0)
 
@@ -134,6 +143,7 @@ def run_scenario(n_cpus: int, policy: str):
         system, "editor", mean_think_time_us=100_000, burst_cpu_us=300, seed=3
     )
 
+    watch_controller_series(system)
     system.run_for(seconds(1.0))
     allocator = system.allocator
     reclaims = 0

@@ -357,8 +357,13 @@ class TestControllerDriver:
             charge_dispatch_overhead=False, charge_controller_overhead=False
         )
         thread = system.spawn_controlled("hog", spin_body())
+        tracer = system.kernel.tracer
+        alloc = tracer.watch(f"alloc:{thread.name}")
         system.kernel.run_for(50_000)
-        assert f"alloc:{thread.name}" in system.kernel.tracer
+        # Ticks at 0, 10, ..., 40 ms; only the watched series is kept.
+        assert alloc.times_s() == [0.0, 0.01, 0.02, 0.03, 0.04]
+        assert alloc.values()[-1] == system.allocator.current_allocation_ppt(thread)
+        assert tracer.names() == ["alloc:hog"]
 
     def test_overhead_model_linear(self):
         model = ControllerOverheadModel(fixed_us=5.0, per_thread_us=2.0)
@@ -409,6 +414,7 @@ class TestDriverTracePath:
             charge_dispatch_overhead=False, charge_controller_overhead=False
         )
         system.spawn_controlled("hog", spin_body())
+        system.kernel.tracer.watch(name)
         period = system.driver.period_us
         system.kernel.run_for(after_ticks * period)
         late = 10 * period * (after_ticks + 1)
@@ -447,6 +453,16 @@ class TestDriverTracePath:
 
         allocator.update = spy
         expected = Tracer()
+        tracer = system.kernel.tracer
+        # Every series the driver can record, watched before the run,
+        # the late thread's and the real-time thread's pressure too.
+        names = [thread.name for thread in allocator.controlled_threads()] + ["late"]
+        for name in names:
+            for watched in (tracer, expected):
+                watched.watch(f"alloc:{name}")
+                watched.watch(f"pressure:{name}")
+        for watched in (tracer, expected):
+            watched.watch("alloc:total")
         period = system.driver.period_us
         for tick in range(40):
             if tick == 17:
@@ -457,16 +473,15 @@ class TestDriverTracePath:
             total = 0
             for decision in system.driver.last_decisions:
                 name = decision.thread.name
-                expected.series(f"alloc:{name}").append(now, decision.granted_ppt)
+                expected.record(f"alloc:{name}", now, decision.granted_ppt)
                 total += decision.granted_ppt
                 if decision.cumulative_pressure is not None:
-                    expected.series(f"pressure:{name}").append(
-                        now, decision.cumulative_pressure
+                    expected.record(
+                        f"pressure:{name}", now, decision.cumulative_pressure
                     )
-            expected.series("alloc:total").append(now, total)
+            expected.record("alloc:total", now, total)
 
-        tracer = system.kernel.tracer
-        assert sorted(tracer.names()) == sorted(expected.names())
-        assert "pressure:rt" not in tracer
+        assert tracer.names() == expected.names()
+        assert len(tracer.series("pressure:rt")) == 0
         assert len(tracer.series("alloc:late")) == 40 - 17
         assert tracer.fingerprint() == expected.fingerprint()

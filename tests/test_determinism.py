@@ -20,7 +20,7 @@ from repro.sim.clock import seconds
 from repro.system import build_real_rate_system
 from repro.workloads.pulse import PulseParameters, PulsePipeline, PulseSchedule
 from repro.workloads.webfarm import WebFarm
-from tests.conftest import record_added_threads
+from tests.conftest import record_added_threads, watch_controller_series
 
 #: Virtual duration of the proxy scenario (keeps the test fast).
 DURATION_S = 0.8
@@ -41,6 +41,7 @@ def run_proxy_scenario(n_cpus: int):
     if n_cpus > 1:
         WebFarm.attach(system, n_servers=3, requests_per_second=100.0,
                        service_cpu_us=1_200)
+    watch_controller_series(system)
     system.run_for(seconds(DURATION_S))
 
     kernel = system.kernel

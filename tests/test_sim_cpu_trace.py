@@ -6,13 +6,14 @@ from array import array
 
 import pytest
 
+from repro.core.driver import ControllerDriver
 from repro.sim.cpu import CPUModel
 from repro.sim.events import EventQueue
 from repro.sim.trace import TracePoint, TraceSeries, Tracer
 from repro.system import build_real_rate_system
 from repro.workloads.cpu_hog import CpuHog
 
-from tests.conftest import spin_body
+from tests.conftest import spin_body, watch_controller_series
 
 
 class TestCPUModel:
@@ -144,7 +145,7 @@ class TestTraceSeries:
 
 class TestTraceMemory:
     """The controller's traces hold each sample unboxed, and each tick's
-    time once.
+    time once; with nothing watched they hold nothing.
 
     Two samples per controlled thread per tick is the largest record a
     controller run keeps.  The driver's series share one tick-time
@@ -157,42 +158,57 @@ class TestTraceMemory:
     MAX_BYTES_PER_SAMPLE = 14
 
     @staticmethod
-    def _held_bytes(trace: bool) -> tuple[int, int]:
+    def _held_bytes(watch: bool):
         """Traced bytes still held after 300 controller ticks over 3
-        hogs, and the number of trace samples recorded."""
+        hogs, and the system."""
         gc.collect()
         tracemalloc.start()
         try:
             system = build_real_rate_system()
-            system.driver.trace_allocations = trace
             for i in range(3):
                 CpuHog.attach(
                     system, name=f"hog{i}", burst_us=3_000, importance=1.0 + i
                 )
+            if watch:
+                watch_controller_series(system)
             system.kernel.run_for(300 * system.driver.period_us)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        tracer = system.kernel.tracer
-        return held, sum(len(tracer.series(name)) for name in tracer.names())
+        return held, system
 
     def test_controller_trace_bytes_per_sample(self):
-        untraced, no_samples = self._held_bytes(trace=False)
-        traced, samples = self._held_bytes(trace=True)
-        assert no_samples == 0
+        unwatched, _ = self._held_bytes(watch=False)
+        watched, system = self._held_bytes(watch=True)
+        tracer = system.kernel.tracer
+        samples = sum(len(tracer.series(name)) for name in tracer.names())
         # alloc and pressure per hog per tick, plus alloc:total.
         assert samples == 300 * (2 * 3 + 1)
-        per_sample = (traced - untraced) / samples
+        per_sample = (watched - unwatched) / samples
         assert per_sample <= self.MAX_BYTES_PER_SAMPLE, (
             f"{per_sample:.1f} bytes per trace sample"
         )
+
+    def test_nothing_watched_keeps_nothing(self, monkeypatch):
+        unwatched, system = self._held_bytes(watch=False)
+        assert system.driver.invocations == 300
+        assert system.kernel.tracer.names() == []
+        assert len(system.driver._tick_times) == 1
+        # The same run with the driver's trace step removed holds as
+        # much, give or take the few hundred bytes by which repeated
+        # runs differ as free lists warm up; 300 ticks of even one
+        # series and its tick times would hold 4.8 KB more.
+        monkeypatch.setattr(ControllerDriver, "_trace", lambda *args: None)
+        untraced, _ = self._held_bytes(watch=False)
+        assert abs(unwatched - untraced) < 2_048, (unwatched, untraced)
 
     @pytest.mark.parametrize("hogs", [1, 3, 16])
     def test_a_tick_adds_one_time_to_one_column(self, hogs):
         system = build_real_rate_system()
         for i in range(hogs):
             CpuHog.attach(system, name=f"hog{i}", burst_us=3_000)
+        watch_controller_series(system)
         tracer = system.kernel.tracer
         for tick in range(1, 6):
             system.kernel.run_for(system.driver.period_us)
@@ -227,13 +243,19 @@ class TestSharedTickColumn:
     built one sample at a time through TraceSeries.append."""
 
     @staticmethod
-    def _system_with_shadow():
-        """A controlled system, and a Tracer that gets every tick's
-        decisions through TraceSeries.append as the driver traces them."""
+    def _system_with_shadow(*names):
+        """A controlled system watching the series of the threads called
+        ``names``, and a Tracer that gets every tick's decisions through
+        TraceSeries.append as the driver traces them."""
         system = build_real_rate_system(
             charge_dispatch_overhead=False, charge_controller_overhead=False
         )
         shadow = Tracer()
+        for tracer in (system.kernel.tracer, shadow):
+            for name in names:
+                tracer.watch(f"alloc:{name}")
+                tracer.watch(f"pressure:{name}")
+            tracer.watch("alloc:total")
         update = system.allocator.update
 
         def spy(now):
@@ -241,13 +263,13 @@ class TestSharedTickColumn:
             total = 0
             for decision in decisions:
                 name = decision.thread.name
-                shadow.series(f"alloc:{name}").append(now, decision.granted_ppt)
+                shadow.record(f"alloc:{name}", now, decision.granted_ppt)
                 total += decision.granted_ppt
                 if decision.cumulative_pressure is not None:
-                    shadow.series(f"pressure:{name}").append(
-                        now, decision.cumulative_pressure
+                    shadow.record(
+                        f"pressure:{name}", now, decision.cumulative_pressure
                     )
-            shadow.series("alloc:total").append(now, total)
+            shadow.record("alloc:total", now, total)
             return decisions
 
         system.allocator.update = spy
@@ -262,7 +284,7 @@ class TestSharedTickColumn:
         assert tracer.fingerprint() == shadow.fingerprint()
 
     def test_thread_joining_after_the_first_tick(self):
-        system, shadow = self._system_with_shadow()
+        system, shadow = self._system_with_shadow("early", "late")
         system.spawn_controlled("early", spin_body())
         period = system.driver.period_us
         system.kernel.run_for(3 * period)
@@ -275,7 +297,7 @@ class TestSharedTickColumn:
         self._assert_traces_alike(system, shadow)
 
     def test_thread_missing_a_tick(self):
-        system, shadow = self._system_with_shadow()
+        system, shadow = self._system_with_shadow("kept", "gone")
         system.spawn_controlled("kept", spin_body())
         gone = system.spawn_controlled("gone", spin_body())
         period = system.driver.period_us
@@ -290,7 +312,7 @@ class TestSharedTickColumn:
         self._assert_traces_alike(system, shadow)
 
     def test_two_threads_with_one_name(self):
-        system, shadow = self._system_with_shadow()
+        system, shadow = self._system_with_shadow("twin", "solo")
         system.spawn_controlled("twin", spin_body())
         system.spawn_controlled("twin", spin_body(2_000))
         system.spawn_controlled("solo", spin_body())
@@ -300,7 +322,7 @@ class TestSharedTickColumn:
 
     @pytest.mark.parametrize("name", ["alloc:hog", "pressure:hog", "alloc:total"])
     def test_foreign_record_onto_a_shared_series(self, name):
-        system, shadow = self._system_with_shadow()
+        system, shadow = self._system_with_shadow("hog", "other")
         system.spawn_controlled("hog", spin_body())
         system.spawn_controlled("other", spin_body())
         period = system.driver.period_us
@@ -321,6 +343,25 @@ class TestTracer:
         tracer.record("x", 0, 1.0)
         assert "x" in tracer
         assert tracer.series("x").values() == [1.0]
+
+    def test_read_of_a_name_never_watched_or_recorded_raises(self):
+        tracer = Tracer()
+        tracer.record("x", 0, 1.0)
+        tracer.watch("alloc:hog")
+        with pytest.raises(KeyError) as excinfo:
+            tracer.series("alloc:consumer")
+        message = excinfo.value.args[0]
+        assert "'alloc:consumer'" in message and "watch it" in message
+        assert "'x', 'alloc:hog'" in message
+        assert "alloc:consumer" not in tracer
+
+    def test_watch_creates_the_series_once(self):
+        tracer = Tracer()
+        series = tracer.watch("a")
+        assert tracer.watch("a") is series is tracer.series("a")
+        assert len(series) == 0 and tracer.names() == ["a"]
+        tracer.record("a", 5, 2.0)
+        assert series.values() == [2.0]
 
     def test_names_in_creation_order(self):
         tracer = Tracer()

@@ -144,6 +144,16 @@ class TestSLOController:
     def test_traces_ppt_and_tail_series(self):
         policy = SLOPolicy(target_us=1_000.0)
         kernel, spec, _, controller = _controller([5_000], policy)
+        ppt = kernel.tracer.watch("slo:ppt")
+        tail = kernel.tracer.watch("slo:tail_us")
         kernel.run_for(60_000)
-        assert len(kernel.tracer.series("slo:ppt")) > 0
-        assert len(kernel.tracer.series("slo:tail_us")) > 0
+        assert len(ppt) == len(tail) == controller.invocations > 0
+        assert ppt.values()[-1] == spec.proportion_ppt
+        assert tail.values() == [5_000.0] * len(tail)
+
+    def test_records_nothing_unwatched(self):
+        policy = SLOPolicy(target_us=1_000.0)
+        kernel, _, _, controller = _controller([5_000], policy)
+        kernel.run_for(60_000)
+        assert controller.invocations > 0
+        assert kernel.tracer.names() == []
