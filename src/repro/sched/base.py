@@ -94,18 +94,26 @@ class LazyMinHeap:
 
     Entries are tuples whose *last* element is the owning thread's tid;
     the heap keeps at most one *live* entry per tid (``push`` replaces,
-    ``discard`` invalidates).  Dead entries stay in the underlying list
+    ``discard`` invalidates).  Dead entries stay in the backing list
     and are skipped when they reach the top, so every operation is
     O(log n) amortised.
 
-    ``live`` maps each tid to its live entry: read it freely (a plain
-    dict probe), change it only through the methods below.
+    ``heap`` (the backing list, a :mod:`heapq` heap) and ``live`` (tid
+    -> live entry) are read attributes for hot paths that inline the
+    methods below.  The one rule such a reader keeps: an entry is live
+    iff ``live.get(entry[-1]) is entry``.  ``heap`` stays the same list
+    object for the heap's lifetime (``rebuild`` works in place), so a
+    reader may hold it across pushes.  An inline path may change the
+    heap only as the methods do: ``heappop`` a dead top, or a live top
+    together with ``del live[tid]``; ``live.pop(tid, None)`` to
+    discard; ``live[tid] = entry`` with a ``heappush`` of ``entry``,
+    followed by one :meth:`compact` after its pushes.
     """
 
-    __slots__ = ("_heap", "live")
+    __slots__ = ("heap", "live")
 
     def __init__(self) -> None:
-        self._heap: list[tuple] = []
+        self.heap: list[tuple] = []
         self.live: dict[int, tuple] = {}
 
     def __len__(self) -> int:
@@ -124,32 +132,35 @@ class LazyMinHeap:
     def push(self, tid: int, entry: tuple) -> None:
         """Insert ``entry`` for ``tid``, replacing any live entry."""
         self.live[tid] = entry
-        heap = self._heap
-        heapq.heappush(heap, entry)
-        if (
-            len(heap) > self._COMPACT_FLOOR
-            and len(heap) > self._COMPACT_RATIO * len(self.live)
-        ):
+        heapq.heappush(self.heap, entry)
+        self.compact()
+
+    def compact(self) -> None:
+        """Rebuild if the backing list has outgrown the live entries
+        (the rule above); every push ends with this check."""
+        size = len(self.heap)
+        if size > self._COMPACT_FLOOR and size > self._COMPACT_RATIO * len(self.live):
             self.rebuild()
 
     def stage(self, tid: int, entry: tuple) -> None:
         """Make ``entry`` ``tid``'s live entry without pushing it.
 
         The backing heap lacks a staged entry until :meth:`rebuild`, so
-        ``peek`` and ``pop`` must not run in between: a batch of re-keys
+        nothing may read the heap in between: a batch of re-keys
         stages each one and rebuilds once at the end.
         """
         self.live[tid] = entry
 
     def rebuild(self) -> None:
-        """Rebuild the backing heap from the live entries only.
+        """Rebuild the backing heap, in place, from the live entries only.
 
-        Pop order is a total order over the entry tuples (tids are
+        Drain order is a total order over the entry tuples (tids are
         unique), so the internal arrangement cannot affect any pick
         sequence.
         """
-        self._heap = list(self.live.values())
-        heapq.heapify(self._heap)
+        heap = self.heap
+        heap[:] = self.live.values()
+        heapq.heapify(heap)
 
     def discard(self, tid: int) -> None:
         """Invalidate ``tid``'s live entry (no-op if absent)."""
@@ -157,7 +168,7 @@ class LazyMinHeap:
 
     def peek(self) -> Optional[tuple]:
         """The smallest live entry, or ``None``; drops stale tops."""
-        heap = self._heap
+        heap = self.heap
         live = self.live
         while heap:
             entry = heap[0]
@@ -166,25 +177,15 @@ class LazyMinHeap:
             heapq.heappop(heap)
         return None
 
-    def pop(self) -> Optional[tuple]:
-        """Remove and return the smallest live entry (``None`` if empty)."""
-        heap = self._heap
-        live = self.live
-        while heap:
-            entry = heapq.heappop(heap)
-            if live.get(entry[-1]) is entry:
-                del live[entry[-1]]
-                return entry
-        return None
-
     def live_sorted(self) -> list[tuple]:
         """All live entries in ascending order (a non-mutating walk).
 
         Entry tuples form a total order (the trailing tid is unique),
-        so this is exactly the sequence :meth:`pop` would yield —
-        without disturbing the heap.  Used by pick paths that need to
-        *scan past* ineligible entries: sorting the small live set
-        beats a pop/push-back churn through the backing heap.
+        so this is exactly the order in which repeated peeks and
+        discards would drain the heap — without disturbing it.  Used
+        by pick paths that need to *scan past* ineligible entries:
+        sorting the small live set beats a pop/push-back churn through
+        the backing heap.
         """
         entries = list(self.live.values())
         entries.sort()

@@ -44,6 +44,23 @@ re-sized), by its current window and without rolling it.  A stale
 exhausted window is already due on the replenishment heap, so the next
 pick or refresh rolls it at the virtual time the scan-based code did.
 
+On an over-committed CPU every dispatch throttles one thread and
+replenishes another, so that cycle is written inline, reading the
+heaps through :class:`~repro.sched.base.LazyMinHeap`'s ``heap`` and
+``live`` attributes.  One service pass (a pick that finds work due, or
+``refresh``) first realises owed marks, then walks the replenishment
+heap's backing list in one loop that calls no method per entry: it
+drops a dead entry (``live.get(tid) is not entry``), stops at the
+first live entry that is not yet due, rolls the due thread's window
+(:meth:`Reservation.advance_to`, inlined, with a recorded demand added
+to the miss total) and pushes the thread onto the ready heap.  A zero
+budget is still exhausted in the new window; that rare thread is
+re-throttled through ``_throttle`` instead, marked if the pass is a
+pick's.  The ready heap gets one compaction check after the loop, and
+the pass ends by rolling strays.  ``pick_next`` then reads the ready
+heap's head and its run-queue member in place, and a ``charge`` that
+spends the budget throttles inline.
+
 Recording unmet demand (``wanted_more``, which turns into a deadline
 miss when the window rolls) is the one step that stays deferred.  The
 scan recorded it at a pick, for a thread it found runnable and still
@@ -117,6 +134,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional
 
 from repro.sched.base import LazyMinHeap, Scheduler
@@ -543,26 +561,6 @@ class ReservationScheduler(Scheduler):
         if after != before:
             self._deadline_miss_total += after - before
 
-    def _classify(self, tid: int, now: int, mark_wanted: bool) -> None:
-        """Replenish one due thread from the replenishment heap.
-
-        Rolls the period window to ``now`` exactly as the historical
-        scan did, then re-routes the thread.  ``mark_wanted`` is set at
-        a pick, where the scan recorded unmet demand for every runnable
-        exhausted candidate; ``refresh`` only advanced windows, so a
-        thread still throttled there is owed its mark by the next pick.
-        """
-        reservation = self._reservations[tid]
-        self._advance(tid, reservation, now)
-        if reservation.used_in_period_us >= (
-            reservation.period_us * reservation.proportion_ppt // PROPORTION_SCALE
-        ):
-            if mark_wanted:
-                reservation.wanted_more = True
-            self._throttle(tid, reservation)
-        else:
-            self._make_ready(tid, reservation)
-
     def _service_queues(self, now: int, *, pick: bool) -> None:
         """Realise owed marks, due replenishments and stray rolls.
 
@@ -572,6 +570,8 @@ class ReservationScheduler(Scheduler):
         reservation, blocked ones included, but never recorded demand.
         Both heaps hold only runnable threads (``on_block`` and
         ``on_remove`` take a thread off them), and so does ``_owed``.
+        The replenishment pass is one loop over the heap's backing list
+        (see "Incremental dispatch").
         """
         reservations = self._reservations
         if pick and self._owed:
@@ -590,12 +590,60 @@ class ReservationScheduler(Scheduler):
                     // PROPORTION_SCALE
                 ):
                     reservation.wanted_more = True
-        replenish = self._replenish
-        entry = replenish.peek()
-        while entry is not None and entry[0] <= now:
-            replenish.pop()
-            self._classify(entry[1], now, pick)
-            entry = replenish.peek()
+        owed = self._owed
+        waiting = self._replenish.live
+        heap = self._replenish.heap
+        rm_heap = self._rm_heap
+        ready = rm_heap.live
+        ready_heap = rm_heap.heap
+        pushed = False
+        while heap:
+            entry = heap[0]
+            tid = entry[1]
+            if waiting.get(tid) is not entry:
+                heappop(heap)
+                continue
+            if entry[0] > now:
+                break
+            heappop(heap)
+            del waiting[tid]
+            reservation = reservations[tid]
+            # Reservation.advance_to, inlined.  A thread on this heap is
+            # never a stray (_throttle takes it off the stray set), so
+            # the roll has no stray to drop, unlike _advance.
+            start = reservation.period_start
+            period_us = reservation.period_us
+            if now - start >= period_us:
+                elapsed = (now - start) // period_us
+                if reservation.wanted_more:
+                    reservation.deadline_misses += 1
+                    self._deadline_miss_total += 1
+                    reservation.wanted_more = False
+                reservation.period_start = start + elapsed * period_us
+                reservation.periods_elapsed += elapsed
+                reservation.used_in_period_us = 0
+            if reservation.used_in_period_us >= (
+                period_us * reservation.proportion_ppt // PROPORTION_SCALE
+            ):
+                # A zero budget stays exhausted in the new window.  The
+                # pick marks it, as the scan marked every runnable
+                # exhausted candidate; refresh leaves the mark owed.
+                if pick:
+                    reservation.wanted_more = True
+                self._throttle(tid, reservation)
+            else:
+                # _make_ready, inlined.  The thread carries no mark (any
+                # roll since it was throttled cleared it, and only an
+                # exhausted thread gets one), so it is no stray.  Only a
+                # refresh can meet an owed thread: a pick took the set.
+                if owed:
+                    owed.pop(tid, None)
+                entry = (period_us, -reservation.proportion_ppt, tid)
+                ready[tid] = entry
+                heappush(ready_heap, entry)
+                pushed = True
+        if pushed:
+            rm_heap.compact()
         stray = self._wanted_stray
         if stray:
             run_queue = self._run_queue
@@ -687,11 +735,19 @@ class ReservationScheduler(Scheduler):
             # The budget ran out: wait for the window end on the
             # replenishment heap, owing the next pick the unmet-demand
             # mark (see "Incremental dispatch" for why not now).
+            self._rm_heap.live.pop(tid, None)
             state = thread.state
             if state is _READY or state is _RUNNING:
-                self._throttle(tid, reservation)
-            else:
-                self._rm_heap.discard(tid)
+                # _throttle, inlined.
+                replenish = self._replenish
+                entry = (reservation.period_start + reservation.period_us, tid)
+                replenish.live[tid] = entry
+                heappush(replenish.heap, entry)
+                replenish.compact()
+                if reservation.wanted_more:
+                    self._wanted_stray.pop(tid, None)
+                else:
+                    self._owed[tid] = None
 
     # ------------------------------------------------------------------
     # placement (multiprocessor)
@@ -739,22 +795,26 @@ class ReservationScheduler(Scheduler):
                 "the reservation scheduler answers per-CPU picks through "
                 "pick_next_cpu"
             )
-        # Service only when a mark is owed, a stray may roll or a
-        # replenishment is due.
-        if self._owed or self._wanted_stray:
+        # Service only when a mark is owed, a stray may roll or the
+        # replenishment heap's top is due (a stale one costs a service
+        # pass that only drops it).
+        waiting = self._replenish.heap
+        if self._owed or self._wanted_stray or (waiting and waiting[0][0] <= now):
             self._service_queues(now, pick=True)
-        else:
-            due = self._replenish.peek()
-            if due is not None and due[0] <= now:
-                self._service_queues(now, pick=True)
         rm_heap = self._rm_heap
-        run_queue = self._run_queue
-        # Fast path: the heap minimum is usually dispatchable as-is —
-        # peek avoids walking the live set.
-        entry = rm_heap.peek()
-        if entry is not None:
+        members = self._run_queue._members
+        # Fast path: the heap minimum is usually dispatchable as-is.
+        # Drop dead tops (as LazyMinHeap.peek does) and read the live
+        # one in place, without walking the live set.
+        heap = rm_heap.heap
+        ready = rm_heap.live
+        while heap:
+            entry = heap[0]
             tid = entry[-1]
-            thread = run_queue.get(tid)
+            if ready.get(tid) is not entry:
+                heappop(heap)
+                continue
+            thread = members.get(tid)
             if thread is not None:
                 state = thread.state
                 if state is _READY or state is _RUNNING:
@@ -765,11 +825,12 @@ class ReservationScheduler(Scheduler):
                     if now - reservation.period_start >= reservation.period_us:
                         self._advance(tid, reservation, now)
                     return thread
+            break
         # Walk past entries without mutating the heap: the sorted live
-        # snapshot is exactly the pop order.
+        # snapshot is exactly the drain order.
         for entry in rm_heap.live_sorted():
             tid = entry[-1]
-            thread = run_queue.get(tid)
+            thread = members.get(tid)
             if thread is None:
                 continue
             state = thread.state

@@ -84,6 +84,21 @@ ROWS: list[Row] = [
     ("rbs-actuate-skips-heap-rebuild", RBS, [
         ("            rm_heap.rebuild()\n", "            pass\n"),
     ], ("pytest", DIFFERENTIAL), ORACLE),
+    # The replenishment loop replenishes a thread from a dead entry
+    # (one a block, a clear or a return to the ready heap left behind).
+    ("rbs-replenish-takes-stale", RBS, [
+        ("            if waiting.get(tid) is not entry:\n",
+         "            if tid not in reservations:\n"),
+        ("            del waiting[tid]\n", "            waiting.pop(tid, None)\n"),
+    ], ("pytest", DIFFERENTIAL), ORACLE),
+    # The loop's window roll counts a miss on the reservation only.
+    ("rbs-roll-skips-miss-total", RBS, [
+        ("                    self._deadline_miss_total += 1\n", ""),
+    ], ("pytest", DIFFERENTIAL), ORACLE),
+    # A charge that spends the budget never owes the next pick its mark.
+    ("rbs-charge-throttle-skips-owed", RBS, [
+        ("                else:\n                    self._owed[tid] = None\n", ""),
+    ], ("pytest", DIFFERENTIAL), ORACLE),
     # An exited thread keeps its body and generator.
     ("exit-keeps-generator", KERNEL, [
         ("        thread._body = None\n"

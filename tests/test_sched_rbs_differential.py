@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sched.base import Scheduler
@@ -497,8 +497,26 @@ workload = st.integers(min_value=2, max_value=8).flatmap(
 )
 
 
+#: Runs before the random cases: t0 and t1 spend their budgets, a pick
+#: marks both, and t1 blocks while throttled.  At the window end t0's
+#: replenishment rolls in a miss, and t1's dead entry must be dropped.
+_THROTTLE_BLOCK_REPLENISH = (3, [
+    ("reserve", 0, 100, 10_000),
+    ("reserve", 1, 100, 10_000),
+    ("round", 1_000),
+    ("round", 1_000),
+    ("round", 500),
+    ("block", 1),
+    ("round", 3_000),
+    ("round", 3_000),
+    ("round", 3_000),
+    ("round", 3_000),
+])
+
+
 @pytest.mark.parametrize("n_cpus", [1, 4])
 @given(case=workload)
+@example(case=_THROTTLE_BLOCK_REPLENISH)
 @settings(max_examples=200, deadline=None)
 def test_optimized_matches_reference(n_cpus, case):
     """Pick sequences, charges and deadline misses are identical."""
@@ -801,6 +819,38 @@ def test_owed_mark_is_not_unmet_demand_yet(action):
     harness.check_final()
 
 
+# -- a zero budget at the window end ------------------------------------
+#
+# A window roll refills the budget, except when the budget is zero: the
+# thread is still exhausted in the new window, so the replenishment pass
+# re-throttles it instead of making it ready.  A pick marks its unmet
+# demand at once, as the scan marked every runnable exhausted candidate;
+# refresh never marks, so the mark stays owed to the next pick.
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+@pytest.mark.parametrize("at_pick", [True, False], ids=["pick", "refresh"])
+def test_zero_budget_rethrottled_at_window_end(n_cpus, at_pick):
+    harness = DualHarness(n_threads=2, n_cpus=n_cpus)
+    harness.set_reservation(0, 0, 2_000)  # no budget: throttled at once
+    assert _queues_of(harness, 0) == (False, True, True)
+    t0 = harness.opt_threads[0].tid
+    reservation = harness.opt.reservation(harness.opt_threads[0])
+    if at_pick:
+        harness.dispatch_round(1_000)  # the pick realises the owed mark
+        harness.dispatch_round(1_000)  # the window ends as this one does
+        harness.dispatch_round(1_000)  # its pick rolls the window: a miss
+        marked, misses = True, 1
+    else:
+        harness.refresh(2_000)  # idle to the window end: nothing marked
+        marked, misses = False, 0
+    assert _queues_of(harness, 0) == (False, True, not marked)
+    assert harness.opt._replenish.peek() == (4_000, t0)
+    assert reservation.wanted_more is marked
+    assert harness.opt.deadline_misses() == harness.ref.deadline_misses() == misses
+    _settle(harness)
+
+
 # -- proportion-only re-sizes ------------------------------------------
 #
 # The controller's common actuation changes a proportion and keeps the
@@ -963,8 +1013,8 @@ def test_resize_of_removed_thread_raises_not_registered(n_cpus):
 # -- batched re-sizes ------------------------------------------------------
 #
 # ``actuate`` stages each ready thread's new key and rebuilds the ready
-# heap once, so the heap's own pops are checked here, not only the
-# picks (which may read the sorted live set).
+# heap once, so the order the backing heap drains in is checked here,
+# not only the picks (which may read the sorted live set).
 
 
 def _ready_reservations(n_threads: int) -> tuple[ReservationScheduler, list[SimThread]]:
@@ -982,16 +1032,20 @@ def _ready_reservations(n_threads: int) -> tuple[ReservationScheduler, list[SimT
 
 
 def _drain(heap) -> list[tuple]:
-    popped = []
-    entry = heap.pop()
+    """Empty ``heap`` through its backing list, smallest live entry
+    first: the order in which the ready heap's picks would see them."""
+    drained = []
+    entry = heap.peek()
     while entry is not None:
-        popped.append(entry)
-        entry = heap.pop()
-    return popped
+        drained.append(entry)
+        heap.discard(entry[-1])
+        entry = heap.peek()
+    assert not heap.heap
+    return drained
 
 
 def test_actuate_rekeys_ready_heap_in_pop_order():
-    """After a batch that re-keys every ready thread, the heap pops in
+    """After a batch that re-keys every ready thread, the heap drains in
     the new rate-monotonic order."""
     scheduler, threads = _ready_reservations(6)
     before = [entry[-1] for entry in scheduler._rm_heap.live_sorted()]
@@ -1005,7 +1059,7 @@ def test_actuate_rekeys_ready_heap_in_pop_order():
 
 def test_actuate_error_partway_keeps_every_entry_reachable():
     """A batch that raises at its third grant keeps the first two, and
-    every ready thread stays reachable through peek and pop."""
+    every ready thread stays reachable through the backing heap."""
     scheduler, threads = _ready_reservations(5)
     with pytest.raises(SchedulerError, match=r"got 1001$"):
         scheduler.actuate(
