@@ -80,19 +80,13 @@ class _ControlledThread:
     thread: SimThread
     spec: ThreadSpec
     sampler: ProgressSampler
+    #: The thread's decision, made at registration and mutated in
+    #: place every tick; its ``granted_ppt`` is the proportion last
+    #: actuated and its ``thread_class`` is set by the tick layout.
+    decision: AllocationDecision
     #: Desired proportion of the last Figure 4 step.
     last_desired_ppt: int
     period_estimator: Optional[PeriodEstimator] = None
-    current_ppt: int = 0
-    last_class: Optional[ThreadClass] = None
-    #: Registry version at which ``last_class`` was derived;
-    #: classification only changes when a linkage is added or removed,
-    #: so it is cached between registry changes.
-    class_version: int = -1
-    #: Per-thread decision object, mutated in place every tick (one
-    #: decision exists per controlled thread per tick by construction,
-    #: so reuse saves a nine-field dataclass build per thread-tick).
-    decision: Optional[AllocationDecision] = None
     # -- Figure 4: PID state, then the reclaim rule's EMAs and count --
     integral: float = 0.0
     #: Pressure of the previous step (``None`` before the first).
@@ -105,6 +99,24 @@ class _ControlledThread:
     # -- last usage sample: lifetime CPU and the time it was read --
     last_total_us: Optional[int] = None
     last_sample_us: int = 0
+
+
+@dataclass(slots=True)
+class _TickLayout:
+    """What a tick reads that changes only when a thread joins or
+    leaves control or a linkage moves: the records and their decisions
+    and threads in registration order, and the decisions and
+    importances of each squishable tier (see ``update``)."""
+
+    #: ``(membership_version, registry.version)`` it was laid out at.
+    key: tuple[int, int]
+    records: list[_ControlledThread]
+    decisions: list[AllocationDecision] = field(default_factory=list)
+    threads: list[SimThread] = field(default_factory=list)
+    rr_decisions: list[AllocationDecision] = field(default_factory=list)
+    rr_importance: list[float] = field(default_factory=list)
+    misc_decisions: list[AllocationDecision] = field(default_factory=list)
+    misc_importance: list[float] = field(default_factory=list)
 
 
 class ProportionAllocator:
@@ -145,6 +157,7 @@ class ProportionAllocator:
         #: Bumped whenever a thread joins or leaves control, so a reader
         #: of the (reused) decisions knows when to look them up again.
         self.membership_version = 0
+        self._layout = self._lay_out()
 
     @property
     def capacity_cpus(self) -> int:
@@ -188,6 +201,11 @@ class ProportionAllocator:
             sampler=ProgressSampler(
                 thread, self.registry, setpoint=self.config.setpoint_fill
             ),
+            decision=AllocationDecision(
+                thread, classify(spec, self.registry.has_progress_metric(thread)),
+                pressure_raw=None, cumulative_pressure=None,
+                desired_ppt=0, granted_ppt=0, period_us=0,
+            ),
             last_desired_ppt=self.config.min_proportion_ppt,
         )
         if self.config.adapt_period:
@@ -201,7 +219,7 @@ class ProportionAllocator:
         if spec.specifies_proportion:
             period = spec.period_us or self.config.default_period_us
             self.scheduler.set_reservation(thread, spec.proportion_ppt, period)
-            state.current_ppt = spec.proportion_ppt
+            state.decision.granted_ppt = spec.proportion_ppt
 
     def would_admit(
         self,
@@ -299,23 +317,28 @@ class ProportionAllocator:
         Returns the decisions made, in registration order, after
         actuating them on the scheduler.
 
-        The returned :class:`AllocationDecision` objects are **reused
-        across ticks** (one long-lived instance per controlled thread,
-        mutated in place) — a deliberate hot-path trade-off, since one
-        decision exists per thread per tick.  Read them before the next
-        update; a caller that wants a history must copy the fields it
-        cares about, not retain the objects.
+        The returned list and the :class:`AllocationDecision` objects in
+        it are **reused across ticks** (one long-lived decision per
+        controlled thread, mutated in place, and one list per tick
+        layout) — a deliberate hot-path trade-off, since one decision
+        exists per thread per tick.  Read them before the next update;
+        a caller that wants a history must copy the fields it cares
+        about, not retain the objects.
 
-        The tick is one pass over the controlled threads.  For each it
-        classifies, samples usage and progress, runs the Figure 4 law
-        inline on the fields of the thread's flat record — the PID
-        step, the reclaim rule with its two EMAs, the integral
-        wind-down and the clamps — picks the period, and files the
-        desired proportion into the overload partitions.  Overload
-        resolution then works from those partitions, and one
+        The tick is one pass over the tick layout (:meth:`_lay_out`),
+        which is rebuilt only when a thread joins or leaves control or
+        a linkage moves.  For each thread the tick samples usage and
+        progress, runs the Figure 4 law inline on the fields of the
+        thread's flat record — the PID step, the reclaim rule with its
+        two EMAs, the integral wind-down and the clamps — picks the
+        period, and appends the desired proportion to its overload
+        tier.  Overload resolution then works from the tiers, and one
         ``scheduler.actuate`` call applies every grant.
         """
         self._drop_exited()
+        layout = self._layout
+        if layout.key != (self.membership_version, self.registry.version):
+            layout = self._layout = self._lay_out()
 
         # Per-tick constants: the Figure 4 gains and limits are the
         # config's, the same for every thread.
@@ -340,57 +363,25 @@ class ProportionAllocator:
         default_period = config.default_period_us
         interactive_period = config.interactive_period_us
         misc_pressure = self.misc_pressure_source.pressure
-        registry = self.registry
-        version = registry.version
         real_rate = ThreadClass.REAL_RATE
         miscellaneous = ThreadClass.MISCELLANEOUS
         real_time = ThreadClass.REAL_TIME
 
-        states = list(self._controlled.values())
-        decisions: list[AllocationDecision] = []
         # The overload inputs, built in the same pass: real-time and
         # aperiodic desires are protected, real-rate and miscellaneous
-        # ones are squishable (index-aligned desired/importance lists).
+        # ones are squishable (each desired list is index-aligned with
+        # its tier's decisions and importances in the layout).
         protected = 0
         real_rate_total = 0
         misc_total = 0
-        rr_decisions: list[AllocationDecision] = []
         rr_desired: list[int] = []
-        rr_importance: list[float] = []
-        misc_decisions: list[AllocationDecision] = []
         misc_desired: list[int] = []
-        misc_importance: list[float] = []
 
-        for state in states:
+        for state in layout.records:
             spec = state.spec
             thread = state.thread
-            # Classification is a pure function of the (immutable) spec
-            # and the registry's linkage knowledge; re-derive it only
-            # when a linkage was added or removed.
-            if state.class_version == version:
-                thread_class = state.last_class
-            else:
-                thread_class = classify(spec, registry.has_progress_metric(thread))
-                state.last_class = thread_class
-                state.class_version = version
-
             decision = state.decision
-            if decision is None:
-                decision = state.decision = AllocationDecision(
-                    thread=thread,
-                    thread_class=thread_class,
-                    pressure_raw=None,
-                    cumulative_pressure=None,
-                    desired_ppt=0,
-                    granted_ppt=0,
-                    period_us=0,
-                )
-            else:
-                decision.thread_class = thread_class
-                decision.squished = False
-                decision.reclaimed = False
-                decision._saturation = None
-            decisions.append(decision)
+            thread_class = decision.thread_class
 
             # Usage sampling, on the record: the previous sample is read
             # and replaced, no sample object.
@@ -425,7 +416,7 @@ class ProportionAllocator:
                 pressure_raw = misc_pressure
                 fill_level = None
 
-            current_ppt = state.current_ppt
+            current_ppt = decision.granted_ppt
             if last_total is None:
                 used = 0
                 interval = 0
@@ -499,7 +490,7 @@ class ProportionAllocator:
                 desired_fraction = min_fraction
             if desired_fraction > max_fraction:
                 desired_fraction = max_fraction
-            desired_ppt = int(round(desired_fraction * PROPORTION_SCALE))
+            desired_ppt = round(desired_fraction * PROPORTION_SCALE)
             if desired_ppt < min_ppt:
                 desired_ppt = min_ppt
             if desired_ppt > max_ppt:
@@ -517,9 +508,7 @@ class ProportionAllocator:
                 # typical burst within each (small) period.
                 burst_us = thread.accounting.run_before_block_ema_us
                 if burst_us > 0:
-                    heuristic_ppt = int(
-                        round(1.5 * burst_us * PROPORTION_SCALE / period)
-                    )
+                    heuristic_ppt = round(1.5 * burst_us * PROPORTION_SCALE / period)
                     heuristic_ppt = min(max_ppt, heuristic_ppt)
                     desired_ppt = max(desired_ppt, heuristic_ppt)
             elif spec.period_us is not None:
@@ -537,6 +526,7 @@ class ProportionAllocator:
             decision.granted_ppt = desired_ppt
             decision.period_us = period
             decision.reclaimed = reclaimed
+            decision.squished = False
             if thread_class is real_rate:
                 # A quality exception is only warranted when a queue
                 # saturated in the direction that means this thread is
@@ -550,15 +540,13 @@ class ProportionAllocator:
                     and max(sample.per_channel.values()) >= 0.45
                 ):
                     decision._saturation = "full" if sample.saturated_full else "empty"
+                else:
+                    decision._saturation = None
                 real_rate_total += desired_ppt
-                rr_decisions.append(decision)
                 rr_desired.append(desired_ppt)
-                rr_importance.append(spec.importance)
             else:
                 misc_total += desired_ppt
-                misc_decisions.append(decision)
                 misc_desired.append(desired_ppt)
-                misc_importance.append(spec.importance)
 
         # Overload resolution: fit the proposals under the threshold.
         # Real-time (and aperiodic real-time) reservations are
@@ -577,26 +565,53 @@ class ProportionAllocator:
         if protected + real_rate_total + misc_total > threshold:
             available = max(0, threshold - protected)
             if real_rate_total > available:
-                self._squish(rr_decisions, rr_desired, rr_importance, available, now)
+                self._squish(layout.rr_decisions, rr_desired, layout.rr_importance, available, now)
                 misc_available = 0
             else:
                 misc_available = available - real_rate_total
             self._squish(
-                misc_decisions, misc_desired, misc_importance, misc_available, now
+                layout.misc_decisions, misc_desired, layout.misc_importance, misc_available, now
             )
 
         # One scheduler call actuates the whole tick; its lists are
-        # index-aligned because ``decisions`` is with ``states``.
-        grants = [decision.granted_ppt for decision in decisions]
+        # index-aligned with the layout's threads.
+        decisions = layout.decisions
         self.scheduler.actuate(
-            [state.thread for state in states],
-            grants,
+            layout.threads,
+            [decision.granted_ppt for decision in decisions],
             [decision.period_us for decision in decisions],
             now,
         )
-        for state, granted in zip(states, grants):
-            state.current_ppt = granted
         return decisions
+
+    def _lay_out(self) -> _TickLayout:
+        """The tick layout of the controlled threads as they are now.
+
+        Each thread's class is a pure function of its (immutable) spec
+        and the registry's linkage knowledge, so it is derived here and
+        holds until a linkage is added or removed.  A thread that moved
+        tiers starts without a saturation mark.
+        """
+        layout = _TickLayout(
+            (self.membership_version, self.registry.version),
+            list(self._controlled.values()),
+        )
+        has_progress_metric = self.registry.has_progress_metric
+        for state in layout.records:
+            decision = state.decision
+            decision.thread_class = thread_class = classify(
+                state.spec, has_progress_metric(state.thread)
+            )
+            decision._saturation = None
+            layout.decisions.append(decision)
+            layout.threads.append(state.thread)
+            if thread_class is ThreadClass.REAL_RATE:
+                layout.rr_decisions.append(decision)
+                layout.rr_importance.append(state.spec.importance)
+            elif thread_class is ThreadClass.MISCELLANEOUS:
+                layout.misc_decisions.append(decision)
+                layout.misc_importance.append(state.spec.importance)
+        return layout
 
     def _squish(
         self,
@@ -653,7 +668,7 @@ class ProportionAllocator:
         state = self._controlled.get(thread.tid)
         if state is None:
             raise ControllerError(f"thread {thread.name!r} is not controlled")
-        return state.current_ppt
+        return state.decision.granted_ppt
 
 
 __all__ = ["AllocationDecision", "ProportionAllocator"]

@@ -91,32 +91,29 @@ class SquishPolicy(ABC):
                 total_weight += weights[i]
             if total_weight <= 0:
                 break
-            next_round: list[int] = []
-            shares: list[int] = []
-            used = 0
-            for i in remaining:
-                share = int(available * weights[i] / total_weight)
-                want = desired[i]
-                if share >= want:
-                    grants[i] = want
-                    used += want
-                else:
-                    next_round.append(i)
-                    shares.append(share)
+            shares = [int(available * weights[i] / total_weight) for i in remaining]
+            next_round = [
+                i for i, share in zip(remaining, shares) if share < desired[i]
+            ]
             if len(next_round) == len(remaining):
                 # Nobody capped: hand out the proportional shares directly.
                 for i, share in zip(remaining, shares):
                     grants[i] = share
                 break
-            available -= used
+            # The capped proposals get what they asked for.
+            for i, share in zip(remaining, shares):
+                want = desired[i]
+                if share >= want:
+                    grants[i] = want
+                    available -= want
             remaining = next_round
-        # Starvation freedom: every thread keeps at least the minimum.
+        # Starvation freedom: every thread keeps at least the minimum,
+        # min(floor, want).
         floor = self.min_proportion_ppt
-        for i, want in enumerate(desired):
-            minimum = floor if floor < want else want
-            if grants[i] < minimum:
-                grants[i] = minimum
-        return grants
+        return [
+            grant if grant >= floor or grant >= want else (floor if floor < want else want)
+            for grant, want in zip(grants, desired)
+        ]
 
 
 class FairShareSquish(SquishPolicy):

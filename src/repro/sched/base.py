@@ -107,7 +107,10 @@ class LazyMinHeap:
     heap only as the methods do: ``heappop`` a dead top, or a live top
     together with ``del live[tid]``; ``live.pop(tid, None)`` to
     discard; ``live[tid] = entry`` with a ``heappush`` of ``entry``,
-    followed by one :meth:`compact` after its pushes.
+    followed by one :meth:`compact` after its pushes.  A batch of
+    re-keys may also *stage* entries, ``live[tid] = entry`` with no
+    push, and then :meth:`rebuild` once; nothing may read the heap in
+    between, since the backing list lacks the staged entries.
     """
 
     __slots__ = ("heap", "live")
@@ -141,15 +144,6 @@ class LazyMinHeap:
         size = len(self.heap)
         if size > self._COMPACT_FLOOR and size > self._COMPACT_RATIO * len(self.live):
             self.rebuild()
-
-    def stage(self, tid: int, entry: tuple) -> None:
-        """Make ``entry`` ``tid``'s live entry without pushing it.
-
-        The backing heap lacks a staged entry until :meth:`rebuild`, so
-        nothing may read the heap in between: a batch of re-keys
-        stages each one and rebuilds once at the end.
-        """
-        self.live[tid] = entry
 
     def rebuild(self) -> None:
         """Rebuild the backing heap, in place, from the live entries only.

@@ -116,18 +116,19 @@ cannot change the plan.
 Batched actuation
 ~~~~~~~~~~~~~~~~~
 The controller re-sizes every reservation it manages once per tick,
-through :meth:`ReservationScheduler.actuate`.  Most of those re-sizes
-change only the proportion of a thread that sits on the ready heap and
-stays eligible, which changes only its heap key.  One
-``set_reservation`` pushes the new key and leaves the old entry behind
-as garbage.  A batch instead *stages* each new key (it replaces the
+through :meth:`ReservationScheduler.actuate`, which holds the one copy
+of the re-size rules inline; ``set_reservation`` re-sizes through a
+one-element batch.  Most re-sizes change only the proportion of a
+thread that sits on the ready heap and stays eligible, which changes
+only its heap key.  A batch *stages* each new key (it replaces the
 thread's live entry without touching the backing heap) and rebuilds the
 heap from the live entries once at the end, in a ``finally`` so that an
 error partway through the batch cannot leave a live key the heap lacks.
-Nothing reads the ready heap during a batch.  Every other effect of a
-re-size (throttling, a return to the ready heap, a period change's
-re-route, owed marks and strays, the reserved total) happens in batch
-order, exactly as the same ``set_reservation`` calls would make it.
+Nothing reads the ready heap during a batch, and drain order is a total
+order, so the heap's arrangement cannot change a pick.  Every other
+effect of a re-size (throttling, a return to the ready heap, a period
+change's re-route, owed marks and strays, the reserved total) happens
+in batch order.
 """
 
 from __future__ import annotations
@@ -338,8 +339,7 @@ class ReservationScheduler(Scheduler):
             self._best_effort.pop(tid, None)
             self._track_reservation(thread, reservation)
             return reservation
-        if self._resize(thread, current, proportion_ppt, period_us, now):
-            self._rm_heap.push(tid, (period_us, -proportion_ppt, tid))
+        self.actuate((thread,), (proportion_ppt,), (period_us,), now)
         return current
 
     def actuate(
@@ -358,12 +358,14 @@ class ReservationScheduler(Scheduler):
         controller's are: unlike ``set_reservation``, a re-size does not
         coerce them.  A ready thread that stays eligible is only
         re-keyed, so the ready heap is rebuilt once at the end instead
-        of taking one push per thread (see "Batched actuation").
+        of taking one push per thread (see "Batched actuation").  These
+        are the only re-size rules: ``set_reservation`` re-sizes a
+        reservation through a one-element batch.
         """
         reservations = self._reservations
         rm_heap = self._rm_heap
-        stage = rm_heap.stage
-        resize = self._resize
+        ready = rm_heap.live
+        waiting = self._replenish.live
         try:
             for thread, proportion_ppt, period_us in zip(
                 threads, proportions_ppt, periods_us
@@ -377,73 +379,59 @@ class ReservationScheduler(Scheduler):
                     # Untracked: the registration probe and the creation
                     # path are set_reservation's.
                     self.set_reservation(thread, proportion_ppt, period_us, now=now)
-                elif resize(thread, current, proportion_ppt, period_us, now):
-                    stage(tid, (period_us, -proportion_ppt, tid))
+                    continue
+                if (
+                    proportion_ppt == current.proportion_ppt
+                    and period_us == current.period_us
+                ):
+                    # The controller re-actuating unchanged values is the
+                    # common case; nothing about eligibility or ordering
+                    # moved.
+                    continue
+                # Same bounds (and error messages) as
+                # Reservation.__post_init__, without building a
+                # throwaway instance on the actuation path.
+                if not 0 <= proportion_ppt <= PROPORTION_SCALE:
+                    raise SchedulerError(
+                        f"proportion must be in [0, {PROPORTION_SCALE}] parts per "
+                        f"thousand, got {proportion_ppt}"
+                    )
+                if period_us <= 0:
+                    raise SchedulerError(
+                        f"period must be positive, got {period_us}us"
+                    )
+                self._reserved_ppt_total += proportion_ppt - current.proportion_ppt
+                current.proportion_ppt = proportion_ppt
+                if period_us != current.period_us:
+                    current.period_us = period_us
+                    current.period_start = now
+                    current.used_in_period_us = 0
+                    # The window was reset: re-route by the new one (this
+                    # also re-keys a replenishment entry from the old
+                    # window's end).
+                    if thread.state.is_runnable:
+                        self._route(tid, current)
+                    continue
+                # Proportion only, the common controller actuation.  A
+                # ready thread that stays eligible only changes its heap
+                # key, so its new key is staged (see LazyMinHeap), and a
+                # throttled one that stays exhausted keeps its entry
+                # (``period_end`` did not move).  A flipped exhaustion is
+                # re-routed.  A blocked thread is on neither heap;
+                # ``on_ready`` routes it when it wakes.
+                exhausted = current.used_in_period_us >= (
+                    period_us * proportion_ppt // PROPORTION_SCALE
+                )
+                if tid in ready:
+                    if not exhausted:
+                        ready[tid] = (period_us, -proportion_ppt, tid)
+                    else:
+                        self._throttle(tid, current)
+                elif not exhausted and tid in waiting:
+                    self._make_ready(tid, current)
         finally:
             # Also after an error: every staged key must reach the heap.
             rm_heap.rebuild()
-
-    def _resize(
-        self,
-        thread: SimThread,
-        current: Reservation,
-        proportion_ppt: int,
-        period_us: int,
-        now: int,
-    ) -> bool:
-        """Re-size ``thread``'s tracked reservation ``current`` in place.
-
-        Returns ``True`` when the thread stays on the ready heap under
-        the new ``(period_us, -proportion_ppt, tid)`` key, which the
-        caller writes (a push, or a stage in a batch); every other heap
-        move is made here.
-        """
-        if (
-            proportion_ppt == current.proportion_ppt
-            and period_us == current.period_us
-        ):
-            # The controller re-actuating unchanged values is the common
-            # case; nothing about eligibility or ordering moved.
-            return False
-        # Same bounds (and error messages) as Reservation.__post_init__,
-        # without building a throwaway instance on the actuation path.
-        if not 0 <= proportion_ppt <= PROPORTION_SCALE:
-            raise SchedulerError(
-                f"proportion must be in [0, {PROPORTION_SCALE}] parts per "
-                f"thousand, got {proportion_ppt}"
-            )
-        if period_us <= 0:
-            raise SchedulerError(
-                f"period must be positive, got {period_us}us"
-            )
-        self._reserved_ppt_total += proportion_ppt - current.proportion_ppt
-        current.proportion_ppt = proportion_ppt
-        tid = thread.tid
-        if period_us != current.period_us:
-            current.period_us = period_us
-            current.period_start = now
-            current.used_in_period_us = 0
-            # The window was reset: re-route by the new one (this also
-            # re-keys a replenishment entry from the old window's end).
-            if thread.state.is_runnable:
-                self._route(tid, current)
-            return False
-        # Proportion only, the common controller actuation.  A ready
-        # thread that stays eligible only changes its heap key, and a
-        # throttled one that stays exhausted keeps its entry
-        # (``period_end`` did not move).  A flipped exhaustion is
-        # re-routed.  A blocked thread is on neither heap; ``on_ready``
-        # routes it when it wakes.
-        exhausted = current.used_in_period_us >= (
-            period_us * proportion_ppt // PROPORTION_SCALE
-        )
-        if tid in self._rm_heap.live:
-            if not exhausted:
-                return True
-            self._throttle(tid, current)
-        elif not exhausted and tid in self._replenish.live:
-            self._make_ready(tid, current)
-        return False
 
     def clear_reservation(self, thread: SimThread) -> None:
         """Demote ``thread`` to best-effort scheduling."""

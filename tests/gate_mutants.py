@@ -46,6 +46,9 @@ KERNEL = "src/repro/sim/kernel.py"
 ALLOCATOR = "src/repro/core/allocator.py"
 DISPATCH_LOG = "src/repro/sim/dispatch_log.py"
 TICK = "            desired_fraction = k_scale * cumulative\n"
+LAYOUT = "        if layout.key != (self.membership_version, self.registry.version):\n"
+RECLASSIFY = ("tests/test_core_allocator.py::TestDecisions::"
+              "test_linkage_after_a_tick_reclassifies_on_the_next")
 PICK = "    def pick_next(self, now: int, cpu: Optional[int] = None) -> Optional[SimThread]:\n"
 FUTURE = "from __future__ import annotations\n"
 LIFECYCLE = "tests/test_thread_lifecycle.py"
@@ -55,6 +58,7 @@ TRACE = "src/repro/sim/trace.py"
 TRACE_MEMORY = "tests/test_sim_cpu_trace.py::TestTraceMemory"
 NOTHING_WATCHED = f"{TRACE_MEMORY}::test_nothing_watched_keeps_nothing"
 SHARED_TRACE = "tests/test_sim_cpu_trace.py::TestSharedTickColumn"
+JOINING = f"{SHARED_TRACE}::test_thread_joining_after_the_first_tick"
 
 ROWS: list[Row] = [
     # A wall-clock read in the reservation scheduler's pick.
@@ -75,12 +79,14 @@ ROWS: list[Row] = [
     ("registry-unstamped-figure8", "src/repro/experiments/figure8.py", [
         ("    stamp_reproducibility(result, *kernels)\n", ""),
     ], ("repro", "run", "figure8", "--quick"), "RegistryError"),
-    # Every SMP round re-reads the previous round's plan.
+    # Every SMP round re-reads the previous round's plan (an explicit
+    # example of the differential catches it on 4 CPUs, every run).
     ("rbs-stale-smp-plan", RBS, [
         ("        self._plan = None\n        return super().place_threads(now)\n",
          "        return super().place_threads(now)\n"),
     ], ("pytest", DIFFERENTIAL, "tests/test_golden.py"), ORACLE),
-    # A batch's re-keyed threads never reach the ready heap.
+    # A batch's re-keyed threads never reach the ready heap (an explicit
+    # example of the differential catches it on 1 CPU, every run).
     ("rbs-actuate-skips-heap-rebuild", RBS, [
         ("            rm_heap.rebuild()\n", "            pass\n"),
     ], ("pytest", DIFFERENTIAL), ORACLE),
@@ -99,6 +105,14 @@ ROWS: list[Row] = [
     ("rbs-charge-throttle-skips-owed", RBS, [
         ("                else:\n                    self._owed[tid] = None\n", ""),
     ], ("pytest", DIFFERENTIAL), ORACLE),
+    # The tick layout outlives a linkage change: the thread keeps its class.
+    ("allocator-layout-ignores-registry", ALLOCATOR, [
+        (LAYOUT, "        if layout.key[0] != self.membership_version:\n"),
+    ], ("pytest", RECLASSIFY), f"FAILED {RECLASSIFY}"),
+    # The tick layout outlives a registration: the thread gets no decision.
+    ("allocator-layout-ignores-membership", ALLOCATOR, [
+        (LAYOUT, "        if layout.key[1] != self.registry.version:\n"),
+    ], ("pytest", JOINING), f"FAILED {JOINING}"),
     # An exited thread keeps its body and generator.
     ("exit-keeps-generator", KERNEL, [
         ("        thread._body = None\n"

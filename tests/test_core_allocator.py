@@ -218,6 +218,23 @@ class TestDecisions:
         # climb; it must still have risen well above the floor.
         assert decision.granted_ppt > allocator.config.min_proportion_ppt * 10
 
+    def test_linkage_after_a_tick_reclassifies_on_the_next(self):
+        """A linkage registered once the allocator has ticked makes the
+        thread real-rate from the next tick on: its class, and the
+        pressure the Figure 4 law is fed, are no longer the misc ones."""
+        kernel, _, registry, allocator = make_setup()
+        queue = BoundedBuffer("q", 1_000)
+        queue.commit_put(1_000)
+        thread = kernel.spawn("consumer", spin_body())
+        allocator.register(thread)
+        (decision,) = allocator.update(now=10_000)
+        assert decision.thread_class is ThreadClass.MISCELLANEOUS
+        assert decision.pressure_raw == allocator.config.misc_pressure
+        registry.register(thread, queue, Role.CONSUMER)
+        (decision,) = allocator.update(now=20_000)
+        assert decision.thread_class is ThreadClass.REAL_RATE
+        assert decision.pressure_raw == pytest.approx(0.5)
+
     def test_interactive_period_pinned(self):
         kernel, scheduler, registry, allocator = make_setup()
         from repro.ipc.tty import TTY

@@ -336,7 +336,7 @@ class TestControllerTickEquivalence:
             sensor.pressure = pressure
             for state, used_us, current_ppt in zip(states, used, (rr_ppt, misc_ppt)):
                 state.thread.accounting.total_us += used_us
-                state.current_ppt = current_ppt
+                state.decision.granted_ppt = current_ppt
             decisions = allocator.update(now)
             inputs = zip(
                 decisions, states, references,

@@ -1,6 +1,8 @@
 """Unit tests for admission control and the squish policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ControllerConfig
 from repro.core.errors import AdmissionError
@@ -94,6 +96,102 @@ class TestWeightedFairShareSquish:
         grants = policy.squish([100, 900], [10.0, 1.0], available_ppt=600)
         assert grants[0] == 100          # capped at its own desire
         assert grants[1] >= 400          # leftover goes to the other request
+
+
+def water_filling(policy, desired, importance, available_ppt):
+    """The squish as one loop per water-filling round, kept as an
+    oracle for ``SquishPolicy.squish``: the same expressions in the
+    same order.  Returns the grants, the rounds run and the proposals
+    capped at what they asked for."""
+    if sum(desired) <= available_ppt:
+        return list(desired), 0, 0
+    available = max(0, available_ppt)
+    weights = policy.weights(desired, importance)
+    grants = [0] * len(desired)
+    remaining = list(range(len(desired)))
+    rounds = capped = 0
+    while remaining and available > 0:
+        rounds += 1
+        total_weight = 0.0
+        for i in remaining:
+            total_weight += weights[i]
+        if total_weight <= 0:
+            break
+        next_round = []
+        shares = []
+        used = 0
+        for i in remaining:
+            share = int(available * weights[i] / total_weight)
+            want = desired[i]
+            if share >= want:
+                grants[i] = want
+                used += want
+                capped += 1
+            else:
+                next_round.append(i)
+                shares.append(share)
+        if len(next_round) == len(remaining):
+            for i, share in zip(remaining, shares):
+                grants[i] = share
+            break
+        available -= used
+        remaining = next_round
+    floor = policy.min_proportion_ppt
+    for i, want in enumerate(desired):
+        minimum = floor if floor < want else want
+        if grants[i] < minimum:
+            grants[i] = minimum
+    return grants, rounds, capped
+
+
+POLICIES = [FairShareSquish, WeightedFairShareSquish]
+IMPORTANCE = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 40.0])
+
+
+@st.composite
+def squish_cases(draw):
+    """Any proposals, with any budget from below zero to above them all."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 1_000), IMPORTANCE), min_size=1,
+                          max_size=12))
+    desired = [want for want, _ in pairs]
+    available = draw(st.integers(-10, sum(desired) + 10))
+    return desired, [weight for _, weight in pairs], available
+
+
+@st.composite
+def capped_cases(draw):
+    """Proposals over budget where the first round caps someone and a
+    second round runs, under either policy.  A zero proposal is capped
+    under both; a small one with an overwhelming importance is capped
+    under the weighted policy too."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 1_000), IMPORTANCE), min_size=2,
+                          max_size=10))
+    small = draw(st.integers(1, 200))
+    others = sum(want for want, _ in pairs)
+    available = draw(st.integers(small + 1, small + others - 1))
+    # share = int(available * w / (w + rest)) >= small once w > available * rest.
+    heavy = 2.0 * available * sum(want * weight for want, weight in pairs) / small + 1.0
+    for pair in ((0, draw(IMPORTANCE)), (small, heavy)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return [want for want, _ in pairs], [weight for _, weight in pairs], available
+
+
+@pytest.mark.parametrize("policy_class", POLICIES)
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(squish_cases(), capped_cases()), floor=st.integers(0, 50))
+def test_squish_matches_water_filling(policy_class, case, floor):
+    policy = policy_class(floor)
+    desired, importance, available = case
+    expected, _, _ = water_filling(policy, desired, importance, available)
+    assert policy.squish(desired, importance, available) == expected
+
+
+@pytest.mark.parametrize("policy_class", POLICIES)
+@settings(max_examples=50, deadline=None)
+@given(case=capped_cases())
+def test_capped_cases_cap_and_run_several_rounds(policy_class, case):
+    _, rounds, capped = water_filling(policy_class(), *case)
+    assert rounds >= 2 and capped >= 1
 
 
 class TestAdmissionControl:

@@ -500,6 +500,8 @@ workload = st.integers(min_value=2, max_value=8).flatmap(
 #: Runs before the random cases: t0 and t1 spend their budgets, a pick
 #: marks both, and t1 blocks while throttled.  At the window end t0's
 #: replenishment rolls in a miss, and t1's dead entry must be dropped.
+#: On 4 CPUs the second round's plan must not be the first's, which
+#: still holds the spent t0 and t1.
 _THROTTLE_BLOCK_REPLENISH = (3, [
     ("reserve", 0, 100, 10_000),
     ("reserve", 1, 100, 10_000),
@@ -514,9 +516,20 @@ _THROTTLE_BLOCK_REPLENISH = (3, [
 ])
 
 
+#: A batch raises t1's proportion, so t1's staged key now heads the
+#: ready heap: a pick from a heap the batch did not rebuild takes t0.
+_BATCH_REKEYS_HEAD = (2, [
+    ("reserve", 0, 100, 10_000),
+    ("reserve", 1, 100, 10_000),
+    ("batch", [(1, 200, None)]),
+    ("round", 100),
+])
+
+
 @pytest.mark.parametrize("n_cpus", [1, 4])
 @given(case=workload)
 @example(case=_THROTTLE_BLOCK_REPLENISH)
+@example(case=_BATCH_REKEYS_HEAD)
 @settings(max_examples=200, deadline=None)
 def test_optimized_matches_reference(n_cpus, case):
     """Pick sequences, charges and deadline misses are identical."""
