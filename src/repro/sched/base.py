@@ -10,8 +10,9 @@ next* (:meth:`Scheduler.pick_next`) and *for at most how long*
 On a multiprocessor kernel the dispatch question is asked once per CPU:
 the kernel first calls :meth:`Scheduler.place_threads`, which builds the
 round's heaviest-first order of runnable threads
-(:meth:`Scheduler.placement_order`, one pass over the ready hints and
-one sort) and lets the scheduler's
+(:meth:`Scheduler.placement_order`: one pass over the ready hints and
+one sort here; the reservation scheduler filters a standing sorted
+roster instead) and lets the scheduler's
 :class:`~repro.sched.placement.PlacementPolicy` map that order to CPUs;
 then it calls :meth:`Scheduler.pick_next_cpu` for each online CPU in
 index order, claiming each pick before the next CPU asks.  The default
@@ -281,6 +282,15 @@ class Scheduler(ABC):
         #: CPU (``None`` on the uniprocessor path) -> its rotation
         #: cursor (see :meth:`rotate`).
         self._cursors: dict[Optional[int], int] = {}
+        #: The attached kernel's dispatch interval and CPU count, read
+        #: once in :meth:`attach` (the kernel fixes both at
+        #: construction), and its online CPUs: ``None`` while every CPU
+        #: is online, else the ascending index tuple, re-read at every
+        #: :meth:`note_capacity_change`.  The per-round paths read these
+        #: instead of going through the kernel's properties.
+        self._interval_us = 1_000
+        self._n_cpus = 1
+        self._online: Optional[tuple[int, ...]] = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -288,20 +298,28 @@ class Scheduler(ABC):
     def attach(self, kernel: "Kernel") -> None:
         """Called by the kernel when the scheduler is installed."""
         self.kernel = kernel
+        self._interval_us = kernel.dispatch_interval_us
+        self._n_cpus = kernel.n_cpus
+        self._read_online()
+
+    def _read_online(self) -> None:
+        """Copy the attached kernel's online CPUs (see ``_online``)."""
+        kernel = self.kernel
+        self._online = (
+            kernel.online_cpu_indices()
+            if kernel is not None and kernel.offline_cpu_count
+            else None
+        )
 
     @property
     def dispatch_interval_us(self) -> int:
         """The kernel's dispatch interval (1 ms unless reconfigured)."""
-        if self.kernel is None:
-            return 1_000
-        return self.kernel.dispatch_interval_us
+        return self._interval_us
 
     @property
     def n_cpus(self) -> int:
         """Number of CPUs of the attached kernel (1 when detached)."""
-        if self.kernel is None:
-            return 1
-        return self.kernel.n_cpus
+        return self._n_cpus
 
     @property
     def online_cpu_count(self) -> int:
@@ -374,7 +392,8 @@ class Scheduler(ABC):
         ``(-placement_weight(t), t.tid, t)`` for every runnable thread,
         ascending: one pass over the ready hints, one sort.  The order
         is total (tids are unique), so it does not depend on the order
-        the hints are held in.  Overrides may inline the weight but
+        the hints are held in.  Overrides may build it another way (the
+        reservation scheduler filters a standing sorted roster) but
         must return exactly this list.
         """
         weight = self.placement_weight
@@ -394,12 +413,8 @@ class Scheduler(ABC):
         Called by the multiprocessor kernel at the start of every
         dispatch round.  Returns (and caches) the tid -> CPU mapping.
         """
-        kernel = self.kernel
-        online: Optional[tuple[int, ...]] = None
-        if kernel is not None and kernel.offline_cpu_count:
-            online = kernel.online_cpu_indices()
         self._placement_map = self.placement.assign(
-            self.placement_order(), self.n_cpus, online
+            self.placement_order(), self._n_cpus, self._online
         )
         return self._placement_map
 
@@ -483,8 +498,11 @@ class Scheduler(ABC):
     def note_capacity_change(self) -> None:
         """Hook: the kernel's online-CPU set changed (fail/recover).
 
-        Called by :meth:`Kernel.fail_cpu` and :meth:`Kernel.recover_cpu`.
+        Called by :meth:`Kernel.fail_cpu` and :meth:`Kernel.recover_cpu`;
+        re-reads the online CPUs placement uses (overrides must call
+        super).
         """
+        self._read_online()
 
     def on_mutex_block(self, thread: SimThread, mutex: "Mutex", now: int) -> None:
         """Hook: ``thread`` blocked acquiring ``mutex``."""
@@ -547,7 +565,7 @@ class Scheduler(ABC):
 
     def time_slice(self, thread: SimThread, now: int) -> int:
         """Maximum time (us) ``thread`` may run before re-dispatch."""
-        return self.dispatch_interval_us
+        return self._interval_us
 
 
 __all__ = ["LazyMinHeap", "RunQueue", "Scheduler"]

@@ -11,8 +11,8 @@ policies here.
 
 The scheduler hands every policy the same input: its runnable threads
 in one heaviest-first order, ``(-weight, tid, thread)`` ascending
-(:meth:`~repro.sched.base.Scheduler.placement_order`), built once per
-round.  A policy walks that order; none weighs or sorts threads itself.
+(:meth:`~repro.sched.base.Scheduler.placement_order`), once per round.
+A policy walks that order; none weighs or sorts threads itself.
 
 The flat policy (no topology model):
 
@@ -164,9 +164,10 @@ class LeastLoadedPlacement(PlacementPolicy):
         mapping: dict[int, int] = {}
         # Heaviest-first gives the classic LPT balance guarantee; the
         # tid tiebreak keeps the order (and therefore the whole
-        # simulation) deterministic.  The argmin over CPU loads is
-        # unrolled by hand — this runs for every dispatch round of an
-        # SMP kernel, so ``min(key=...)`` overhead is measurable.
+        # simulation) deterministic.  This runs for every dispatch round
+        # of an SMP kernel, so the argmin over CPU loads stays in C:
+        # ``loads.index(min(loads))`` and ``min`` over the ascending
+        # candidates both return the first minimum, the lowest index.
         candidates = self._candidates(n_cpus, online)
         online_set = None if online is None else frozenset(online)
         for neg_weight, tid, thread in order:
@@ -177,21 +178,9 @@ class LeastLoadedPlacement(PlacementPolicy):
                     # CPU, matching the kernel's drain target.
                     cpu = candidates[0]
             elif online is None:
-                cpu = 0
-                best = loads[0]
-                for index in range(1, n_cpus):
-                    load = loads[index]
-                    if load < best:
-                        best = load
-                        cpu = index
+                cpu = loads.index(min(loads))
             else:
-                cpu = candidates[0]
-                best = loads[cpu]
-                for index in candidates:
-                    load = loads[index]
-                    if load < best:
-                        best = load
-                        cpu = index
+                cpu = min(candidates, key=loads.__getitem__)
             mapping[tid] = cpu
             if neg_weight < 0.0:
                 loads[cpu] -= neg_weight

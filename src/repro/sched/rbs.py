@@ -90,17 +90,34 @@ would change dispatch traces).
 
 SMP rounds
 ~~~~~~~~~~
-A multiprocessor round asks for one pick per online CPU, in CPU order,
-at one instant, and the kernel claims each pick before the next CPU
-asks.  The scan answered each CPU separately: the first READY
-reservation in rate-monotonic order that is pinned to that CPU, or
-placed on it, or placed nowhere.  Re-walking the order per CPU repeats
-the same work, so :meth:`ReservationScheduler.place_threads` drops the
-previous round's plan and the round's first
-:meth:`~ReservationScheduler.pick_next_cpu` builds a new one:
+A multiprocessor round starts with placement.  Its input, the runnable
+threads heaviest first, changes much more slowly than rounds come: a
+weight is a reserved proportion, which changes only when the controller
+actuates (about once per 10 ms tick), and the membership changes only
+at add, remove, reserve and clear.  The scheduler therefore keeps a
+standing *roster*, every member as ``(-placement_weight(t), tid, t)``,
+sorted.  The one proportion write (in :meth:`~ReservationScheduler.actuate`,
+once per batch that changed a proportion), ``_track_reservation``,
+:meth:`~ReservationScheduler.clear_reservation`, ``on_add`` and
+``on_remove`` drop it; the next
+:meth:`~ReservationScheduler.placement_order` sorts it again.  Every
+other round's order is the roster filtered to READY and RUNNING
+threads, which is exactly the list the base contract builds by weighing
+and sorting: filtering a sorted list keeps it sorted.
 
-* it realises owed marks, due replenishments and stray rolls once
-  (a second service at the same instant finds nothing left to do);
+The round then asks for one pick per online CPU, in CPU order, at one
+instant, and the kernel claims each pick before the next CPU asks.  The
+scan answered each CPU separately: the first READY reservation in
+rate-monotonic order that is pinned to that CPU, or placed on it, or
+placed nowhere.  Re-walking the order per CPU repeats the same work, so
+:meth:`ReservationScheduler.place_threads` drops the previous round's
+plan and the round's first :meth:`~ReservationScheduler.pick_next_cpu`
+builds a new one:
+
+* it realises owed marks, due replenishments and stray rolls once, and
+  only when one is owed, a stray may roll or the replenishment top is
+  due (the guard ``pick_next`` uses); a second service at the same
+  instant would find nothing left to do;
 * it walks the rate-monotonic order once and gives each READY thread
   to the CPU the scan would have: its pin, else its placement, else (an
   unplaced thread) the lowest online CPU still without a pick.  A CPU
@@ -292,6 +309,10 @@ class ReservationScheduler(Scheduler):
         #: This SMP round's reservation pick per CPU; ``None`` until the
         #: round's first ``pick_next_cpu`` (see "SMP rounds").
         self._plan: Optional[list[Optional[SimThread]]] = None
+        #: Every member heaviest first, ``(-placement_weight(t), tid, t)``
+        #: ascending; ``None`` once a weight or the membership changed,
+        #: until the next ``placement_order`` sorts it again.
+        self._roster: Optional[PlacementOrder] = None
 
     # ------------------------------------------------------------------
     # reservation management (the controller's actuation interface)
@@ -366,6 +387,7 @@ class ReservationScheduler(Scheduler):
         rm_heap = self._rm_heap
         ready = rm_heap.live
         waiting = self._replenish.live
+        resized = False
         try:
             for thread, proportion_ppt, period_us in zip(
                 threads, proportions_ppt, periods_us
@@ -402,6 +424,7 @@ class ReservationScheduler(Scheduler):
                     )
                 self._reserved_ppt_total += proportion_ppt - current.proportion_ppt
                 current.proportion_ppt = proportion_ppt
+                resized = True
                 if period_us != current.period_us:
                     current.period_us = period_us
                     current.period_start = now
@@ -430,8 +453,11 @@ class ReservationScheduler(Scheduler):
                 elif not exhausted and tid in waiting:
                     self._make_ready(tid, current)
         finally:
-            # Also after an error: every staged key must reach the heap.
+            # Also after an error: every staged key must reach the heap,
+            # and the placement roster must re-sort the new weights.
             rm_heap.rebuild()
+            if resized:
+                self._roster = None
 
     def clear_reservation(self, thread: SimThread) -> None:
         """Demote ``thread`` to best-effort scheduling."""
@@ -440,6 +466,7 @@ class ReservationScheduler(Scheduler):
         tid = thread.tid
         reservation = self._reservations.pop(tid, None)
         if reservation is not None:
+            self._roster = None
             self._reserved_ppt_total -= reservation.proportion_ppt
             self._deadline_miss_total -= reservation.deadline_misses
             self._rm_heap.discard(tid)
@@ -484,6 +511,7 @@ class ReservationScheduler(Scheduler):
         route the thread if it is runnable (``on_ready`` routes it on
         wake-up otherwise)."""
         self._reservations[thread.tid] = reservation
+        self._roster = None
         self._reserved_ppt_total += reservation.proportion_ppt
         self._deadline_miss_total += reservation.deadline_misses
         if thread.state.is_runnable:
@@ -646,6 +674,7 @@ class ReservationScheduler(Scheduler):
     # policy hooks
     # ------------------------------------------------------------------
     def on_add(self, thread: SimThread) -> None:
+        self._roster = None
         reservation = self.reservation(thread)
         if reservation is None and thread.policy is SchedulingPolicy.RESERVATION:
             # A thread that registers with the RBS but has not yet been
@@ -665,6 +694,7 @@ class ReservationScheduler(Scheduler):
             self._best_effort[thread.tid] = thread
 
     def on_remove(self, thread: SimThread) -> None:
+        self._roster = None
         tid = thread.tid
         reservation = self._reservations.pop(tid, None)
         if reservation is not None:
@@ -750,22 +780,21 @@ class ReservationScheduler(Scheduler):
         return float(reservation.proportion_ppt)
 
     def placement_order(self) -> PlacementOrder:
-        """The base order with :meth:`placement_weight` inlined: one
-        loop over the ready hints, no method call per thread."""
-        reservations = self._reservations
-        order: PlacementOrder = []
-        append = order.append
-        for thread in self._run_queue.ready_hint():
-            state = thread.state
-            if state is _READY or state is _RUNNING:
-                tid = thread.tid
-                reservation = reservations.get(tid)
-                if reservation is None or reservation.proportion_ppt <= 0:
-                    append((-1.0, tid, thread))
-                else:
-                    append((-float(reservation.proportion_ppt), tid, thread))
-        order.sort()
-        return order
+        """The base order, filtered from the standing roster (see "SMP
+        rounds"): no weight read and no sort unless a weight or the
+        membership changed since the last round."""
+        roster = self._roster
+        if roster is None:
+            weight = self.placement_weight
+            roster = self._roster = sorted(
+                (-weight(thread), tid, thread)
+                for tid, thread in self._run_queue._members.items()
+            )
+        return [
+            entry
+            for entry in roster
+            if (state := entry[2].state) is _READY or state is _RUNNING
+        ]
 
     def place_threads(self, now: int) -> dict[int, int]:
         """Place the round's threads and drop the previous round's plan."""
@@ -815,18 +844,20 @@ class ReservationScheduler(Scheduler):
                     return thread
             break
         # Walk past entries without mutating the heap: the sorted live
-        # snapshot is exactly the drain order.
-        for entry in rm_heap.live_sorted():
-            tid = entry[-1]
-            thread = members.get(tid)
-            if thread is None:
-                continue
-            state = thread.state
-            if state is _READY or state is _RUNNING:
-                reservation = self._reservations[tid]
-                if now - reservation.period_start >= reservation.period_us:
-                    self._advance(tid, reservation, now)
-                return thread
+        # snapshot is exactly the drain order.  An emptied heap (the
+        # common way out of the loop above) has nothing to walk.
+        if ready:
+            for entry in rm_heap.live_sorted():
+                tid = entry[-1]
+                thread = members.get(tid)
+                if thread is None:
+                    continue
+                state = thread.state
+                if state is _READY or state is _RUNNING:
+                    reservation = self._reservations[tid]
+                    if now - reservation.period_start >= reservation.period_us:
+                        self._advance(tid, reservation, now)
+                    return thread
         best_effort = self._best_effort
         if best_effort:
             candidates = [
@@ -862,20 +893,24 @@ class ReservationScheduler(Scheduler):
     def _plan_round(self, now: int) -> list[Optional[SimThread]]:
         """Every online CPU's reservation pick for the round at ``now``
         (indexed by CPU; ``None`` where no reservation is eligible)."""
-        self._service_queues(now, pick=True)
-        n_cpus = self.n_cpus
+        # The service guard of ``pick_next``.
+        waiting = self._replenish.heap
+        if self._owed or self._wanted_stray or (waiting and waiting[0][0] <= now):
+            self._service_queues(now, pick=True)
+        n_cpus = self._n_cpus
         plan: list[Optional[SimThread]] = [None] * n_cpus
-        kernel = self.kernel
-        if kernel is not None and kernel.offline_cpu_count:
-            online: "range | tuple[int, ...]" = kernel.online_cpu_indices()
-        else:
+        # open_cpus: the CPUs still without a pick; offline CPUs never pick.
+        online: "range | tuple[int, ...]"
+        if self._online is None:
             online = range(n_cpus)
-        #: CPUs still without a pick; offline CPUs never pick.
-        open_cpus = [False] * n_cpus
-        for index in online:
-            open_cpus[index] = True
+            open_cpus = [True] * n_cpus
+        else:
+            online = self._online
+            open_cpus = [False] * n_cpus
+            for index in online:
+                open_cpus[index] = True
         left = len(online)
-        members = self._run_queue.get
+        members = self._run_queue._members.get
         placement = self._placement_map
         reservations = self._reservations
         for entry in self._rm_heap.live_sorted():
@@ -907,11 +942,10 @@ class ReservationScheduler(Scheduler):
         if reservation is None:
             if self._best_effort_slice_us is not None:
                 return self._best_effort_slice_us
-            return self.dispatch_interval_us
-        slice_us = self.dispatch_interval_us
+            return self._interval_us
         if self.enforce_within_slice:
-            slice_us = min(slice_us, max(1, reservation.remaining_us))
-        return slice_us
+            return min(self._interval_us, max(1, reservation.remaining_us))
+        return self._interval_us
 
     def next_wakeup(self, now: int) -> Optional[int]:
         entry = self._replenish.peek()

@@ -478,14 +478,25 @@ class WorkloadEngine:
             stream.rejected += 1
             stream.records.append(index, record_tag, now, now, "rejected")
             return None
+        # A job the controller does not register but that carries a
+        # direct reservation gets it right after it is added (below).
+        reserved_directly = (
+            template.reservation is not None
+            and (spec is None or self.allocator is None)
+            and hasattr(self.kernel.scheduler, "set_reservation")
+        )
         # Jobs with neither a controller spec nor a direct reservation
         # are best-effort: under a bare reservation scheduler the
         # default RESERVATION policy would park them on a permanent
         # zero-proportion reservation (it is the controller that raises
-        # those), so they would never run.
+        # those), so they would never run.  A job about to get its
+        # reservation also enters best-effort: parked on that zero
+        # reservation first, it would be queued twice, and
+        # ``set_reservation`` makes it a reservation thread anyway.
         policy = (
             SchedulingPolicy.RESERVATION
-            if spec is not None or template.reservation is not None
+            if (spec is not None or template.reservation is not None)
+            and not reserved_directly
             else SchedulingPolicy.BEST_EFFORT
         )
         thread = SimThread(

@@ -41,6 +41,7 @@ GOLDEN = ("repro", "golden")
 DIFFERENTIAL = "tests/test_sched_rbs_differential.py"
 #: Either CPU count's case of the scan-oracle differential.
 ORACLE = f"FAILED {DIFFERENTIAL}::test_optimized_matches_reference["
+SMP_ROUNDS = f"{DIFFERENTIAL}::test_smp_rounds_match_reference"
 RBS = "src/repro/sched/rbs.py"
 KERNEL = "src/repro/sim/kernel.py"
 ALLOCATOR = "src/repro/core/allocator.py"
@@ -90,6 +91,12 @@ ROWS: list[Row] = [
     ("rbs-actuate-skips-heap-rebuild", RBS, [
         ("            rm_heap.rebuild()\n", "            pass\n"),
     ], ("pytest", DIFFERENTIAL), ORACLE),
+    # A batch that re-sizes proportions leaves the placement roster
+    # standing (an explicit example of the SMP differential catches it,
+    # every run).
+    ("rbs-actuate-keeps-stale-roster", RBS, [
+        ("            if resized:\n                self._roster = None\n", ""),
+    ], ("pytest", SMP_ROUNDS), f"FAILED {SMP_ROUNDS}"),
     # The replenishment loop replenishes a thread from a dead entry
     # (one a block, a clear or a return to the ready heap left behind).
     ("rbs-replenish-takes-stale", RBS, [

@@ -27,7 +27,7 @@ def test_every_anchor_occurs_once_in_the_tree(row):
 
 def test_row_names_are_unique():
     names = [row[0] for row in ROWS]
-    assert len(set(names)) == len(names) == 25
+    assert len(set(names)) == len(names) == 26
 
 
 def test_a_repeated_anchor_is_stale():

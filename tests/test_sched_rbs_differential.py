@@ -411,6 +411,17 @@ class DualHarness:
         # idle-wakeup answer must be identical (it steers kernel time).
         self._assert_aggregates()
 
+    def check_placement_order(self) -> None:
+        """The optimized side's placement order, filtered from its
+        standing roster, is the from-scratch weigh-and-sort."""
+        opt = self.opt
+        expected = sorted(
+            (-opt.placement_weight(t), t.tid, t) for t in opt.runnable_threads()
+        )
+        assert opt.placement_order() == expected, (
+            f"placement order diverged from a fresh sort at t={self.now}"
+        )
+
     # -- final comparison ----------------------------------------------
     def check_final(self) -> None:
         # Realise every lazily-rolled window, then the full reservation
@@ -608,12 +619,26 @@ smp_workload = st.integers(min_value=2, max_value=9).flatmap(
 )
 
 
+#: A batch re-sizes t0 above t1 after a round sorted the roster: a
+#: roster the batch left standing still places t1 first.
+_BATCH_REORDERS_ROSTER = (3, [
+    ("reserve", 0, 100, 10_000),
+    ("reserve", 1, 200, 10_000),
+    ("round", 500, []),
+    ("batch", [(0, 300, None)]),
+    ("round", 500, []),
+])
+
+
 @given(case=smp_workload)
+@example(case=_BATCH_REORDERS_ROSTER)
 @settings(max_examples=200, deadline=None)
 def test_smp_rounds_match_reference(case):
-    """Every CPU's pick in every round matches the per-CPU scan."""
+    """Every CPU's pick in every round matches the per-CPU scan, and
+    after every operation the placement order matches a fresh sort."""
     n_threads, operations = case
     harness = DualHarness(n_threads, n_cpus=4)
+    harness.check_placement_order()
     for op in operations:
         kind = op[0]
         if kind == "reserve":
@@ -636,6 +661,7 @@ def test_smp_rounds_match_reference(case):
             harness.refresh(op[1])
         else:
             harness.dispatch_round(op[1], tuple(op[2]))
+        harness.check_placement_order()
     for _ in range(5):
         harness.dispatch_round(1_000)
     harness.check_final()

@@ -346,6 +346,51 @@ class TestWorkloadEngine:
         assert reserved.completed > 0
         assert best_effort.completed > 0
 
+    def test_reserved_job_is_queued_once_at_spawn(self):
+        """A job with a direct reservation is not first parked on the
+        zero reservation ``on_add`` gives an unreserved RESERVATION
+        thread: ``set_reservation`` creates its reservation and queues
+        it once, on the ready heap, with no replenishment entry (live or
+        dead) left behind and no batch re-size."""
+        kernel, engine = self._bare()
+        scheduler = kernel.scheduler
+        stream = engine.add_stream(
+            "rt", DeterministicArrivals(4_000),
+            JobTemplate(
+                "rt", total_cpu_us=800, burst_us=400, think_us=300,
+                reservation=(50, 10_000),
+            ),
+            max_arrivals=3,
+        )
+        set_reservation = scheduler.set_reservation
+        actuate = scheduler.actuate
+        batches = []
+        seen = []
+
+        def recording_set_reservation(thread, *args, **kwargs):
+            before = scheduler.reservation(thread)
+            reservation = set_reservation(thread, *args, **kwargs)
+            tid = thread.tid
+            seen.append((
+                before,
+                tid in scheduler._rm_heap,
+                any(entry[-1] == tid for entry in scheduler._replenish.heap),
+                tid in scheduler._owed,
+            ))
+            return reservation
+
+        def recording_actuate(*args, **kwargs):
+            batches.append(args)
+            return actuate(*args, **kwargs)
+
+        scheduler.set_reservation = recording_set_reservation
+        scheduler.actuate = recording_actuate
+        engine.start()
+        kernel.run_for(13_000)
+        assert stream.spawned == 3
+        assert seen == [(None, True, False, False)] * 3
+        assert batches == []
+
     def test_tagged_trace_selects_templates(self):
         kernel, engine = self._bare()
         trace = TraceArrivals.parse("0 a\n1000 b\n2000\n")
